@@ -52,7 +52,9 @@ def _build_parser():
                       help="corpus entry name for single-suite runs")
     laws.add_argument("--format", default="text", choices=["text", "json"])
     laws.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                      help="evaluation cap per law before sampling kicks in")
+                      help="assignments per law checked exhaustively; above it "
+                           "a seeded sample is checked, function-valued "
+                           "quantifiers included")
     laws.add_argument("--seed", type=int, default=0,
                       help="seed for sampled law checking")
 

@@ -112,10 +112,6 @@ def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
     )
 
 
-fst_bx = fst_ibx
-snd_bx = snd_ibx
-
-
 def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
     """Componentwise pairing over the product state space.
 

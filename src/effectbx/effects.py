@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import ScriptExhausted, UnobservableEffect
 from .lawcheck import (
@@ -35,10 +35,10 @@ class EffectFamily:
     families with finite observability.  ``enumerate_contexts`` lists the
     observation contexts equality quantifies over (environments for reader,
     input scripts for console); ``enumerate_values`` yields a deterministic
-    finite listing of effect values over a given carrier, used by the law
-    checker.  ``outcomes`` extracts the observable results of an effect value
-    (all branches for choice, zero or one for failure, one per context for
-    reader/console).
+    finite listing (a tuple or a lazy ``Space``) of effect values over a
+    given carrier, used by the law checker.  ``outcomes`` extracts the
+    observable results of an effect value (all branches for choice, zero or
+    one for failure, one per context for reader/console).
     """
 
     name: str
@@ -47,7 +47,7 @@ class EffectFamily:
     zero: Any = None
     equal: Optional[Callable[[Any, Any, Callable[[Any, Any], bool]], bool]] = None
     enumerate_contexts: Optional[tuple] = None
-    enumerate_values: Optional[Callable[[FiniteDomain], tuple]] = None
+    enumerate_values: Optional[Callable[[FiniteDomain], Iterable]] = None
     outcomes: Optional[Callable[[Any], tuple]] = None
 
     def __repr__(self):
@@ -200,17 +200,13 @@ def reader_family(contexts, name: str = "reader") -> EffectFamily:
 
     ctxs = tuple(contexts)
 
-    def enumerate_values(dom):
-        env_dom = FiniteDomain("env", ctxs)
-        return tuple(enumerate_functions(env_dom, dom))
-
     return EffectFamily(
         name=name,
         unit=lambda a: lambda _env: a,
         bind=lambda m, k: lambda env: k(m(env))(env),
         equal=lambda x, y, eq: all(eq(x(e), y(e)) for e in ctxs),
         enumerate_contexts=ctxs,
-        enumerate_values=enumerate_values,
+        enumerate_values=lambda dom: enumerate_functions(FiniteDomain("env", ctxs), dom),
         outcomes=lambda x: tuple(x(e) for e in ctxs),
     )
 
@@ -298,6 +294,21 @@ class ConsoleWorld:
         return (tuple(self.pending), tuple(self.transcript))
 
 
+@dataclass(frozen=True)
+class _ConsoleValue:
+    """An enumerated console value: a labelled ConsoleWorld -> result
+    function whose repr is its label, so witnesses stay readable."""
+
+    label: str
+    run: Callable[[ConsoleWorld], Any]
+
+    def __call__(self, world):
+        return self.run(world)
+
+    def __repr__(self):
+        return self.label
+
+
 def console_write(text: str):
     def run(world: ConsoleWorld):
         world.write(text)
@@ -377,32 +388,6 @@ def console_family(scripts=((),)) -> EffectFamily:
     )
 
 
-def _console_unit(a):
-    def run(world):
-        return a
-
-    run._label = f"unit({a!r})"
-    return run
-
-
-def _console_write_then(a):
-    def run(world):
-        world.write("x")
-        return a
-
-    run._label = f"write;unit({a!r})"
-    return run
-
-
-def _console_read_then(a):
-    def run(world):
-        world.read()
-        return a
-
-    run._label = f"read;unit({a!r})"
-    return run
-
-
 def console_run(comp, script):
     """Run a console-effect value against an input script.
 
@@ -461,11 +446,9 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
         )
 
     def enumerate_values(dom):
-        pair_dom = FiniteDomain(
-            "pairs", tuple((a, s) for a in dom.elements for s in states)
+        return enumerate_functions(
+            state_domain, tuple((a, s) for a in dom.elements for s in states)
         )
-        fns = enumerate_functions(state_domain, pair_dom)
-        return tuple(fn for fn in fns)
 
     fam = EffectFamily(
         name="native-state",

@@ -14,7 +14,8 @@ class ScriptExhausted(EffectbxError):
 
 
 class DomainTooLarge(EffectbxError):
-    """An enumeration would exceed the configured evaluation cap."""
+    """A law's assignments exceed the evaluation cap with sampling disabled,
+    or a domain closure does not converge."""
 
 
 class BaseLawsViolated(EffectbxError):

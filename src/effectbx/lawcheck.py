@@ -5,14 +5,18 @@ Every equational law in the library is represented as data: a quantifier list
 walks the assignment space, compares both sides with the subject's equality,
 and produces a machine-readable LawReport with counterexample witnesses.
 
-Checking is exhaustive up to a configurable evaluation cap (default 10**6
-assignments per law); above the cap a seeded random sample is used and the
-mode is recorded in the report so "pass" claims stay auditable.
+Checking is exhaustive up to one evaluation cap (default 10**6 assignments
+per law), applied only by ``run_laws``; above it a seeded random sample is
+used, decoding one index per quantifier from a lazy ``Space``, so function
+spaces are sampled without being built.  The mode is recorded in the report
+so "pass" claims stay auditable.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -81,38 +85,41 @@ class FiniteFunction:
         return "{" + entries + "}"
 
 
-def enumerate_functions(dom: FiniteDomain, cod: FiniteDomain,
-                        cap: Optional[int] = DEFAULT_CAP,
-                        sample: Optional[int] = None, seed: int = 0):
-    """Deterministically list all functions dom -> cod.
+@dataclass(frozen=True)
+class Space:
+    """A finite domain addressed by index: ``decode(i)`` builds element
+    ``i < size`` on demand, so a space may exceed memory (or ``sys.maxsize``:
+    use ``size``, not ``len``).  Iteration is in index order."""
 
-    If the count exceeds ``cap``: with ``sample`` set, return that many
-    seeded-random functions (reproducible across runs); otherwise raise
-    DomainTooLarge.
-    """
+    size: int
+    decode: Callable[[int], Any]
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return map(self.decode, range(self.size))
+
+    def map(self, f) -> "Space":
+        return Space(self.size, lambda i: f(self.decode(i)))
+
+
+def enumerate_functions(dom: FiniteDomain, cod) -> Space:
+    """The space of all functions ``dom -> cod`` (``cod`` any finite
+    iterable).  Index ``i`` maps the ``j``-th key of ``dom`` to the value
+    whose position is digit ``j`` of ``i`` in base ``len(cod)``."""
     keys = tuple(dom.elements)
-    n = len(cod.elements) ** len(keys)
-    if cap is not None and n > cap:
-        if sample is None:
-            raise DomainTooLarge(
-                f"{len(cod.elements)}^{len(keys)} = {n} functions exceeds cap {cap}"
-            )
-        rng = random.Random(seed)
-        return tuple(
-            FiniteFunction(keys, tuple(rng.choice(cod.elements) for _ in keys))
-            for _ in range(sample)
-        )
-    out = []
-    total = max(n, 0)
-    base = len(cod.elements)
-    for index in range(total):
+    values = tuple(cod)
+    base = len(values)
+
+    def decode(index):
         picks = []
-        i = index
         for _ in keys:
-            picks.append(cod.elements[i % base])
-            i //= base
-        out.append(FiniteFunction(keys, tuple(picks)))
-    return tuple(out)
+            index, digit = divmod(index, base)
+            picks.append(values[digit])
+        return FiniteFunction(keys, tuple(picks))
+
+    return Space(base ** len(keys), decode)
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,6 @@ class Law:
     quantifiers: tuple
     lhs: Callable[[Any, dict], Any]
     rhs: Callable[[Any, dict], Any]
-    compare: Optional[Callable[[Any, Any], bool]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "quantifiers", tuple(self.quantifiers))
@@ -214,39 +220,29 @@ class LawReport:
         return lines
 
 
-def _assignments(doms, cap, sample, seed):
-    """Yield (mode, iterator of value tuples) over the product of ``doms``."""
-    sizes = [len(d) for d in doms]
-    total = 1
-    for s in sizes:
-        total *= s
-    if not doms:
-        return "exhaustive", iter([()])
-    if 0 in sizes:  # vacuous quantification
-        return "exhaustive", iter(())
-    if cap is None or total <= cap:
-        def gen():
-            idx = [0] * len(doms)
-            while True:
-                yield tuple(d[i] for d, i in zip(doms, idx))
-                j = len(idx) - 1
-                while j >= 0:
-                    idx[j] += 1
-                    if idx[j] < sizes[j]:
-                        break
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
-                    return
+def _as_space(values) -> Space:
+    if isinstance(values, Space):
+        return values
+    values = tuple(values)
+    return Space(len(values), values.__getitem__)
 
-        return "exhaustive", gen()
+
+def _assignments(spaces, cap, sample, seed):
+    """Yield (mode, iterator of value tuples) over the product of ``spaces``:
+    every tuple in order when there are at most ``cap`` of them, else
+    ``sample`` seeded draws, one decoded index per space."""
+    total = math.prod(d.size for d in spaces)
+    if total == 0:  # vacuous quantification: build no other space
+        return "exhaustive", iter(())
+    if not spaces or total <= cap:
+        return "exhaustive", itertools.product(*spaces)
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     rng = random.Random(seed)
 
     def sampled():
         for _ in range(sample):
-            yield tuple(d[rng.randrange(len(d))] for d in doms)
+            yield tuple(d.decode(rng.randrange(d.size)) for d in spaces)
 
     return f"sampled(n={sample},seed={seed})", sampled()
 
@@ -256,29 +252,30 @@ def run_laws(subject_name: str, laws, subject, equal,
              seed: int = 0, max_witnesses: int = 3, effect: str = "") -> LawReport:
     """Run a list of laws against a subject and collect a LawReport.
 
-    ``equal`` is the default comparison for both sides; a law may override it.
-    Output ordering is deterministic: laws in given order, assignments in
-    enumeration order (or in seeded sample order above the cap).  ``cap=None``
-    means the default cap; pass ``sample=None`` to get DomainTooLarge instead
-    of sampling.
+    ``equal`` compares both sides.  A quantifier's provider returns a
+    ``Space`` or a finite iterable.  A law with more than ``cap`` assignments
+    (the product of the domain sizes) is checked on ``sample`` seeded draws
+    instead, function-valued quantifiers included.  Output ordering is
+    deterministic: laws in given order, assignments in enumeration order (or
+    in seeded sample order above the cap).  ``cap=None`` means the default
+    cap; pass ``sample=None`` to get DomainTooLarge instead of sampling.
     """
     if cap is None:
         cap = DEFAULT_CAP
     results = []
     modes = set()
     for law in laws:
-        doms = [tuple(provider(subject)) for _name, provider in law.quantifiers]
+        spaces = [_as_space(provider(subject)) for _name, provider in law.quantifiers]
         names = [name for name, _provider in law.quantifiers]
-        mode, assignments = _assignments(doms, cap, sample, seed)
+        mode, assignments = _assignments(spaces, cap, sample, seed)
         modes.add(mode)
         checked = 0
         failures = []
         for values in assignments:
             env = dict(zip(names, values))
             lhs, rhs = law.evaluate(subject, env)
-            cmp = law.compare or equal
             checked += 1
-            if not cmp(lhs, rhs):
+            if not equal(lhs, rhs):
                 if len(failures) < max_witnesses:
                     failures.append(
                         Witness(

@@ -199,8 +199,6 @@ def check_theta_morphism(l, fam: EffectFamily, source_domain: FiniteDomain,
         return x == y
 
     computations = enumerate_stateful(fam, view_domain, value_domain)
-    comp_dom = FiniteDomain("view-computations", computations)
-    conts = enumerate_functions(value_domain, comp_dom)
     laws = [
         Law(
             "theta-preserves-unit",
@@ -213,7 +211,7 @@ def check_theta_morphism(l, fam: EffectFamily, source_domain: FiniteDomain,
             "theta-preserves-bind",
             [
                 ("m", lambda _t: computations),
-                ("k", lambda _t: conts),
+                ("k", lambda _t: enumerate_functions(value_domain, computations)),
                 ("s", lambda _t: source_domain.elements),
             ],
             lambda _t, e: theta(l, e["m"].bind(e["k"])).run(e["s"]),

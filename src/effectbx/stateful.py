@@ -12,6 +12,7 @@ from .lawcheck import (
     FiniteDomain,
     Law,
     LawReport,
+    Space,
     enumerate_functions,
     run_laws,
 )
@@ -58,10 +59,6 @@ def st_gets(fam: EffectFamily, f) -> Stateful:
     return Stateful(fam, lambda s: fam.unit((f(s), s)))
 
 
-def st_modify(fam: EffectFamily, f) -> Stateful:
-    return Stateful(fam, lambda s: fam.unit(((), f(s))))
-
-
 def st_eval(m: Stateful, s):
     """Project the result: ``do {(a, s') <- m s; return a}``."""
     return m.effect.bind(m.run(s), lambda pair: m.effect.unit(pair[0]))
@@ -91,16 +88,15 @@ def _pair_eq(p, q):
 
 
 def enumerate_stateful(fam: EffectFamily, state_domain: FiniteDomain,
-                       value_domain: FiniteDomain):
+                       value_domain: FiniteDomain) -> Space:
     """All checkable computations over ``state_domain`` returning values in
     ``value_domain``: every function from state to enumerated effect value."""
     pair_dom = FiniteDomain(
         f"{value_domain.name}x{state_domain.name}",
         tuple((a, s) for a in value_domain.elements for s in state_domain.elements),
     )
-    eff_values = FiniteDomain(f"{fam.name}-vals", fam.values_over(pair_dom))
-    fns = enumerate_functions(state_domain, eff_values)
-    return tuple(Stateful(fam, fn) for fn in fns)
+    fns = enumerate_functions(state_domain, fam.values_over(pair_dom))
+    return fns.map(lambda fn: Stateful(fam, fn))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +181,6 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
 def check_lift_morphism(fam: EffectFamily, state_domain: FiniteDomain,
                         value_domain: FiniteDomain, cap=None, seed=0) -> LawReport:
     """st_lift preserves unit and bind, pointwise over states."""
-    eff_values = FiniteDomain(f"{fam.name}-vals", fam.values_over(value_domain))
-    conts = enumerate_functions(value_domain, eff_values)
     laws = [
         Law(
             "lift-preserves-unit",
@@ -199,7 +193,8 @@ def check_lift_morphism(fam: EffectFamily, state_domain: FiniteDomain,
             "lift-preserves-bind",
             [
                 ("tv", lambda _t: fam.values_over(value_domain)),
-                ("k", lambda _t: conts),
+                ("k", lambda _t: enumerate_functions(
+                    value_domain, fam.values_over(value_domain))),
                 ("s", lambda _t: state_domain.elements),
             ],
             lambda _t, e: st_lift(fam, fam.bind(e["tv"], e["k"])).run(e["s"]),

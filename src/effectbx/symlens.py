@@ -8,9 +8,12 @@ from typing import Any, Callable, Optional
 
 from .bx import InitBx
 from .effects import EffectFamily, Just, NOTHING, identity_family
+from .errors import DomainTooLarge
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
 from .lenses import Lens
 from .stateful import Stateful, st_gets
+
+_CLOSURE_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,12 @@ def symlens_to_symmlens(fam: EffectFamily, sl: SymLens) -> SymMLens:
 # consistent-triple closure and the bx simulation
 
 
-def consistent_triples(sl: SymLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                       max_rounds: int = 64) -> FiniteDomain:
+def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
+                       dom_b: FiniteDomain) -> FiniteDomain:
     """Materialize the consistent (a, b, c) triples by closure: seed with the
     puts applied to the missing complement, then iterate set-transitions until
-    no new triple appears."""
+    no new triple appears.  Raises DomainTooLarge if the closure has not
+    converged after 64 rounds (e.g. a complement that grows without bound)."""
     triples = []
 
     def add(t):
@@ -187,7 +191,7 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
     for b in dom_b:
         a, c = sl.put_l(b, sl.missing)
         add((a, b, c))
-    for _ in range(max_rounds):
+    for _ in range(_CLOSURE_ROUNDS):
         changed = False
         for (a, b, c) in list(triples):
             for a1 in dom_a:
@@ -197,8 +201,11 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
                 a1, c1 = sl.put_l(b1, c)
                 changed |= add((a1, b1, c1))
         if not changed:
-            break
-    return FiniteDomain("consistent-triples", tuple(triples))
+            return FiniteDomain("consistent-triples", tuple(triples))
+    raise DomainTooLarge(
+        f"consistent triples not closed after {_CLOSURE_ROUNDS} rounds "
+        f"({len(triples)} found)"
+    )
 
 
 def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,

@@ -55,12 +55,6 @@ def test_fst_ibx():
     assert check_seven_laws(bx).ok and check_init_laws(bx).ok
 
 
-def test_projection_aliases():
-    from effectbx import fst_bx, snd_bx
-
-    assert fst_bx is fst_ibx and snd_bx is snd_ibx
-
-
 def test_snd_ibx():
     bx = snd_ibx(identity_family(), BIT, BIT, default_a=1)
     assert bx.get_r.run((0, 1))[0] == 1

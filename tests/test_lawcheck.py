@@ -1,6 +1,8 @@
 """The generic law runner: enumeration, sampling, reports, determinism."""
 
 import json
+import operator
+import sys
 
 import pytest
 
@@ -12,8 +14,10 @@ from effectbx import (
     choice_family,
     enumerate_functions,
     run_laws,
+    state_law_suite,
 )
 from effectbx.corpus import run_corpus
+from effectbx.lawcheck import DEFAULT_CAP
 
 
 def test_enumerate_functions_counts():
@@ -33,15 +37,59 @@ def test_enumerate_functions_deterministic_order():
     assert a == b and len(a) == 9
 
 
-def test_enumerate_functions_cap_and_sampling():
+def test_function_space_above_cap_is_sampled_not_refused():
+    # 73^4 computations over four states: far above the cap, so sampled
+    report = state_law_suite(
+        choice_family(), FiniteDomain("s4", (0, 1, 2, 3)),
+        value_domain=FiniteDomain("bit", (0, 1)), cap=1000,
+    )
+    assert report.mode == "sampled(n=400,seed=0)"
+    assert report.law("unused-get-discardable").checked == 400
+    assert report.ok
+
+
+def test_sampling_decodes_only_the_drawn_functions():
     dom = FiniteDomain("d", tuple(range(8)))
-    cod = FiniteDomain("c", tuple(range(8)))
-    with pytest.raises(DomainTooLarge):
-        enumerate_functions(dom, cod, cap=1000)
-    s1 = enumerate_functions(dom, cod, cap=1000, sample=10, seed=7)
-    s2 = enumerate_functions(dom, cod, cap=1000, sample=10, seed=7)
-    assert [repr(f) for f in s1] == [repr(f) for f in s2]
-    assert len(s1) == 10
+    space = enumerate_functions(dom, FiniteDomain("c", tuple(range(300))))
+    assert space.size == 300 ** 8 > sys.maxsize
+    decoded = []
+    counted = space.map(lambda f: decoded.append(f) or f)
+    law = Law(
+        "zero-at-x",
+        [("f", lambda _t: counted), ("x", lambda _t: dom.elements)],
+        lambda _t, e: e["f"](e["x"]),
+        lambda _t, e: 0,
+    )
+    r1 = run_laws("demo", [law], None, operator.eq, cap=1000)
+    r2 = run_laws("demo", [law], None, operator.eq, cap=1000)
+    assert r1.mode == "sampled(n=400,seed=0)"
+    assert r1.law("zero-at-x").checked == 400 and r1.law("zero-at-x").failures
+    assert len(decoded) == 2 * 400
+    assert r1.to_json() == r2.to_json()
+
+
+@pytest.mark.parametrize("cap, mode", [(DEFAULT_CAP, "exhaustive"),
+                                       (10, "sampled(n=50,seed=2)")])
+def test_lazy_space_and_its_tuple_give_identical_reports(cap, mode):
+    # decoding index i must give the i-th element of the iteration order
+    dom = FiniteDomain("d", (0, 1, 2))
+    cod = FiniteDomain("c", ("x", "y", "z"))
+
+    def report(provider):
+        law = Law(
+            "constant",
+            [("f", provider), ("x", lambda _t: dom.elements)],
+            lambda _t, e: e["f"](e["x"]),
+            lambda _t, e: e["f"](0),
+        )
+        return run_laws("demo", [law], None, operator.eq, cap=cap, sample=50,
+                        seed=2, max_witnesses=100)
+
+    lazy = report(lambda _t: enumerate_functions(dom, cod))
+    eager = report(lambda _t: tuple(enumerate_functions(dom, cod)))
+    assert lazy.mode == mode
+    assert lazy.law("constant").failures
+    assert lazy.to_json() == eager.to_json()
 
 
 def test_run_laws_exhaustive_and_witness():

@@ -3,6 +3,7 @@
 import pytest
 
 from effectbx import (
+    DomainTooLarge,
     FiniteDomain,
     Just,
     NOTHING,
@@ -179,6 +180,14 @@ def test_span_extracted_from_composers_satisfies_lens_laws():
     assert check_lens_laws(l1, states, dom_a).law("view-update").ok
     assert check_lens_laws(l2, states, dom_b).law("update-view").ok
     assert check_lens_laws(l2, states, dom_b).law("view-update").ok
+
+
+def test_consistent_triples_refuses_a_closure_that_never_converges():
+    # the complement grows on every put, so the closure never closes
+    sl = SymLens(put_r=lambda a, c: (a, c + 1), put_l=lambda b, c: (b, c + 1),
+                 missing=0)
+    with pytest.raises(DomainTooLarge):
+        consistent_triples(sl, BIT, BIT)
 
 
 def test_lawful_symlenses_convert_to_lawful_bx():
