@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family
-from .errors import UnobservableEffect
+from .errors import NoInitializers, UnobservableEffect
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
 from .lenses import Lens
 from .stateful import Stateful, st_get, st_gets, st_set, st_unit
@@ -40,9 +40,9 @@ class Bx:
     def with_domains(self, state_domain=None, dom_a=None, dom_b=None) -> "Bx":
         return replace(
             self,
-            state_domain=state_domain or self.state_domain,
-            dom_a=dom_a or self.dom_a,
-            dom_b=dom_b or self.dom_b,
+            state_domain=self.state_domain if state_domain is None else state_domain,
+            dom_a=self.dom_a if dom_a is None else dom_a,
+            dom_b=self.dom_b if dom_b is None else dom_b,
         )
 
 
@@ -65,10 +65,6 @@ def _views_a(bx):
 
 def _views_b(bx):
     return bx.dom_b.elements
-
-
-def _value_eq(bx):
-    return lambda x, y: bx.effect.equal_values(x, y)
 
 
 def seven_laws():
@@ -120,16 +116,6 @@ def seven_laws():
     ]
 
 
-SEVEN_LAW_NAMES = tuple(law.name for law in seven_laws())
-
-
-def check_seven_laws(bx: Bx, cap=None, seed=0) -> LawReport:
-    return run_laws(
-        bx.name, seven_laws(), bx, _value_eq(bx), cap=cap, seed=seed,
-        effect=bx.effect.name,
-    )
-
-
 def overwritable_laws():
     return [
         Law(
@@ -145,14 +131,6 @@ def overwritable_laws():
             lambda t, e: t.set_r(e["b2"]).run(e["s"]),
         ),
     ]
-
-
-def check_overwritable(bx: Bx, cap=None, seed=0) -> LawReport:
-    """A later set fully overwrites an earlier one, on both sides."""
-    return run_laws(
-        f"{bx.name}:overwritable", overwritable_laws(), bx, _value_eq(bx),
-        cap=cap, seed=seed, effect=bx.effect.name,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +262,6 @@ def stability_laws(pairs):
     ]
 
 
-def check_stability(bx: Bx, cap=None, seed=0) -> LawReport:
-    """Every consistent pair survives setting its components in either order."""
-    return run_laws(
-        f"{bx.name}:stability", stability_laws(consistent_pairs(bx)), bx,
-        _value_eq(bx), cap=cap, seed=seed, effect=bx.effect.name,
-    )
-
-
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -317,12 +287,38 @@ def init_laws():
     ]
 
 
-def check_init_laws(bx: InitBx, cap=None, seed=0) -> LawReport:
-    """Initialising then getting yields the initialised value, on both sides."""
+# ---------------------------------------------------------------------------
+# the per-bx suites
+
+
+SUITES = {
+    "seven": lambda bx: seven_laws(),
+    "overwritable": lambda bx: overwritable_laws(),
+    "stability": lambda bx: stability_laws(consistent_pairs(bx)),
+    "init": lambda bx: init_laws(),
+}
+
+
+def check_suite(bx: Bx, suite: str, cap=None, seed=0) -> LawReport:
+    """Run the laws of ``SUITES[suite]`` on ``bx``: well-behavedness
+    ("seven"), a later set fully overwriting an earlier one ("overwritable"),
+    every consistent pair surviving its sets in either order ("stability"),
+    or initialising then getting the initialised value ("init", which
+    needs an ``InitBx``)."""
+    if suite == "init" and not isinstance(bx, InitBx):
+        raise NoInitializers(f"{bx.name} has no initializers")
     return run_laws(
-        f"{bx.name}:init", init_laws(), bx, _value_eq(bx), cap=cap, seed=seed,
-        effect=bx.effect.name,
+        bx.name if suite == "seven" else f"{bx.name}:{suite}", SUITES[suite](bx),
+        bx, bx.effect.equal_values, cap=cap, seed=seed, effect=bx.effect.name,
     )
+
+
+def check_seven_laws(bx: Bx, cap=None, seed=0) -> LawReport:
+    return check_suite(bx, "seven", cap, seed)
+
+
+def check_init_laws(bx: InitBx, cap=None, seed=0) -> LawReport:
+    return check_suite(bx, "init", cap, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line front end: law suites, the composers differential scenario,
 and the memoizing synchronization session (scripted or interactive).
 
+``laws --suite`` takes "all", an aggregate of ``corpus.AGGREGATES`` or a
+per-bx suite of ``bx.SUITES`` (run on the corpus entry named by ``--bx``).
+
 Exit codes: 0 all verdicts as expected, 1 unexpected law verdict, 2 usage or
 script parse error, 3 console script exhausted.
 """
@@ -11,14 +14,8 @@ import argparse
 import json
 import sys
 
-from .bx import (
-    InitBx,
-    check_init_laws,
-    check_overwritable,
-    check_seven_laws,
-    check_stability,
-)
-from .corpus import corpus_entries, run_corpus, run_monad_suite, run_state_suite
+from .bx import SUITES, check_suite
+from .corpus import AGGREGATES, select_entries
 from .effects import (
     ConsoleWorld,
     console_family,
@@ -45,8 +42,7 @@ def _build_parser():
     laws.add_argument(
         "--suite",
         default="all",
-        choices=["all", "corpus", "monad", "state", "seven", "overwritable",
-                 "stability", "init"],
+        choices=["all", *AGGREGATES, *SUITES],
     )
     laws.add_argument("--bx", default="identity",
                       help="corpus entry name for single-suite runs")
@@ -99,23 +95,12 @@ def main(argv=None) -> int:
 
 
 def _single_suite(args):
-    entries = {e.name: e for e in corpus_entries()}
-    if args.bx not in entries:
-        raise ValueError(f"unknown bx {args.bx!r}; known: {', '.join(sorted(entries))}")
-    bx = entries[args.bx].build()
-    runner = {
-        "seven": check_seven_laws,
-        "overwritable": check_overwritable,
-        "stability": check_stability,
-        "init": check_init_laws,
-    }[args.suite]
-    if args.suite == "init" and not isinstance(bx, InitBx):
-        raise ValueError(f"{args.bx} has no initializers")
-    return runner(bx, cap=args.cap, seed=args.seed)
+    (entry,) = select_entries({args.bx})
+    return check_suite(entry.build(), args.suite, cap=args.cap, seed=args.seed)
 
 
 def _cmd_laws(args) -> int:
-    if args.suite in ("seven", "overwritable", "stability", "init"):
+    if args.suite in SUITES:
         report = _single_suite(args)
         if args.format == "json":
             print(report.to_json(indent=2))
@@ -124,13 +109,11 @@ def _cmd_laws(args) -> int:
                 print(line)
         return 0 if report.ok else 1
 
-    aggregate = {}
-    if args.suite in ("all", "corpus"):
-        aggregate["corpus"] = run_corpus(cap=args.cap, seed=args.seed)
-    if args.suite in ("all", "monad"):
-        aggregate["monad"] = run_monad_suite(cap=args.cap, seed=args.seed)
-    if args.suite in ("all", "state"):
-        aggregate["state"] = run_state_suite(cap=args.cap, seed=args.seed)
+    aggregate = {
+        name: run(cap=args.cap, seed=args.seed)
+        for name, run in AGGREGATES.items()
+        if args.suite in ("all", name)
+    }
     ok = all(section["ok"] for section in aggregate.values())
     if args.format == "json":
         print(json.dumps({"ok": ok, "suites": aggregate}, indent=2, sort_keys=True))

@@ -73,8 +73,10 @@ def _check_middle(bx1: Bx, bx2: Bx):
 def join_states(bx1: Bx, bx2: Bx) -> FiniteDomain:
     """The pairs of component states whose shared middle views agree,
     materialized by filtering the product with the transparent predicate."""
-    a1 = _require_transparent(bx1)
-    a2 = _require_transparent(bx2)
+    return _join_states(bx1, bx2, _require_transparent(bx1), _require_transparent(bx2))
+
+
+def _join_states(bx1, bx2, a1, a2) -> FiniteDomain:
     read_r1 = a1.read_r_fn()
     read_l2 = a2.read_l_fn()
     pairs = tuple(
@@ -116,7 +118,7 @@ def compose(bx1: Bx, bx2: Bx, via_mlens: bool = False) -> Bx:
     a1 = _require_transparent(bx1)
     a2 = _require_transparent(bx2)
     if via_mlens:
-        composed = _compose_mlens(bx1, bx2)
+        composed = _compose_mlens(bx1, bx2, a1, a2)
     else:
         composed = _compose_direct(bx1, bx2, a1, a2)
     if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
@@ -170,7 +172,7 @@ def _compose_direct(bx1, bx2, a1, a2) -> Bx:
         set_l=set_l,
         get_r=Stateful(fam, lambda st: fam.unit((read_r2(st[1]), st))),
         set_r=set_r,
-        state_domain=join_states(bx1, bx2),
+        state_domain=_join_states(bx1, bx2, a1, a2),
         dom_a=bx1.dom_a,
         dom_b=bx2.dom_b,
     )
@@ -204,7 +206,7 @@ def _mlens_right(bx1: Bx, bx2: Bx) -> MLens:
     return MLens(effect=fam, mview=lambda st: st[1], mupdate=mupdate)
 
 
-def _compose_mlens(bx1, bx2) -> Bx:
+def _compose_mlens(bx1, bx2, a1, a2) -> Bx:
     fam = bx1.effect
     phi = lambda m: theta(_mlens_left(bx1, bx2), m)
     psi = lambda m: theta(_mlens_right(bx1, bx2), m)
@@ -215,7 +217,7 @@ def _compose_mlens(bx1, bx2) -> Bx:
         set_l=lambda a: phi(bx1.set_l(a)),
         get_r=psi(bx2.get_r),
         set_r=lambda c: psi(bx2.set_r(c)),
-        state_domain=join_states(bx1, bx2),
+        state_domain=_join_states(bx1, bx2, a1, a2),
         dom_a=bx1.dom_a,
         dom_b=bx2.dom_b,
     )
@@ -359,10 +361,7 @@ def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> 
 
 def left_identity_bijection(bx: Bx) -> StateBijection:
     """bx  ==>  identity ; bx, sending s to (read_l s, s)."""
-    analysis = analyze_transparency(bx)
-    if not analysis.transparent:
-        raise NotTransparent(bx.name)
-    read_l = analysis.read_l_fn()
+    read_l = _require_transparent(bx).read_l_fn()
     return StateBijection(
         forward=lambda s: (read_l(s), s),
         backward=lambda pair: pair[1],
@@ -371,10 +370,7 @@ def left_identity_bijection(bx: Bx) -> StateBijection:
 
 def right_identity_bijection(bx: Bx) -> StateBijection:
     """bx  ==>  bx ; identity, sending s to (s, read_r s)."""
-    analysis = analyze_transparency(bx)
-    if not analysis.transparent:
-        raise NotTransparent(bx.name)
-    read_r = analysis.read_r_fn()
+    read_r = _require_transparent(bx).read_r_fn()
     return StateBijection(
         forward=lambda s: (s, read_r(s)),
         backward=lambda pair: pair[0],

@@ -1,34 +1,22 @@
-"""Registry of checkable bx instances with expected verdicts.
+"""Registry of checkable bx instances with expected verdicts, and the
+aggregate suites (``AGGREGATES``) that the command line runs.
 
-Positive entries cover every constructor in the library across the shipped
-effect families; negative entries are deliberately broken mutants, each
-carrying its expected failing laws and a stored counterexample.  The seven
-law-targeted mutants each fail exactly one of the seven well-behavedness laws:
-the set-law mutants by surgical edits to one set operation, the get-law
-mutants by escaping to states outside the declared domain (where the opposing
-view differs) and repairing the escape in the sets.
+Each entry names the per-bx suites of ``bx.SUITES`` it runs.  Positive
+entries cover every constructor in the library across the shipped effect
+families; negative entries are deliberately broken mutants, each carrying its
+expected failing laws and a stored counterexample.  The seven law-targeted
+mutants each fail exactly one of the seven well-behavedness laws: the set-law
+mutants by surgical edits to one set operation, the get-law mutants by
+escaping to states outside the declared domain (where the opposing view
+differs) and repairing the escape in the sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .bx import (
-    Bx,
-    InitBx,
-    analyze_transparency,
-    check_init_laws,
-    check_overwritable,
-    check_seven_laws,
-    check_stability,
-    consistent_pairs,
-    init_laws,
-    lens_to_bx,
-    overwritable_laws,
-    seven_laws,
-    stability_laws,
-)
+from .bx import SUITES, Bx, InitBx, analyze_transparency, check_suite, lens_to_bx
 from .combinators import (
     const_bx,
     fst_ibx,
@@ -50,6 +38,7 @@ from .effects import (
     reader_family,
     writer_family,
 )
+from .errors import NoInitializers
 from .examples import (
     alert_bx,
     composers_symlens_bx,
@@ -319,20 +308,8 @@ def mutant_unstable() -> Bx:
 
 def mutant_bad_init() -> InitBx:
     """Initializer ignores its argument."""
-    base = identity_bx(identity_family(), BIT)
-    return InitBx(
-        name="mutant-bad-init",
-        effect=base.effect,
-        get_l=base.get_l,
-        set_l=base.set_l,
-        get_r=base.get_r,
-        set_r=base.set_r,
-        state_domain=base.state_domain,
-        dom_a=base.dom_a,
-        dom_b=base.dom_b,
-        init_l=lambda _a: 0,
-        init_r=base.init_r,
-    )
+    return replace(identity_bx(identity_family(), BIT), name="mutant-bad-init",
+                   init_l=lambda _a: 0)
 
 
 def broken_view_update_lens() -> Bx:
@@ -571,25 +548,25 @@ MUTANT_LAW_TARGETS = {
 }
 
 
-_SUITE_RUNNERS = {
-    "seven": check_seven_laws,
-    "overwritable": check_overwritable,
-    "stability": check_stability,
-    "init": check_init_laws,
-}
-
-_SUITE_LAWS = {
-    "seven": lambda bx: seven_laws(),
-    "overwritable": lambda bx: overwritable_laws(),
-    "stability": lambda bx: stability_laws(consistent_pairs(bx)),
-    "init": lambda bx: init_laws(),
-}
+def select_entries(names=None) -> tuple:
+    """The registered entries named in ``names`` (all of them when empty), in
+    registry order; an unknown name is a ValueError listing the known ones."""
+    entries = corpus_entries()
+    if not names:
+        return entries
+    known = {entry.name for entry in entries}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown bx {', '.join(map(repr, unknown))}; known: {', '.join(sorted(known))}"
+        )
+    return tuple(entry for entry in entries if entry.name in names)
 
 
 def recheck_witness(bx: Bx, suite: str, law_name: str, env: dict) -> bool:
     """Re-evaluate a recorded counterexample standalone; True when the
     inequality reproduces."""
-    for law in _SUITE_LAWS[suite](bx):
+    for law in SUITES[suite](bx):
         if law.name == law_name:
             lhs, rhs = law.evaluate(bx, env)
             return not bx.effect.equal_values(lhs, rhs)
@@ -599,20 +576,19 @@ def recheck_witness(bx: Bx, suite: str, law_name: str, env: dict) -> bool:
 def _entry_suites(entry: CorpusEntry):
     suites = set(entry.suites)
     suites.update(entry.expected_failing.keys())
-    order = ("seven", "overwritable", "stability", "init")
-    return tuple(s for s in order if s in suites)
+    return tuple(s for s in SUITES if s in suites)
 
 
 # ---------------------------------------------------------------------------
 # aggregate suites over the shipped effect families
 
 
-def _monad_law_families():
+def _families(reader_contexts):
     return (
         identity_family(),
         failure_family(),
         choice_family(),
-        reader_family((0, 1, 2)),
+        reader_family(reader_contexts),
         writer_family(),
         console_family(scripts=((), ("line",))),
     )
@@ -642,7 +618,7 @@ def run_monad_suite(cap=None, seed=0) -> dict:
         FiniteDomain("d2", (0, 1)),
         FiniteDomain("d3", (0, 1, 2)),
     ]
-    for fam in _monad_law_families():
+    for fam in _families((0, 1, 2)):
         for dom in doms:
             report = check_monad_laws(fam, dom, cap=cap, seed=seed)
             ok = ok and report.ok
@@ -692,15 +668,7 @@ def run_state_suite(cap=None, seed=0) -> dict:
         FiniteDomain("s2", (0, 1)),
         FiniteDomain("s3", (0, 1, 2)),
     ]
-    families = (
-        identity_family(),
-        failure_family(),
-        choice_family(),
-        reader_family((0, 1)),
-        writer_family(),
-        console_family(scripts=((), ("line",))),
-    )
-    for fam in families:
+    for fam in _families((0, 1)):
         for dom in doms:
             report = state_law_suite(fam, dom, value_domain=BIT, cap=cap, seed=seed)
             ok = ok and report.ok
@@ -712,22 +680,22 @@ def run_state_suite(cap=None, seed=0) -> dict:
 
 
 def run_corpus(cap=None, seed=0, names=None) -> dict:
-    """Run every registered entry's suites, compare against the expected
-    verdicts, and confirm each expected failure's witness (stored inputs when
-    declared, plus standalone reproduction)."""
+    """Run the suites of every registered entry (or of the entries named in
+    ``names``), compare against the expected verdicts, and confirm each
+    expected failure's witness (stored inputs when declared, plus standalone
+    reproduction)."""
     results = []
     all_ok = True
-    for entry in corpus_entries():
-        if names and entry.name not in names:
-            continue
+    for entry in select_entries(names):
         bx = entry.build()
         problems = []
         suite_reports = {}
         for suite in _entry_suites(entry):
-            if suite == "init" and not isinstance(bx, InitBx):
-                problems.append(f"{suite}: entry is not initialisable")
+            try:
+                report = check_suite(bx, suite, cap=cap, seed=seed)
+            except NoInitializers as exc:
+                problems.append(f"{suite}: {exc}")
                 continue
-            report = _SUITE_RUNNERS[suite](bx, cap=cap, seed=seed)
             suite_reports[suite] = report.to_dict()
             expected = set(entry.expected_failing.get(suite, ()))
             got = set(report.failing_laws)
@@ -764,3 +732,6 @@ def run_corpus(cap=None, seed=0, names=None) -> dict:
             }
         )
     return {"entries": results, "ok": all_ok}
+
+
+AGGREGATES = {"corpus": run_corpus, "monad": run_monad_suite, "state": run_state_suite}

@@ -18,6 +18,10 @@ class DomainTooLarge(EffectbxError):
     or a domain closure does not converge."""
 
 
+class NoInitializers(EffectbxError, ValueError):
+    """The init suite was asked of a bx that carries no initializers."""
+
+
 class BaseLawsViolated(EffectbxError):
     """The base effect's native get/set operations fail a required state law."""
 

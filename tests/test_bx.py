@@ -9,9 +9,8 @@ from effectbx import (
     FiniteDomain,
     analyze_transparency,
     check_init_laws,
-    check_overwritable,
     check_seven_laws,
-    check_stability,
+    check_suite,
     consistent_pairs,
     const_bx,
     fst_lens,
@@ -31,6 +30,7 @@ from effectbx.corpus import (
     mutant_bad_init,
     mutant_unstable,
     recheck_witness,
+    run_corpus,
     _switch_reader,
 )
 
@@ -72,11 +72,11 @@ def test_each_mutant_fails_exactly_its_law(name, target):
 
 
 def test_overwritable_verdicts():
-    assert check_overwritable(identity_bx(identity_family(), BIT)).ok
+    assert check_suite(identity_bx(identity_family(), BIT), "overwritable").ok
     fstbx = lens_to_bx(fst_lens(), PAIRS, BIT)
-    assert check_overwritable(fstbx).ok
+    assert check_suite(fstbx, "overwritable").ok
     wrapped = log_bx(identity_bx(writer_family(), BIT))
-    report = check_overwritable(wrapped)
+    report = check_suite(wrapped, "overwritable")
     assert set(report.failing_laws) == {"set_l-set_l", "set_r-set_r"}
 
 
@@ -139,11 +139,11 @@ def test_consistent_pairs_const():
 
 
 def test_stability_verdicts():
-    assert check_stability(identity_bx(identity_family(), BIT)).ok
-    assert check_stability(inv_bx()).ok
+    assert check_suite(identity_bx(identity_family(), BIT), "stability").ok
+    assert check_suite(inv_bx(), "stability").ok
     bad = mutant_unstable()
     assert check_seven_laws(bad).ok  # well-behaved...
-    report = check_stability(bad)   # ...but unstable
+    report = check_suite(bad, "stability")   # ...but unstable
     assert report.failing_laws == ("stable-set_l-first",)
     assert report.law("stable-set_l-first").failures
 
@@ -155,6 +155,47 @@ def test_init_laws():
     assert report.failing_laws == ("init_l-get_l",)
     w = report.law("init_l-get_l").failures[0]
     assert w.inputs == {"a": "1"}
+
+
+def test_check_suite_names_the_subject_per_suite():
+    bx = identity_bx(identity_family(), BIT)
+    assert check_suite(bx, "seven").subject == "identity"
+    for suite in ("overwritable", "stability", "init"):
+        assert check_suite(bx, suite).subject == f"identity:{suite}"
+
+
+def test_check_suite_refuses_init_without_initializers():
+    with pytest.raises(ValueError, match="mutant-unstable has no initializers"):
+        check_suite(mutant_unstable(), "init")
+
+
+def test_run_corpus_refuses_unknown_entry_names():
+    with pytest.raises(ValueError) as info:
+        run_corpus(names={"identity", "no-such-entry"})
+    message = str(info.value)
+    assert "unknown bx 'no-such-entry'" in message
+    assert "known: " in message and "mutant-bad-init" in message
+    selected = run_corpus(names={"identity"})
+    assert [e["name"] for e in selected["entries"]] == ["identity"]
+
+
+def test_run_corpus_records_a_refused_init_suite(monkeypatch):
+    from effectbx import corpus
+
+    entry = corpus.CorpusEntry("plain", mutant_unstable, ("seven", "init"))
+    monkeypatch.setattr(corpus, "corpus_entries", lambda: (entry,))
+    result = run_corpus()
+    assert not result["ok"]
+    (got,) = result["entries"]
+    assert got["problems"] == ["init: mutant-unstable has no initializers"]
+    assert list(got["suites"]) == ["seven"]
+
+
+def test_with_domains_keeps_an_empty_domain():
+    empty = FiniteDomain("e", ())
+    bx = identity_bx(identity_family(), BIT).with_domains(state_domain=empty)
+    assert bx.state_domain is empty
+    assert bx.dom_a is BIT and bx.dom_b is BIT
 
 
 def test_lens_to_bx_get_r_is_view():

@@ -13,8 +13,8 @@ from effectbx import (
     assoc_bijection,
     check_equivalence,
     check_init_laws,
-    check_overwritable,
     check_seven_laws,
+    check_suite,
     compose,
     compose_init,
     dual,
@@ -46,7 +46,7 @@ def _fst():
 def test_identity_bx_is_well_behaved_transparent_overwritable():
     bx = identity_bx(identity_family(), BIT)
     assert check_seven_laws(bx).ok
-    assert check_overwritable(bx).ok
+    assert check_suite(bx, "overwritable").ok
     analysis = analyze_transparency(bx)
     assert analysis.transparent
     assert analysis.read_l_fn()(1) == 1 and analysis.read_r_fn()(0) == 0
@@ -59,7 +59,7 @@ def test_dual_swaps_operations():
     assert d.get_l.run((0, 1)) == bx.get_r.run((0, 1))
     assert check_seven_laws(d).ok
     dd = dual(identity_bx(identity_family(), BIT))
-    assert check_seven_laws(dd).ok and check_overwritable(dd).ok
+    assert check_seven_laws(dd).ok and check_suite(dd, "overwritable").ok
 
 
 def test_dual_mirrors_law_verdicts():

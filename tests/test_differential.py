@@ -1,21 +1,20 @@
 """Cross-implementation differentials: the two composers implementations over
 many scripts, the flattened composers bx, and a hand-rolled re-evaluation of
-the seven-law suite."""
+every per-bx suite of the corpus."""
 
 import itertools
 
 from effectbx import (
-    FiniteDomain,
     NOTHING,
+    SUITES,
     bx_to_symlens,
-    check_seven_laws,
+    check_suite,
     composers_bx,
     composers_symlens,
-    identity_bx,
-    identity_family,
-    seven_laws,
 )
+from effectbx.corpus import _entry_suites, corpus_entries
 from effectbx.examples import _BxRunner, _SymlensRunner
+from effectbx.lawcheck import stable_repr
 
 
 BEA = ("Bea", "AT")
@@ -68,20 +67,42 @@ def test_flattened_composers_bx_agrees_with_symlens():
         assert left_flat == left_sl
 
 
-def test_seven_law_suite_against_hand_rolled_evaluation():
+def _hand_rolled(bx, law):
+    """(assignments, first failing env or None) of ``law`` on ``bx``,
+    evaluated at every assignment without the runner."""
+    names = [n for n, _p in law.quantifiers]
+    doms = [tuple(provider(bx)) for _n, provider in law.quantifiers]
+    count, first = 0, None
+    for values in itertools.product(*doms):
+        env = dict(zip(names, values))
+        lhs, rhs = law.evaluate(bx, env)
+        if first is None and not bx.effect.equal_values(lhs, rhs):
+            first = env
+        count += 1
+    return count, first
+
+
+def test_every_corpus_suite_against_hand_rolled_evaluation():
     # meta-oracle: evaluate each law side directly at every assignment and
-    # compare with the runner's verdicts
-    bit = FiniteDomain("bit", (0, 1))
-    bx = identity_bx(identity_family(), bit)
-    report = check_seven_laws(bx)
-    for law in seven_laws():
-        doms = [tuple(provider(bx)) for _n, provider in law.quantifiers]
-        names = [n for n, _p in law.quantifiers]
-        count = 0
-        for values in itertools.product(*doms):
-            env = dict(zip(names, values))
-            lhs, rhs = law.evaluate(bx, env)
-            assert bx.effect.equal_values(lhs, rhs)
-            count += 1
-        result = report.law(law.name)
-        assert result.ok and result.checked == count
+    # compare with the runner's counts, verdicts and first witnesses
+    total = 0
+    for entry in corpus_entries():
+        bx = entry.build()
+        for suite in _entry_suites(entry):
+            where = f"{entry.name}/{suite}"
+            report = check_suite(bx, suite)
+            assert report.mode == "exhaustive", where
+            failing = set()
+            for law in SUITES[suite](bx):
+                count, first = _hand_rolled(bx, law)
+                result = report.law(law.name)
+                assert result.checked == count, (where, law.name)
+                total += count
+                if first is None:
+                    assert result.ok, (where, law.name)
+                    continue
+                failing.add(law.name)
+                inputs = {k: stable_repr(v) for k, v in first.items()}
+                assert result.failures[0].inputs == inputs, (where, law.name)
+            assert set(report.failing_laws) == failing, where
+    assert total >= 8000
