@@ -55,80 +55,68 @@ class InitBx(Bx):
     init_r: Callable[[Any], Any]
 
 
-def _states(bx):
-    return bx.state_domain.elements
-
-
-def _views_a(bx):
-    return bx.dom_a.elements
-
-
-def _views_b(bx):
-    return bx.dom_b.elements
-
-
-def seven_laws():
+def seven_laws(bx: Bx):
     """The well-behavedness suite: get/get, set/get and get/set per side plus
     cross-side get commutation."""
     return [
         Law(
             "get_l-get_l",
-            [("s", _states)],
-            lambda t, e: t.get_l.bind(lambda a: t.get_l.map(lambda a2: (a, a2))).run(e["s"]),
-            lambda t, e: t.get_l.map(lambda a: (a, a)).run(e["s"]),
+            [("s", bx.state_domain)],
+            lambda e: bx.get_l.bind(lambda a: bx.get_l.map(lambda a2: (a, a2))).run(e["s"]),
+            lambda e: bx.get_l.map(lambda a: (a, a)).run(e["s"]),
         ),
         Law(
             "set_l-get_l",
-            [("a", _views_a), ("s", _states)],
-            lambda t, e: t.set_l(e["a"]).then(t.get_l).run(e["s"]),
-            lambda t, e: t.set_l(e["a"]).then(st_unit(t.effect, e["a"])).run(e["s"]),
+            [("a", bx.dom_a), ("s", bx.state_domain)],
+            lambda e: bx.set_l(e["a"]).then(bx.get_l).run(e["s"]),
+            lambda e: bx.set_l(e["a"]).then(st_unit(bx.effect, e["a"])).run(e["s"]),
         ),
         Law(
             "get_l-set_l",
-            [("s", _states)],
-            lambda t, e: t.get_l.bind(t.set_l).run(e["s"]),
-            lambda t, e: st_unit(t.effect, ()).run(e["s"]),
+            [("s", bx.state_domain)],
+            lambda e: bx.get_l.bind(bx.set_l).run(e["s"]),
+            lambda e: st_unit(bx.effect, ()).run(e["s"]),
         ),
         Law(
             "get_r-get_r",
-            [("s", _states)],
-            lambda t, e: t.get_r.bind(lambda b: t.get_r.map(lambda b2: (b, b2))).run(e["s"]),
-            lambda t, e: t.get_r.map(lambda b: (b, b)).run(e["s"]),
+            [("s", bx.state_domain)],
+            lambda e: bx.get_r.bind(lambda b: bx.get_r.map(lambda b2: (b, b2))).run(e["s"]),
+            lambda e: bx.get_r.map(lambda b: (b, b)).run(e["s"]),
         ),
         Law(
             "set_r-get_r",
-            [("b", _views_b), ("s", _states)],
-            lambda t, e: t.set_r(e["b"]).then(t.get_r).run(e["s"]),
-            lambda t, e: t.set_r(e["b"]).then(st_unit(t.effect, e["b"])).run(e["s"]),
+            [("b", bx.dom_b), ("s", bx.state_domain)],
+            lambda e: bx.set_r(e["b"]).then(bx.get_r).run(e["s"]),
+            lambda e: bx.set_r(e["b"]).then(st_unit(bx.effect, e["b"])).run(e["s"]),
         ),
         Law(
             "get_r-set_r",
-            [("s", _states)],
-            lambda t, e: t.get_r.bind(t.set_r).run(e["s"]),
-            lambda t, e: st_unit(t.effect, ()).run(e["s"]),
+            [("s", bx.state_domain)],
+            lambda e: bx.get_r.bind(bx.set_r).run(e["s"]),
+            lambda e: st_unit(bx.effect, ()).run(e["s"]),
         ),
         Law(
             "get_l-get_r",
-            [("s", _states)],
-            lambda t, e: t.get_l.bind(lambda a: t.get_r.map(lambda b: (a, b))).run(e["s"]),
-            lambda t, e: t.get_r.bind(lambda b: t.get_l.map(lambda a: (a, b))).run(e["s"]),
+            [("s", bx.state_domain)],
+            lambda e: bx.get_l.bind(lambda a: bx.get_r.map(lambda b: (a, b))).run(e["s"]),
+            lambda e: bx.get_r.bind(lambda b: bx.get_l.map(lambda a: (a, b))).run(e["s"]),
         ),
     ]
 
 
-def overwritable_laws():
+def overwritable_laws(bx: Bx):
     return [
         Law(
             "set_l-set_l",
-            [("a", _views_a), ("a2", _views_a), ("s", _states)],
-            lambda t, e: t.set_l(e["a"]).then(t.set_l(e["a2"])).run(e["s"]),
-            lambda t, e: t.set_l(e["a2"]).run(e["s"]),
+            [("a", bx.dom_a), ("a2", bx.dom_a), ("s", bx.state_domain)],
+            lambda e: bx.set_l(e["a"]).then(bx.set_l(e["a2"])).run(e["s"]),
+            lambda e: bx.set_l(e["a2"]).run(e["s"]),
         ),
         Law(
             "set_r-set_r",
-            [("b", _views_b), ("b2", _views_b), ("s", _states)],
-            lambda t, e: t.set_r(e["b"]).then(t.set_r(e["b2"])).run(e["s"]),
-            lambda t, e: t.set_r(e["b2"]).run(e["s"]),
+            [("b", bx.dom_b), ("b2", bx.dom_b), ("s", bx.state_domain)],
+            lambda e: bx.set_r(e["b"]).then(bx.set_r(e["b2"])).run(e["s"]),
+            lambda e: bx.set_r(e["b2"]).run(e["s"]),
         ),
     ]
 
@@ -240,24 +228,23 @@ def consistent_pairs(bx: Bx):
     return tuple(pairs)
 
 
-def stability_laws(pairs):
-    def pair_dom(_t):
-        return pairs
-
+def stability_laws(bx: Bx):
+    """Every consistent pair survives its two sets, in either order."""
+    pairs = consistent_pairs(bx)
     return [
         Law(
             "stable-set_l-first",
-            [("p", pair_dom), ("s", _states)],
-            lambda t, e: t.set_l(e["p"][0]).then(t.set_r(e["p"][1])).then(t.get_l).run(e["s"]),
-            lambda t, e: t.set_l(e["p"][0]).then(t.set_r(e["p"][1]))
-            .then(st_unit(t.effect, e["p"][0])).run(e["s"]),
+            [("p", pairs), ("s", bx.state_domain)],
+            lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1])).then(bx.get_l).run(e["s"]),
+            lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1]))
+            .then(st_unit(bx.effect, e["p"][0])).run(e["s"]),
         ),
         Law(
             "stable-set_r-first",
-            [("p", pair_dom), ("s", _states)],
-            lambda t, e: t.set_r(e["p"][1]).then(t.set_l(e["p"][0])).then(t.get_r).run(e["s"]),
-            lambda t, e: t.set_r(e["p"][1]).then(t.set_l(e["p"][0]))
-            .then(st_unit(t.effect, e["p"][1])).run(e["s"]),
+            [("p", pairs), ("s", bx.state_domain)],
+            lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0])).then(bx.get_r).run(e["s"]),
+            lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0]))
+            .then(st_unit(bx.effect, e["p"][1])).run(e["s"]),
         ),
     ]
 
@@ -266,23 +253,20 @@ def stability_laws(pairs):
 # initialization
 
 
-def init_laws():
+def init_laws(bx: InitBx):
+    fam = bx.effect
     return [
         Law(
             "init_l-get_l",
-            [("a", _views_a)],
-            lambda t, e: t.effect.bind(t.init_l(e["a"]), lambda s: t.get_l.run(s)),
-            lambda t, e: t.effect.bind(
-                t.init_l(e["a"]), lambda s: t.effect.unit((e["a"], s))
-            ),
+            [("a", bx.dom_a)],
+            lambda e: fam.bind(bx.init_l(e["a"]), lambda s: bx.get_l.run(s)),
+            lambda e: fam.bind(bx.init_l(e["a"]), lambda s: fam.unit((e["a"], s))),
         ),
         Law(
             "init_r-get_r",
-            [("b", _views_b)],
-            lambda t, e: t.effect.bind(t.init_r(e["b"]), lambda s: t.get_r.run(s)),
-            lambda t, e: t.effect.bind(
-                t.init_r(e["b"]), lambda s: t.effect.unit((e["b"], s))
-            ),
+            [("b", bx.dom_b)],
+            lambda e: fam.bind(bx.init_r(e["b"]), lambda s: bx.get_r.run(s)),
+            lambda e: fam.bind(bx.init_r(e["b"]), lambda s: fam.unit((e["b"], s))),
         ),
     ]
 
@@ -292,10 +276,10 @@ def init_laws():
 
 
 SUITES = {
-    "seven": lambda bx: seven_laws(),
-    "overwritable": lambda bx: overwritable_laws(),
-    "stability": lambda bx: stability_laws(consistent_pairs(bx)),
-    "init": lambda bx: init_laws(),
+    "seven": seven_laws,
+    "overwritable": overwritable_laws,
+    "stability": stability_laws,
+    "init": init_laws,
 }
 
 
@@ -309,7 +293,7 @@ def check_suite(bx: Bx, suite: str, cap=None, seed=0) -> LawReport:
         raise NoInitializers(f"{bx.name} has no initializers")
     return run_laws(
         bx.name if suite == "seven" else f"{bx.name}:{suite}", SUITES[suite](bx),
-        bx, bx.effect.equal_values, cap=cap, seed=seed, effect=bx.effect.name,
+        bx.effect.equal_values, cap=cap, seed=seed, effect=bx.effect.name,
     )
 
 

@@ -299,62 +299,51 @@ def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> 
     including the initializers when both sides carry them."""
     _check_bijection(h, bx1.state_domain, bx2.state_domain)
     fam = bx1.effect
-
-    def states2(_t):
-        return bx2.state_domain.elements
-
-    def views_a(_t):
-        return bx1.dom_a.elements
-
-    def views_b(_t):
-        return bx1.dom_b.elements
-
     laws = [
         Law(
             "iota-get_l",
-            [("s", states2)],
-            lambda _t, e: iota(h, fam, bx1.get_l).run(e["s"]),
-            lambda _t, e: bx2.get_l.run(e["s"]),
+            [("s", bx2.state_domain)],
+            lambda e: iota(h, fam, bx1.get_l).run(e["s"]),
+            lambda e: bx2.get_l.run(e["s"]),
         ),
         Law(
             "iota-set_l",
-            [("a", views_a), ("s", states2)],
-            lambda _t, e: iota(h, fam, bx1.set_l(e["a"])).run(e["s"]),
-            lambda _t, e: bx2.set_l(e["a"]).run(e["s"]),
+            [("a", bx1.dom_a), ("s", bx2.state_domain)],
+            lambda e: iota(h, fam, bx1.set_l(e["a"])).run(e["s"]),
+            lambda e: bx2.set_l(e["a"]).run(e["s"]),
         ),
         Law(
             "iota-get_r",
-            [("s", states2)],
-            lambda _t, e: iota(h, fam, bx1.get_r).run(e["s"]),
-            lambda _t, e: bx2.get_r.run(e["s"]),
+            [("s", bx2.state_domain)],
+            lambda e: iota(h, fam, bx1.get_r).run(e["s"]),
+            lambda e: bx2.get_r.run(e["s"]),
         ),
         Law(
             "iota-set_r",
-            [("b", views_b), ("s", states2)],
-            lambda _t, e: iota(h, fam, bx1.set_r(e["b"])).run(e["s"]),
-            lambda _t, e: bx2.set_r(e["b"]).run(e["s"]),
+            [("b", bx1.dom_b), ("s", bx2.state_domain)],
+            lambda e: iota(h, fam, bx1.set_r(e["b"])).run(e["s"]),
+            lambda e: bx2.set_r(e["b"]).run(e["s"]),
         ),
     ]
     if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
         laws.append(
             Law(
                 "h-init_l",
-                [("a", views_a)],
-                lambda _t, e: fam.map(bx1.init_l(e["a"]), h.forward),
-                lambda _t, e: bx2.init_l(e["a"]),
+                [("a", bx1.dom_a)],
+                lambda e: fam.map(bx1.init_l(e["a"]), h.forward),
+                lambda e: bx2.init_l(e["a"]),
             )
         )
         laws.append(
             Law(
                 "h-init_r",
-                [("b", views_b)],
-                lambda _t, e: fam.map(bx1.init_r(e["b"]), h.forward),
-                lambda _t, e: bx2.init_r(e["b"]),
+                [("b", bx1.dom_b)],
+                lambda e: fam.map(bx1.init_r(e["b"]), h.forward),
+                lambda e: bx2.init_r(e["b"]),
             )
         )
     return run_laws(
-        f"{bx1.name}=={bx2.name}", laws, None,
-        lambda x, y: fam.equal_values(x, y), cap=cap, seed=seed,
+        f"{bx1.name}=={bx2.name}", laws, fam.equal_values, cap=cap, seed=seed,
         effect=fam.name,
     )
 

@@ -72,6 +72,15 @@ class CorpusEntry:
     expected_witness: dict = field(default_factory=dict)
     transparent: Optional[bool] = None
 
+    def __post_init__(self):
+        # a misspelled suite would otherwise go unchecked and the entry pass
+        unknown = sorted(set(self.suites).union(self.expected_failing) - set(SUITES))
+        if unknown:
+            raise ValueError(
+                f"corpus entry {self.name!r}: unknown suite "
+                f"{', '.join(map(repr, unknown))}; known: {', '.join(SUITES)}"
+            )
+
 
 # ---------------------------------------------------------------------------
 # the seven law-targeted mutants (identity effect)
@@ -568,7 +577,7 @@ def recheck_witness(bx: Bx, suite: str, law_name: str, env: dict) -> bool:
     inequality reproduces."""
     for law in SUITES[suite](bx):
         if law.name == law_name:
-            lhs, rhs = law.evaluate(bx, env)
+            lhs, rhs = law.evaluate(env)
             return not bx.effect.equal_values(lhs, rhs)
     raise KeyError(law_name)
 

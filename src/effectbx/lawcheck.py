@@ -1,9 +1,10 @@
 """Generic enumeration-driven law runner.
 
 Every equational law in the library is represented as data: a quantifier list
-(variable name plus a domain provider) and two value builders.  One runner
-walks the assignment space, compares both sides with the subject's equality,
-and produces a machine-readable LawReport with counterexample witnesses.
+(variable name plus its finite domain) and two value builders, both closed
+over the law's subject.  One runner walks the assignment space, compares both
+sides with the subject's equality, and produces a machine-readable LawReport
+with counterexample witnesses.
 
 Checking is exhaustive up to one evaluation cap (default 10**6 assignments
 per law), applied only by ``run_laws``; above it a seeded random sample is
@@ -126,22 +127,23 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
 class Law:
     """One equation: quantifiers plus two side builders.
 
-    Each quantifier is ``(name, provider)`` where ``provider(subject)`` yields
-    the finite domain of that variable.  ``lhs``/``rhs`` take ``(subject,
-    env)`` with ``env`` mapping variable names to chosen values, and return
-    the values to compare (usually effect values).
+    Each quantifier is ``(name, domain)``, where ``domain`` is a ``Space``, a
+    ``FiniteDomain`` or any finite iterable.  ``lhs``/``rhs`` take ``env``,
+    mapping variable names to chosen values, and return the values to
+    compare (usually effect values); the law's subject is whatever they
+    close over.
     """
 
     name: str
     quantifiers: tuple
-    lhs: Callable[[Any, dict], Any]
-    rhs: Callable[[Any, dict], Any]
+    lhs: Callable[[dict], Any]
+    rhs: Callable[[dict], Any]
 
     def __post_init__(self):
         object.__setattr__(self, "quantifiers", tuple(self.quantifiers))
 
-    def evaluate(self, subject, env):
-        return self.lhs(subject, env), self.rhs(subject, env)
+    def evaluate(self, env):
+        return self.lhs(env), self.rhs(env)
 
 
 @dataclass(frozen=True)
@@ -247,33 +249,34 @@ def _assignments(spaces, cap, sample, seed):
     return f"sampled(n={sample},seed={seed})", sampled()
 
 
-def run_laws(subject_name: str, laws, subject, equal,
+def run_laws(subject_name: str, laws, equal,
              cap: Optional[int] = DEFAULT_CAP, sample: Optional[int] = DEFAULT_SAMPLE,
              seed: int = 0, max_witnesses: int = 3, effect: str = "") -> LawReport:
-    """Run a list of laws against a subject and collect a LawReport.
+    """Run a list of laws and collect a LawReport named ``subject_name``.
 
-    ``equal`` compares both sides.  A quantifier's provider returns a
-    ``Space`` or a finite iterable.  A law with more than ``cap`` assignments
-    (the product of the domain sizes) is checked on ``sample`` seeded draws
-    instead, function-valued quantifiers included.  Output ordering is
-    deterministic: laws in given order, assignments in enumeration order (or
-    in seeded sample order above the cap).  ``cap=None`` means the default
-    cap; pass ``sample=None`` to get DomainTooLarge instead of sampling.
+    ``equal`` compares both sides.  Each quantifier's domain is taken as a
+    ``Space`` (a tuple of its elements unless it is one already).  A law with
+    more than ``cap`` assignments (the product of the domain sizes) is
+    checked on ``sample`` seeded draws instead, function-valued quantifiers
+    included.  Output ordering is deterministic: laws in given order,
+    assignments in enumeration order (or in seeded sample order above the
+    cap).  ``cap=None`` means the default cap; pass ``sample=None`` to get
+    DomainTooLarge instead of sampling.
     """
     if cap is None:
         cap = DEFAULT_CAP
     results = []
     modes = set()
     for law in laws:
-        spaces = [_as_space(provider(subject)) for _name, provider in law.quantifiers]
-        names = [name for name, _provider in law.quantifiers]
+        spaces = [_as_space(dom) for _name, dom in law.quantifiers]
+        names = [name for name, _dom in law.quantifiers]
         mode, assignments = _assignments(spaces, cap, sample, seed)
         modes.add(mode)
         checked = 0
         failures = []
         for values in assignments:
             env = dict(zip(names, values))
-            lhs, rhs = law.evaluate(subject, env)
+            lhs, rhs = law.evaluate(env)
             checked += 1
             if not equal(lhs, rhs):
                 if len(failures) < max_witnesses:

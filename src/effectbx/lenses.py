@@ -3,6 +3,7 @@ computation over a view into a computation over a source."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -129,29 +130,27 @@ def right(m: Stateful) -> Stateful:
 def check_lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain,
                     cap=None, seed=0) -> LawReport:
     """Round-tripping (view-update, update-view) plus the overwrite law."""
-    sources = lambda _t: dom_a.elements
-    views = lambda _t: dom_b.elements
     laws = [
         Law(
             "update-view",
-            [("s", sources), ("v", views)],
-            lambda _t, e: l.view(l.update(e["s"], e["v"])),
-            lambda _t, e: e["v"],
+            [("s", dom_a), ("v", dom_b)],
+            lambda e: l.view(l.update(e["s"], e["v"])),
+            lambda e: e["v"],
         ),
         Law(
             "view-update",
-            [("s", sources)],
-            lambda _t, e: l.update(e["s"], l.view(e["s"])),
-            lambda _t, e: e["s"],
+            [("s", dom_a)],
+            lambda e: l.update(e["s"], l.view(e["s"])),
+            lambda e: e["s"],
         ),
         Law(
             "update-update",
-            [("s", sources), ("v", views), ("v2", views)],
-            lambda _t, e: l.update(l.update(e["s"], e["v"]), e["v2"]),
-            lambda _t, e: l.update(e["s"], e["v2"]),
+            [("s", dom_a), ("v", dom_b), ("v2", dom_b)],
+            lambda e: l.update(l.update(e["s"], e["v"]), e["v2"]),
+            lambda e: l.update(e["s"], e["v2"]),
         ),
     ]
-    return run_laws("lens-laws", laws, None, lambda x, y: x == y, cap=cap, seed=seed)
+    return run_laws("lens-laws", laws, operator.eq, cap=cap, seed=seed)
 
 
 def check_mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
@@ -159,34 +158,29 @@ def check_mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
     """Monadic analogues of the round-tripping laws, over the family's
     equality."""
     fam = l.effect
-    sources = lambda _t: dom_a.elements
-    views = lambda _t: dom_b.elements
     laws = [
         Law(
             "update-view",
-            [("s", sources), ("v", views)],
-            lambda _t, e: fam.map(l.mupdate(e["s"], e["v"]), l.mview),
-            lambda _t, e: fam.unit(e["v"]),
+            [("s", dom_a), ("v", dom_b)],
+            lambda e: fam.map(l.mupdate(e["s"], e["v"]), l.mview),
+            lambda e: fam.unit(e["v"]),
         ),
         Law(
             "view-update",
-            [("s", sources)],
-            lambda _t, e: l.mupdate(e["s"], l.mview(e["s"])),
-            lambda _t, e: fam.unit(e["s"]),
+            [("s", dom_a)],
+            lambda e: l.mupdate(e["s"], l.mview(e["s"])),
+            lambda e: fam.unit(e["s"]),
         ),
         Law(
             "update-update",
-            [("s", sources), ("v", views), ("v2", views)],
-            lambda _t, e: fam.bind(
+            [("s", dom_a), ("v", dom_b), ("v2", dom_b)],
+            lambda e: fam.bind(
                 l.mupdate(e["s"], e["v"]), lambda s1: l.mupdate(s1, e["v2"])
             ),
-            lambda _t, e: l.mupdate(e["s"], e["v2"]),
+            lambda e: l.mupdate(e["s"], e["v2"]),
         ),
     ]
-    return run_laws(
-        "mlens-laws", laws, None, lambda x, y: fam.equal_values(x, y),
-        cap=cap, seed=seed,
-    )
+    return run_laws("mlens-laws", laws, fam.equal_values, cap=cap, seed=seed)
 
 
 def check_theta_morphism(l, fam: EffectFamily, source_domain: FiniteDomain,
@@ -194,33 +188,25 @@ def check_theta_morphism(l, fam: EffectFamily, source_domain: FiniteDomain,
                          cap=None, seed=0) -> LawReport:
     """The widening is a monad morphism when the lens is very well-behaved:
     it preserves unit and distributes over bind, pointwise over sources."""
-
-    def pair_eq(x, y):
-        return x == y
-
     computations = enumerate_stateful(fam, view_domain, value_domain)
     laws = [
         Law(
             "theta-preserves-unit",
-            [("a", lambda _t: value_domain.elements),
-             ("s", lambda _t: source_domain.elements)],
-            lambda _t, e: theta(l, st_unit(fam, e["a"])).run(e["s"]),
-            lambda _t, e: st_unit(fam, e["a"]).run(e["s"]),
+            [("a", value_domain), ("s", source_domain)],
+            lambda e: theta(l, st_unit(fam, e["a"])).run(e["s"]),
+            lambda e: st_unit(fam, e["a"]).run(e["s"]),
         ),
         Law(
             "theta-preserves-bind",
             [
-                ("m", lambda _t: computations),
-                ("k", lambda _t: enumerate_functions(value_domain, computations)),
-                ("s", lambda _t: source_domain.elements),
+                ("m", computations),
+                ("k", enumerate_functions(value_domain, computations)),
+                ("s", source_domain),
             ],
-            lambda _t, e: theta(l, e["m"].bind(e["k"])).run(e["s"]),
-            lambda _t, e: theta(l, e["m"])
+            lambda e: theta(l, e["m"].bind(e["k"])).run(e["s"]),
+            lambda e: theta(l, e["m"])
             .bind(lambda x: theta(l, e["k"](x)))
             .run(e["s"]),
         ),
     ]
-    return run_laws(
-        "theta-morphism", laws, None,
-        lambda x, y: fam.equal_values(x, y, pair_eq), cap=cap, seed=seed,
-    )
+    return run_laws("theta-morphism", laws, fam.equal_values, cap=cap, seed=seed)

@@ -3,6 +3,7 @@ over (result, state) pairs, interpreted in a pluggable effect family."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -52,7 +53,7 @@ def st_get(fam: EffectFamily) -> Stateful:
 
 
 def st_set(fam: EffectFamily, s1) -> Stateful:
-    return Stateful(fam, lambda _s: fam.unit(((), s1)))
+    return Stateful(fam, lambda _state: fam.unit(((), s1)))
 
 
 def st_gets(fam: EffectFamily, f) -> Stateful:
@@ -75,16 +76,12 @@ def st_lift(fam: EffectFamily, tvalue) -> Stateful:
     return Stateful(fam, lambda s: fam.bind(tvalue, lambda a: fam.unit((a, s))))
 
 
-def stateful_equal(m1: Stateful, m2: Stateful, state_domain, result_eq=None) -> bool:
+def stateful_equal(m1: Stateful, m2: Stateful, state_domain,
+                   result_eq=operator.eq) -> bool:
     """Extensional equality over a finite state domain: at every state the two
     effect values over (result, state) pairs must agree."""
     fam = m1.effect
-    eq = result_eq or _pair_eq
-    return all(fam.equal_values(m1.run(s), m2.run(s), eq) for s in state_domain)
-
-
-def _pair_eq(p, q):
-    return p == q
+    return all(fam.equal_values(m1.run(s), m2.run(s), result_eq) for s in state_domain)
 
 
 def enumerate_stateful(fam: EffectFamily, state_domain: FiniteDomain,
@@ -110,103 +107,90 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
     lifting-commutation equalities, exhaustively over the state domain."""
     get = st_get(fam)
     vdom = value_domain or state_domain
-
-    def states(_subject):
-        return state_domain.elements
-
+    tvs = fam.values_over(vdom)
     laws = [
         Law(
             "get-get",
-            [("s", states)],
-            lambda _t, e: get.bind(lambda a: get.map(lambda b: (a, b))).run(e["s"]),
-            lambda _t, e: get.map(lambda a: (a, a)).run(e["s"]),
+            [("s", state_domain)],
+            lambda e: get.bind(lambda a: get.map(lambda b: (a, b))).run(e["s"]),
+            lambda e: get.map(lambda a: (a, a)).run(e["s"]),
         ),
         Law(
             "set-get",
-            [("x", states), ("s", states)],
-            lambda _t, e: st_set(fam, e["x"]).then(get).run(e["s"]),
-            lambda _t, e: st_set(fam, e["x"]).then(st_unit(fam, e["x"])).run(e["s"]),
+            [("x", state_domain), ("s", state_domain)],
+            lambda e: st_set(fam, e["x"]).then(get).run(e["s"]),
+            lambda e: st_set(fam, e["x"]).then(st_unit(fam, e["x"])).run(e["s"]),
         ),
         Law(
             "get-set",
-            [("s", states)],
-            lambda _t, e: get.bind(lambda a: st_set(fam, a)).run(e["s"]),
-            lambda _t, e: st_unit(fam, ()).run(e["s"]),
+            [("s", state_domain)],
+            lambda e: get.bind(lambda a: st_set(fam, a)).run(e["s"]),
+            lambda e: st_unit(fam, ()).run(e["s"]),
         ),
         Law(
             "set-set",
-            [("x", states), ("y", states), ("s", states)],
-            lambda _t, e: st_set(fam, e["x"]).then(st_set(fam, e["y"])).run(e["s"]),
-            lambda _t, e: st_set(fam, e["y"]).run(e["s"]),
+            [("x", state_domain), ("y", state_domain), ("s", state_domain)],
+            lambda e: st_set(fam, e["x"]).then(st_set(fam, e["y"])).run(e["s"]),
+            lambda e: st_set(fam, e["y"]).run(e["s"]),
         ),
         Law(
             "unused-get-discardable",
-            [
-                ("m", lambda _t: enumerate_stateful(fam, state_domain, vdom)),
-                ("s", states),
-            ],
-            lambda _t, e: get.bind(lambda _a: e["m"]).run(e["s"]),
-            lambda _t, e: e["m"].run(e["s"]),
+            [("m", enumerate_stateful(fam, state_domain, vdom)), ("s", state_domain)],
+            lambda e: get.bind(lambda _a: e["m"]).run(e["s"]),
+            lambda e: e["m"].run(e["s"]),
         ),
         Law(
             "lift-commutes-with-get",
-            [("tv", lambda _t: fam.values_over(vdom)), ("s", states)],
-            lambda _t, e: get.bind(
+            [("tv", tvs), ("s", state_domain)],
+            lambda e: get.bind(
                 lambda a: st_lift(fam, e["tv"]).map(lambda b: (a, b))
             ).run(e["s"]),
-            lambda _t, e: st_lift(fam, e["tv"]).bind(
+            lambda e: st_lift(fam, e["tv"]).bind(
                 lambda b: get.map(lambda a: (a, b))
             ).run(e["s"]),
         ),
         Law(
             "lift-commutes-with-set",
-            [
-                ("x", states),
-                ("tv", lambda _t: fam.values_over(vdom)),
-                ("s", states),
-            ],
-            lambda _t, e: st_set(fam, e["x"]).then(st_lift(fam, e["tv"])).run(e["s"]),
-            lambda _t, e: st_lift(fam, e["tv"])
+            [("x", state_domain), ("tv", tvs), ("s", state_domain)],
+            lambda e: st_set(fam, e["x"]).then(st_lift(fam, e["tv"])).run(e["s"]),
+            lambda e: st_lift(fam, e["tv"])
             .bind(lambda b: st_set(fam, e["x"]).then(st_unit(fam, b)))
             .run(e["s"]),
         ),
     ]
     return run_laws(
-        f"state-laws[{fam.name}/{state_domain.name}]", laws, None,
-        lambda x, y: fam.equal_values(x, y, _pair_eq), cap=cap, seed=seed,
-        effect=fam.name,
+        f"state-laws[{fam.name}/{state_domain.name}]", laws, fam.equal_values,
+        cap=cap, seed=seed, effect=fam.name,
     )
 
 
 def check_lift_morphism(fam: EffectFamily, state_domain: FiniteDomain,
                         value_domain: FiniteDomain, cap=None, seed=0) -> LawReport:
     """st_lift preserves unit and bind, pointwise over states."""
+    tvs = fam.values_over(value_domain)
     laws = [
         Law(
             "lift-preserves-unit",
-            [("a", lambda _t: value_domain.elements),
-             ("s", lambda _t: state_domain.elements)],
-            lambda _t, e: st_lift(fam, fam.unit(e["a"])).run(e["s"]),
-            lambda _t, e: st_unit(fam, e["a"]).run(e["s"]),
+            [("a", value_domain), ("s", state_domain)],
+            lambda e: st_lift(fam, fam.unit(e["a"])).run(e["s"]),
+            lambda e: st_unit(fam, e["a"]).run(e["s"]),
         ),
         Law(
             "lift-preserves-bind",
             [
-                ("tv", lambda _t: fam.values_over(value_domain)),
-                ("k", lambda _t: enumerate_functions(
-                    value_domain, fam.values_over(value_domain))),
-                ("s", lambda _t: state_domain.elements),
+                ("tv", tvs),
+                ("k", enumerate_functions(value_domain, tvs)),
+                ("s", state_domain),
             ],
-            lambda _t, e: st_lift(fam, fam.bind(e["tv"], e["k"])).run(e["s"]),
-            lambda _t, e: st_lift(fam, e["tv"])
+            lambda e: st_lift(fam, fam.bind(e["tv"], e["k"])).run(e["s"]),
+            lambda e: st_lift(fam, e["tv"])
             .bind(lambda a: st_lift(fam, e["k"](a)))
             .run(e["s"]),
         ),
     ]
     return run_laws(
-        f"lift-morphism[{fam.name}]", laws, None,
-        lambda x, y: fam.equal_values(x, y, _pair_eq), cap=cap, seed=seed,
-        effect=fam.name,
+        f"lift-morphism[{fam.name}]", laws, fam.equal_values,
+        cap=cap, seed=seed, effect=fam.name,
     )
 
 
@@ -235,7 +219,7 @@ def data_refinement(base: NativeStateOps, value_domain: Optional[FiniteDomain] =
     def conc(tvalue) -> Stateful:
         return Stateful(
             fam,
-            lambda _s: fam.bind(
+            lambda _state: fam.bind(
                 tvalue, lambda a: fam.map(base.get_value, lambda s1: (a, s1))
             ),
         )
@@ -255,29 +239,26 @@ def data_refinement(base: NativeStateOps, value_domain: Optional[FiniteDomain] =
 def _base_state_laws(base: NativeStateOps, cap=None, seed=0) -> LawReport:
     fam = base.family
     get_v = base.get_value
-
-    def eq(x, y):
-        return fam.equal_values(x, y)
-
-    states = lambda _t: base.state_domain.elements
     laws = [
         Law(
             "get-get",
             [],
-            lambda _t, e: fam.bind(get_v, lambda s: fam.map(get_v, lambda s1: (s, s1))),
-            lambda _t, e: fam.map(get_v, lambda s: (s, s)),
+            lambda e: fam.bind(get_v, lambda s: fam.map(get_v, lambda s1: (s, s1))),
+            lambda e: fam.map(get_v, lambda s: (s, s)),
         ),
         Law(
             "set-get",
-            [("x", states)],
-            lambda _t, e: fam.then(base.set_value(e["x"]), get_v),
-            lambda _t, e: fam.then(base.set_value(e["x"]), fam.unit(e["x"])),
+            [("x", base.state_domain)],
+            lambda e: fam.then(base.set_value(e["x"]), get_v),
+            lambda e: fam.then(base.set_value(e["x"]), fam.unit(e["x"])),
         ),
         Law(
             "get-set",
             [],
-            lambda _t, e: fam.bind(get_v, base.set_value),
-            lambda _t, e: fam.unit(()),
+            lambda e: fam.bind(get_v, base.set_value),
+            lambda e: fam.unit(()),
         ),
     ]
-    return run_laws(f"base-state-laws[{fam.name}]", laws, None, eq, cap=cap, seed=seed)
+    return run_laws(
+        f"base-state-laws[{fam.name}]", laws, fam.equal_values, cap=cap, seed=seed
+    )

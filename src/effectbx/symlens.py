@@ -3,6 +3,7 @@ lens spans, and bx."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -57,37 +58,37 @@ def check_symlens_laws(sl: SymLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
     """After one put the complement is fully consistent, so the opposite put
     with the returned view is a fixed point."""
 
-    def put_rl(_t, e):
+    def put_rl(e):
         b, c1 = sl.put_r(e["a"], e["c"])
         return sl.put_l(b, c1)
 
-    def put_rl_expected(_t, e):
+    def put_rl_expected(e):
         _b, c1 = sl.put_r(e["a"], e["c"])
         return (e["a"], c1)
 
-    def put_lr(_t, e):
+    def put_lr(e):
         a, c1 = sl.put_l(e["b"], e["c"])
         return sl.put_r(a, c1)
 
-    def put_lr_expected(_t, e):
+    def put_lr_expected(e):
         _a, c1 = sl.put_l(e["b"], e["c"])
         return (e["b"], c1)
 
     laws = [
         Law(
             "put_r-put_l",
-            [("a", lambda _t: dom_a.elements), ("c", lambda _t: dom_c.elements)],
+            [("a", dom_a), ("c", dom_c)],
             put_rl,
             put_rl_expected,
         ),
         Law(
             "put_l-put_r",
-            [("b", lambda _t: dom_b.elements), ("c", lambda _t: dom_c.elements)],
+            [("b", dom_b), ("c", dom_c)],
             put_lr,
             put_lr_expected,
         ),
     ]
-    return run_laws("symlens-laws", laws, None, lambda x, y: x == y, cap=cap, seed=seed)
+    return run_laws("symlens-laws", laws, operator.eq, cap=cap, seed=seed)
 
 
 def check_symmlens_laws(sl: SymMLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
@@ -98,31 +99,28 @@ def check_symmlens_laws(sl: SymMLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
     laws = [
         Law(
             "mput_r-mput_l",
-            [("a", lambda _t: dom_a.elements), ("c", lambda _t: dom_c.elements)],
-            lambda _t, e: fam.bind(
+            [("a", dom_a), ("c", dom_c)],
+            lambda e: fam.bind(
                 sl.mput_r(e["a"], e["c"]), lambda bc: sl.mput_l(bc[0], bc[1])
             ),
-            lambda _t, e: fam.bind(
+            lambda e: fam.bind(
                 sl.mput_r(e["a"], e["c"]),
                 lambda bc: fam.unit((e["a"], bc[1])),
             ),
         ),
         Law(
             "mput_l-mput_r",
-            [("b", lambda _t: dom_b.elements), ("c", lambda _t: dom_c.elements)],
-            lambda _t, e: fam.bind(
+            [("b", dom_b), ("c", dom_c)],
+            lambda e: fam.bind(
                 sl.mput_l(e["b"], e["c"]), lambda ac: sl.mput_r(ac[0], ac[1])
             ),
-            lambda _t, e: fam.bind(
+            lambda e: fam.bind(
                 sl.mput_l(e["b"], e["c"]),
                 lambda ac: fam.unit((e["b"], ac[1])),
             ),
         ),
     ]
-    return run_laws(
-        "symmlens-laws", laws, None, lambda x, y: fam.equal_values(x, y),
-        cap=cap, seed=seed,
-    )
+    return run_laws("symmlens-laws", laws, fam.equal_values, cap=cap, seed=seed)
 
 
 def smlens_compose(sl1: SymMLens, sl2: SymMLens) -> SymMLens:

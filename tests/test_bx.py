@@ -191,6 +191,18 @@ def test_run_corpus_records_a_refused_init_suite(monkeypatch):
     assert list(got["suites"]) == ["seven"]
 
 
+@pytest.mark.parametrize("suites, expected_failing", [
+    (("seven", "stabilty"), {}),
+    (("seven",), {"int": ("init_l-get_l",)}),
+], ids=["suites", "expected_failing"])
+def test_corpus_entry_refuses_unknown_suite_names(suites, expected_failing):
+    from effectbx.corpus import CorpusEntry
+
+    with pytest.raises(ValueError, match="unknown suite") as info:
+        CorpusEntry("typo", mutant_unstable, suites, expected_failing=expected_failing)
+    assert "known: seven, overwritable, stability, init" in str(info.value)
+
+
 def test_with_domains_keeps_an_empty_domain():
     empty = FiniteDomain("e", ())
     bx = identity_bx(identity_family(), BIT).with_domains(state_domain=empty)

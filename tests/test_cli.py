@@ -1,5 +1,6 @@
 """Command-line front end: flags, exit codes, report formats, sessions."""
 
+import hashlib
 import json
 
 import pytest
@@ -182,6 +183,20 @@ def test_laws_small_cap_switches_to_sampled_mode(capsys):
     modes = {rep["mode"] for rep in payload["suites"]["monad"]["reports"]}
     assert any("sampled" in m for m in modes)
     assert payload["ok"] is True
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--suite", "all", "--format", "json", "--cap", "100", "--seed", "3"],
+     "37b71e5002133f28f5b73f7b3173bfae44ca25aebb8c9088036643b783921c5c"),
+    (["--suite", "corpus", "--format", "json"],
+     "63c81650bd008f477d2e40c467bd6237a8df1851a03e2d2234a2f8240be645cf"),
+], ids=["all-cap100-seed3", "corpus"])
+def test_laws_reports_are_byte_identical_to_the_golden_digest(args, digest, capsys):
+    # every law of every suite, witnesses with function reprs included: a
+    # refactor of the harness must leave these bytes unchanged
+    main(["laws", *args])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_console_script_and_transcript_helpers(tmp_path):

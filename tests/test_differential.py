@@ -70,12 +70,12 @@ def test_flattened_composers_bx_agrees_with_symlens():
 def _hand_rolled(bx, law):
     """(assignments, first failing env or None) of ``law`` on ``bx``,
     evaluated at every assignment without the runner."""
-    names = [n for n, _p in law.quantifiers]
-    doms = [tuple(provider(bx)) for _n, provider in law.quantifiers]
+    names = [n for n, _d in law.quantifiers]
+    doms = [tuple(dom) for _n, dom in law.quantifiers]
     count, first = 0, None
     for values in itertools.product(*doms):
         env = dict(zip(names, values))
-        lhs, rhs = law.evaluate(bx, env)
+        lhs, rhs = law.evaluate(env)
         if first is None and not bx.effect.equal_values(lhs, rhs):
             first = env
         count += 1

@@ -163,6 +163,18 @@ def test_console_script_exhaustion():
         console_run(comp, ["a"])
 
 
+def test_console_exhaustion_is_not_a_result_value():
+    # a computation returning the string "exhausted" is neither equal to one
+    # that reads past the script nor stripped of its outcome
+    fam = console_family(scripts=((),))
+    returns_word = fam.unit("exhausted")
+    reads_past_end = fam.bind(console_read(), lambda _l: fam.unit(0))
+    assert not fam.equal_values(returns_word, reads_past_end)
+    assert fam.outcomes_of(returns_word) == ("exhausted",)
+    assert fam.outcomes_of(reads_past_end) == ()
+    assert fam.equal_values(reads_past_end, fam.bind(console_read(), fam.unit))
+
+
 def test_console_world_transcript_grows_monotonically():
     world = ConsoleWorld(("one", "two"))
     world.write("hello")

@@ -56,12 +56,12 @@ def test_sampling_decodes_only_the_drawn_functions():
     counted = space.map(lambda f: decoded.append(f) or f)
     law = Law(
         "zero-at-x",
-        [("f", lambda _t: counted), ("x", lambda _t: dom.elements)],
-        lambda _t, e: e["f"](e["x"]),
-        lambda _t, e: 0,
+        [("f", counted), ("x", dom)],
+        lambda e: e["f"](e["x"]),
+        lambda e: 0,
     )
-    r1 = run_laws("demo", [law], None, operator.eq, cap=1000)
-    r2 = run_laws("demo", [law], None, operator.eq, cap=1000)
+    r1 = run_laws("demo", [law], operator.eq, cap=1000)
+    r2 = run_laws("demo", [law], operator.eq, cap=1000)
     assert r1.mode == "sampled(n=400,seed=0)"
     assert r1.law("zero-at-x").checked == 400 and r1.law("zero-at-x").failures
     assert len(decoded) == 2 * 400
@@ -75,31 +75,32 @@ def test_lazy_space_and_its_tuple_give_identical_reports(cap, mode):
     dom = FiniteDomain("d", (0, 1, 2))
     cod = FiniteDomain("c", ("x", "y", "z"))
 
-    def report(provider):
+    def report(functions):
         law = Law(
             "constant",
-            [("f", provider), ("x", lambda _t: dom.elements)],
-            lambda _t, e: e["f"](e["x"]),
-            lambda _t, e: e["f"](0),
+            [("f", functions), ("x", dom)],
+            lambda e: e["f"](e["x"]),
+            lambda e: e["f"](0),
         )
-        return run_laws("demo", [law], None, operator.eq, cap=cap, sample=50,
+        return run_laws("demo", [law], operator.eq, cap=cap, sample=50,
                         seed=2, max_witnesses=100)
 
-    lazy = report(lambda _t: enumerate_functions(dom, cod))
-    eager = report(lambda _t: tuple(enumerate_functions(dom, cod)))
+    lazy = report(enumerate_functions(dom, cod))
+    eager = report(tuple(enumerate_functions(dom, cod)))
+    finite = report(FiniteDomain("fns", enumerate_functions(dom, cod)))
     assert lazy.mode == mode
     assert lazy.law("constant").failures
-    assert lazy.to_json() == eager.to_json()
+    assert lazy.to_json() == eager.to_json() == finite.to_json()
 
 
 def test_run_laws_exhaustive_and_witness():
     law = Law(
         "xy-symmetric",
-        [("x", lambda _t: (0, 1, 2)), ("y", lambda _t: (0, 1, 2))],
-        lambda _t, e: e["x"] + e["y"],
-        lambda _t, e: e["y"] + e["x"] + (1 if e["x"] == 2 and e["y"] == 2 else 0),
+        [("x", (0, 1, 2)), ("y", (0, 1, 2))],
+        lambda e: e["x"] + e["y"],
+        lambda e: e["y"] + e["x"] + (1 if e["x"] == 2 and e["y"] == 2 else 0),
     )
-    report = run_laws("demo", [law], None, lambda a, b: a == b)
+    report = run_laws("demo", [law], lambda a, b: a == b)
     assert report.mode == "exhaustive"
     res = report.law("xy-symmetric")
     assert res.checked == 9
@@ -113,12 +114,12 @@ def test_run_laws_sampling_above_cap_is_reported_and_reproducible():
     big = tuple(range(50))
     law = Law(
         "always",
-        [("x", lambda _t: big), ("y", lambda _t: big), ("z", lambda _t: big)],
-        lambda _t, e: 0,
-        lambda _t, e: 0,
+        [("x", big), ("y", big), ("z", big)],
+        lambda e: 0,
+        lambda e: 0,
     )
-    r1 = run_laws("demo", [law], None, lambda a, b: a == b, cap=1000, sample=20, seed=3)
-    r2 = run_laws("demo", [law], None, lambda a, b: a == b, cap=1000, sample=20, seed=3)
+    r1 = run_laws("demo", [law], lambda a, b: a == b, cap=1000, sample=20, seed=3)
+    r2 = run_laws("demo", [law], lambda a, b: a == b, cap=1000, sample=20, seed=3)
     assert "sampled" in r1.mode
     assert r1.law("always").checked == 20
     assert r1.to_json() == r2.to_json()
@@ -128,12 +129,12 @@ def test_run_laws_domain_too_large_when_sampling_disabled():
     big = tuple(range(200))
     law = Law(
         "big",
-        [("x", lambda _t: big), ("y", lambda _t: big)],
-        lambda _t, e: 0,
-        lambda _t, e: 0,
+        [("x", big), ("y", big)],
+        lambda e: 0,
+        lambda e: 0,
     )
     with pytest.raises(DomainTooLarge):
-        run_laws("demo", [law], None, lambda a, b: a == b, cap=100, sample=None)
+        run_laws("demo", [law], lambda a, b: a == b, cap=100, sample=None)
 
 
 def test_report_json_round_trip():
@@ -166,9 +167,9 @@ def test_finite_domain_rejects_duplicates():
 def test_vacuous_quantification_passes_with_zero_checks():
     law = Law(
         "vacuous",
-        [("x", lambda _t: ())],
-        lambda _t, e: 1 / 0,  # never evaluated
-        lambda _t, e: 0,
+        [("x", ())],
+        lambda e: 1 / 0,  # never evaluated
+        lambda e: 0,
     )
-    report = run_laws("demo", [law], None, lambda a, b: a == b)
+    report = run_laws("demo", [law], lambda a, b: a == b)
     assert report.ok and report.law("vacuous").checked == 0
