@@ -4,14 +4,14 @@ overwritability, stability, transparency and initialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family
 from .errors import NoInitializers, UnobservableEffect
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
 from .lenses import Lens
-from .stateful import Stateful, st_get, st_gets, st_set, st_unit
+from .stateful import Stateful, get_set_laws, st_get, st_gets, st_set, st_unit
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -45,6 +45,11 @@ class Bx:
             dom_b=self.dom_b if dom_b is None else dom_b,
         )
 
+    def with_initializers(self, init_l, init_r) -> "InitBx":
+        """This bx as an ``InitBx`` with the given initializers."""
+        return InitBx(**{f.name: getattr(self, f.name) for f in fields(Bx)},
+                      init_l=init_l, init_r=init_r)
+
 
 @dataclass(frozen=True, kw_only=True)
 class InitBx(Bx):
@@ -55,46 +60,24 @@ class InitBx(Bx):
     init_r: Callable[[Any], Any]
 
 
+def _side_laws(bx: Bx):
+    """The get/set laws of each side (``stateful.get_set_laws``): left over
+    ``a``, ``a2``, right over ``b``, ``b2``."""
+    return (
+        get_set_laws(bx.get_l, bx.set_l, bx.dom_a, bx.state_domain,
+                     ("get_l", "set_l"), ("a", "a2")),
+        get_set_laws(bx.get_r, bx.set_r, bx.dom_b, bx.state_domain,
+                     ("get_r", "set_r"), ("b", "b2")),
+    )
+
+
 def seven_laws(bx: Bx):
     """The well-behavedness suite: get/get, set/get and get/set per side plus
     cross-side get commutation."""
+    left, right = _side_laws(bx)
     return [
-        Law(
-            "get_l-get_l",
-            [("s", bx.state_domain)],
-            lambda e: bx.get_l.bind(lambda a: bx.get_l.map(lambda a2: (a, a2))).run(e["s"]),
-            lambda e: bx.get_l.map(lambda a: (a, a)).run(e["s"]),
-        ),
-        Law(
-            "set_l-get_l",
-            [("a", bx.dom_a), ("s", bx.state_domain)],
-            lambda e: bx.set_l(e["a"]).then(bx.get_l).run(e["s"]),
-            lambda e: bx.set_l(e["a"]).then(st_unit(bx.effect, e["a"])).run(e["s"]),
-        ),
-        Law(
-            "get_l-set_l",
-            [("s", bx.state_domain)],
-            lambda e: bx.get_l.bind(bx.set_l).run(e["s"]),
-            lambda e: st_unit(bx.effect, ()).run(e["s"]),
-        ),
-        Law(
-            "get_r-get_r",
-            [("s", bx.state_domain)],
-            lambda e: bx.get_r.bind(lambda b: bx.get_r.map(lambda b2: (b, b2))).run(e["s"]),
-            lambda e: bx.get_r.map(lambda b: (b, b)).run(e["s"]),
-        ),
-        Law(
-            "set_r-get_r",
-            [("b", bx.dom_b), ("s", bx.state_domain)],
-            lambda e: bx.set_r(e["b"]).then(bx.get_r).run(e["s"]),
-            lambda e: bx.set_r(e["b"]).then(st_unit(bx.effect, e["b"])).run(e["s"]),
-        ),
-        Law(
-            "get_r-set_r",
-            [("s", bx.state_domain)],
-            lambda e: bx.get_r.bind(bx.set_r).run(e["s"]),
-            lambda e: st_unit(bx.effect, ()).run(e["s"]),
-        ),
+        *left[:3],
+        *right[:3],
         Law(
             "get_l-get_r",
             [("s", bx.state_domain)],
@@ -105,20 +88,9 @@ def seven_laws(bx: Bx):
 
 
 def overwritable_laws(bx: Bx):
-    return [
-        Law(
-            "set_l-set_l",
-            [("a", bx.dom_a), ("a2", bx.dom_a), ("s", bx.state_domain)],
-            lambda e: bx.set_l(e["a"]).then(bx.set_l(e["a2"])).run(e["s"]),
-            lambda e: bx.set_l(e["a2"]).run(e["s"]),
-        ),
-        Law(
-            "set_r-set_r",
-            [("b", bx.dom_b), ("b2", bx.dom_b), ("s", bx.state_domain)],
-            lambda e: bx.set_r(e["b"]).then(bx.set_r(e["b2"])).run(e["s"]),
-            lambda e: bx.set_r(e["b2"]).run(e["s"]),
-        ),
-    ]
+    """A later set fully overwrites an earlier one, per side."""
+    left, right = _side_laws(bx)
+    return [left[3], right[3]]
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +304,6 @@ def lens_to_ibx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
                 fam: Optional[EffectFamily] = None, name: str = "lens") -> InitBx:
     """Initialisable variant; requires the lens to carry ``create``."""
     fam = fam or identity_family()
-    base = lens_to_bx(l, source_domain, view_domain, fam, name)
-    return InitBx(
-        name=base.name,
-        effect=fam,
-        get_l=base.get_l,
-        set_l=base.set_l,
-        get_r=base.get_r,
-        set_r=base.set_r,
-        state_domain=base.state_domain,
-        dom_a=base.dom_a,
-        dom_b=base.dom_b,
-        init_l=lambda a: fam.unit(a),
-        init_r=lambda b: fam.unit(l.create(b)),
+    return lens_to_bx(l, source_domain, view_domain, fam, name).with_initializers(
+        lambda a: fam.unit(a), lambda b: fam.unit(l.create(b))
     )

@@ -155,22 +155,51 @@ def _cmd_composers(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _load_script(path):
+def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        script = json.loads(text)
+            return json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read script {path}: {exc}")
+        raise ValueError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}")
+
+
+def _strings(values):
+    return all(isinstance(v, str) for v in values)
+
+
+def _is_row(op, row):
+    """A left row is [name, nation, dates], dates null or [born, died]; a
+    right row is [name, nation]."""
+    if not isinstance(row, list) or len(row) != (3 if op == "setL" else 2):
+        return False
+    if op == "setR":
+        return _strings(row)
+    dates = row[2]
+    return _strings(row[:2]) and (
+        dates is None or isinstance(dates, list) and len(dates) == 2 and _strings(dates)
+    )
+
+
+def _load_script(path):
+    script = _read_json(path, "script")
     if not isinstance(script, list):
         raise ValueError(f"{path}: expected a JSON list of steps")
     for i, step in enumerate(script):
         if not isinstance(step, dict) or "op" not in step:
             raise ValueError(f"{path}: step {i + 1} needs an 'op' field")
-        if step["op"] not in ("setL", "setR", "getL", "getR"):
-            raise ValueError(f"{path}: step {i + 1} has unknown op {step['op']!r}")
+        op = step["op"]
+        if op not in ("setL", "setR", "getL", "getR"):
+            raise ValueError(f"{path}: step {i + 1} has unknown op {op!r}")
+        if op in ("setL", "setR") and not (
+            isinstance(step.get("value"), list)
+            and all(_is_row(op, row) for row in step["value"])
+        ):
+            shape = "[name, nation, null or [born, died]]" if op == "setL" else "[name, nation]"
+            raise ValueError(
+                f"{path}: step {i + 1} needs a 'value' list of {shape} rows of strings"
+            )
     return script
 
 
@@ -212,15 +241,7 @@ def _cmd_sync(args) -> int:
         result = _run_session(session, world)
         result["echoed"] = True
     else:
-        try:
-            with open(args.script, "r", encoding="utf-8") as fh:
-                session = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read session {args.script}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{args.script}: parse error at line {exc.lineno}: {exc.msg}"
-            )
+        session = _load_session(args.script)
         if args.answers is not None:
             answers = load_console_script(args.answers)
         else:
@@ -241,6 +262,23 @@ def _cmd_sync(args) -> int:
                 print(f"{marker} {text}")
         print(json.dumps(payload["state"], sort_keys=True))
     return 0
+
+
+def _load_session(path):
+    session = _read_json(path, "session")
+    if not isinstance(session, dict):
+        raise ValueError(f"{path}: expected a JSON object with 'edits'")
+    if not isinstance(session.get("initial", {}), dict):
+        raise ValueError(f"{path}: 'initial' must be a JSON object")
+    for key in ("edits", "answers"):
+        if not isinstance(session.get(key, []), list):
+            raise ValueError(f"{path}: {key!r} must be a list")
+    for i, edit in enumerate(session.get("edits", [])):
+        if not isinstance(edit, dict) or edit.get("side") not in ("L", "R"):
+            raise ValueError(f"{path}: edit {i + 1} needs a 'side' of 'L' or 'R'")
+        if not isinstance(edit.get("value"), (str, int, float)):
+            raise ValueError(f"{path}: edit {i + 1} needs a 'value' that is a string or a number")
+    return session
 
 
 def _run_session(session, world):

@@ -6,12 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .bx import Bx, InitBx
+from .bx import Bx, InitBx, lens_to_ibx
 from .compose import _require_transparent
 from .effects import EffectFamily, Just, NOTHING
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain
-from .lenses import left, right
+from .lenses import fst_lens, left, right, snd_lens
 from .stateful import Stateful, st_eval, st_exec, st_get, st_gets, st_set, st_unit
 
 
@@ -79,37 +79,13 @@ def fst_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
     """Pair state against its first component; ``default_b`` fills the hidden
     slot when initializing from the projection side."""
     pairs = _product_domain("pairs", dom_a, dom_b)
-    return InitBx(
-        name="fst",
-        effect=fam,
-        get_l=st_get(fam),
-        set_l=lambda p: st_set(fam, p),
-        get_r=st_gets(fam, lambda s: s[0]),
-        set_r=lambda a: st_get(fam).bind(lambda s: st_set(fam, (a, s[1]))),
-        state_domain=pairs,
-        dom_a=pairs,
-        dom_b=dom_a,
-        init_l=lambda p: fam.unit(p),
-        init_r=lambda a: fam.unit((a, default_b)),
-    )
+    return lens_to_ibx(fst_lens(default_b), pairs, dom_a, fam, name="fst")
 
 
 def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
             default_a) -> InitBx:
     pairs = _product_domain("pairs", dom_a, dom_b)
-    return InitBx(
-        name="snd",
-        effect=fam,
-        get_l=st_get(fam),
-        set_l=lambda p: st_set(fam, p),
-        get_r=st_gets(fam, lambda s: s[1]),
-        set_r=lambda b: st_get(fam).bind(lambda s: st_set(fam, (s[0], b))),
-        state_domain=pairs,
-        dom_a=pairs,
-        dom_b=dom_b,
-        init_l=lambda p: fam.unit(p),
-        init_r=lambda b: fam.unit((default_a, b)),
-    )
+    return lens_to_ibx(snd_lens(default_a), pairs, dom_b, fam, name="snd")
 
 
 def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
@@ -123,7 +99,7 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
     _require_transparent(bx1)
     _require_transparent(bx2)
     fam = bx1.effect
-    kwargs = dict(
+    paired = Bx(
         name=f"pair({bx1.name},{bx2.name})",
         effect=fam,
         get_l=left(bx1.get_l).bind(
@@ -141,18 +117,17 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
         dom_b=_product_domain("b1xb2", bx1.dom_b, bx2.dom_b),
     )
     if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
-        return InitBx(
-            init_l=lambda a: fam.bind(
+        return paired.with_initializers(
+            lambda a: fam.bind(
                 bx1.init_l(a[0]),
                 lambda s1: fam.map(bx2.init_l(a[1]), lambda s2: (s1, s2)),
             ),
-            init_r=lambda b: fam.bind(
+            lambda b: fam.bind(
                 bx1.init_r(b[0]),
                 lambda s1: fam.map(bx2.init_r(b[1]), lambda s2: (s1, s2)),
             ),
-            **kwargs,
         )
-    return Bx(**kwargs)
+    return paired
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +286,7 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
             for s2 in bx2.state_domain
         ),
     )
-    kwargs = dict(
+    summed = Bx(
         name=f"sum({bx1.name},{bx2.name})",
         effect=fam,
         get_l=Stateful(fam, get_l_run),
@@ -331,12 +306,10 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
 
             return init
 
-        return InitBx(
-            init_l=init_side(bx1.init_l, bx2.init_l),
-            init_r=init_side(bx1.init_r, bx2.init_r),
-            **kwargs,
+        return summed.with_initializers(
+            init_side(bx1.init_l, bx2.init_l), init_side(bx1.init_r, bx2.init_r)
         )
-    return Bx(**kwargs)
+    return summed
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def identity_bx(fam: EffectFamily, dom: FiniteDomain, name: str = "identity") ->
 
 def dual(bx: Bx) -> Bx:
     """Exchange the two sides; preserves transparency and overwritability."""
-    kwargs = dict(
+    flipped = Bx(
         name=f"dual({bx.name})",
         effect=bx.effect,
         get_l=bx.get_r,
@@ -45,8 +45,8 @@ def dual(bx: Bx) -> Bx:
         dom_b=bx.dom_a,
     )
     if isinstance(bx, InitBx):
-        return InitBx(init_l=bx.init_r, init_r=bx.init_l, **kwargs)
-    return Bx(**kwargs)
+        return flipped.with_initializers(bx.init_r, bx.init_l)
+    return flipped
 
 
 def _require_transparent(bx: Bx) -> TransparencyAnalysis:
@@ -244,19 +244,7 @@ def _attach_init(composed: Bx, bx1: InitBx, bx2: InitBx) -> InitBx:
             ),
         )
 
-    return InitBx(
-        name=composed.name,
-        effect=fam,
-        get_l=composed.get_l,
-        set_l=composed.set_l,
-        get_r=composed.get_r,
-        set_r=composed.set_r,
-        state_domain=composed.state_domain,
-        dom_a=composed.dom_a,
-        dom_b=composed.dom_b,
-        init_l=init_l,
-        init_r=init_r,
-    )
+    return composed.with_initializers(init_l, init_r)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .combinators import (
     sum_bx,
     swap_bx,
 )
-from .compose import identity_bx
+from .compose import dual, identity_bx
 from .effects import (
     EffectFamily,
     choice_family,
@@ -136,34 +136,7 @@ def mutant_get_l_get_l() -> Bx:
 
 
 def mutant_get_r_get_r() -> Bx:
-    def get_r(s):
-        v, h = s
-        if h == 0:
-            return (v, (v, 2))
-        if h == 1:
-            return (v, (v, 1))
-        return (1 - v, (v, 2))
-
-    def set_r(fam):
-        def op(b):
-            def run(s):
-                v, h = s
-                if h == 2:
-                    return ((), (b, 0) if b == v else (b, 1))
-                return ((), (b, 1))
-
-            return Stateful(fam, run)
-
-        return op
-
-    def get_l(s):
-        return (s[0], s)
-
-    def set_l(fam):
-        return lambda a: Stateful(fam, lambda s: ((), (a, s[1])))
-
-    states = tuple((v, h) for v in (0, 1) for h in (0, 1))
-    return _mk("mutant-get_r-get_r", states, get_l, set_l, get_r, set_r)
+    return dual(mutant_get_l_get_l()).renamed("mutant-get_r-get_r")
 
 
 def mutant_get_l_get_r() -> Bx:
@@ -231,6 +204,8 @@ def mutant_set_l_get_l() -> Bx:
     )
 
 
+# not a dual: mirroring mutant_set_l_get_l would swap the pair state, so the
+# stored first witness s=(0, 1) would become (1, 0)
 def mutant_set_r_get_r() -> Bx:
     def set_l(fam):
         return lambda a: Stateful(fam, lambda s: ((), (a, s[1])))
@@ -272,20 +247,7 @@ def mutant_get_l_set_l() -> Bx:
 
 
 def mutant_get_r_set_r() -> Bx:
-    def set_l(fam):
-        return lambda a: Stateful(fam, lambda s: ((), (a, s[1], s[2])))
-
-    def set_r(fam):
-        return lambda b: Stateful(fam, lambda s: ((), (s[0], b, 1 - s[2])))
-
-    return _mk(
-        "mutant-get_r-set_r",
-        _TRIPLES,
-        lambda s: (s[0], s),
-        set_l,
-        lambda s: (s[1], s),
-        set_r,
-    )
+    return dual(mutant_get_l_set_l()).renamed("mutant-get_r-set_r")
 
 
 def mutant_unstable() -> Bx:

@@ -5,6 +5,8 @@ the composers case study in both symmetric-lens and bx form."""
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -280,20 +282,7 @@ def signal_bx(sig_a, sig_b, bx: Bx) -> Bx:
             )
         )
 
-    kwargs = dict(
-        name=f"signal({bx.name})",
-        effect=fam,
-        get_l=bx.get_l,
-        set_l=set_l,
-        get_r=bx.get_r,
-        set_r=set_r,
-        state_domain=bx.state_domain,
-        dom_a=bx.dom_a,
-        dom_b=bx.dom_b,
-    )
-    if isinstance(bx, InitBx):
-        return InitBx(init_l=bx.init_l, init_r=bx.init_r, **kwargs)
-    return Bx(**kwargs)
+    return replace(bx, name=f"signal({bx.name})", set_l=set_l, set_r=set_r)
 
 
 def log_bx(bx: Bx) -> Bx:
@@ -623,50 +612,13 @@ def composers_universe(names=("Bea", "Kim")):
 
 
 def _distinct_name_sets(triples, size):
-    if size == 0:
-        return [frozenset()]
-    out = []
-    seen = []
-    for combo in _combos(triples, size):
-        names = [t[0] for t in combo]
-        if len(set(names)) != size:
-            continue
-        fs = frozenset(combo)
-        if fs not in seen:
-            seen.append(fs)
-            out.append(fs)
-    return out
-
-
-def _combos(items, size):
-    if size == 0:
-        return [()]
-    out = []
-    for i, x in enumerate(items):
-        for rest in _combos(items[i + 1:], size - 1):
-            out.append((x,) + rest)
-    return out
+    return [frozenset(combo) for combo in itertools.combinations(triples, size)
+            if len({t[0] for t in combo}) == size]
 
 
 def _ordered_rows(items, size):
-    if size == 0:
-        return [()]
-    out = []
-    for combo in _permutations(items, size):
-        names = [x[0] for x in combo]
-        if len(set(names)) == size:
-            out.append(tuple(combo))
-    return out
-
-
-def _permutations(items, size):
-    if size == 0:
-        return [()]
-    out = []
-    for i, x in enumerate(items):
-        for rest in _permutations(items[:i] + items[i + 1:], size - 1):
-            out.append((x,) + rest)
-    return out
+    return [combo for combo in itertools.permutations(items, size)
+            if len({x[0] for x in combo}) == size]
 
 
 def composers_symlens_bx(name: str = "composers-symlens") -> InitBx:

@@ -3,11 +3,10 @@ computation over a view into a computation over a source."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .effects import EffectFamily
+from .effects import EffectFamily, identity_family
 from .lawcheck import FiniteDomain, Law, LawReport, enumerate_functions, run_laws
 from .stateful import Stateful, enumerate_stateful, st_unit
 
@@ -127,38 +126,11 @@ def right(m: Stateful) -> Stateful:
 # law suites
 
 
-def check_lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                    cap=None, seed=0) -> LawReport:
-    """Round-tripping (view-update, update-view) plus the overwrite law."""
-    laws = [
-        Law(
-            "update-view",
-            [("s", dom_a), ("v", dom_b)],
-            lambda e: l.view(l.update(e["s"], e["v"])),
-            lambda e: e["v"],
-        ),
-        Law(
-            "view-update",
-            [("s", dom_a)],
-            lambda e: l.update(e["s"], l.view(e["s"])),
-            lambda e: e["s"],
-        ),
-        Law(
-            "update-update",
-            [("s", dom_a), ("v", dom_b), ("v2", dom_b)],
-            lambda e: l.update(l.update(e["s"], e["v"]), e["v2"]),
-            lambda e: l.update(e["s"], e["v2"]),
-        ),
-    ]
-    return run_laws("lens-laws", laws, operator.eq, cap=cap, seed=seed)
-
-
-def check_mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                     cap=None, seed=0) -> LawReport:
-    """Monadic analogues of the round-tripping laws, over the family's
-    equality."""
+def _mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain):
+    """Round-tripping (update-view, view-update) plus the overwrite law, over
+    the lens's effect family."""
     fam = l.effect
-    laws = [
+    return [
         Law(
             "update-view",
             [("s", dom_a), ("v", dom_b)],
@@ -180,7 +152,24 @@ def check_mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
             lambda e: l.mupdate(e["s"], e["v2"]),
         ),
     ]
-    return run_laws("mlens-laws", laws, fam.equal_values, cap=cap, seed=seed)
+
+
+def check_lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain,
+                    cap=None, seed=0) -> LawReport:
+    """The monadic lens laws at the identity effect, where they are the pure
+    round-tripping laws view(update(s, v)) == v and update(s, view(s)) == s,
+    plus the overwrite law."""
+    fam = identity_family()
+    return run_laws("lens-laws", _mlens_laws(lens_to_mlens(fam, l), dom_a, dom_b),
+                    fam.equal_values, cap=cap, seed=seed)
+
+
+def check_mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
+                     cap=None, seed=0) -> LawReport:
+    """Monadic analogues of the round-tripping laws, over the family's
+    equality."""
+    return run_laws("mlens-laws", _mlens_laws(l, dom_a, dom_b), l.effect.equal_values,
+                    cap=cap, seed=seed)
 
 
 def check_theta_morphism(l, fam: EffectFamily, source_domain: FiniteDomain,

@@ -100,6 +100,48 @@ def enumerate_stateful(fam: EffectFamily, state_domain: FiniteDomain,
 # law suites
 
 
+def get_set_laws(get: Stateful, set_, views, states, names=("get", "set"),
+                 variables=("x", "y")):
+    """The four laws of one state interface, each evaluated pointwise over
+    ``states``: get-get (reading twice reads the same), set-get (a get after
+    a set returns the value set), get-set (setting what was got changes
+    nothing) and set-set (a later set overwrites an earlier one).
+
+    ``get`` returns the view and ``set_`` maps a view in ``views`` to a
+    computation.  ``names`` name the two operations in the law names, and
+    ``variables`` the set values in the witnesses; the state is ``s``.
+    """
+    get_name, set_name = names
+    x, y = variables
+    fam = get.effect
+    return [
+        Law(
+            f"{get_name}-{get_name}",
+            [("s", states)],
+            lambda e: get.bind(lambda a: get.map(lambda a2: (a, a2))).run(e["s"]),
+            lambda e: get.map(lambda a: (a, a)).run(e["s"]),
+        ),
+        Law(
+            f"{set_name}-{get_name}",
+            [(x, views), ("s", states)],
+            lambda e: set_(e[x]).then(get).run(e["s"]),
+            lambda e: set_(e[x]).then(st_unit(fam, e[x])).run(e["s"]),
+        ),
+        Law(
+            f"{get_name}-{set_name}",
+            [("s", states)],
+            lambda e: get.bind(set_).run(e["s"]),
+            lambda e: st_unit(fam, ()).run(e["s"]),
+        ),
+        Law(
+            f"{set_name}-{set_name}",
+            [(x, views), (y, views), ("s", states)],
+            lambda e: set_(e[x]).then(set_(e[y])).run(e["s"]),
+            lambda e: set_(e[y]).run(e["s"]),
+        ),
+    ]
+
+
 def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
                     value_domain: Optional[FiniteDomain] = None,
                     cap=None, seed=0) -> LawReport:
@@ -109,30 +151,7 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
     vdom = value_domain or state_domain
     tvs = fam.values_over(vdom)
     laws = [
-        Law(
-            "get-get",
-            [("s", state_domain)],
-            lambda e: get.bind(lambda a: get.map(lambda b: (a, b))).run(e["s"]),
-            lambda e: get.map(lambda a: (a, a)).run(e["s"]),
-        ),
-        Law(
-            "set-get",
-            [("x", state_domain), ("s", state_domain)],
-            lambda e: st_set(fam, e["x"]).then(get).run(e["s"]),
-            lambda e: st_set(fam, e["x"]).then(st_unit(fam, e["x"])).run(e["s"]),
-        ),
-        Law(
-            "get-set",
-            [("s", state_domain)],
-            lambda e: get.bind(lambda a: st_set(fam, a)).run(e["s"]),
-            lambda e: st_unit(fam, ()).run(e["s"]),
-        ),
-        Law(
-            "set-set",
-            [("x", state_domain), ("y", state_domain), ("s", state_domain)],
-            lambda e: st_set(fam, e["x"]).then(st_set(fam, e["y"])).run(e["s"]),
-            lambda e: st_set(fam, e["y"]).run(e["s"]),
-        ),
+        *get_set_laws(get, lambda x: st_set(fam, x), state_domain, state_domain),
         Law(
             "unused-get-discardable",
             [("m", enumerate_stateful(fam, state_domain, vdom)), ("s", state_domain)],
@@ -236,29 +255,14 @@ def data_refinement(base: NativeStateOps, value_domain: Optional[FiniteDomain] =
     return conc, abs_
 
 
-def _base_state_laws(base: NativeStateOps, cap=None, seed=0) -> LawReport:
+def _base_state_laws(base: NativeStateOps) -> LawReport:
+    """get-get, set-get and get-set of the native operations, lifted to
+    computations over a one-element outer state."""
     fam = base.family
-    get_v = base.get_value
-    laws = [
-        Law(
-            "get-get",
-            [],
-            lambda e: fam.bind(get_v, lambda s: fam.map(get_v, lambda s1: (s, s1))),
-            lambda e: fam.map(get_v, lambda s: (s, s)),
-        ),
-        Law(
-            "set-get",
-            [("x", base.state_domain)],
-            lambda e: fam.then(base.set_value(e["x"]), get_v),
-            lambda e: fam.then(base.set_value(e["x"]), fam.unit(e["x"])),
-        ),
-        Law(
-            "get-set",
-            [],
-            lambda e: fam.bind(get_v, base.set_value),
-            lambda e: fam.unit(()),
-        ),
-    ]
-    return run_laws(
-        f"base-state-laws[{fam.name}]", laws, fam.equal_values, cap=cap, seed=seed
+    laws = get_set_laws(
+        st_lift(fam, base.get_value),
+        lambda x: st_lift(fam, base.set_value(x)),
+        base.state_domain,
+        FiniteDomain("unit", ((),)),
     )
+    return run_laws(f"base-state-laws[{fam.name}]", laws[:3], fam.equal_values)

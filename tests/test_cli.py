@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from effectbx import FiniteDomain, Lens, SymLens, check_lens_laws, check_symlens_laws
 from effectbx.cli import main
+from effectbx.corpus import non_overwrite_lens
 
 
 def test_laws_seven_identity(capsys):
@@ -83,6 +85,20 @@ def test_composers_bad_op(tmp_path, capsys):
     path.write_text(json.dumps([{"op": "frobnicate"}]))
     assert main(["composers", "--script", str(path)]) == 2
     assert "unknown op" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [
+    {"op": "setL"},
+    {"op": "setR", "value": [["J. S. Bach", "German", None]]},
+    {"op": "setL", "value": [["J. S. Bach", "German"]]},
+    {"op": "setL", "value": [["J. S. Bach", "German", ["1685"]]]},
+    {"op": "setR", "value": "J. S. Bach"},
+], ids=["no-value", "long-row", "short-row", "one-date", "not-rows"])
+def test_composers_malformed_step_is_a_script_error(step, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"op": "getR"}, step]))
+    assert main(["composers", "--script", str(path)]) == 2
+    assert "step 2 needs a 'value'" in capsys.readouterr().err
 
 
 def _write_session(tmp_path, edits, answers, initial=None):
@@ -167,6 +183,22 @@ def test_sync_answers_from_plain_text_file(tmp_path, capsys):
     assert payload["transcript"][-1] == {"dir": "in", "text": "77"}
 
 
+@pytest.mark.parametrize("session, message", [
+    ({"edits": [{"side": "L", "value": 2}, {"side": "L"}]}, "edit 2 needs"),
+    ({"edits": [{"side": "X", "value": 1}]}, "edit 1 needs a 'side'"),
+    ({"edits": [{"side": "R", "value": [1]}]}, "edit 1 needs a 'value'"),
+    ({"edits": [["L", 2]]}, "edit 1 needs"),
+    ({"edits": {"side": "L", "value": 2}}, "'edits' must be a list"),
+    ([{"side": "L", "value": 2}], "expected a JSON object"),
+], ids=["no-value", "unknown-side", "list-value", "not-an-object", "edits-not-a-list",
+        "not-a-session"])
+def test_sync_malformed_session_is_a_script_error(session, message, tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(session))
+    assert main(["sync", "--script", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_laws_other_single_suites(capsys):
     assert main(["laws", "--suite", "overwritable", "--bx", "identity"]) == 0
     assert main(["laws", "--suite", "stability", "--bx", "inv"]) == 0
@@ -185,18 +217,44 @@ def test_laws_small_cap_switches_to_sampled_mode(capsys):
     assert payload["ok"] is True
 
 
-@pytest.mark.parametrize("args, digest", [
-    (["--suite", "all", "--format", "json", "--cap", "100", "--seed", "3"],
+def _laws(*args):
+    def output(capsys):
+        main(["laws", *args])
+        return capsys.readouterr().out
+
+    return output
+
+
+def _report(check, subject, *domains):
+    return lambda _capsys: check(subject, *domains).to_json()
+
+
+BIT = FiniteDomain("bit", (0, 1))
+PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("output, digest", [
+    (_laws("--suite", "all", "--format", "json", "--cap", "100", "--seed", "3"),
      "37b71e5002133f28f5b73f7b3173bfae44ca25aebb8c9088036643b783921c5c"),
-    (["--suite", "corpus", "--format", "json"],
+    (_laws("--suite", "corpus", "--format", "json"),
      "63c81650bd008f477d2e40c467bd6237a8df1851a03e2d2234a2f8240be645cf"),
-], ids=["all-cap100-seed3", "corpus"])
-def test_laws_reports_are_byte_identical_to_the_golden_digest(args, digest, capsys):
+    (_report(check_lens_laws, non_overwrite_lens(), PAIRS, BIT),
+     "7ec938f00f38c388de724a8e7c602b7239e7f8c358e7069bdf6a8e782166550e"),
+    # update ignores the view: witnesses for update-view
+    (_report(check_lens_laws, Lens(lambda s: s[0], lambda s, _v: s, lambda v: (v, 0)),
+             PAIRS, BIT),
+     "e0e77808885b26742cf7f378977bf84a3afa92b4ed7b2a4472bb08d2827f27e7"),
+    # put_r keeps a stale complement: witnesses for put_r-put_l
+    (_report(check_symlens_laws,
+             SymLens(put_r=lambda a, c: (a, c), put_l=lambda b, _c: (b, b), missing=0),
+             BIT, BIT, BIT),
+     "dee1964f96460c67e53ace6be2c0729efa66c6aebe0cd62b66cc1624366f6b73"),
+], ids=["all-cap100-seed3", "corpus", "lens-non-overwrite", "lens-update-ignores-view",
+        "symlens-stale-complement"])
+def test_laws_reports_are_byte_identical_to_the_golden_digest(output, digest, capsys):
     # every law of every suite, witnesses with function reprs included: a
     # refactor of the harness must leave these bytes unchanged
-    main(["laws", *args])
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(output(capsys).encode("utf-8")).hexdigest() == digest
 
 
 def test_console_script_and_transcript_helpers(tmp_path):

@@ -250,3 +250,15 @@ def test_effectful_symmlens_with_failure():
     dom = FiniteDomain("v", (0, 99))
     dom_c = FiniteDomain("c", (None, 0, 99))
     assert check_symmlens_laws(sl, dom, dom, dom_c).ok
+
+
+def test_lifted_symlens_fails_the_laws_its_pure_form_fails():
+    # the pure laws are the effectful ones at the identity effect, under the
+    # same names, so a lifted lens fails the same laws at the same inputs
+    stale = SymLens(put_r=lambda a, c: (a, c), put_l=lambda b, _c: (b, b), missing=0)
+    pure = check_symlens_laws(stale, BIT, BIT, BIT)
+    lifted = check_symmlens_laws(symlens_to_symmlens(failure_family(), stale),
+                                 BIT, BIT, BIT)
+    assert lifted.failing_laws == pure.failing_laws == ("put_r-put_l",)
+    assert ([w.inputs for w in lifted.law("put_r-put_l").failures]
+            == [w.inputs for w in pure.law("put_r-put_l").failures])
