@@ -6,15 +6,25 @@ over the law's subject.  One runner walks the assignment space, compares both
 sides with the subject's equality, and produces a machine-readable LawReport
 with counterexample witnesses.
 
-Checking is exhaustive up to one evaluation cap (default 10**6 assignments
-per law), applied only by ``run_laws``; above it a seeded random sample is
-used, decoding one index per quantifier from a lazy ``Space``, so function
-spaces are sampled without being built.  The mode is recorded in the report
-so "pass" claims stay auditable.
+Checking is exhaustive up to one cap (default 10**6 assignments per law),
+applied only by ``run_laws``; above it a seeded random sample is used,
+decoding one index per quantifier from a lazy ``Space``, so function spaces
+are sampled without being built.  The mode is recorded in the report so
+"pass" claims stay auditable.
+
+Exhaustive checking evaluates only the points of a function a law reads, as
+in Lazy SmallCheck (Runciman, Naylor & Lindblad, 2008): a function-valued
+quantifier starts with no point assigned, applying it at an unassigned point
+interrupts the evaluation, and the runner branches on that one point.  An
+evaluation that completes decides every total function that agrees with the
+points assigned so far, so a report's ``checked`` counts the assignments
+covered, not the evaluations made, and reads as if every assignment had been
+evaluated.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -87,13 +97,27 @@ class FiniteFunction:
 
 
 @dataclass(frozen=True)
+class FunctionForm:
+    """How a space of functions is built: element ``i`` is ``wrap`` applied
+    to the ``FiniteFunction`` that maps ``keys[j]`` to
+    ``codomain[digit j of i in base len(codomain)]``."""
+
+    keys: tuple
+    codomain: tuple
+    wrap: Callable[[Any], Any]
+
+
+@dataclass(frozen=True)
 class Space:
     """A finite domain addressed by index: ``decode(i)`` builds element
     ``i < size`` on demand, so a space may exceed memory (or ``sys.maxsize``:
-    use ``size``, not ``len``).  Iteration is in index order."""
+    use ``size``, not ``len``).  Iteration is in index order.  A space of
+    functions also carries its ``functions`` form, which lets ``run_laws``
+    assign a function one point at a time."""
 
     size: int
     decode: Callable[[int], Any]
+    functions: Optional[FunctionForm] = None
 
     def __len__(self):
         return self.size
@@ -102,7 +126,10 @@ class Space:
         return map(self.decode, range(self.size))
 
     def map(self, f) -> "Space":
-        return Space(self.size, lambda i: f(self.decode(i)))
+        inner = self.functions
+        form = inner and FunctionForm(inner.keys, inner.codomain,
+                                      lambda g: f(inner.wrap(g)))
+        return Space(self.size, lambda i: f(self.decode(i)), form)
 
 
 def enumerate_functions(dom: FiniteDomain, cod) -> Space:
@@ -120,7 +147,7 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
             picks.append(values[digit])
         return FiniteFunction(keys, tuple(picks))
 
-    return Space(base ** len(keys), decode)
+    return Space(base ** len(keys), decode, FunctionForm(keys, values, lambda g: g))
 
 
 @dataclass(frozen=True)
@@ -229,15 +256,124 @@ def _as_space(values) -> Space:
     return Space(len(values), values.__getitem__)
 
 
+class _Demand(BaseException):
+    """A law read a point that its partial function has not assigned yet;
+    ``args`` are the function's slot in the node and the key's index.  Not an
+    ``Exception``, so that neither a law side's ``except Exception`` nor a
+    ``KeyError`` handler can swallow it."""
+
+
+class _PartialFunction:
+    """A function quantifier while ``run_laws`` assigns it point by point:
+    ``digits[j]`` is the codomain index given to ``keys[j]``, or None.
+    ``==``, ``hash`` and ``repr`` read the whole function, so they demand its
+    first unassigned point."""
+
+    __slots__ = ("slot", "keys", "codomain", "digits")
+
+    def __init__(self, slot, form, digits):
+        self.slot = slot
+        self.keys = form.keys
+        self.codomain = form.codomain
+        self.digits = digits
+
+    def __call__(self, x):
+        for j, k in enumerate(self.keys):
+            if k == x:
+                digit = self.digits[j]
+                if digit is None:
+                    raise _Demand(self.slot, j)
+                return self.codomain[digit]
+        raise KeyError(f"{x!r} outside function domain")
+
+    def _demand_first(self):
+        raise _Demand(self.slot, self.digits.index(None))
+
+    def __eq__(self, other):
+        self._demand_first()
+
+    def __hash__(self):
+        self._demand_first()
+
+    def __repr__(self):
+        self._demand_first()
+
+
+def _index(digits, base):
+    """The index of the function whose key ``j`` takes codomain digit
+    ``digits[j]``, as ``enumerate_functions`` numbers them."""
+    return sum(d * base ** j for j, d in enumerate(digits))
+
+
+def _assign(env, node, names, spaces, lazy):
+    """Put the function quantifiers of ``node`` into ``env``: a partial
+    function while a key is unassigned, else the decoded function.  Returns
+    how many assignments the node covers and whether it is total."""
+    covered, total = 1, True
+    for slot, ((i, form), digits) in enumerate(zip(lazy, node)):
+        base = len(form.codomain)
+        unassigned = digits.count(None)
+        if unassigned:
+            covered *= base ** unassigned
+            total = False
+            env[names[i]] = form.wrap(_PartialFunction(slot, form, digits))
+        else:
+            env[names[i]] = spaces[i].decode(_index(digits, base))
+    return covered, total
+
+
+def _split(node, slot, key, base):
+    """The children of ``node`` that assign key ``key`` of the function in
+    ``slot``, last codomain value first, so that popping them off a stack
+    visits the codomain in order."""
+    digits = node[slot]
+    return [node[:slot] + (digits[:key] + (d,) + digits[key + 1:],) + node[slot + 1:]
+            for d in reversed(range(base))]
+
+
+def _cube(row, node, spaces, lazy):
+    """The assignments that agree with ``node``, as tuples of one index per
+    quantifier, in enumeration order (so the first ones come first).  ``row``
+    numbers the assignment of the other quantifiers in their product."""
+    indices = []
+    for d in reversed(spaces):
+        row, digit = divmod(row, 1 if d.functions else d.size)
+        indices.append(digit)
+    indices.reverse()
+    # the free keys, most significant first: earlier quantifiers, then later keys
+    free = [(slot, j) for slot, digits in enumerate(node)
+            for j in reversed(range(len(digits))) if digits[j] is None]
+    ranges = [range(len(lazy[slot][1].codomain)) for slot, _j in free]
+    for picks in itertools.product(*ranges):
+        filled = [list(digits) for digits in node]
+        for (slot, j), d in zip(free, picks):
+            filled[slot][j] = d
+        for (i, form), digits in zip(lazy, filled):
+            indices[i] = _index(digits, len(form.codomain))
+        yield tuple(indices)
+
+
+def _keep(found, order, sides, limit):
+    """Insert ``(order, sides)`` into ``found``, which holds the ``limit``
+    lowest orders seen in order; False when ``order`` is too late to be kept."""
+    if len(found) >= limit and (not found or order >= found[-1][0]):
+        return False
+    bisect.insort(found, (order, sides), key=lambda item: item[0])
+    del found[limit:]
+    return True
+
+
 def _assignments(spaces, cap, sample, seed):
     """Yield (mode, iterator of value tuples) over the product of ``spaces``:
-    every tuple in order when there are at most ``cap`` of them, else
-    ``sample`` seeded draws, one decoded index per space."""
+    every tuple in order when there are at most ``cap`` of them, with None
+    standing for each function space (``run_laws`` assigns those point by
+    point), else ``sample`` seeded draws, one decoded index per space."""
     total = math.prod(d.size for d in spaces)
     if total == 0:  # vacuous quantification: build no other space
         return "exhaustive", iter(())
     if not spaces or total <= cap:
-        return "exhaustive", itertools.product(*spaces)
+        return "exhaustive", itertools.product(
+            *((None,) if d.functions else d for d in spaces))
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     rng = random.Random(seed)
@@ -256,12 +392,22 @@ def run_laws(subject_name: str, laws, equal,
 
     ``equal`` compares both sides.  Each quantifier's domain is taken as a
     ``Space`` (a tuple of its elements unless it is one already).  A law with
-    more than ``cap`` assignments (the product of the domain sizes) is
-    checked on ``sample`` seeded draws instead, function-valued quantifiers
-    included.  Output ordering is deterministic: laws in given order,
-    assignments in enumeration order (or in seeded sample order above the
-    cap).  ``cap=None`` means the default cap; pass ``sample=None`` to get
-    DomainTooLarge instead of sampling.
+    at most ``cap`` assignments (the product of the domain sizes) is checked
+    exhaustively; one with more is checked on ``sample`` seeded draws
+    instead, function-valued quantifiers included.  ``cap=None`` means the
+    default cap; pass ``sample=None`` to get DomainTooLarge instead of
+    sampling.
+
+    In exhaustive mode a function-valued quantifier (a ``Space`` with a
+    ``functions`` form, as ``enumerate_functions`` builds) starts with no
+    point assigned.  When the law reads an unassigned point the evaluation
+    stops and is repeated once per value of that point; an evaluation that
+    completes covers every assignment that agrees with the points it read.
+    ``checked`` counts the assignments covered, exactly as many as plain
+    enumeration would evaluate, and the witnesses are the first
+    ``max_witnesses`` failing assignments, each evaluated in full.  Output
+    ordering is deterministic: laws in given order, witnesses in enumeration
+    order (or in seeded sample order above the cap).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -272,23 +418,53 @@ def run_laws(subject_name: str, laws, equal,
         names = [name for name, _dom in law.quantifiers]
         mode, assignments = _assignments(spaces, cap, sample, seed)
         modes.add(mode)
+        lazy = [(i, d.functions) for i, d in enumerate(spaces)
+                if d.functions and mode == "exhaustive"]
+        root = tuple((None,) * len(form.keys) for _i, form in lazy)
         checked = 0
+        covered, total = 1, True  # what each node covers when no quantifier is lazy
+        # the first failing assignments: (order, (env, lhs, rhs) or None)
+        found = []
+        pending = []
+        for row, values in enumerate(assignments):
+            pending.append(root)
+            while pending:
+                node = pending.pop()
+                env = dict(zip(names, values))
+                if lazy:
+                    covered, total = _assign(env, node, names, spaces, lazy)
+                try:
+                    lhs, rhs = law.evaluate(env)
+                    ok = equal(lhs, rhs)
+                except _Demand as demand:
+                    slot, key = demand.args
+                    pending += _split(node, slot, key, len(lazy[slot][1].codomain))
+                    continue
+                checked += covered
+                if ok:
+                    continue
+                sides = (env, lhs, rhs) if total else None
+                if not lazy:
+                    _keep(found, row, sides, max_witnesses)
+                    continue
+                for order in _cube(row, node, spaces, lazy):
+                    if not _keep(found, order, sides, max_witnesses):
+                        break
         failures = []
-        for values in assignments:
-            env = dict(zip(names, values))
-            lhs, rhs = law.evaluate(env)
-            checked += 1
-            if not equal(lhs, rhs):
-                if len(failures) < max_witnesses:
-                    failures.append(
-                        Witness(
-                            inputs={k: stable_repr(v) for k, v in env.items()},
-                            lhs=stable_repr(lhs),
-                            rhs=stable_repr(rhs),
-                            env=env,
-                        )
-                    )
+        for order, sides in found:
+            if sides is None:
+                env = {name: d.decode(i) for name, d, i in zip(names, spaces, order)}
+                lhs, rhs = law.evaluate(env)
+            else:
+                env, lhs, rhs = sides
+            failures.append(
+                Witness(
+                    inputs={k: stable_repr(v) for k, v in env.items()},
+                    lhs=stable_repr(lhs),
+                    rhs=stable_repr(rhs),
+                    env=env,
+                )
+            )
         results.append(LawResult(law.name, checked, tuple(failures)))
     mode = "exhaustive" if modes <= {"exhaustive"} else ", ".join(sorted(modes - {"exhaustive"}))
     return LawReport(subject=subject_name, mode=mode, laws=tuple(results), effect=effect)
-

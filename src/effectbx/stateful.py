@@ -217,7 +217,7 @@ def check_lift_morphism(fam: EffectFamily, state_domain: FiniteDomain,
 # data refinement from a base effect with native state operations
 
 
-def data_refinement(base: NativeStateOps, value_domain: Optional[FiniteDomain] = None):
+def data_refinement(base: NativeStateOps):
     """Build the simulation pair (conc, abs) between a base effect owning
     native state and its state-transformed form.
 
@@ -228,8 +228,6 @@ def data_refinement(base: NativeStateOps, value_domain: Optional[FiniteDomain] =
     identifies the failing law otherwise.
     """
     fam = base.family
-    states = base.state_domain
-
     report = _base_state_laws(base)
     for result in report.laws:
         if not result.ok:

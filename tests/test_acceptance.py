@@ -8,8 +8,6 @@ their stated runtime budgets.
 import json
 import time
 
-import pytest
-
 from effectbx import (
     FiniteDomain,
     InitBx,
@@ -33,7 +31,6 @@ from effectbx import (
     lens_to_bx,
     nondet_bx,
     snd_lens,
-    st_exec,
     swap_bx,
     left_identity_bijection,
     right_identity_bijection,

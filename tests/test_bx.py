@@ -21,7 +21,6 @@ from effectbx import (
     lens_to_ibx,
     log_bx,
     writer_family,
-    Lens,
 )
 from effectbx.corpus import (
     MUTANT_LAW_TARGETS,

@@ -1,20 +1,31 @@
 """Cross-implementation differentials: the two composers implementations over
 many scripts, the flattened composers bx, and a hand-rolled re-evaluation of
-every per-bx suite of the corpus."""
+every per-bx suite of the corpus and of the suites with function-valued
+quantifiers."""
 
 import itertools
 
 from effectbx import (
     NOTHING,
     SUITES,
+    FiniteDomain,
     bx_to_symlens,
+    check_lift_morphism,
+    check_monad_laws,
     check_suite,
+    check_theta_morphism,
     composers_bx,
     composers_symlens,
+    fst_lens,
+    identity_family,
+    identity_lens,
+    snd_lens,
+    state_law_suite,
 )
-from effectbx.corpus import _entry_suites, corpus_entries
+from effectbx import effects, lenses, stateful
+from effectbx.corpus import _entry_suites, _families, corpus_entries, non_overwrite_lens
 from effectbx.examples import _BxRunner, _SymlensRunner
-from effectbx.lawcheck import stable_repr
+from effectbx.lawcheck import run_laws, stable_repr
 
 
 BEA = ("Bea", "AT")
@@ -26,6 +37,10 @@ LEFT_VIEWS = [
     frozenset({("Bea", "AT", ("1", "2")), ("Kim", "DE", None)}),
 ]
 RIGHT_VIEWS = [(), (BEA,), (KIM, BEA)]
+BIT = FiniteDomain("bit", (0, 1))
+PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
+D1, D2 = FiniteDomain("d1", (0,)), FiniteDomain("d2", (0, 1))
+S1, S2 = FiniteDomain("s1", (0,)), FiniteDomain("s2", (0, 1))
 
 
 def _ops():
@@ -67,24 +82,31 @@ def test_flattened_composers_bx_agrees_with_symlens():
         assert left_flat == left_sl
 
 
-def _hand_rolled(bx, law):
-    """(assignments, first failing env or None) of ``law`` on ``bx``,
-    evaluated at every assignment without the runner."""
-    names = [n for n, _d in law.quantifiers]
-    doms = [tuple(dom) for _n, dom in law.quantifiers]
-    count, first = 0, None
-    for values in itertools.product(*doms):
-        env = dict(zip(names, values))
-        lhs, rhs = law.evaluate(env)
-        if first is None and not bx.effect.equal_values(lhs, rhs):
-            first = env
-        count += 1
-    return count, first
+def _plain_enumeration(laws, equal, max_witnesses=3):
+    """Each law's report entry computed by evaluating every total
+    assignment of its quantifiers, in ``itertools.product`` order."""
+    entries = []
+    for law in laws:
+        names = [n for n, _d in law.quantifiers]
+        doms = [tuple(dom) for _n, dom in law.quantifiers]
+        count, failures = 0, []
+        for values in itertools.product(*doms):
+            env = dict(zip(names, values))
+            lhs, rhs = law.evaluate(env)
+            count += 1
+            if not equal(lhs, rhs) and len(failures) < max_witnesses:
+                failures.append({
+                    "inputs": {k: stable_repr(v) for k, v in env.items()},
+                    "lhs": stable_repr(lhs),
+                    "rhs": stable_repr(rhs),
+                })
+        entries.append({"name": law.name, "checked": count, "failures": failures})
+    return entries
 
 
 def test_every_corpus_suite_against_hand_rolled_evaluation():
     # meta-oracle: evaluate each law side directly at every assignment and
-    # compare with the runner's counts, verdicts and first witnesses
+    # compare with the runner's counts, verdicts and witnesses
     total = 0
     for entry in corpus_entries():
         bx = entry.build()
@@ -92,17 +114,46 @@ def test_every_corpus_suite_against_hand_rolled_evaluation():
             where = f"{entry.name}/{suite}"
             report = check_suite(bx, suite)
             assert report.mode == "exhaustive", where
-            failing = set()
-            for law in SUITES[suite](bx):
-                count, first = _hand_rolled(bx, law)
-                result = report.law(law.name)
-                assert result.checked == count, (where, law.name)
-                total += count
-                if first is None:
-                    assert result.ok, (where, law.name)
-                    continue
-                failing.add(law.name)
-                inputs = {k: stable_repr(v) for k, v in first.items()}
-                assert result.failures[0].inputs == inputs, (where, law.name)
-            assert set(report.failing_laws) == failing, where
+            entries = _plain_enumeration(SUITES[suite](bx), bx.effect.equal_values)
+            assert report.to_dict()["laws"] == entries, where
+            total += sum(e["checked"] for e in entries)
     assert total >= 8000
+
+
+def _function_quantifier_cases():
+    # two reader contexts, not three: reader/d2 associativity would spend
+    # over a second in plain enumeration alone
+    fams = _families((0, 1))
+    yield from ((f"monad/{fam.name}/{dom.name}", effects, check_monad_laws, (fam, dom))
+                for fam in fams for dom in (D1, D2))
+    yield from ((f"state/{fam.name}/{dom.name}", stateful, state_law_suite,
+                 (fam, dom, BIT)) for fam in fams for dom in (S1, S2))
+    yield from ((f"lift/{fam.name}", stateful, check_lift_morphism, (fam, BIT, BIT))
+                for fam in fams)
+    ident = identity_family()
+    for name, lens, source in (("fst", fst_lens(), PAIRS), ("snd", snd_lens(), PAIRS),
+                               ("identity", identity_lens(), BIT),
+                               ("non-overwrite", non_overwrite_lens(), PAIRS)):
+        yield (f"theta/{name}", lenses, check_theta_morphism,
+               (lens, ident, source, BIT, BIT))
+
+
+def test_function_quantified_suites_against_plain_enumeration(monkeypatch):
+    # the runner evaluates only the points of a function a law reads; plain
+    # enumeration of every total function must give the same counts,
+    # verdicts and witnesses
+    failing = set()
+    for where, module, check, args in _function_quantifier_cases():
+        calls = []
+
+        def recording(subject, laws, equal, **kwargs):
+            calls.append((laws, equal))
+            return run_laws(subject, laws, equal, **kwargs)
+
+        monkeypatch.setattr(module, "run_laws", recording)
+        report = check(*args)
+        (laws, equal), = calls
+        assert report.mode == "exhaustive", where
+        assert report.to_dict()["laws"] == _plain_enumeration(laws, equal), where
+        failing.update(f"{where}:{name}" for name in report.failing_laws)
+    assert failing == {"theta/non-overwrite:theta-preserves-bind"}

@@ -32,7 +32,6 @@ from effectbx import (
     partial_bx,
     read_some_bx,
     render_dates,
-    signal_bx,
     st_exec,
     switch_bx,
     reader_family,
@@ -40,7 +39,6 @@ from effectbx import (
     fst_lens,
     snd_lens,
     Left,
-    Right,
 )
 from effectbx.examples import dynamic_memo_states
 

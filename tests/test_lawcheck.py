@@ -9,10 +9,12 @@ import pytest
 from effectbx import (
     DomainTooLarge,
     FiniteDomain,
+    FiniteFunction,
     Law,
     check_monad_laws,
     choice_family,
     enumerate_functions,
+    enumerate_stateful,
     run_laws,
     state_law_suite,
 )
@@ -173,3 +175,96 @@ def test_vacuous_quantification_passes_with_zero_checks():
     )
     report = run_laws("demo", [law], lambda a, b: a == b)
     assert report.ok and report.law("vacuous").checked == 0
+
+
+# demand-driven exhaustive checking: a function quantifier is assigned only
+# at the points a law reads; plain enumeration of a tuple of the same
+# functions is the reference
+
+DOM3 = FiniteDomain("d", (0, 1, 2))
+COD3 = FiniteDomain("c", ("x", "y", "z"))
+
+
+def _lazy_and_plain(lhs, rhs, extra=()):
+    """The reports of one law over the lazy function space and over a tuple
+    of the same functions."""
+    def report(functions):
+        law = Law("demo", [("f", functions), ("g", functions), *extra], lhs, rhs)
+        return run_laws("demo", [law], operator.eq, max_witnesses=5)
+
+    return (report(enumerate_functions(DOM3, COD3)),
+            report(tuple(enumerate_functions(DOM3, COD3))))
+
+
+def test_a_side_that_catches_every_exception_gets_the_same_report():
+    def guarded(name):
+        def side(e):
+            try:
+                return e[name](e["x"])
+            except Exception:
+                return "caught"
+
+        return side
+
+    lazy, plain = _lazy_and_plain(guarded("f"), guarded("g"),
+                                  extra=[("x", (0, 1, 2, 3))])
+    # x = 3 lies outside the keys, so both sides catch a KeyError there
+    assert lazy.law("demo").checked == 27 * 27 * 4 and lazy.law("demo").failures
+    assert lazy.to_json() == plain.to_json()
+
+
+def test_an_unapplied_function_quantifier_costs_one_evaluation():
+    evaluations = []
+    law = Law(
+        "ignores-f",
+        [("f", enumerate_functions(DOM3, COD3))],
+        lambda e: evaluations.append(1) or 0,
+        lambda e: 0,
+    )
+    report = run_laws("demo", [law], operator.eq)
+    assert report.mode == "exhaustive"
+    assert report.law("ignores-f").checked == 27
+    assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("observe", [
+    lambda f, g: f == g,
+    lambda f, g: f != g,
+    lambda f, g: hash(f) == hash(g),
+    lambda f, g: len({f, g}),
+    lambda f, g: repr(f) < repr(g),
+], ids=["eq", "ne", "hash", "set", "repr"])
+def test_comparing_or_hashing_a_function_quantifier_matches_plain_enumeration(observe):
+    lazy, plain = _lazy_and_plain(lambda e: observe(e["f"], e["g"]),
+                                  lambda e: observe(e["f"](0), e["g"](0)))
+    assert lazy.law("demo").checked == 27 * 27
+    assert lazy.to_json() == plain.to_json()
+
+
+def test_a_point_outside_the_keys_still_raises_key_error():
+    law = Law(
+        "outside",
+        [("f", enumerate_functions(DOM3, COD3))],
+        lambda e: e["f"](7),
+        lambda e: "x",
+    )
+    with pytest.raises(KeyError, match="7 outside function domain"):
+        run_laws("demo", [law], operator.eq)
+
+
+def test_no_partial_function_appears_in_a_witness():
+    fam = choice_family()
+    bit = FiniteDomain("bit", (0, 1))
+    law = Law(
+        "run-at-zero-is-empty",
+        [("m", enumerate_stateful(fam, bit, bit)), ("f", enumerate_functions(DOM3, COD3))],
+        lambda e: (e["m"].run(0), e["f"](0)),
+        lambda e: ((), "x"),
+    )
+    report = run_laws("demo", [law], operator.eq, max_witnesses=10)
+    result = report.law("run-at-zero-is-empty")
+    assert result.checked == 21 ** 2 * 27 and len(result.failures) == 10
+    for w in result.failures:
+        assert type(w.env["m"].run) is FiniteFunction
+        assert type(w.env["f"]) is FiniteFunction
+        assert w.inputs["f"] == repr(w.env["f"])

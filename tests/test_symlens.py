@@ -13,6 +13,7 @@ from effectbx import (
     check_symlens_laws,
     check_symmlens_laws,
     consistent_triples,
+    dual_symlens,
     failure_family,
     fst_lens,
     identity_bx,
@@ -262,3 +263,18 @@ def test_lifted_symlens_fails_the_laws_its_pure_form_fails():
     assert lifted.failing_laws == pure.failing_laws == ("put_r-put_l",)
     assert ([w.inputs for w in lifted.law("put_r-put_l").failures]
             == [w.inputs for w in pure.law("put_r-put_l").failures])
+
+
+def test_dual_of_the_dual_is_the_original_over_consistent_triples():
+    sl = composers_symlens()
+    dom_a, dom_b, _dom_c = composers_universe()
+    triples = consistent_triples(sl, dom_a, dom_b)
+    twice = dual_symlens(dual_symlens(sl))
+    assert twice.missing == sl.missing
+    for a, b, c in triples:
+        assert twice.put_r(a, c) == sl.put_r(a, c)
+        assert twice.put_l(b, c) == sl.put_l(b, c)
+    # one dual swaps the sides, so its consistent triples are the swapped ones
+    swapped = consistent_triples(dual_symlens(sl), dom_b, dom_a)
+    assert len(swapped) == len(triples)
+    assert all((a, b, c) in triples.elements for b, a, c in swapped)
