@@ -78,7 +78,10 @@ class EffectFamily:
         """Sequence ``f`` over ``xs`` left to right, collecting a tuple."""
         acc = self.unit(())
         for x in xs:
-            acc = self.bind(acc, lambda ys, x=x: self.map(f(x), lambda y: ys + (y,)))
+            acc = self.bind(acc, lambda ys, x=x: self.map(
+                f(x),
+                lambda y: ys + (y,),
+            ))
         return acc
 
 
@@ -467,7 +470,9 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
 
     fam = EffectFamily(
         name="native-state",
-        unit=lambda a: lambda s: (a, s),
+        unit=lambda a: (
+            lambda s: (a, s)
+        ),
         bind=bind,
         equal=equal,
         enumerate_contexts=states,
@@ -477,7 +482,9 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
     return NativeStateOps(
         family=fam,
         get_value=lambda s: (s, s),
-        set_value=lambda s1: (lambda s: ((), s1)),
+        set_value=lambda s1: (
+            lambda s: ((), s1)
+        ),
         state_domain=state_domain,
     )
 
@@ -487,8 +494,11 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
 
 
 def _continuations(fam: EffectFamily, dom: FiniteDomain):
-    values = FiniteDomain(f"{fam.name}-values", fam.values_over(dom))
-    return values, enumerate_functions(dom, values)
+    # the continuations take the values as a Space, so that a function-valued
+    # effect (reader, native state) gives a curried function space; the
+    # values themselves stay a plain domain
+    values = fam.values_over(dom)
+    return FiniteDomain(f"{fam.name}-values", values), enumerate_functions(dom, values)
 
 
 def check_monad_laws(fam: EffectFamily, dom: FiniteDomain, cap=None, seed=0) -> LawReport:
@@ -516,7 +526,9 @@ def check_monad_laws(fam: EffectFamily, dom: FiniteDomain, cap=None, seed=0) -> 
             "associativity",
             [("m", values), ("k1", conts), ("k2", conts)],
             lambda e: fam.bind(fam.bind(e["m"], e["k1"]), e["k2"]),
-            lambda e: fam.bind(e["m"], lambda x: fam.bind(e["k1"](x), e["k2"])),
+            lambda e: fam.bind(e["m"], (
+                lambda x: fam.bind(e["k1"](x), e["k2"])
+            )),
         ),
     ]
     if fam.zero is not None:
@@ -532,7 +544,9 @@ def check_monad_laws(fam: EffectFamily, dom: FiniteDomain, cap=None, seed=0) -> 
             Law(
                 "zero-right",
                 [("m", values)],
-                lambda e: fam.bind(e["m"], lambda _x: fam.zero),
+                lambda e: fam.bind(e["m"], (
+                    lambda _x: fam.zero
+                )),
                 lambda e: fam.zero,
             )
         )
@@ -550,8 +564,16 @@ def check_commutative(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomai
     law = Law(
         "commute",
         [("m", fam.values_over(dom_a)), ("n", fam.values_over(dom_b))],
-        lambda e: fam.bind(e["m"], lambda x: fam.map(e["n"], lambda y: (x, y))),
-        lambda e: fam.bind(e["n"], lambda y: fam.map(e["m"], lambda x: (x, y))),
+        lambda e: fam.bind(e["m"], (
+            lambda x: fam.map(e["n"], (
+                lambda y: (x, y)
+            ))
+        )),
+        lambda e: fam.bind(e["n"], (
+            lambda y: fam.map(e["m"], (
+                lambda x: (x, y)
+            ))
+        )),
     )
     return run_laws(
         f"commutativity[{fam.name}]", [law], fam.equal_values,
@@ -576,7 +598,9 @@ def check_monad_morphism(phi, src: EffectFamily, dst: EffectFamily,
             "preserves-bind",
             [("m", values), ("k", conts)],
             lambda e: phi(src.bind(e["m"], e["k"])),
-            lambda e: dst.bind(phi(e["m"]), lambda a: phi(e["k"](a))),
+            lambda e: dst.bind(phi(e["m"]), (
+                lambda a: phi(e["k"](a))
+            )),
         ),
     ]
     return run_laws(

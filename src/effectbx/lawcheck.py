@@ -19,7 +19,10 @@ interrupts the evaluation, and the runner branches on that one point.  An
 evaluation that completes decides every total function that agrees with the
 points assigned so far, so a report's ``checked`` counts the assignments
 covered, not the evaluations made, and reads as if every assignment had been
-evaluated.
+evaluated.  A function into a space of functions (a continuation whose
+values are reader or state-transformer values) is curried: its points are
+pairs of an outer and an inner argument, so the runner branches on one inner
+point at a time.
 """
 
 from __future__ import annotations
@@ -80,16 +83,18 @@ def domain(name, elements) -> FiniteDomain:
 @dataclass(frozen=True)
 class FiniteFunction:
     """A function given by its finite graph; hashable and printable so it can
-    appear in witnesses."""
+    appear in witnesses.  A key is looked up with ``tuple.index``, which
+    tests ``is`` before ``==`` (as ``in`` does), so a key that is not equal
+    to itself is still found by identity."""
 
     keys: tuple
     values: tuple
 
     def __call__(self, x):
-        for k, v in zip(self.keys, self.values):
-            if k == x:
-                return v
-        raise KeyError(f"{x!r} outside function domain")
+        try:
+            return self.values[self.keys.index(x)]
+        except ValueError:
+            raise KeyError(f"{x!r} outside function domain") from None
 
     def __repr__(self):
         entries = ", ".join(f"{k!r}->{v!r}" for k, v in zip(self.keys, self.values))
@@ -98,9 +103,16 @@ class FiniteFunction:
 
 @dataclass(frozen=True)
 class FunctionForm:
-    """How a space of functions is built: element ``i`` is ``wrap`` applied
-    to the ``FiniteFunction`` that maps ``keys[j]`` to
-    ``codomain[digit j of i in base len(codomain)]``."""
+    """How ``run_laws`` assigns a space of functions point by point: element
+    ``i`` maps ``keys[j]`` to ``codomain[digit j of i in base
+    len(codomain)]``, and ``wrap`` turns the partial function being assigned
+    into the value a law sees.
+
+    A space of functions into a space of functions is curried: its keys are
+    the pairs ``(k, x)`` of an outer key and an inner one, outer key major,
+    its codomain is the inner codomain, and ``wrap`` rebuilds the function
+    whose value at ``k`` is the inner function at ``(k, x)``, so a law that
+    reads one inner point assigns only that point."""
 
     keys: tuple
     codomain: tuple
@@ -135,7 +147,12 @@ class Space:
 def enumerate_functions(dom: FiniteDomain, cod) -> Space:
     """The space of all functions ``dom -> cod`` (``cod`` any finite
     iterable).  Index ``i`` maps the ``j``-th key of ``dom`` to the value
-    whose position is digit ``j`` of ``i`` in base ``len(cod)``."""
+    whose position is digit ``j`` of ``i`` in base ``len(cod)``.
+
+    When ``cod`` is a ``Space`` of functions with ``n`` keys and base ``b``,
+    the form is curried (see ``FunctionForm``): index ``i`` is also
+    ``sum d_jl * b**(j*n + l)`` over the digits ``d_jl`` of the inner value
+    at key ``j``, so the numbering does not change."""
     keys = tuple(dom.elements)
     values = tuple(cod)
     base = len(values)
@@ -147,7 +164,24 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
             picks.append(values[digit])
         return FiniteFunction(keys, tuple(picks))
 
-    return Space(base ** len(keys), decode, FunctionForm(keys, values, lambda g: g))
+    inner = cod.functions if isinstance(cod, Space) else None
+    if inner is None:
+        return Space(base ** len(keys), decode, FunctionForm(keys, values, lambda g: g))
+    n, inner_base = len(inner.keys), len(inner.codomain)
+
+    def curry(g):
+        # a section stays a partial view while one of its points is
+        # unassigned; a full one is the element of ``cod`` that ``decode``
+        # picks, so comparing it demands nothing
+        sections = []
+        for start in range(g.start, g.start + len(keys) * n, n):
+            digits = g.digits[start:start + n]
+            sections.append(inner.wrap(_PartialFunction(g.slot, inner, g.digits, start))
+                            if None in digits else values[_index(digits, inner_base)])
+        return FiniteFunction(keys, tuple(sections))
+
+    pairs = tuple((k, x) for k in keys for x in inner.keys)
+    return Space(base ** len(keys), decode, FunctionForm(pairs, inner.codomain, curry))
 
 
 @dataclass(frozen=True)
@@ -265,29 +299,34 @@ class _Demand(BaseException):
 
 class _PartialFunction:
     """A function quantifier while ``run_laws`` assigns it point by point:
-    ``digits[j]`` is the codomain index given to ``keys[j]``, or None.
-    ``==``, ``hash`` and ``repr`` read the whole function, so they demand its
-    first unassigned point."""
+    ``digits[start + j]`` is the codomain index given to ``keys[j]``, or
+    None.  ``start`` is nonzero for a section of a curried function, which
+    views its own slice of the quantifier's digits.  ``==``, ``hash`` and
+    ``repr`` read the whole function, so they demand its first unassigned
+    point.  Keys are looked up as ``FiniteFunction`` does."""
 
-    __slots__ = ("slot", "keys", "codomain", "digits")
+    __slots__ = ("slot", "keys", "codomain", "digits", "start")
 
-    def __init__(self, slot, form, digits):
+    def __init__(self, slot, form, digits, start=0):
         self.slot = slot
         self.keys = form.keys
         self.codomain = form.codomain
         self.digits = digits
+        self.start = start
 
     def __call__(self, x):
-        for j, k in enumerate(self.keys):
-            if k == x:
-                digit = self.digits[j]
-                if digit is None:
-                    raise _Demand(self.slot, j)
-                return self.codomain[digit]
-        raise KeyError(f"{x!r} outside function domain")
+        try:
+            j = self.start + self.keys.index(x)
+        except ValueError:
+            raise KeyError(f"{x!r} outside function domain") from None
+        digit = self.digits[j]
+        if digit is None:
+            raise _Demand(self.slot, j)
+        return self.codomain[digit]
 
     def _demand_first(self):
-        raise _Demand(self.slot, self.digits.index(None))
+        raise _Demand(self.slot, self.digits.index(
+            None, self.start, self.start + len(self.keys)))
 
     def __eq__(self, other):
         self._demand_first()

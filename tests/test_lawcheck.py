@@ -15,11 +15,12 @@ from effectbx import (
     choice_family,
     enumerate_functions,
     enumerate_stateful,
+    reader_family,
     run_laws,
     state_law_suite,
 )
 from effectbx.corpus import run_corpus
-from effectbx.lawcheck import DEFAULT_CAP
+from effectbx.lawcheck import DEFAULT_CAP, _PartialFunction
 
 
 def test_enumerate_functions_counts():
@@ -268,3 +269,113 @@ def test_no_partial_function_appears_in_a_witness():
         assert type(w.env["m"].run) is FiniteFunction
         assert type(w.env["f"]) is FiniteFunction
         assert w.inputs["f"] == repr(w.env["f"])
+
+
+# a function into a function space is assigned one (key, inner key) point at
+# a time; plain enumeration of a tuple of the same functions is the reference
+
+D2 = FiniteDomain("d2", (0, 1))
+BIT = FiniteDomain("bit", (0, 1))
+READER = reader_family((0, 1))
+
+
+@pytest.mark.parametrize("cap, mode", [(DEFAULT_CAP, "exhaustive"),
+                                       (10, "sampled(n=50,seed=2)")])
+@pytest.mark.parametrize("functions, extra, lhs, rhs, equal", [
+    # a function of three curried arguments
+    (enumerate_functions(D2, enumerate_functions(D2, enumerate_functions(D2, BIT))),
+     [("a", D2), ("x", D2), ("y", D2)],
+     lambda e: e["k"](e["a"])(e["x"])(e["y"]),
+     lambda e: e["k"](0)(e["x"])(e["y"]),
+     operator.eq),
+    # a state transformer whose effect values are readers (a mapped space)
+    (enumerate_stateful(READER, BIT, BIT),
+     [("s", BIT)],
+     lambda e: e["k"].run(e["s"]),
+     lambda e: e["k"].run(0),
+     READER.equal_values),
+], ids=["functions", "stateful"])
+def test_a_curried_space_and_its_tuple_give_identical_reports(
+        functions, extra, lhs, rhs, equal, cap, mode):
+    def report(functions):
+        law = Law("demo", [("k", functions), *extra], lhs, rhs)
+        return run_laws("demo", [law], equal, cap=cap, sample=50, seed=2,
+                        max_witnesses=5)
+
+    curried, plain = report(functions), report(tuple(functions))
+    assert curried.mode == mode
+    assert len(curried.law("demo").failures) == 5
+    assert curried.to_json() == plain.to_json()
+
+
+@pytest.mark.parametrize("observe", [
+    lambda f, g: f == g,
+    lambda f, g: f != g,
+    lambda f, g: hash(f) == hash(g),
+    lambda f, g: len({f, g}),
+    lambda f, g: repr(f) < repr(g),
+], ids=["eq", "ne", "hash", "set", "repr"])
+def test_comparing_or_hashing_a_section_matches_plain_enumeration(observe):
+    def report(functions):
+        law = Law(
+            "demo",
+            [("k", functions), ("g", functions), ("a", D2)],
+            lambda e: observe(e["k"](e["a"]), e["g"](e["a"])),
+            lambda e: observe(e["k"](0)(0), e["g"](0)(0)),
+        )
+        return run_laws("demo", [law], operator.eq, max_witnesses=5)
+
+    space = enumerate_functions(D2, enumerate_functions(D2, COD3))
+    curried, plain = report(space), report(tuple(space))
+    assert curried.law("demo").checked == 81 * 81 * 2
+    assert curried.law("demo").failures
+    assert curried.to_json() == plain.to_json()
+
+
+def test_a_full_section_is_its_decoded_value_while_others_are_unassigned():
+    seen = []
+
+    def lhs(e):
+        k = e["k"]
+        picks = tuple(k(0)(x) for x in DOM3)  # assigns the first section only
+        decoded = FiniteFunction(DOM3.elements, picks)
+        seen.append((type(k(1)), k(0) == decoded, hash(k(0)) == hash(decoded),
+                     repr(k(0)) == repr(decoded)))
+        return picks
+
+    law = Law("reads-one-section",
+              [("k", enumerate_functions(D2, enumerate_functions(DOM3, COD3)))],
+              lhs, lhs)
+    report = run_laws("demo", [law], operator.eq)
+    assert report.law("reads-one-section").checked == 27 * 27
+    # one completed evaluation per first section, each seen by both sides
+    assert seen == [(_PartialFunction, True, True, True)] * (2 * 27)
+
+
+def _evaluations(monkeypatch, report):
+    """The number of ``Law.evaluate`` calls per law while ``report()`` runs,
+    aborted evaluations included."""
+    counts = {}
+    evaluate = Law.evaluate
+
+    def counting(law, env):
+        counts[law.name] = counts.get(law.name, 0) + 1
+        return evaluate(law, env)
+
+    monkeypatch.setattr(Law, "evaluate", counting)
+    return report(), counts
+
+
+def test_curried_reader_continuations_cost_pinned_evaluations(monkeypatch):
+    # each aborted evaluation counts, so reading every point of a section
+    # restarts the law once per point
+    fam = reader_family((0, 1, 2))
+    d2, d2_evaluations = _evaluations(
+        monkeypatch, lambda: check_monad_laws(fam, D2))
+    assert d2.mode == "exhaustive" and d2.ok
+    assert d2.law("associativity").checked == 32_768
+    assert d2_evaluations["associativity"] == 1_016
+    d3, d3_evaluations = _evaluations(
+        monkeypatch, lambda: check_monad_laws(fam, DOM3))
+    assert d3.law("left-unit").checked == 59_049
+    assert d3_evaluations["left-unit"] == 120
