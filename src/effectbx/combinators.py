@@ -10,7 +10,7 @@ from .bx import Bx, InitBx, lens_to_ibx
 from .compose import _require_transparent
 from .effects import EffectFamily, Just, NOTHING
 from .errors import EffectbxError
-from .lawcheck import FiniteDomain
+from .lawcheck import FiniteDomain, tuples_up_to
 from .lenses import fst_lens, left, right, snd_lens
 from .stateful import Stateful, st_eval, st_exec, st_get, st_gets, st_set, st_unit
 
@@ -316,15 +316,6 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
 # retentive lists
 
 
-def _tuples_up_to(dom: FiniteDomain, max_len: int):
-    out = [()]
-    layer = [()]
-    for _ in range(max_len):
-        layer = [t + (x,) for t in layer for x in dom]
-        out.extend(layer)
-    return tuple(out)
-
-
 def list_ibx(bx: InitBx, max_len: int = 2) -> InitBx:
     """Lift an initialisable element bx to lists (represented as tuples).
 
@@ -387,7 +378,7 @@ def list_ibx(bx: InitBx, max_len: int = 2) -> InitBx:
             fam.mapm(side_init, tuple(xs)), lambda cs: (len(xs), tuple(cs))
         )
 
-    element_states = _tuples_up_to(bx.state_domain, max_len)
+    element_states = tuples_up_to(bx.state_domain, max_len)
     states = FiniteDomain(
         f"list-{bx.name}",
         tuple((n, cs) for cs in element_states for n in range(len(cs) + 1)),
@@ -400,8 +391,8 @@ def list_ibx(bx: InitBx, max_len: int = 2) -> InitBx:
         get_r=gets_list(bx.get_r),
         set_r=set_list(bx.set_r, bx.init_r),
         state_domain=states,
-        dom_a=FiniteDomain("lists-a", _tuples_up_to(bx.dom_a, max_len)),
-        dom_b=FiniteDomain("lists-b", _tuples_up_to(bx.dom_b, max_len)),
+        dom_a=FiniteDomain("lists-a", tuples_up_to(bx.dom_a, max_len)),
+        dom_b=FiniteDomain("lists-b", tuples_up_to(bx.dom_b, max_len)),
         init_l=init_list(bx.init_l),
         init_r=init_list(bx.init_r),
     )

@@ -126,8 +126,8 @@ def compose(bx1: Bx, bx2: Bx, via_mlens: bool = False) -> Bx:
     return composed
 
 
-def compose_init(bx1: InitBx, bx2: InitBx, via_mlens: bool = False) -> InitBx:
-    out = compose(bx1, bx2, via_mlens=via_mlens)
+def compose_init(bx1: InitBx, bx2: InitBx) -> InitBx:
+    out = compose(bx1, bx2)
     assert isinstance(out, InitBx)
     return out
 

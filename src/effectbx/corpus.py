@@ -86,7 +86,7 @@ class CorpusEntry:
 # the seven law-targeted mutants (identity effect)
 
 
-def _mk(name, states, get_l, set_l, get_r, set_r, dom_a=BIT, dom_b=BIT):
+def _mk(name, states, get_l, set_l, get_r, set_r):
     fam = identity_family()
     return Bx(
         name=name,
@@ -96,8 +96,8 @@ def _mk(name, states, get_l, set_l, get_r, set_r, dom_a=BIT, dom_b=BIT):
         get_r=Stateful(fam, get_r),
         set_r=set_r(fam),
         state_domain=FiniteDomain(f"{name}-states", states),
-        dom_a=dom_a,
-        dom_b=dom_b,
+        dom_a=BIT,
+        dom_b=BIT,
     )
 
 

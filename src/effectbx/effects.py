@@ -13,7 +13,6 @@ by the data-refinement construction.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -24,6 +23,7 @@ from .lawcheck import (
     LawReport,
     enumerate_functions,
     run_laws,
+    tuples_up_to,
 )
 
 
@@ -31,21 +31,22 @@ from .lawcheck import (
 class EffectFamily:
     """A named, pluggable notion of effect.
 
-    ``equal`` receives a result-equality callback and is total only for
-    families with finite observability.  ``enumerate_contexts`` lists the
-    observation contexts equality quantifies over (environments for reader,
-    input scripts for console); ``enumerate_values`` yields a deterministic
-    finite listing (a tuple or a lazy ``Space``) of effect values over a
-    given carrier, used by the law checker.  ``outcomes`` extracts the
-    observable results of an effect value (all branches for choice, zero or
-    one for failure, one per context for reader/console).
+    ``equal(x, y)`` compares two effect values structurally, their results
+    with ``==``, and is total only for families with finite observability.
+    ``enumerate_contexts`` lists the observation contexts equality
+    quantifies over (environments for reader, input scripts for console);
+    ``enumerate_values`` yields a deterministic finite listing (a tuple or a
+    lazy ``Space``) of effect values over a given carrier, used by the law
+    checker.  ``outcomes`` extracts the observable results of an effect
+    value (all branches for choice, zero or one for failure, one per context
+    for reader/console).
     """
 
     name: str
     unit: Callable[[Any], Any]
     bind: Callable[[Any, Callable[[Any], Any]], Any]
     zero: Any = None
-    equal: Optional[Callable[[Any, Any, Callable[[Any, Any], bool]], bool]] = None
+    equal: Optional[Callable[[Any, Any], bool]] = None
     enumerate_contexts: Optional[tuple] = None
     enumerate_values: Optional[Callable[[FiniteDomain], Iterable]] = None
     outcomes: Optional[Callable[[Any], tuple]] = None
@@ -58,10 +59,10 @@ class EffectFamily:
             raise UnobservableEffect(f"{self.name}: no value enumerator")
         return self.enumerate_values(dom)
 
-    def equal_values(self, x, y, result_eq=operator.eq) -> bool:
+    def equal_values(self, x, y) -> bool:
         if self.equal is None:
             raise UnobservableEffect(f"{self.name}: no declared equality")
-        return self.equal(x, y, result_eq)
+        return self.equal(x, y)
 
     def outcomes_of(self, x) -> tuple:
         if self.outcomes is None:
@@ -94,7 +95,7 @@ def identity_family() -> EffectFamily:
         name="identity",
         unit=lambda a: a,
         bind=lambda m, k: k(m),
-        equal=lambda x, y, eq: eq(x, y),
+        equal=lambda x, y: x == y,
         enumerate_values=lambda dom: tuple(dom.elements),
         outcomes=lambda x: (x,),
     )
@@ -131,9 +132,9 @@ def failure_family() -> EffectFamily:
     def bind(m, k):
         return k(m.value) if isinstance(m, Just) else NOTHING
 
-    def equal(x, y, eq):
+    def equal(x, y):
         if isinstance(x, Just) and isinstance(y, Just):
-            return eq(x.value, y.value)
+            return x.value == y.value
         return x is NOTHING and y is NOTHING
 
     return EffectFamily(
@@ -151,9 +152,10 @@ def failure_family() -> EffectFamily:
 # finite choice (list monad; values are tuples of outcomes)
 
 
-def choice_family(multiset: bool = False, value_lengths: int = 2) -> EffectFamily:
+def choice_family(multiset: bool = False) -> EffectFamily:
     """List-monad effect.  Equality is order-sensitive by default; pass
-    ``multiset=True`` to compare outcome multisets instead."""
+    ``multiset=True`` to compare outcome multisets instead.  Enumerated
+    values have at most two outcomes."""
 
     def bind(m, k):
         out = ()
@@ -161,26 +163,18 @@ def choice_family(multiset: bool = False, value_lengths: int = 2) -> EffectFamil
             out = out + tuple(k(a))
         return out
 
-    def equal(x, y, eq):
+    def equal(x, y):
         if multiset:
             remaining = list(y)
             for a in x:
                 for i, b in enumerate(remaining):
-                    if eq(a, b):
+                    if a == b:
                         del remaining[i]
                         break
                 else:
                     return False
             return not remaining
-        return len(x) == len(y) and all(eq(a, b) for a, b in zip(x, y))
-
-    def enumerate_values(dom):
-        values = [()]
-        layer = [()]
-        for _ in range(value_lengths):
-            layer = [v + (a,) for v in layer for a in dom.elements]
-            values.extend(layer)
-        return tuple(values)
+        return len(x) == len(y) and all(a == b for a, b in zip(x, y))
 
     return EffectFamily(
         name="choice" if not multiset else "choice-multiset",
@@ -188,7 +182,7 @@ def choice_family(multiset: bool = False, value_lengths: int = 2) -> EffectFamil
         bind=bind,
         zero=(),
         equal=equal,
-        enumerate_values=enumerate_values,
+        enumerate_values=lambda dom: tuples_up_to(dom, 2),
         outcomes=lambda x: tuple(x),
     )
 
@@ -213,7 +207,7 @@ def reader_family(contexts, name: str = "reader") -> EffectFamily:
         bind=lambda m, k: (
             lambda env: k(m(env))(env)
         ),
-        equal=lambda x, y, eq: all(eq(x(e), y(e)) for e in ctxs),
+        equal=lambda x, y: all(x(e) == y(e) for e in ctxs),
         enumerate_contexts=ctxs,
         enumerate_values=lambda dom: enumerate_functions(FiniteDomain("env", ctxs), dom),
         outcomes=lambda x: tuple(x(e) for e in ctxs),
@@ -229,12 +223,12 @@ def ask():
 # writer
 
 
-def writer_family(bound: Optional[int] = None, labels=("w0", "w1")) -> EffectFamily:
+def writer_family(bound: Optional[int] = None) -> EffectFamily:
     """Writer monad whose log monoid is finite sequences under concatenation.
 
     With ``bound=n`` the log keeps only the most recent ``n`` entries
     (drop-oldest); bounded sequences still form a monoid, so the monad laws
-    survive.  ``labels`` seeds the log alphabet used when enumerating values.
+    survive.  Enumerated values log nothing or one of ``"w0"``, ``"w1"``.
     """
 
     def cat(w1, w2):
@@ -247,14 +241,14 @@ def writer_family(bound: Optional[int] = None, labels=("w0", "w1")) -> EffectFam
         return (b, cat(w1, w2))
 
     def enumerate_values(dom):
-        logs = [()] + [(x,) for x in labels]
+        logs = [(), ("w0",), ("w1",)]
         return tuple((a, w) for a in dom.elements for w in logs)
 
     return EffectFamily(
         name="writer" if bound is None else f"writer<={bound}",
         unit=lambda a: (a, ()),
         bind=bind,
-        equal=lambda x, y, eq: eq(x[0], y[0]) and x[1] == y[1],
+        equal=lambda x, y: x[0] == y[0] and x[1] == y[1],
         enumerate_values=enumerate_values,
         outcomes=lambda x: (x[0],),
     )
@@ -353,7 +347,7 @@ def console_family(scripts=((),)) -> EffectFamily:
             return (_EXHAUSTED, world.snapshot())
         return (result, world.snapshot())
 
-    def equal(x, y, eq):
+    def equal(x, y):
         for script in scripts:
             rx, wx = observe(x, script)
             ry, wy = observe(y, script)
@@ -362,7 +356,7 @@ def console_family(scripts=((),)) -> EffectFamily:
             if rx is _EXHAUSTED or ry is _EXHAUSTED:
                 if not (rx is _EXHAUSTED and ry is _EXHAUSTED):
                     return False
-            elif not eq(rx, ry):
+            elif rx != ry:
                 return False
         return True
 
@@ -458,9 +452,9 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
 
         return run
 
-    def equal(x, y, eq):
+    def equal(x, y):
         return all(
-            eq(x(s)[0], y(s)[0]) and x(s)[1] == y(s)[1] for s in states
+            x(s)[0] == y(s)[0] and x(s)[1] == y(s)[1] for s in states
         )
 
     def enumerate_values(dom):

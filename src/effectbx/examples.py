@@ -107,27 +107,24 @@ def _check_partial_inverses(f, g, dom_a, dom_b):
             )
 
 
-def inv_bx(dom: Optional[FiniteDomain] = None) -> InitBx:
-    """Exact reciprocal relation over rationals, failing on zero."""
-    if dom is None:
-        dom = FiniteDomain(
-            "rationals",
-            (Fraction(0), Fraction(2), Fraction(1, 2), Fraction(4), Fraction(1, 4)),
-        )
+def inv_bx() -> InitBx:
+    """Exact reciprocal relation over five rationals, failing on zero."""
+    dom = FiniteDomain(
+        "rationals",
+        (Fraction(0), Fraction(2), Fraction(1, 2), Fraction(4), Fraction(1, 4)),
+    )
     fam = failure_family()
     recip = lambda x: None if x == 0 else Fraction(1) / x
     return partial_bx(fam, NOTHING, recip, recip, dom, dom, name="inv")
 
 
-def read_some_bx(dom_a: Optional[FiniteDomain] = None,
-                 extra_strings=("junk",)) -> InitBx:
-    """Relate values to their printed form over the failing effect.  Setting
-    an unparsable string fails, except that re-setting the current string is
-    always a no-op."""
+def read_some_bx() -> InitBx:
+    """Relate the ints 0 and 1 to their printed form over the failing effect.
+    Setting an unparsable string (the domain has ``"junk"``) fails, except
+    that re-setting the current string is always a no-op."""
     fam = failure_family()
-    dom_a = dom_a or FiniteDomain("ints", (0, 1))
-    strings = tuple(str(a) for a in dom_a) + tuple(extra_strings)
-    dom_b = FiniteDomain("strings", strings)
+    dom_a = FiniteDomain("ints", (0, 1))
+    dom_b = FiniteDomain("strings", ("0", "1", "junk"))
 
     def parse(text):
         try:
@@ -373,21 +370,17 @@ def _assoc_lookup(table, key):
     return None
 
 
-def dynamic_memo_states(dom_a: FiniteDomain, dom_b: FiniteDomain,
-                        with_memos: bool = True) -> FiniteDomain:
+def dynamic_memo_states(dom_a: FiniteDomain, dom_b: FiniteDomain) -> FiniteDomain:
     """A checkable state domain for dynamic_bx: every view pair, with memo
     tables of at most one entry each."""
-    f_tables = [()]
-    b_tables = [()]
-    if with_memos:
-        f_tables += [
-            (((a1, b), b1),)
-            for a1 in dom_a for b in dom_b for b1 in dom_b
-        ]
-        b_tables += [
-            (((a, b1), a1),)
-            for a in dom_a for b1 in dom_b for a1 in dom_a
-        ]
+    f_tables = [()] + [
+        (((a1, b), b1),)
+        for a1 in dom_a for b in dom_b for b1 in dom_b
+    ]
+    b_tables = [()] + [
+        (((a, b1), a1),)
+        for a in dom_a for b1 in dom_b for a1 in dom_a
+    ]
     states = tuple(
         ((a, b), fs, bs)
         for a in dom_a
@@ -423,14 +416,14 @@ def dynamic_search_bx(p, dom_a: FiniteDomain, dom_b: FiniteDomain,
     )
 
 
-def match_console(show=str, parse=None):
+def match_console(parse=None):
     """The fixed interactive prompt pair: announce the new value, ask for a
     replacement of the stale opposite value, read the answer."""
 
     def matcher(new_value, stale_opposite):
         def run(world):
-            world.write("Setting " + show(new_value))
-            world.write("Replacement for " + show(stale_opposite) + "?")
+            world.write("Setting " + str(new_value))
+            world.write("Replacement for " + str(stale_opposite) + "?")
             answer = world.read()
             return parse(answer) if parse else answer
 
@@ -439,10 +432,10 @@ def match_console(show=str, parse=None):
     return matcher
 
 
-def dynamic_console_bx(fam: EffectFamily, show=str, parse=None,
+def dynamic_console_bx(fam: EffectFamily, parse=None,
                        name: str = "dynamic-console") -> Bx:
     """Interactive memoizing restorer over the scripted console."""
-    m = match_console(show, parse)
+    m = match_console(parse)
     return dynamic_bx(
         fam,
         lambda a1, b: m(a1, b),
@@ -584,10 +577,11 @@ def composers_bx() -> InitBx:
     )
 
 
-def composers_universe(names=("Bea", "Kim")):
+def composers_universe():
     """A small checkable instance: two composers with fixed nations and two
     possible dates values each."""
     nations = {"Bea": "AT", "Kim": "DE"}
+    names = tuple(nations)
     dates_options = (None, ("1", "2"))
     triples = []
     for name in names:
@@ -682,31 +676,6 @@ def default_composers_script():
     ]
 
 
-class _SymlensRunner:
-    def __init__(self, sl: SymLens):
-        self.sl = sl
-        a, c = sl.put_l((), sl.missing)
-        self.a, self.b, self.c = a, (), c
-
-    def apply(self, op, value=None):
-        if op == "getL":
-            return self.a
-        if op == "getR":
-            return self.b
-        if op == "setL":
-            b, c = self.sl.put_r(value, self.c)
-            self.a, self.b, self.c = value, b, c
-            return None
-        if op == "setR":
-            a, c = self.sl.put_l(value, self.c)
-            self.a, self.b, self.c = a, value, c
-            return None
-        raise ValueError(f"unknown op {op!r}")
-
-    def views(self):
-        return self.a, self.b
-
-
 class _BxRunner:
     def __init__(self, bx: InitBx):
         self.bx = bx
@@ -740,7 +709,7 @@ def composers_scenario(script) -> dict:
     Each step records both implementations' observable views and whether they
     agree; the report is JSON-ready.
     """
-    sym = _SymlensRunner(composers_symlens())
+    sym = _BxRunner(symlens_to_bx(composers_symlens()))
     native = _BxRunner(composers_bx())
     steps = []
     all_ok = True

@@ -76,10 +76,6 @@ class FiniteDomain:
         return f"FiniteDomain({self.name}, {list(self.elements)!r})"
 
 
-def domain(name, elements) -> FiniteDomain:
-    return FiniteDomain(name, tuple(elements))
-
-
 @dataclass(frozen=True)
 class FiniteFunction:
     """A function given by its finite graph; hashable and printable so it can
@@ -182,6 +178,17 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
 
     pairs = tuple((k, x) for k in keys for x in inner.keys)
     return Space(base ** len(keys), decode, FunctionForm(pairs, inner.codomain, curry))
+
+
+def tuples_up_to(dom, max_len: int) -> tuple:
+    """Every tuple of at most ``max_len`` elements of ``dom``, shorter tuples
+    first and each length in lexicographic order of positions in ``dom``."""
+    out = [()]
+    layer = [()]
+    for _ in range(max_len):
+        layer = [t + (x,) for t in layer for x in dom]
+        out.extend(layer)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,6 @@ def mlens_compose(l1: MLens, l2: MLens) -> MLens:
         )
 
     def mcreate(v1):
-        if l1.mcreate is None or l2.mcreate is None:
-            return None
         return fam.bind(l2.mcreate(v1), l1.mcreate)
 
     return MLens(

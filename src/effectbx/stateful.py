@@ -3,7 +3,6 @@ over (result, state) pairs, interpreted in a pluggable effect family."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -32,9 +31,13 @@ class Stateful:
 
     def bind(self, k: Callable[[Any], "Stateful"]) -> "Stateful":
         fam = self.effect
+        # each inner lambda on a line of its own, so that profilers, which
+        # key a function by (file, first line, name), tell it from the outer
         return Stateful(
             fam,
-            lambda s: fam.bind(self.run(s), lambda pair: k(pair[0]).run(pair[1])),
+            lambda s: fam.bind(self.run(s), (
+                lambda pair: k(pair[0]).run(pair[1])
+            )),
         )
 
     def map(self, f) -> "Stateful":
@@ -73,15 +76,17 @@ def st_exec(m: Stateful, s):
 def st_lift(fam: EffectFamily, tvalue) -> Stateful:
     """Embed a base-effect value; preserves unit and bind (checked in the
     morphism suite)."""
-    return Stateful(fam, lambda s: fam.bind(tvalue, lambda a: fam.unit((a, s))))
+    # inner lambdas on lines of their own, as in Stateful.bind
+    return Stateful(fam, lambda s: fam.bind(tvalue, (
+        lambda a: fam.unit((a, s))
+    )))
 
 
-def stateful_equal(m1: Stateful, m2: Stateful, state_domain,
-                   result_eq=operator.eq) -> bool:
+def stateful_equal(m1: Stateful, m2: Stateful, state_domain) -> bool:
     """Extensional equality over a finite state domain: at every state the two
     effect values over (result, state) pairs must agree."""
     fam = m1.effect
-    return all(fam.equal_values(m1.run(s), m2.run(s), result_eq) for s in state_domain)
+    return all(fam.equal_values(m1.run(s), m2.run(s)) for s in state_domain)
 
 
 def enumerate_stateful(fam: EffectFamily, state_domain: FiniteDomain,
@@ -114,12 +119,19 @@ def get_set_laws(get: Stateful, set_, views, states, names=("get", "set"),
     get_name, set_name = names
     x, y = variables
     fam = get.effect
+    # inner lambdas on lines of their own, as in Stateful.bind
     return [
         Law(
             f"{get_name}-{get_name}",
             [("s", states)],
-            lambda e: get.bind(lambda a: get.map(lambda a2: (a, a2))).run(e["s"]),
-            lambda e: get.map(lambda a: (a, a)).run(e["s"]),
+            lambda e: get.bind(
+                lambda a: get.map(
+                    lambda a2: (a, a2)
+                )
+            ).run(e["s"]),
+            lambda e: get.map(
+                lambda a: (a, a)
+            ).run(e["s"]),
         ),
         Law(
             f"{set_name}-{get_name}",
@@ -150,22 +162,29 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
     get = st_get(fam)
     vdom = value_domain or state_domain
     tvs = fam.values_over(vdom)
+    # inner lambdas on lines of their own, as in Stateful.bind
     laws = [
         *get_set_laws(get, lambda x: st_set(fam, x), state_domain, state_domain),
         Law(
             "unused-get-discardable",
             [("m", enumerate_stateful(fam, state_domain, vdom)), ("s", state_domain)],
-            lambda e: get.bind(lambda _a: e["m"]).run(e["s"]),
+            lambda e: get.bind(
+                lambda _a: e["m"]
+            ).run(e["s"]),
             lambda e: e["m"].run(e["s"]),
         ),
         Law(
             "lift-commutes-with-get",
             [("tv", tvs), ("s", state_domain)],
             lambda e: get.bind(
-                lambda a: st_lift(fam, e["tv"]).map(lambda b: (a, b))
+                lambda a: st_lift(fam, e["tv"]).map(
+                    lambda b: (a, b)
+                )
             ).run(e["s"]),
             lambda e: st_lift(fam, e["tv"]).bind(
-                lambda b: get.map(lambda a: (a, b))
+                lambda b: get.map(
+                    lambda a: (a, b)
+                )
             ).run(e["s"]),
         ),
         Law(
@@ -233,11 +252,14 @@ def data_refinement(base: NativeStateOps):
         if not result.ok:
             raise BaseLawsViolated(result.name, result.failures[0])
 
+    # inner lambdas on lines of their own, as in Stateful.bind
     def conc(tvalue) -> Stateful:
         return Stateful(
             fam,
             lambda _state: fam.bind(
-                tvalue, lambda a: fam.map(base.get_value, lambda s1: (a, s1))
+                tvalue, lambda a: fam.map(base.get_value, (
+                    lambda s1: (a, s1)
+                ))
             ),
         )
 
@@ -246,7 +268,9 @@ def data_refinement(base: NativeStateOps):
             base.get_value,
             lambda s: fam.bind(
                 m.run(s),
-                lambda pair: fam.map(base.set_value(pair[1]), lambda _u: pair[0]),
+                lambda pair: fam.map(base.set_value(pair[1]), (
+                    lambda _u: pair[0]
+                )),
             ),
         )
 

@@ -184,15 +184,15 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
 
 def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,
                   dom_b: Optional[FiniteDomain] = None,
-                  fam: Optional[EffectFamily] = None,
                   name: str = "symlens") -> InitBx:
-    """Simulate a symmetric lens as a bx whose state is a consistent triple.
+    """Simulate a symmetric lens as an identity-effect bx whose state is a
+    consistent triple.
 
     The declared state domain is the closure of the puts from the missing
     complement when the view domains are supplied; otherwise it is left
     undeclared and the bx is usable but not law-checkable.
     """
-    fam = fam or identity_family()
+    fam = identity_family()
 
     def set_l(a1):
         def run(t):

@@ -217,9 +217,9 @@ def test_laws_small_cap_switches_to_sampled_mode(capsys):
     assert payload["ok"] is True
 
 
-def _laws(*args):
+def _cli(*args):
     def output(capsys):
-        main(["laws", *args])
+        main(list(args))
         return capsys.readouterr().out
 
     return output
@@ -234,9 +234,11 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 @pytest.mark.parametrize("output, digest", [
-    (_laws("--suite", "all", "--format", "json", "--cap", "100", "--seed", "3"),
+    (_cli("laws", "--suite", "all", "--format", "json"),
+     "5482727d80c16b14a831aec9d35ef470edb833a8fce64aa469e5c76ae0e19fc3"),
+    (_cli("laws", "--suite", "all", "--format", "json", "--cap", "100", "--seed", "3"),
      "37b71e5002133f28f5b73f7b3173bfae44ca25aebb8c9088036643b783921c5c"),
-    (_laws("--suite", "corpus", "--format", "json"),
+    (_cli("laws", "--suite", "corpus", "--format", "json"),
      "63c81650bd008f477d2e40c467bd6237a8df1851a03e2d2234a2f8240be645cf"),
     (_report(check_lens_laws, non_overwrite_lens(), PAIRS, BIT),
      "7ec938f00f38c388de724a8e7c602b7239e7f8c358e7069bdf6a8e782166550e"),
@@ -249,8 +251,11 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
              SymLens(put_r=lambda a, c: (a, c), put_l=lambda b, _c: (b, b), missing=0),
              BIT, BIT, BIT),
      "dee1964f96460c67e53ace6be2c0729efa66c6aebe0cd62b66cc1624366f6b73"),
-], ids=["all-cap100-seed3", "corpus", "lens-non-overwrite", "lens-update-ignores-view",
-        "symlens-stale-complement"])
+    # both composers implementations, step by step
+    (_cli("composers", "--format", "json"),
+     "716df982e4b2d86262cfc3339954b72b0ee028d79c2e401651607599e2934694"),
+], ids=["all", "all-cap100-seed3", "corpus", "lens-non-overwrite", "lens-update-ignores-view",
+        "symlens-stale-complement", "composers"])
 def test_laws_reports_are_byte_identical_to_the_golden_digest(output, digest, capsys):
     # every law of every suite, witnesses with function reprs included: a
     # refactor of the harness must leave these bytes unchanged

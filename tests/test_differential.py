@@ -21,10 +21,11 @@ from effectbx import (
     identity_lens,
     snd_lens,
     state_law_suite,
+    symlens_to_bx,
 )
 from effectbx import effects, lenses, stateful
 from effectbx.corpus import _entry_suites, _families, corpus_entries, non_overwrite_lens
-from effectbx.examples import _BxRunner, _SymlensRunner
+from effectbx.examples import _BxRunner
 from effectbx.lawcheck import run_laws, stable_repr
 
 
@@ -54,7 +55,7 @@ def test_composers_agree_on_all_short_scripts():
     ops = _ops()
     checked = 0
     for script in itertools.product(ops, repeat=3):
-        sym = _SymlensRunner(composers_symlens())
+        sym = _BxRunner(symlens_to_bx(composers_symlens()))
         native = _BxRunner(composers_bx())
         for op, value in script:
             out_sym = sym.apply(op, value)

@@ -141,3 +141,13 @@ def test_mlens_composition_rechecked():
     composed = mlens_compose(inner, outer)
     assert check_mlens_laws(composed, PAIRS, BIT).ok
     assert composed.mview((3, 4)) == 3
+
+
+def test_mlens_composition_creates_through_both_lenses():
+    fam = identity_family()
+    with_create = lens_to_mlens(fam, fst_lens(0))
+    composed = mlens_compose(with_create, with_create)
+    assert [composed.mcreate(v) for v in (0, 1)] == [((0, 0), 0), ((1, 0), 0)]
+    without_create = lens_to_mlens(fam, fst_lens())
+    assert mlens_compose(with_create, without_create).mcreate is None
+    assert mlens_compose(without_create, with_create).mcreate is None
