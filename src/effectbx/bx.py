@@ -99,9 +99,13 @@ def overwritable_laws(bx: Bx):
 
 @dataclass(frozen=True)
 class TransparencyAnalysis:
+    """``read_l``/``read_r`` are the views at each of ``states``, where
+    ``tuple.index`` finds a state by ``==`` (never by its repr)."""
+
     transparent: bool
-    read_l: Optional[dict]
-    read_r: Optional[dict]
+    states: tuple
+    read_l: Optional[tuple]
+    read_r: Optional[tuple]
     opaque_states: tuple = ()
     resolve_l: Optional[Callable] = None
     resolve_r: Optional[Callable] = None
@@ -112,25 +116,17 @@ class TransparencyAnalysis:
     def read_r_fn(self):
         return lambda s: self._read(self.read_r, self.resolve_r, s)
 
-    def _read(self, table, resolve, s):
-        hit = table.get(_hk(s))
-        if hit is not None:
-            return hit[1]
+    def _read(self, views, resolve, s):
+        try:
+            return views[self.states.index(s)]
+        except ValueError:
+            pass
         # states reached outside the declared domain still resolve, as long
         # as the get stays a pure query there
         fresh = resolve(s) if resolve else None
         if fresh is None:
             raise UnobservableEffect(f"get is not a pure query at state {s!r}")
         return fresh[0]
-
-
-def _hk(state):
-    """States double as dict keys; fall back to repr for unhashables."""
-    try:
-        hash(state)
-        return state
-    except TypeError:
-        return repr(state)
 
 
 def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
@@ -147,7 +143,7 @@ def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
     if bx.state_domain is None:
         raise UnobservableEffect("transparency analysis needs a state domain")
     fam = bx.effect
-    read_l, read_r = {}, {}
+    read_l, read_r = [], []
     opaque = []
     for s in bx.state_domain:
         a_hit = _extract_pure(fam, bx.get_l, s, bx.dom_a)
@@ -155,14 +151,16 @@ def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
         if a_hit is None or b_hit is None:
             opaque.append(s)
             continue
-        read_l[_hk(s)] = (s, a_hit[0])
-        read_r[_hk(s)] = (s, b_hit[0])
+        read_l.append(a_hit[0])
+        read_r.append(b_hit[0])
+    states = bx.state_domain.elements
     if opaque:
-        return TransparencyAnalysis(False, None, None, tuple(opaque))
+        return TransparencyAnalysis(False, states, None, None, tuple(opaque))
     return TransparencyAnalysis(
         True,
-        read_l,
-        read_r,
+        states,
+        tuple(read_l),
+        tuple(read_r),
         resolve_l=lambda s: _extract_pure(fam, bx.get_l, s, bx.dom_a),
         resolve_r=lambda s: _extract_pure(fam, bx.get_r, s, bx.dom_b),
     )

@@ -141,83 +141,60 @@ def either_domain(dom_a: FiniteDomain, dom_b: FiniteDomain) -> FiniteDomain:
     )
 
 
-def inl_bx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
-           default_a) -> InitBx:
-    """Inject the left type into a sum; the old left value is retained while
-    the sum side holds a right value."""
+def _injection_bx(fam, dom_x, dom_y, default_x, tag_x, tag_y, views, name):
+    """Inject ``dom_x`` into the sum ``views`` of ``tag_x``- and
+    ``tag_y``-tagged values; the old x value is retained while the sum side
+    holds a ``tag_y`` value, and ``default_x`` fills it when initializing
+    from one."""
     states = FiniteDomain(
-        "inl-states",
-        tuple((x, NOTHING) for x in dom_a)
-        + tuple((x, Just(y)) for x in dom_a for y in dom_b),
+        f"{name}-states",
+        tuple((x, NOTHING) for x in dom_x)
+        + tuple((x, Just(y)) for x in dom_x for y in dom_y),
     )
 
     def get_r_run(s):
         x, my = s
-        view = Right(my.value) if isinstance(my, Just) else Left(x)
+        view = tag_y(my.value) if isinstance(my, Just) else tag_x(x)
         return fam.unit((view, s))
 
     def set_r(v):
-        if isinstance(v, Left):
+        if isinstance(v, tag_x):
             return st_set(fam, (v.value, NOTHING))
         return st_get(fam).bind(lambda s: st_set(fam, (s[0], Just(v.value))))
 
     def init_r(v):
-        if isinstance(v, Left):
+        if isinstance(v, tag_x):
             return fam.unit((v.value, NOTHING))
-        return fam.unit((default_a, Just(v.value)))
+        return fam.unit((default_x, Just(v.value)))
 
     return InitBx(
-        name="inl",
+        name=name,
         effect=fam,
         get_l=st_gets(fam, lambda s: s[0]),
         set_l=lambda x: st_get(fam).bind(lambda s: st_set(fam, (x, s[1]))),
         get_r=Stateful(fam, get_r_run),
         set_r=set_r,
         state_domain=states,
-        dom_a=dom_a,
-        dom_b=either_domain(dom_a, dom_b),
+        dom_a=dom_x,
+        dom_b=views,
         init_l=lambda x: fam.unit((x, NOTHING)),
         init_r=init_r,
     )
 
 
+def inl_bx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
+           default_a) -> InitBx:
+    """Inject the left type into a sum; the old left value is retained while
+    the sum side holds a right value."""
+    return _injection_bx(fam, dom_a, dom_b, default_a, Left, Right,
+                         either_domain(dom_a, dom_b), "inl")
+
+
 def inr_bx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
            default_b) -> InitBx:
     """Mirror image of inl_bx: relates the right type to the sum."""
-    states = FiniteDomain(
-        "inr-states",
-        tuple((y, NOTHING) for y in dom_b)
-        + tuple((y, Just(x)) for y in dom_b for x in dom_a),
-    )
-
-    def get_r_run(s):
-        y, mx = s
-        view = Left(mx.value) if isinstance(mx, Just) else Right(y)
-        return fam.unit((view, s))
-
-    def set_r(v):
-        if isinstance(v, Right):
-            return st_set(fam, (v.value, NOTHING))
-        return st_get(fam).bind(lambda s: st_set(fam, (s[0], Just(v.value))))
-
-    def init_r(v):
-        if isinstance(v, Right):
-            return fam.unit((v.value, NOTHING))
-        return fam.unit((default_b, Just(v.value)))
-
-    return InitBx(
-        name="inr",
-        effect=fam,
-        get_l=st_gets(fam, lambda s: s[0]),
-        set_l=lambda y: st_get(fam).bind(lambda s: st_set(fam, (y, s[1]))),
-        get_r=Stateful(fam, get_r_run),
-        set_r=set_r,
-        state_domain=states,
-        dom_a=dom_b,
-        dom_b=either_domain(dom_a, dom_b),
-        init_l=lambda y: fam.unit((y, NOTHING)),
-        init_r=init_r,
-    )
+    return _injection_bx(fam, dom_b, dom_a, default_b, Right, Left,
+                         either_domain(dom_a, dom_b), "inr")
 
 
 def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
@@ -238,26 +215,18 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
             raise EffectbxError("sum: reading an uninitialized component slot")
         return side_get.run(s)
 
-    def get_l_run(state):
-        flag, s1, s2 = state
-        if flag:
+    def get_side(get1, get2):
+        def run(state):
+            flag, s1, s2 = state
+            if flag:
+                return fam.bind(
+                    active(get1, s1), lambda p: fam.unit((Left(p[0]), state))
+                )
             return fam.bind(
-                active(bx1.get_l, s1),
-                lambda p: fam.unit((Left(p[0]), state)),
+                active(get2, s2), lambda p: fam.unit((Right(p[0]), state))
             )
-        return fam.bind(
-            active(bx2.get_l, s2), lambda p: fam.unit((Right(p[0]), state))
-        )
 
-    def get_r_run(state):
-        flag, s1, s2 = state
-        if flag:
-            return fam.bind(
-                active(bx1.get_r, s1), lambda p: fam.unit((Left(p[0]), state))
-            )
-        return fam.bind(
-            active(bx2.get_r, s2), lambda p: fam.unit((Right(p[0]), state))
-        )
+        return Stateful(fam, run)
 
     def set_side(setter1, setter2):
         def set_op(v):
@@ -289,9 +258,9 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
     summed = Bx(
         name=f"sum({bx1.name},{bx2.name})",
         effect=fam,
-        get_l=Stateful(fam, get_l_run),
+        get_l=get_side(bx1.get_l, bx2.get_l),
         set_l=set_side(bx1.set_l, bx2.set_l),
-        get_r=Stateful(fam, get_r_run),
+        get_r=get_side(bx1.get_r, bx2.get_r),
         set_r=set_side(bx1.set_r, bx2.set_r),
         state_domain=states,
         dom_a=either_domain(bx1.dom_a, bx2.dom_a),

@@ -53,7 +53,7 @@ from .examples import (
 )
 from .lawcheck import FiniteDomain
 from .lenses import Lens, fst_lens
-from .stateful import Stateful, st_gets
+from .stateful import Stateful
 
 
 BIT = FiniteDomain("bit", (0, 1))
@@ -87,18 +87,43 @@ class CorpusEntry:
 
 
 def _mk(name, states, get_l, set_l, get_r, set_r):
+    """A bx at the identity effect from pure functions over ``states``:
+    ``get(s)`` returns (view, next state), ``set(v, s)`` the next state."""
     fam = identity_family()
+
+    def setter(set_):
+        return lambda v: Stateful(fam, (
+            lambda s: ((), set_(v, s))
+        ))
+
     return Bx(
         name=name,
         effect=fam,
         get_l=Stateful(fam, get_l),
-        set_l=set_l(fam),
+        set_l=setter(set_l),
         get_r=Stateful(fam, get_r),
-        set_r=set_r(fam),
+        set_r=setter(set_r),
         state_domain=FiniteDomain(f"{name}-states", states),
         dom_a=BIT,
         dom_b=BIT,
     )
+
+
+def _repairing_set(phase):
+    """A set over (view, phase) states that repairs a get's escape to
+    ``phase``: from there it lands on phase 0 if the view is unchanged, and
+    everywhere else on phase 1."""
+
+    def set_(x, s):
+        v, h = s
+        if h == phase:
+            return (x, 0) if x == v else (x, 1)
+        return (x, 1)
+
+    return set_
+
+
+_PHASED = tuple((v, h) for v in (0, 1) for h in (0, 1))
 
 
 def mutant_get_l_get_l() -> Bx:
@@ -113,26 +138,9 @@ def mutant_get_l_get_l() -> Bx:
             return (v, (v, 1))
         return (1 - v, (v, 2))
 
-    def set_l(fam):
-        def op(a):
-            def run(s):
-                v, h = s
-                if h == 2:
-                    return ((), (a, 0) if a == v else (a, 1))
-                return ((), (a, 1))
-
-            return Stateful(fam, run)
-
-        return op
-
-    def get_r(s):
-        return (s[0], s)
-
-    def set_r(fam):
-        return lambda b: Stateful(fam, lambda s: ((), (b, s[1])))
-
-    states = tuple((v, h) for v in (0, 1) for h in (0, 1))
-    return _mk("mutant-get_l-get_l", states, get_l, set_l, get_r, set_r)
+    return _mk("mutant-get_l-get_l", _PHASED, get_l, _repairing_set(2),
+               lambda s: (s[0], s),
+               lambda b, s: (b, s[1]))
 
 
 def mutant_get_r_get_r() -> Bx:
@@ -157,93 +165,38 @@ def mutant_get_l_get_r() -> Bx:
             return (1 - v, (v, 2))
         return (v, (v, h))
 
-    def set_l(fam):
-        def op(a):
-            def run(s):
-                v, h = s
-                if h == 2:
-                    return ((), (a, 0) if a == v else (a, 1))
-                return ((), (a, 1))
-
-            return Stateful(fam, run)
-
-        return op
-
-    def set_r(fam):
-        def op(b):
-            def run(s):
-                v, h = s
-                if h == 3:
-                    return ((), (b, 0) if b == v else (b, 1))
-                return ((), (b, 1))
-
-            return Stateful(fam, run)
-
-        return op
-
-    states = tuple((v, h) for v in (0, 1) for h in (0, 1))
-    return _mk("mutant-get_l-get_r", states, get_l, set_l, get_r, set_r)
+    return _mk("mutant-get_l-get_r", _PHASED, get_l, _repairing_set(2), get_r,
+               _repairing_set(3))
 
 
 def mutant_set_l_get_l() -> Bx:
     """set_l forgets its argument."""
-
-    def set_l(fam):
-        return lambda _a: Stateful(fam, lambda s: ((), s))
-
-    def set_r(fam):
-        return lambda b: Stateful(fam, lambda s: ((), (s[0], b)))
-
-    return _mk(
-        "mutant-set_l-get_l",
-        tuple(BIT_PAIRS),
-        lambda s: (s[0], s),
-        set_l,
-        lambda s: (s[1], s),
-        set_r,
-    )
+    return _mk("mutant-set_l-get_l", BIT_PAIRS.elements,
+               lambda s: (s[0], s),
+               lambda _a, s: s,
+               lambda s: (s[1], s),
+               lambda b, s: (s[0], b))
 
 
 # not a dual: mirroring mutant_set_l_get_l would swap the pair state, so the
 # stored first witness s=(0, 1) would become (1, 0)
 def mutant_set_r_get_r() -> Bx:
-    def set_l(fam):
-        return lambda a: Stateful(fam, lambda s: ((), (a, s[1])))
-
-    def set_r(fam):
-        return lambda _b: Stateful(fam, lambda s: ((), s))
-
-    return _mk(
-        "mutant-set_r-get_r",
-        tuple(BIT_PAIRS),
-        lambda s: (s[0], s),
-        set_l,
-        lambda s: (s[1], s),
-        set_r,
-    )
-
-
-_TRIPLES = tuple((a, b, k) for a in (0, 1) for b in (0, 1) for k in (0, 1))
+    return _mk("mutant-set_r-get_r", BIT_PAIRS.elements,
+               lambda s: (s[0], s),
+               lambda a, s: (a, s[1]),
+               lambda s: (s[1], s),
+               lambda _b, s: s)
 
 
 def mutant_get_l_set_l() -> Bx:
     """set_l lands on a different state with the same view (scratch bit flip),
     so writing back what was read is not a no-op."""
-
-    def set_l(fam):
-        return lambda a: Stateful(fam, lambda s: ((), (a, s[1], 1 - s[2])))
-
-    def set_r(fam):
-        return lambda b: Stateful(fam, lambda s: ((), (s[0], b, s[2])))
-
-    return _mk(
-        "mutant-get_l-set_l",
-        _TRIPLES,
-        lambda s: (s[0], s),
-        set_l,
-        lambda s: (s[1], s),
-        set_r,
-    )
+    return _mk("mutant-get_l-set_l",
+               tuple((a, b, k) for a in (0, 1) for b in (0, 1) for k in (0, 1)),
+               lambda s: (s[0], s),
+               lambda a, s: (a, s[1], 1 - s[2]),
+               lambda s: (s[1], s),
+               lambda b, s: (s[0], b, s[2]))
 
 
 def mutant_get_r_set_r() -> Bx:
@@ -253,28 +206,11 @@ def mutant_get_r_set_r() -> Bx:
 def mutant_unstable() -> Bx:
     """Well-behaved, but set_r clobbers the left side whenever it actually
     changes the right one."""
-    fam = identity_family()
-
-    def set_r(b):
-        def run(s):
-            a, b0 = s
-            if b == b0:
-                return ((), s)
-            return ((), (0, b))
-
-        return Stateful(fam, run)
-
-    return Bx(
-        name="mutant-unstable",
-        effect=fam,
-        get_l=st_gets(fam, lambda s: s[0]),
-        set_l=lambda a: Stateful(fam, lambda s: ((), (a, s[1]))),
-        get_r=st_gets(fam, lambda s: s[1]),
-        set_r=set_r,
-        state_domain=BIT_PAIRS,
-        dom_a=BIT,
-        dom_b=BIT,
-    )
+    return _mk("mutant-unstable", BIT_PAIRS.elements,
+               lambda s: (s[0], s),
+               lambda a, s: (a, s[1]),
+               lambda s: (s[1], s),
+               lambda b, s: s if b == s[1] else (0, b))
 
 
 def mutant_bad_init() -> InitBx:

@@ -575,29 +575,47 @@ def check_commutative(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomai
     )
 
 
+def morphism_laws(prefix, phi, src: EffectFamily, dst: EffectFamily,
+                  dom: FiniteDomain, m, conts, states):
+    """The two laws of a monad morphism ``phi`` from ``src`` to ``dst``,
+    named ``prefix`` + preserves-unit and preserves-bind: ``phi`` preserves
+    unit at every ``a`` in ``dom`` and distributes over bind for the effect
+    value quantifier ``m``, a (name, values) pair, and every continuation
+    ``k`` in ``conts``.  When ``states`` is a domain, the ``dst`` values are
+    state transformers, compared by running both sides at a quantified
+    ``s``; when it is None they are compared as they are."""
+    at = [] if states is None else [("s", states)]
+    var = m[0]
+
+    def observe(x, e):
+        return x if states is None else x.run(e["s"])
+
+    return [
+        Law(
+            f"{prefix}preserves-unit",
+            [("a", dom), *at],
+            lambda e: observe(phi(src.unit(e["a"])), e),
+            lambda e: observe(dst.unit(e["a"]), e),
+        ),
+        Law(
+            f"{prefix}preserves-bind",
+            [m, ("k", conts), *at],
+            lambda e: observe(phi(src.bind(e[var], e["k"])), e),
+            lambda e: observe(dst.bind(phi(e[var]), (
+                lambda a: phi(e["k"](a))
+            )), e),
+        ),
+    ]
+
+
 def check_monad_morphism(phi, src: EffectFamily, dst: EffectFamily,
                          dom: FiniteDomain, cap=None, seed=0) -> LawReport:
     """Verify that ``phi`` preserves unit and distributes over bind."""
     if dst.equal is None:
         raise UnobservableEffect(f"{dst.name}: cannot check laws without equality")
     values, conts = _continuations(src, dom)
-    laws = [
-        Law(
-            "preserves-unit",
-            [("a", dom)],
-            lambda e: phi(src.unit(e["a"])),
-            lambda e: dst.unit(e["a"]),
-        ),
-        Law(
-            "preserves-bind",
-            [("m", values), ("k", conts)],
-            lambda e: phi(src.bind(e["m"], e["k"])),
-            lambda e: dst.bind(phi(e["m"]), (
-                lambda a: phi(e["k"](a))
-            )),
-        ),
-    ]
     return run_laws(
-        f"monad-morphism[{src.name}->{dst.name}]", laws, dst.equal_values,
-        cap=cap, seed=seed, effect=dst.name,
+        f"monad-morphism[{src.name}->{dst.name}]",
+        morphism_laws("", phi, src, dst, dom, ("m", values), conts, None),
+        dst.equal_values, cap=cap, seed=seed, effect=dst.name,
     )

@@ -60,11 +60,9 @@ class FiniteDomain:
     def __post_init__(self):
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
-        seen = []
-        for e in elems:
-            if any(e == s for s in seen):
+        for i, e in enumerate(elems):
+            if e in elems[:i]:
                 raise ValueError(f"domain {self.name!r} has duplicate element {e!r}")
-            seen.append(e)
 
     def __len__(self):
         return len(self.elements)

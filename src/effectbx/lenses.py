@@ -4,11 +4,12 @@ computation over a view into a computation over a source."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
-from .effects import EffectFamily, identity_family
+from .effects import EffectFamily, identity_family, morphism_laws
 from .lawcheck import FiniteDomain, Law, LawReport, enumerate_functions, run_laws
-from .stateful import Stateful, enumerate_stateful, st_unit
+from .stateful import Stateful, enumerate_stateful, state_family
 
 
 @dataclass(frozen=True)
@@ -173,27 +174,12 @@ def check_mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
 def check_theta_morphism(l, fam: EffectFamily, source_domain: FiniteDomain,
                          view_domain: FiniteDomain, value_domain: FiniteDomain,
                          cap=None, seed=0) -> LawReport:
-    """The widening is a monad morphism when the lens is very well-behaved:
-    it preserves unit and distributes over bind, pointwise over sources."""
+    """The widening is a monad morphism from ``state_family(fam)`` to itself
+    when the lens is very well-behaved: it preserves unit and distributes
+    over bind, pointwise over sources."""
+    st = state_family(fam)
     computations = enumerate_stateful(fam, view_domain, value_domain)
-    laws = [
-        Law(
-            "theta-preserves-unit",
-            [("a", value_domain), ("s", source_domain)],
-            lambda e: theta(l, st_unit(fam, e["a"])).run(e["s"]),
-            lambda e: st_unit(fam, e["a"]).run(e["s"]),
-        ),
-        Law(
-            "theta-preserves-bind",
-            [
-                ("m", computations),
-                ("k", enumerate_functions(value_domain, computations)),
-                ("s", source_domain),
-            ],
-            lambda e: theta(l, e["m"].bind(e["k"])).run(e["s"]),
-            lambda e: theta(l, e["m"])
-            .bind(lambda x: theta(l, e["k"](x)))
-            .run(e["s"]),
-        ),
-    ]
+    laws = morphism_laws("theta-", partial(theta, l), st, st, value_domain,
+                         ("m", computations),
+                         enumerate_functions(value_domain, computations), source_domain)
     return run_laws("theta-morphism", laws, fam.equal_values, cap=cap, seed=seed)

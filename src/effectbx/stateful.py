@@ -4,9 +4,10 @@ over (result, state) pairs, interpreted in a pluggable effect family."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
-from .effects import EffectFamily, NativeStateOps
+from .effects import EffectFamily, NativeStateOps, morphism_laws
 from .errors import BaseLawsViolated
 from .lawcheck import (
     FiniteDomain,
@@ -202,30 +203,21 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
     )
 
 
+def state_family(fam: EffectFamily) -> EffectFamily:
+    """The state transformer over ``fam`` as a family: unit ``st_unit`` and
+    bind ``Stateful.bind``.  It has no equality: a computation is compared
+    by running it at a state."""
+    return EffectFamily(f"state[{fam.name}]", partial(st_unit, fam), Stateful.bind)
+
+
 def check_lift_morphism(fam: EffectFamily, state_domain: FiniteDomain,
                         value_domain: FiniteDomain, cap=None, seed=0) -> LawReport:
-    """st_lift preserves unit and bind, pointwise over states."""
+    """st_lift is a monad morphism from ``fam`` to ``state_family(fam)``: it
+    preserves unit and bind, pointwise over states."""
     tvs = fam.values_over(value_domain)
-    laws = [
-        Law(
-            "lift-preserves-unit",
-            [("a", value_domain), ("s", state_domain)],
-            lambda e: st_lift(fam, fam.unit(e["a"])).run(e["s"]),
-            lambda e: st_unit(fam, e["a"]).run(e["s"]),
-        ),
-        Law(
-            "lift-preserves-bind",
-            [
-                ("tv", tvs),
-                ("k", enumerate_functions(value_domain, tvs)),
-                ("s", state_domain),
-            ],
-            lambda e: st_lift(fam, fam.bind(e["tv"], e["k"])).run(e["s"]),
-            lambda e: st_lift(fam, e["tv"])
-            .bind(lambda a: st_lift(fam, e["k"](a)))
-            .run(e["s"]),
-        ),
-    ]
+    laws = morphism_laws("lift-", partial(st_lift, fam), fam, state_family(fam),
+                         value_domain, ("tv", tvs),
+                         enumerate_functions(value_domain, tvs), state_domain)
     return run_laws(
         f"lift-morphism[{fam.name}]", laws, fam.equal_values,
         cap=cap, seed=seed, effect=fam.name,

@@ -1,12 +1,15 @@
 """The bx interface: seven laws, overwritability, transparency, consistency,
 stability, initialization, lens subsumption."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from effectbx import (
     FiniteDomain,
+    Stateful,
+    UnobservableEffect,
     analyze_transparency,
     check_init_laws,
     check_seven_laws,
@@ -85,6 +88,26 @@ def test_transparency_identity():
     read_l = analysis.read_l_fn()
     for s in BIT:
         assert read_l(s) == s
+
+
+def test_transparency_reads_an_unhashable_state_by_equality_not_repr():
+    # [0] and "[0]" print alike; the read maps must still tell them apart
+    analysis = analyze_transparency(
+        identity_bx(identity_family(), FiniteDomain("mixed", ([0], "[0]"))))
+    assert analysis.read_l_fn()([0]) == [0]
+    assert analysis.read_r_fn()("[0]") == "[0]"
+
+
+def test_transparency_resolves_a_state_outside_the_domain_through_a_pure_get():
+    fam = identity_family()
+    bx = identity_bx(fam, BIT)
+    # at 2 get_l leaves the state, so it is not a pure query there
+    escaping = replace(bx, get_l=Stateful(fam, lambda s: (s, 0 if s == 2 else s)))
+    analysis = analyze_transparency(escaping)
+    assert analysis.transparent
+    assert analysis.read_r_fn()(2) == 2
+    with pytest.raises(UnobservableEffect, match="not a pure query at state 2"):
+        analysis.read_l_fn()(2)
 
 
 def test_transparency_switch_is_opaque():

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from effectbx import FiniteDomain, Lens, SymLens, check_lens_laws, check_symlens_laws
+from effectbx import (
+    FiniteDomain,
+    Lens,
+    SymLens,
+    check_lens_laws,
+    check_symlens_laws,
+    identity_bx,
+    identity_family,
+)
 from effectbx.cli import main
 from effectbx.corpus import non_overwrite_lens
 
@@ -47,6 +55,47 @@ def test_laws_corpus(capsys):
     out = capsys.readouterr().out
     assert "corpus/mutant-get_l-get_l" in out
     assert "FAIL" not in out
+
+
+def test_corpus_reports_each_unexpected_verdict(monkeypatch, capsys):
+    from effectbx import corpus
+
+    def identity():
+        return identity_bx(identity_family(), BIT)
+
+    def entries():
+        entry = corpus.CorpusEntry
+        return (
+            entry("wrong-laws", identity, ("seven",),
+                  expected_failing={"seven": ("get_l-get_l",)}),
+            entry("wrong-witness", corpus.mutant_set_l_get_l, ("seven",),
+                  expected_failing={"seven": ("set_l-get_l",)},
+                  expected_witness={"seven:set_l-get_l": {"a": "1", "s": "(1, 0)"}}),
+            entry("wrong-transparency", identity, ("seven",), transparent=False),
+        )
+
+    monkeypatch.setattr(corpus, "corpus_entries", entries)
+    result = corpus.run_corpus()
+    assert result["ok"] is False
+    assert [(e["name"], e["ok"], e["problems"]) for e in result["entries"]] == [
+        ("wrong-laws", False, ["seven: failing laws [] != expected ['get_l-get_l']"]),
+        ("wrong-witness", False, [
+            "seven:set_l-get_l: witness {'a': '0', 's': '(1, 0)'} "
+            "!= stored {'a': '1', 's': '(1, 0)'}",
+        ]),
+        ("wrong-transparency", False, ["transparency True != expected False"]),
+    ]
+    # a witness that does not reproduce standalone is a problem too
+    monkeypatch.setattr(corpus, "recheck_witness", lambda *_args: False)
+    problems = corpus.run_corpus(names={"wrong-witness"})["entries"][0]["problems"]
+    assert problems[-1] == "seven:set_l-get_l: witness does not reproduce standalone"
+
+    capsys.readouterr()
+    assert main(["laws", "--suite", "corpus"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["FAIL  corpus/wrong-laws",
+                       "      seven: failing laws [] != expected ['get_l-get_l']"]
+    assert out[-1] == "unexpected verdicts present"
 
 
 def test_composers_default_fixture(capsys):
@@ -199,6 +248,29 @@ def test_sync_malformed_session_is_a_script_error(session, message, tmp_path, ca
     assert message in capsys.readouterr().err
 
 
+def test_sync_interactive_reads_edits_and_answers_from_the_terminal(monkeypatch, capsys):
+    # initial values, an edit, a malformed edit, the blank line that ends the
+    # edits, then the answer to the console's replacement prompt
+    answers = iter(["1", "10", "L 2", "X 5", "", "20"])
+    prompts = []
+
+    def scripted_input(prompt=""):
+        prompts.append(prompt)
+        return next(answers)
+
+    monkeypatch.setattr("builtins.input", scripted_input)
+    assert main(["sync", "--interactive"]) == 0
+    assert prompts == ["initial left value> ", "initial right value> ", "edit> ", "edit> ",
+                       "edit> ", ""]
+    assert capsys.readouterr().out.splitlines() == [
+        "interactive session; enter edits as 'L <value>' or 'R <value>', blank line ends",
+        "expected 'L <value>' or 'R <value>'",
+        "Setting 2",
+        "Replacement for 10?",
+        '{"memo_l": [[[2, 10], 20]], "memo_r": [], "pair": [2, 20]}',
+    ]
+
+
 def test_laws_other_single_suites(capsys):
     assert main(["laws", "--suite", "overwritable", "--bx", "identity"]) == 0
     assert main(["laws", "--suite", "stability", "--bx", "inv"]) == 0
@@ -238,6 +310,13 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
      "5482727d80c16b14a831aec9d35ef470edb833a8fce64aa469e5c76ae0e19fc3"),
     (_cli("laws", "--suite", "all", "--format", "json", "--cap", "100", "--seed", "3"),
      "37b71e5002133f28f5b73f7b3173bfae44ca25aebb8c9088036643b783921c5c"),
+    (_cli("laws", "--suite", "all", "--format", "json", "--seed", "1"),
+     "7f4d7282d5404fb9bd70b4f759bada520b1fdb2699d619a94fc8eab475f90428"),
+    (_cli("laws", "--suite", "all", "--format", "json", "--cap", "5000", "--seed", "2"),
+     "873b03ea4dab633794649ee6e213a48b354936be8e593a0f0b00574557cfa9c8"),
+    # the aggregate text printer
+    (_cli("laws", "--suite", "all"),
+     "d297d60e88c754b3f89dfb85fa50ac8a8ee37a7d6d0f6d89b4a878f586264b7f"),
     (_cli("laws", "--suite", "corpus", "--format", "json"),
      "63c81650bd008f477d2e40c467bd6237a8df1851a03e2d2234a2f8240be645cf"),
     (_report(check_lens_laws, non_overwrite_lens(), PAIRS, BIT),
@@ -254,7 +333,8 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
     # both composers implementations, step by step
     (_cli("composers", "--format", "json"),
      "716df982e4b2d86262cfc3339954b72b0ee028d79c2e401651607599e2934694"),
-], ids=["all", "all-cap100-seed3", "corpus", "lens-non-overwrite", "lens-update-ignores-view",
+], ids=["all", "all-cap100-seed3", "all-seed1", "all-cap5000-seed2", "all-text", "corpus",
+         "lens-non-overwrite", "lens-update-ignores-view",
         "symlens-stale-complement", "composers"])
 def test_laws_reports_are_byte_identical_to_the_golden_digest(output, digest, capsys):
     # every law of every suite, witnesses with function reprs included: a

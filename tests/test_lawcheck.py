@@ -167,6 +167,14 @@ def test_finite_domain_rejects_duplicates():
         FiniteDomain("dup", (1, 1))
 
 
+def test_finite_domain_finds_a_duplicate_by_identity_before_equality():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="duplicate"):
+        FiniteDomain("nan-twice", (nan, nan))
+    # two NaN objects are neither identical nor equal
+    assert len(FiniteDomain("two-nans", (nan, float("nan")))) == 2
+
+
 def test_vacuous_quantification_passes_with_zero_checks():
     law = Law(
         "vacuous",

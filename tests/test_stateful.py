@@ -27,6 +27,9 @@ from effectbx import (
     stateful_equal,
     writer_family,
 )
+from effectbx.effects import morphism_laws
+from effectbx.lawcheck import enumerate_functions
+from effectbx.stateful import state_family
 
 BIT = FiniteDomain("bit", (0, 1))
 
@@ -103,6 +106,30 @@ def test_state_laws_all_families(fam, size):
 @pytest.mark.parametrize("fam", families(), ids=lambda f: f.name)
 def test_lift_is_monad_morphism(fam):
     assert check_lift_morphism(fam, BIT, BIT).ok
+
+
+def test_state_family_units_and_binds_computations():
+    fam = failure_family()
+    st = state_family(fam)
+    assert st.equal is None
+    assert st.unit(1).run(0) == Just((1, 0))
+    assert st.bind(st_get(fam), lambda s: st_set(fam, s + 1)).run(0) == Just(((), 1))
+
+
+def test_lift_laws_are_the_morphism_laws_run_at_a_state():
+    # lift is a morphism into state_family(fam): same two laws, named with
+    # the prefix, each quantified over s after its own variables
+    fam = identity_family()
+    tvs = fam.values_over(BIT)
+    laws = morphism_laws("lift-", lambda tv: st_lift(fam, tv), fam, state_family(fam),
+                         BIT, ("tv", tvs), enumerate_functions(BIT, tvs), BIT)
+    assert [(law.name, [q[0] for q in law.quantifiers]) for law in laws] == [
+        ("lift-preserves-unit", ["a", "s"]),
+        ("lift-preserves-bind", ["tv", "k", "s"]),
+    ]
+    report = check_lift_morphism(fam, BIT, BIT)
+    assert [r.name for r in report.laws] == [law.name for law in laws]
+    assert [r.checked for r in report.laws] == [4, 16]
 
 
 # ---------------------------------------------------------------------------
