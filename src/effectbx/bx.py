@@ -4,10 +4,10 @@ overwritability, stability, transparency and initialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional
 
-from .effects import EffectFamily, identity_family
+from .effects import EffectFamily, identity_family, require_identity
 from .errors import NoInitializers, UnobservableEffect
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
 from .lenses import Lens
@@ -33,17 +33,6 @@ class Bx:
     state_domain: Optional[FiniteDomain] = None
     dom_a: Optional[FiniteDomain] = None
     dom_b: Optional[FiniteDomain] = None
-
-    def renamed(self, name: str) -> "Bx":
-        return replace(self, name=name)
-
-    def with_domains(self, state_domain=None, dom_a=None, dom_b=None) -> "Bx":
-        return replace(
-            self,
-            state_domain=self.state_domain if state_domain is None else state_domain,
-            dom_a=self.dom_a if dom_a is None else dom_a,
-            dom_b=self.dom_b if dom_b is None else dom_b,
-        )
 
     def with_initializers(self, init_l, init_r) -> "InitBx":
         """This bx as an ``InitBx`` with the given initializers."""
@@ -281,10 +270,13 @@ def check_init_laws(bx: InitBx, cap=None, seed=0) -> LawReport:
 
 def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
                fam: Optional[EffectFamily] = None, name: str = "lens") -> Bx:
-    """Simulate an asymmetric lens: the hidden state is the source itself, the
-    left view is the whole source, the right view is the lens view."""
+    """Simulate a lens at the identity effect as a bx at ``fam`` (the identity
+    by default): the hidden state is the source itself, the left view is the
+    whole source, the right view is the lens view.  A lens with ``create``
+    gives an ``InitBx``."""
+    require_identity(l.effect, "lens_to_bx")
     fam = fam or identity_family()
-    bx = Bx(
+    parts = dict(
         name=name,
         effect=fam,
         get_l=st_get(fam),
@@ -295,13 +287,6 @@ def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
         dom_a=source_domain,
         dom_b=view_domain,
     )
-    return bx
-
-
-def lens_to_ibx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
-                fam: Optional[EffectFamily] = None, name: str = "lens") -> InitBx:
-    """Initialisable variant; requires the lens to carry ``create``."""
-    fam = fam or identity_family()
-    return lens_to_bx(l, source_domain, view_domain, fam, name).with_initializers(
-        lambda a: fam.unit(a), lambda b: fam.unit(l.create(b))
-    )
+    if l.create is None:
+        return Bx(**parts)
+    return InitBx(**parts, init_l=lambda a: fam.unit(a), init_r=lambda b: fam.unit(l.create(b)))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .bx import Bx, InitBx, lens_to_ibx
+from .bx import Bx, InitBx, lens_to_bx
 from .compose import _require_transparent
 from .effects import EffectFamily, Just, NOTHING
 from .errors import EffectbxError
@@ -79,13 +79,13 @@ def fst_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
     """Pair state against its first component; ``default_b`` fills the hidden
     slot when initializing from the projection side."""
     pairs = _product_domain("pairs", dom_a, dom_b)
-    return lens_to_ibx(fst_lens(default_b), pairs, dom_a, fam, name="fst")
+    return lens_to_bx(fst_lens(default_b), pairs, dom_a, fam, name="fst")
 
 
 def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
             default_a) -> InitBx:
     pairs = _product_domain("pairs", dom_a, dom_b)
-    return lens_to_ibx(snd_lens(default_a), pairs, dom_b, fam, name="snd")
+    return lens_to_bx(snd_lens(default_a), pairs, dom_b, fam, name="snd")
 
 
 def pair_bx(bx1: Bx, bx2: Bx) -> Bx:

@@ -10,7 +10,7 @@ from .bx import Bx, InitBx, TransparencyAnalysis, analyze_transparency
 from .effects import EffectFamily
 from .errors import MiddleTypeMismatch, NotBijective, NotTransparent
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
-from .lenses import MLens, theta
+from .lenses import Lens, theta
 from .stateful import Stateful, st_eval, st_exec, st_get, st_set
 
 
@@ -105,20 +105,21 @@ def join_states_general(bx1: Bx, bx2: Bx) -> FiniteDomain:
     return FiniteDomain(f"{bx1.name};{bx2.name}-join", pairs)
 
 
-def compose(bx1: Bx, bx2: Bx, via_mlens: bool = False) -> Bx:
+def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
     """Sequential composition over the join state space.
 
     Both arguments must be transparent; setting one end sets the matching
     component, reads the updated middle view, and pushes it into the other
-    component.  ``via_mlens`` switches to the equivalent formulation that
-    widens component computations through effectful lenses onto the pair
-    state; the two routes agree pointwise on join states.
+    component.  ``via_theta`` switches to the equivalent formulation that
+    widens component computations with ``theta`` through lenses at the bx's
+    effect onto the pair state; the two routes agree pointwise on join
+    states.
     """
     _check_middle(bx1, bx2)
     a1 = _require_transparent(bx1)
     a2 = _require_transparent(bx2)
-    if via_mlens:
-        composed = _compose_mlens(bx1, bx2, a1, a2)
+    if via_theta:
+        composed = _compose_theta(bx1, bx2, a1, a2)
     else:
         composed = _compose_direct(bx1, bx2, a1, a2)
     if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
@@ -178,38 +179,39 @@ def _compose_direct(bx1, bx2, a1, a2) -> Bx:
     )
 
 
-def _mlens_left(bx1: Bx, bx2: Bx) -> MLens:
-    """Effectful lens focusing the first component of the pair state; its
-    update pushes the changed middle view into the second component."""
+def _lens_left(bx1: Bx, bx2: Bx) -> Lens:
+    """Lens at the bx's effect focusing the first component of the pair
+    state; its update pushes the changed middle view into the second
+    component."""
     fam = bx1.effect
 
-    def mupdate(state, s1_new):
+    def update(state, s1_new):
         _s1, s2 = state
         return fam.bind(
             st_eval(bx1.get_r, s1_new),
             lambda b: fam.map(st_exec(bx2.set_l(b), s2), lambda s2_new: (s1_new, s2_new)),
         )
 
-    return MLens(effect=fam, mview=lambda st: st[0], mupdate=mupdate)
+    return Lens(view=lambda st: st[0], update=update, effect=fam)
 
 
-def _mlens_right(bx1: Bx, bx2: Bx) -> MLens:
+def _lens_right(bx1: Bx, bx2: Bx) -> Lens:
     fam = bx1.effect
 
-    def mupdate(state, s2_new):
+    def update(state, s2_new):
         s1, _s2 = state
         return fam.bind(
             st_eval(bx2.get_l, s2_new),
             lambda b: fam.map(st_exec(bx1.set_r(b), s1), lambda s1_new: (s1_new, s2_new)),
         )
 
-    return MLens(effect=fam, mview=lambda st: st[1], mupdate=mupdate)
+    return Lens(view=lambda st: st[1], update=update, effect=fam)
 
 
-def _compose_mlens(bx1, bx2, a1, a2) -> Bx:
+def _compose_theta(bx1, bx2, a1, a2) -> Bx:
     fam = bx1.effect
-    phi = lambda m: theta(_mlens_left(bx1, bx2), m)
-    psi = lambda m: theta(_mlens_right(bx1, bx2), m)
+    phi = lambda m: theta(_lens_left(bx1, bx2), m)
+    psi = lambda m: theta(_lens_right(bx1, bx2), m)
     return Bx(
         name=f"{bx1.name};{bx2.name}",
         effect=fam,

@@ -144,7 +144,7 @@ def mutant_get_l_get_l() -> Bx:
 
 
 def mutant_get_r_get_r() -> Bx:
-    return dual(mutant_get_l_get_l()).renamed("mutant-get_r-get_r")
+    return replace(dual(mutant_get_l_get_l()), name="mutant-get_r-get_r")
 
 
 def mutant_get_l_get_r() -> Bx:
@@ -200,7 +200,7 @@ def mutant_get_l_set_l() -> Bx:
 
 
 def mutant_get_r_set_r() -> Bx:
-    return dual(mutant_get_l_set_l()).renamed("mutant-get_r-set_r")
+    return replace(dual(mutant_get_l_set_l()), name="mutant-get_r-set_r")
 
 
 def mutant_unstable() -> Bx:
@@ -332,7 +332,8 @@ def _logging_component(fam=None):
     fam = fam or writer_family(bound=1)
     wide = FiniteDomain("wide", (0, 1, 2, 3))
     base = identity_bx(fam, wide)
-    return log_bx(base).with_domains(
+    return replace(
+        log_bx(base),
         state_domain=FiniteDomain("off-states", (2, 3)),
         dom_a=BIT,
         dom_b=BIT,
@@ -348,100 +349,87 @@ def _pair_logging():
 # registry
 
 
-def corpus_entries():
-    e = []
+def corpus_entries() -> tuple:
+    """The registered entries, in the order reports list them."""
+    return (
+        CorpusEntry("identity", lambda: identity_bx(identity_family(), BIT),
+                    ("seven", "overwritable", "stability", "init"), transparent=True),
+        CorpusEntry("identity-failure",
+                    lambda: _identity_over(failure_family(), "identity-failure"),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("identity-choice", lambda: _identity_over(choice_family(), "identity-choice"),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("identity-reader",
+                    lambda: _identity_over(reader_family((0, 1)), "identity-reader"),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("identity-writer", lambda: _identity_over(writer_family(), "identity-writer"),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("identity-console",
+                    lambda: _identity_over(console_family(scripts=((),)), "identity-console"),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("fst-lens", _fst_lens_bx, ("seven", "overwritable", "stability"),
+                    transparent=True),
+        CorpusEntry("fst-ibx", lambda: fst_ibx(identity_family(), BIT, BIT, default_b=0),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("snd-ibx", lambda: snd_ibx(identity_family(), BIT, BIT, default_a=0),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("const", lambda: const_bx(identity_family(), 0, BIT), ("seven", "init"),
+                    transparent=True),
+        CorpusEntry("swap-iso", lambda: swap_bx(identity_family(), BIT, BIT),
+                    ("seven", "overwritable", "init"), transparent=True),
+        CorpusEntry("inl", lambda: inl_bx(identity_family(), BIT, BIT, default_a=0),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("inr", lambda: inr_bx(identity_family(), BIT, BIT, default_b=0),
+                    ("seven", "init"), transparent=True),
+        CorpusEntry("pair-identities", _pair_identities, ("seven", "init"), transparent=True),
+        CorpusEntry("sum-identities", _sum_identities, ("seven", "init"), transparent=True),
+        CorpusEntry("list-identity", _list_identity, ("seven", "init"), transparent=True),
+        CorpusEntry("composers", composers_symlens_bx, ("seven", "init"), transparent=True),
+        CorpusEntry("inv", inv_bx, ("seven", "stability", "init"), transparent=True),
+        CorpusEntry("read-some", read_some_bx, ("seven", "init"), transparent=True),
+        CorpusEntry("nondet-parity", _nondet_2x2, ("seven", "init"), transparent=True),
+        CorpusEntry("switch-reader", _switch_reader, ("seven",), transparent=False),
+        CorpusEntry("log-identity", _log_identity, ("seven",),
+                    expected_failing={"overwritable": ("set_l-set_l", "set_r-set_r")},
+                    transparent=True),
+        CorpusEntry("alert-identity", _alert_identity, ("seven",), transparent=True),
+        CorpusEntry("dynamic-identity", _dynamic_identity, ("seven",), transparent=True),
+        CorpusEntry("dynamic-search", _dynamic_search, ("seven",), transparent=True),
+        CorpusEntry("logging-component", _logging_component, ("seven", "overwritable"),
+                    transparent=True),
+        CorpusEntry("pair-logging-not-overwritable", _pair_logging, ("seven", "overwritable"),
+                    expected_failing={"overwritable": ("set_l-set_l", "set_r-set_r")},
+                    transparent=True),
 
-    def add(name, build, suites, expected_failing=None, expected_witness=None,
-            transparent=None):
-        e.append(
-            CorpusEntry(
-                name=name,
-                build=build,
-                suites=tuple(suites),
-                expected_failing=expected_failing or {},
-                expected_witness=expected_witness or {},
-                transparent=transparent,
-            )
-        )
+        CorpusEntry("mutant-get_l-get_l", mutant_get_l_get_l, ("seven",),
+                    expected_failing={"seven": ("get_l-get_l",)},
+                    expected_witness={"seven:get_l-get_l": {"s": "(0, 0)"}}),
+        CorpusEntry("mutant-set_l-get_l", mutant_set_l_get_l, ("seven",),
+                    expected_failing={"seven": ("set_l-get_l",)},
+                    expected_witness={"seven:set_l-get_l": {"a": "0", "s": "(1, 0)"}}),
+        CorpusEntry("mutant-get_l-set_l", mutant_get_l_set_l, ("seven",),
+                    expected_failing={"seven": ("get_l-set_l",)},
+                    expected_witness={"seven:get_l-set_l": {"s": "(0, 0, 0)"}}),
+        CorpusEntry("mutant-get_r-get_r", mutant_get_r_get_r, ("seven",),
+                    expected_failing={"seven": ("get_r-get_r",)},
+                    expected_witness={"seven:get_r-get_r": {"s": "(0, 0)"}}),
+        CorpusEntry("mutant-set_r-get_r", mutant_set_r_get_r, ("seven",),
+                    expected_failing={"seven": ("set_r-get_r",)},
+                    expected_witness={"seven:set_r-get_r": {"b": "0", "s": "(0, 1)"}}),
+        CorpusEntry("mutant-get_r-set_r", mutant_get_r_set_r, ("seven",),
+                    expected_failing={"seven": ("get_r-set_r",)},
+                    expected_witness={"seven:get_r-set_r": {"s": "(0, 0, 0)"}}),
+        CorpusEntry("mutant-get_l-get_r", mutant_get_l_get_r, ("seven",),
+                    expected_failing={"seven": ("get_l-get_r",)},
+                    expected_witness={"seven:get_l-get_r": {"s": "(0, 0)"}}),
 
-    add("identity", lambda: identity_bx(identity_family(), BIT),
-        ("seven", "overwritable", "stability", "init"), transparent=True)
-    add("identity-failure", lambda: _identity_over(failure_family(), "identity-failure"),
-        ("seven", "init"), transparent=True)
-    add("identity-choice", lambda: _identity_over(choice_family(), "identity-choice"),
-        ("seven", "init"), transparent=True)
-    add("identity-reader",
-        lambda: _identity_over(reader_family((0, 1)), "identity-reader"),
-        ("seven", "init"), transparent=True)
-    add("identity-writer", lambda: _identity_over(writer_family(), "identity-writer"),
-        ("seven", "init"), transparent=True)
-    add("identity-console",
-        lambda: _identity_over(console_family(scripts=((),)), "identity-console"),
-        ("seven", "init"), transparent=True)
-    add("fst-lens", _fst_lens_bx, ("seven", "overwritable", "stability"),
-        transparent=True)
-    add("fst-ibx", lambda: fst_ibx(identity_family(), BIT, BIT, default_b=0),
-        ("seven", "init"), transparent=True)
-    add("snd-ibx", lambda: snd_ibx(identity_family(), BIT, BIT, default_a=0),
-        ("seven", "init"), transparent=True)
-    add("const", lambda: const_bx(identity_family(), 0, BIT), ("seven", "init"),
-        transparent=True)
-    add("swap-iso", lambda: swap_bx(identity_family(), BIT, BIT),
-        ("seven", "overwritable", "init"), transparent=True)
-    add("inl", lambda: inl_bx(identity_family(), BIT, BIT, default_a=0),
-        ("seven", "init"), transparent=True)
-    add("inr", lambda: inr_bx(identity_family(), BIT, BIT, default_b=0),
-        ("seven", "init"), transparent=True)
-    add("pair-identities", _pair_identities, ("seven", "init"), transparent=True)
-    add("sum-identities", _sum_identities, ("seven", "init"), transparent=True)
-    add("list-identity", _list_identity, ("seven", "init"), transparent=True)
-    add("composers", composers_symlens_bx, ("seven", "init"), transparent=True)
-    add("inv", inv_bx, ("seven", "stability", "init"), transparent=True)
-    add("read-some", read_some_bx, ("seven", "init"), transparent=True)
-    add("nondet-parity", _nondet_2x2, ("seven", "init"), transparent=True)
-    add("switch-reader", _switch_reader, ("seven",), transparent=False)
-    add("log-identity", _log_identity, ("seven",),
-        expected_failing={"overwritable": ("set_l-set_l", "set_r-set_r")},
-        transparent=True)
-    add("alert-identity", _alert_identity, ("seven",), transparent=True)
-    add("dynamic-identity", _dynamic_identity, ("seven",), transparent=True)
-    add("dynamic-search", _dynamic_search, ("seven",), transparent=True)
-    add("logging-component", _logging_component, ("seven", "overwritable"),
-        transparent=True)
-    add("pair-logging-not-overwritable", _pair_logging, ("seven", "overwritable"),
-        expected_failing={"overwritable": ("set_l-set_l", "set_r-set_r")},
-        transparent=True)
-
-    add("mutant-get_l-get_l", mutant_get_l_get_l, ("seven",),
-        expected_failing={"seven": ("get_l-get_l",)},
-        expected_witness={"seven:get_l-get_l": {"s": "(0, 0)"}})
-    add("mutant-set_l-get_l", mutant_set_l_get_l, ("seven",),
-        expected_failing={"seven": ("set_l-get_l",)},
-        expected_witness={"seven:set_l-get_l": {"a": "0", "s": "(1, 0)"}})
-    add("mutant-get_l-set_l", mutant_get_l_set_l, ("seven",),
-        expected_failing={"seven": ("get_l-set_l",)},
-        expected_witness={"seven:get_l-set_l": {"s": "(0, 0, 0)"}})
-    add("mutant-get_r-get_r", mutant_get_r_get_r, ("seven",),
-        expected_failing={"seven": ("get_r-get_r",)},
-        expected_witness={"seven:get_r-get_r": {"s": "(0, 0)"}})
-    add("mutant-set_r-get_r", mutant_set_r_get_r, ("seven",),
-        expected_failing={"seven": ("set_r-get_r",)},
-        expected_witness={"seven:set_r-get_r": {"b": "0", "s": "(0, 1)"}})
-    add("mutant-get_r-set_r", mutant_get_r_set_r, ("seven",),
-        expected_failing={"seven": ("get_r-set_r",)},
-        expected_witness={"seven:get_r-set_r": {"s": "(0, 0, 0)"}})
-    add("mutant-get_l-get_r", mutant_get_l_get_r, ("seven",),
-        expected_failing={"seven": ("get_l-get_r",)},
-        expected_witness={"seven:get_l-get_r": {"s": "(0, 0)"}})
-
-    add("mutant-lens-vu", broken_view_update_lens, ("seven",),
-        expected_failing={"seven": ("get_r-set_r",)})
-    add("mutant-unstable", mutant_unstable, ("seven",),
-        expected_failing={"stability": ("stable-set_l-first",)})
-    add("mutant-bad-init", mutant_bad_init, ("seven",),
-        expected_failing={"init": ("init_l-get_l",)})
-
-    return tuple(e)
+        CorpusEntry("mutant-lens-vu", broken_view_update_lens, ("seven",),
+                    expected_failing={"seven": ("get_r-set_r",)}),
+        CorpusEntry("mutant-unstable", mutant_unstable, ("seven",),
+                    expected_failing={"stability": ("stable-set_l-first",)}),
+        CorpusEntry("mutant-bad-init", mutant_bad_init, ("seven",),
+                    expected_failing={"init": ("init_l-get_l",)}),
+    )
 
 
 MUTANT_LAW_TARGETS = {

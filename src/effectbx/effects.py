@@ -14,6 +14,7 @@ by the data-refinement construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, Iterable, Optional
 
 from .errors import ScriptExhausted, UnobservableEffect
@@ -90,7 +91,10 @@ class EffectFamily:
 # identity
 
 
+@cache
 def identity_family() -> EffectFamily:
+    """The identity effect, one shared instance (families are immutable): the
+    default effect of every lens and symmetric lens."""
     return EffectFamily(
         name="identity",
         unit=lambda a: a,
@@ -99,6 +103,13 @@ def identity_family() -> EffectFamily:
         enumerate_values=lambda dom: tuple(dom.elements),
         outcomes=lambda x: (x,),
     )
+
+
+def require_identity(fam: EffectFamily, what: str):
+    """Refuse any family but the identity: ``what`` reads its effect values
+    as plain values."""
+    if fam.name != "identity":
+        raise ValueError(f"{what} requires the identity effect, not {fam.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +281,7 @@ class ConsoleWorld:
     ``("out", text)`` / ``("in", text)`` entries.  Reading from an empty queue
     raises ScriptExhausted unless the world is interactive, in which case it
     reads a line from the real terminal (the CLI is the only creator of
-    interactive worlds).
+    interactive worlds) and raises ScriptExhausted at end of input.
     """
 
     def __init__(self, script=(), interactive: bool = False):
@@ -287,7 +298,10 @@ class ConsoleWorld:
         if self.pending:
             line = self.pending.pop(0)
         elif self.interactive:
-            line = input()
+            try:
+                line = input()
+            except EOFError:
+                raise ScriptExhausted("console input ended") from None
         else:
             raise ScriptExhausted("console script exhausted")
         self.transcript.append(("in", line))

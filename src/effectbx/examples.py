@@ -284,20 +284,20 @@ def signal_bx(sig_a, sig_b, bx: Bx) -> Bx:
 
 def log_bx(bx: Bx) -> Bx:
     """Writer-effect specialization: log each changed view, tagged by side."""
-    return signal_bx(
+    return replace(signal_bx(
         lambda a: tell((Left(a),)),
         lambda b: tell((Right(b),)),
         bx,
-    ).renamed(f"log({bx.name})")
+    ), name=f"log({bx.name})")
 
 
 def alert_bx(bx: Bx) -> Bx:
     """Console-effect specialization: announce which side changed."""
-    return signal_bx(
+    return replace(signal_bx(
         lambda _a: console_write("Left"),
         lambda _b: console_write("Right"),
         bx,
-    ).renamed(f"alert({bx.name})")
+    ), name=f"alert({bx.name})")
 
 
 # ---------------------------------------------------------------------------

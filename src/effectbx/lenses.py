@@ -1,20 +1,23 @@
-"""Asymmetric lenses, their effectful-update variant, and the embedding of a
-computation over a view into a computation over a source."""
+"""Asymmetric lenses over an effect family (pure ones are the lenses at the
+identity effect), and the embedding of a computation over a view into a
+computation over a source."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional
 
-from .effects import EffectFamily, identity_family, morphism_laws
+from .effects import EffectFamily, identity_family, morphism_laws, require_identity
 from .lawcheck import FiniteDomain, Law, LawReport, enumerate_functions, run_laws
 from .stateful import Stateful, enumerate_stateful, state_family
 
 
 @dataclass(frozen=True)
 class Lens:
-    """view/update/create between a source and a view.
+    """view/update/create between a source and a view; update and create
+    return values of ``effect``, view stays pure.  At the identity effect
+    (the default) those values are plain sources.
 
     Well-behaved: view(update(s, v)) == v and update(s, view(s)) == s.
     Very well-behaved (overwritable) adds update(update(s, v), v') ==
@@ -25,17 +28,7 @@ class Lens:
     view: Callable[[Any], Any]
     update: Callable[[Any, Any], Any]
     create: Optional[Callable[[Any], Any]] = None
-
-
-@dataclass(frozen=True)
-class MLens:
-    """Lens with effectful update/create: mupdate and mcreate land in an
-    effect family, mview stays pure."""
-
-    effect: EffectFamily
-    mview: Callable[[Any], Any]
-    mupdate: Callable[[Any, Any], Any]
-    mcreate: Optional[Callable[[Any], Any]] = None
+    effect: EffectFamily = field(default_factory=identity_family)
 
 
 def identity_lens() -> Lens:
@@ -57,32 +50,33 @@ def snd_lens(default_a=_NO_DEFAULT) -> Lens:
     return Lens(lambda s: s[1], lambda s, v: (s[0], v), create)
 
 
-def lens_to_mlens(fam: EffectFamily, l: Lens) -> MLens:
-    return MLens(
+def lift_lens(fam: EffectFamily, l: Lens) -> Lens:
+    """A lens at the identity effect as a lens at ``fam`` whose update and
+    create return the unit of the pure result."""
+    require_identity(l.effect, "lift_lens")
+    return Lens(
+        view=l.view,
+        update=lambda s, v: fam.unit(l.update(s, v)),
+        create=None if l.create is None else (lambda v: fam.unit(l.create(v))),
         effect=fam,
-        mview=l.view,
-        mupdate=lambda s, v: fam.unit(l.update(s, v)),
-        mcreate=None if l.create is None else (lambda v: fam.unit(l.create(v))),
     )
 
 
-def mlens_compose(l1: MLens, l2: MLens) -> MLens:
-    """Compose a source->mid lens with a mid->view lens."""
+def lens_compose(l1: Lens, l2: Lens) -> Lens:
+    """Compose a source->mid lens with a mid->view lens, at ``l1``'s effect."""
     fam = l1.effect
 
-    def mupdate(s, v1):
-        return fam.bind(
-            l2.mupdate(l1.mview(s), v1), lambda mid: l1.mupdate(s, mid)
-        )
+    def update(s, v1):
+        return fam.bind(l2.update(l1.view(s), v1), lambda mid: l1.update(s, mid))
 
-    def mcreate(v1):
-        return fam.bind(l2.mcreate(v1), l1.mcreate)
+    def create(v1):
+        return fam.bind(l2.create(v1), l1.create)
 
-    return MLens(
+    return Lens(
+        view=lambda s: l2.view(l1.view(s)),
+        update=update,
+        create=create if (l1.create and l2.create) else None,
         effect=fam,
-        mview=lambda s: l2.mview(l1.mview(s)),
-        mupdate=mupdate,
-        mcreate=mcreate if (l1.mcreate and l2.mcreate) else None,
     )
 
 
@@ -90,22 +84,23 @@ def mlens_compose(l1: MLens, l2: MLens) -> MLens:
 # theta: widening a computation through a lens
 
 
-def theta(l, m: Stateful) -> Stateful:
+def theta(l: Lens, m: Stateful) -> Stateful:
     """Embed a computation on the view type into one on the source type:
     read the source, take the view, run the computation on it, push the
     updated view back through the lens, store the new source.
 
-    Accepts a pure Lens (lifted into the computation's effect family) or an
-    MLens; both share this one code path."""
+    A lens at another effect than the computation's is lifted into the
+    computation's family with ``lift_lens``, which takes only lenses at the
+    identity effect."""
     fam = m.effect
-    if isinstance(l, Lens):
-        l = lens_to_mlens(fam, l)
+    if l.effect.name != fam.name:
+        l = lift_lens(fam, l)
 
     def run(s):
-        v = l.mview(s)
+        v = l.view(s)
         return fam.bind(
             m.run(v),
-            lambda pair: fam.map(l.mupdate(s, pair[1]), lambda s1: (pair[0], s1)),
+            lambda pair: fam.map(l.update(s, pair[1]), lambda s1: (pair[0], s1)),
         )
 
     return Stateful(fam, run)
@@ -125,53 +120,39 @@ def right(m: Stateful) -> Stateful:
 # law suites
 
 
-def _mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain):
+def check_lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain,
+                    cap=None, seed=0) -> LawReport:
     """Round-tripping (update-view, view-update) plus the overwrite law, over
-    the lens's effect family."""
+    the lens's effect family.  At the identity effect they are the pure laws
+    view(update(s, v)) == v, update(s, view(s)) == s and
+    update(update(s, v), v2) == update(s, v2)."""
     fam = l.effect
-    return [
+    laws = [
         Law(
             "update-view",
             [("s", dom_a), ("v", dom_b)],
-            lambda e: fam.map(l.mupdate(e["s"], e["v"]), l.mview),
+            lambda e: fam.map(l.update(e["s"], e["v"]), l.view),
             lambda e: fam.unit(e["v"]),
         ),
         Law(
             "view-update",
             [("s", dom_a)],
-            lambda e: l.mupdate(e["s"], l.mview(e["s"])),
+            lambda e: l.update(e["s"], l.view(e["s"])),
             lambda e: fam.unit(e["s"]),
         ),
         Law(
             "update-update",
             [("s", dom_a), ("v", dom_b), ("v2", dom_b)],
             lambda e: fam.bind(
-                l.mupdate(e["s"], e["v"]), lambda s1: l.mupdate(s1, e["v2"])
+                l.update(e["s"], e["v"]), lambda s1: l.update(s1, e["v2"])
             ),
-            lambda e: l.mupdate(e["s"], e["v2"]),
+            lambda e: l.update(e["s"], e["v2"]),
         ),
     ]
+    return run_laws("lens-laws", laws, fam.equal_values, cap=cap, seed=seed)
 
 
-def check_lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                    cap=None, seed=0) -> LawReport:
-    """The monadic lens laws at the identity effect, where they are the pure
-    round-tripping laws view(update(s, v)) == v and update(s, view(s)) == s,
-    plus the overwrite law."""
-    fam = identity_family()
-    return run_laws("lens-laws", _mlens_laws(lens_to_mlens(fam, l), dom_a, dom_b),
-                    fam.equal_values, cap=cap, seed=seed)
-
-
-def check_mlens_laws(l: MLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                     cap=None, seed=0) -> LawReport:
-    """Monadic analogues of the round-tripping laws, over the family's
-    equality."""
-    return run_laws("mlens-laws", _mlens_laws(l, dom_a, dom_b), l.effect.equal_values,
-                    cap=cap, seed=seed)
-
-
-def check_theta_morphism(l, fam: EffectFamily, source_domain: FiniteDomain,
+def check_theta_morphism(l: Lens, fam: EffectFamily, source_domain: FiniteDomain,
                          view_domain: FiniteDomain, value_domain: FiniteDomain,
                          cap=None, seed=0) -> LawReport:
     """The widening is a monad morphism from ``state_family(fam)`` to itself

@@ -1,13 +1,13 @@
-"""Symmetric lenses (pure and effectful) and the conversions between them,
-lens spans, and bx."""
+"""Symmetric lenses over an effect family (pure ones are the symmetric lenses
+at the identity effect), lens spans, and bx."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from .bx import InitBx
-from .effects import EffectFamily, Just, NOTHING, identity_family
+from .effects import EffectFamily, Just, NOTHING, identity_family, require_identity
 from .errors import DomainTooLarge
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
 from .lenses import Lens
@@ -20,24 +20,16 @@ _CLOSURE_ROUNDS = 64
 class SymLens:
     """Two put functions over a shared complement.
 
-    put_r maps (new left view, old complement) to (right view, new
-    complement); put_l is symmetric.  ``missing`` is the complement to use
-    when there is no history yet.
+    put_r maps (new left view, old complement) to a value of ``effect`` over
+    (right view, new complement); put_l is symmetric.  At the identity effect
+    (the default) that value is the plain pair.  ``missing`` is the
+    complement to use when there is no history yet.
     """
 
-    put_r: Callable[[Any, Any], tuple]
-    put_l: Callable[[Any, Any], tuple]
+    put_r: Callable[[Any, Any], Any]
+    put_l: Callable[[Any, Any], Any]
     missing: Any
-
-
-@dataclass(frozen=True)
-class SymMLens:
-    """Symmetric lens whose puts may perform effects."""
-
-    effect: EffectFamily
-    mput_r: Callable[[Any, Any], Any]
-    mput_l: Callable[[Any, Any], Any]
-    mmissing: Any
+    effect: EffectFamily = field(default_factory=identity_family)
 
 
 def identity_symlens() -> SymLens:
@@ -49,23 +41,25 @@ def identity_symlens() -> SymLens:
 
 
 def dual_symlens(sl: SymLens) -> SymLens:
-    return SymLens(put_r=sl.put_l, put_l=sl.put_r, missing=sl.missing)
+    return replace(sl, put_r=sl.put_l, put_l=sl.put_r)
 
 
-def _symmlens_laws(sl: SymMLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                   dom_c: FiniteDomain):
+def check_symlens_laws(sl: SymLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
+                       dom_c: FiniteDomain, cap=None, seed=0) -> LawReport:
     """Chasing a put with the opposite put equals chasing it with a pure
-    return: after one put the complement is fully consistent."""
+    return, over the lens's effect family: after one put the complement is
+    fully consistent.  At the identity effect the opposite put with the
+    returned view is a fixed point."""
     fam = sl.effect
-    return [
+    laws = [
         Law(
             "put_r-put_l",
             [("a", dom_a), ("c", dom_c)],
             lambda e: fam.bind(
-                sl.mput_r(e["a"], e["c"]), lambda bc: sl.mput_l(bc[0], bc[1])
+                sl.put_r(e["a"], e["c"]), lambda bc: sl.put_l(bc[0], bc[1])
             ),
             lambda e: fam.bind(
-                sl.mput_r(e["a"], e["c"]),
+                sl.put_r(e["a"], e["c"]),
                 lambda bc: fam.unit((e["a"], bc[1])),
             ),
         ),
@@ -73,71 +67,55 @@ def _symmlens_laws(sl: SymMLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
             "put_l-put_r",
             [("b", dom_b), ("c", dom_c)],
             lambda e: fam.bind(
-                sl.mput_l(e["b"], e["c"]), lambda ac: sl.mput_r(ac[0], ac[1])
+                sl.put_l(e["b"], e["c"]), lambda ac: sl.put_r(ac[0], ac[1])
             ),
             lambda e: fam.bind(
-                sl.mput_l(e["b"], e["c"]),
+                sl.put_l(e["b"], e["c"]),
                 lambda ac: fam.unit((e["b"], ac[1])),
             ),
         ),
     ]
-
-
-def check_symlens_laws(sl: SymLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                       dom_c: FiniteDomain, cap=None, seed=0) -> LawReport:
-    """The monadic round-trip laws at the identity effect: the opposite put
-    with the returned view is a fixed point."""
-    fam = identity_family()
-    laws = _symmlens_laws(symlens_to_symmlens(fam, sl), dom_a, dom_b, dom_c)
     return run_laws("symlens-laws", laws, fam.equal_values, cap=cap, seed=seed)
 
 
-def check_symmlens_laws(sl: SymMLens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                        dom_c: FiniteDomain, cap=None, seed=0) -> LawReport:
-    """The round-trip laws over the family's equality."""
-    return run_laws("symmlens-laws", _symmlens_laws(sl, dom_a, dom_b, dom_c),
-                    sl.effect.equal_values, cap=cap, seed=seed)
-
-
-def smlens_compose(sl1: SymMLens, sl2: SymMLens) -> SymMLens:
-    """Sequential composition of effectful symmetric lenses over paired
-    complements."""
+def symlens_compose(sl1: SymLens, sl2: SymLens) -> SymLens:
+    """Sequential composition over paired complements, at ``sl1``'s
+    effect."""
     fam = sl1.effect
 
-    def mput_r(a, c):
+    def put_r(a, c):
         c1, c2 = c
         return fam.bind(
-            sl1.mput_r(a, c1),
+            sl1.put_r(a, c1),
             lambda bc1: fam.map(
-                sl2.mput_r(bc1[0], c2),
+                sl2.put_r(bc1[0], c2),
                 lambda cc2: (cc2[0], (bc1[1], cc2[1])),
             ),
         )
 
-    def mput_l(z, c):
+    def put_l(z, c):
         c1, c2 = c
         return fam.bind(
-            sl2.mput_l(z, c2),
+            sl2.put_l(z, c2),
             lambda bc2: fam.map(
-                sl1.mput_l(bc2[0], c1),
+                sl1.put_l(bc2[0], c1),
                 lambda ac1: (ac1[0], (ac1[1], bc2[1])),
             ),
         )
 
-    return SymMLens(
-        effect=fam,
-        mput_r=mput_r,
-        mput_l=mput_l,
-        mmissing=(sl1.mmissing, sl2.mmissing),
-    )
+    return SymLens(put_r=put_r, put_l=put_l, missing=(sl1.missing, sl2.missing),
+                   effect=fam)
 
 
-def symlens_to_symmlens(fam: EffectFamily, sl: SymLens) -> SymMLens:
-    return SymMLens(
+def lift_symlens(fam: EffectFamily, sl: SymLens) -> SymLens:
+    """A symmetric lens at the identity effect as one at ``fam`` whose puts
+    return the unit of the pure result."""
+    require_identity(sl.effect, "lift_symlens")
+    return SymLens(
+        put_r=lambda a, c: fam.unit(sl.put_r(a, c)),
+        put_l=lambda b, c: fam.unit(sl.put_l(b, c)),
+        missing=sl.missing,
         effect=fam,
-        mput_r=lambda a, c: fam.unit(sl.put_r(a, c)),
-        mput_l=lambda b, c: fam.unit(sl.put_l(b, c)),
-        mmissing=sl.missing,
     )
 
 
@@ -147,10 +125,11 @@ def symlens_to_symmlens(fam: EffectFamily, sl: SymLens) -> SymMLens:
 
 def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
                        dom_b: FiniteDomain) -> FiniteDomain:
-    """Materialize the consistent (a, b, c) triples by closure: seed with the
-    puts applied to the missing complement, then iterate set-transitions until
-    no new triple appears.  Raises DomainTooLarge if the closure has not
-    converged after 64 rounds (e.g. a complement that grows without bound)."""
+    """Materialize the consistent (a, b, c) triples of a symmetric lens at
+    the identity effect by closure: seed with the puts applied to the missing
+    complement, then iterate set-transitions until no new triple appears.
+    Raises DomainTooLarge if the closure has not converged after 64 rounds
+    (e.g. a complement that grows without bound)."""
     triples = []
 
     def add(t):
@@ -185,13 +164,14 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
 def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,
                   dom_b: Optional[FiniteDomain] = None,
                   name: str = "symlens") -> InitBx:
-    """Simulate a symmetric lens as an identity-effect bx whose state is a
-    consistent triple.
+    """Simulate a symmetric lens at the identity effect as an identity-effect
+    bx whose state is a consistent triple.
 
     The declared state domain is the closure of the puts from the missing
     complement when the view domains are supplied; otherwise it is left
     undeclared and the bx is usable but not law-checkable.
     """
+    require_identity(sl.effect, "symlens_to_bx")
     fam = identity_family()
 
     def set_l(a1):
@@ -240,8 +220,7 @@ def bx_to_symlens(bx: InitBx) -> SymLens:
     """Flatten an identity-effect bx into a symmetric lens whose complement is
     the optional hidden state; an absent complement routes through the bx's
     initializer."""
-    if bx.effect.name != "identity":
-        raise ValueError("bx_to_symlens requires the identity effect")
+    require_identity(bx.effect, "bx_to_symlens")
 
     def put_r(a, mc):
         m = bx.set_l(a).then(bx.get_r)
@@ -263,8 +242,9 @@ def bx_to_symlens(bx: InitBx) -> SymLens:
 
 
 def symlens_to_lens_span(sl: SymLens):
-    """Split a symmetric lens into two asymmetric lenses out of the triple
-    state."""
+    """Split a symmetric lens at the identity effect into two asymmetric
+    lenses out of the triple state."""
+    require_identity(sl.effect, "symlens_to_lens_span")
 
     def fixup_r(c, a1):
         b1, c1 = sl.put_r(a1, c)
@@ -288,8 +268,10 @@ def symlens_to_lens_span(sl: SymLens):
 
 
 def lens_span_to_symlens(l1: Lens, l2: Lens) -> SymLens:
-    """Fuse two lenses sharing a source into a symmetric lens whose complement
-    is the optional source."""
+    """Fuse two lenses at the identity effect sharing a source into a
+    symmetric lens whose complement is the optional source."""
+    require_identity(l1.effect, "lens_span_to_symlens")
+    require_identity(l2.effect, "lens_span_to_symlens")
 
     def put_r(a, mc):
         c1 = l1.create(a) if mc is NOTHING else l1.update(mc.value, a)

@@ -20,8 +20,10 @@ from effectbx import (
     identity_bx,
     identity_family,
     inv_bx,
+    Bx,
+    InitBx,
+    Lens,
     lens_to_bx,
-    lens_to_ibx,
     log_bx,
     writer_family,
 )
@@ -225,13 +227,6 @@ def test_corpus_entry_refuses_unknown_suite_names(suites, expected_failing):
     assert "known: seven, overwritable, stability, init" in str(info.value)
 
 
-def test_with_domains_keeps_an_empty_domain():
-    empty = FiniteDomain("e", ())
-    bx = identity_bx(identity_family(), BIT).with_domains(state_domain=empty)
-    assert bx.state_domain is empty
-    assert bx.dom_a is BIT and bx.dom_b is BIT
-
-
 def test_lens_to_bx_get_r_is_view():
     bx = lens_to_bx(fst_lens(), PAIRS, BIT)
     for s in PAIRS:
@@ -247,9 +242,23 @@ def test_lens_to_bx_broken_lens_fails_get_r_set_r():
 
 
 def test_lens_to_ibx_create_feeds_init():
-    bx = lens_to_ibx(fst_lens(default_b=7), PAIRS, BIT)
+    bx = lens_to_bx(fst_lens(default_b=7), PAIRS, BIT)
     assert bx.init_r(1) == (1, 7)
     assert bx.init_l((0, 1)) == (0, 1)
+
+
+def test_lens_to_bx_initialises_exactly_the_lenses_with_create():
+    assert type(lens_to_bx(fst_lens(), PAIRS, BIT)) is Bx
+    assert isinstance(lens_to_bx(fst_lens(default_b=0), PAIRS, BIT), InitBx)
+    # the corpus lens mutant has a create, so it is initialisable and lawful there
+    assert check_init_laws(broken_view_update_lens()).ok
+
+
+def test_lens_to_bx_refuses_a_lens_at_another_effect():
+    fam = writer_family()
+    l = Lens(lambda s: s[0], lambda s, v: fam.unit((v, s[1])), effect=fam)
+    with pytest.raises(ValueError, match="lens_to_bx requires the identity effect"):
+        lens_to_bx(l, PAIRS, BIT)
 
 
 def test_report_json_shape():

@@ -271,6 +271,24 @@ def test_sync_interactive_reads_edits_and_answers_from_the_terminal(monkeypatch,
     ]
 
 
+def test_sync_interactive_end_of_input_at_a_prompt_exits_3(monkeypatch, capsys):
+    # Ctrl-D at the console's replacement prompt ends the session like an
+    # exhausted script, not with a traceback
+    answers = iter(["1", "10", "L 2", ""])
+
+    def scripted_input(prompt=""):
+        try:
+            return next(answers)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", scripted_input)
+    assert main(["sync", "--interactive"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "Replacement for 10?"
+    assert captured.err == "error: console input ended\n"
+
+
 def test_laws_other_single_suites(capsys):
     assert main(["laws", "--suite", "overwritable", "--bx", "identity"]) == 0
     assert main(["laws", "--suite", "stability", "--bx", "inv"]) == 0

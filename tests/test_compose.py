@@ -212,7 +212,7 @@ def test_mlens_route_agrees_pointwise():
     ]
     for bx1, bx2 in cases:
         direct = compose(bx1, bx2)
-        alt = compose(bx1, bx2, via_mlens=True)
+        alt = compose(bx1, bx2, via_theta=True)
         for s in direct.state_domain:
             assert fam.equal_values(direct.get_l.run(s), alt.get_l.run(s))
             assert fam.equal_values(direct.get_r.run(s), alt.get_r.run(s))

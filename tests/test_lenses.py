@@ -4,15 +4,14 @@ from effectbx import (
     FiniteDomain,
     Lens,
     check_lens_laws,
-    check_mlens_laws,
     check_theta_morphism,
     failure_family,
     fst_lens,
     identity_family,
     identity_lens,
     left,
-    lens_to_mlens,
-    mlens_compose,
+    lens_compose,
+    lift_lens,
     right,
     snd_lens,
     st_get,
@@ -21,7 +20,6 @@ from effectbx import (
     stateful_equal,
     theta,
     writer_family,
-    MLens,
 )
 from effectbx.corpus import non_overwrite_lens
 from effectbx.stateful import enumerate_stateful
@@ -104,16 +102,16 @@ def test_left_right_are_monad_morphisms():
 
 def test_mlens_identity_passes():
     fam = identity_family()
-    ml = lens_to_mlens(fam, identity_lens())
-    assert check_mlens_laws(ml, BIT, BIT).ok
+    ml = lift_lens(fam, identity_lens())
+    assert check_lens_laws(ml, BIT, BIT).ok
 
 
 def test_lifted_lens_passes_iff_lens_does():
     fam = failure_family()
-    good = lens_to_mlens(fam, fst_lens())
-    assert check_mlens_laws(good, PAIRS, BIT).ok
-    bad = lens_to_mlens(fam, Lens(lambda s: s[0], lambda s, _v: s, None))
-    report = check_mlens_laws(bad, PAIRS, BIT)
+    good = lift_lens(fam, fst_lens())
+    assert check_lens_laws(good, PAIRS, BIT).ok
+    bad = lift_lens(fam, Lens(lambda s: s[0], lambda s, _v: s, None))
+    report = check_lens_laws(bad, PAIRS, BIT)
     assert not report.ok
     assert check_lens_laws(
         Lens(lambda s: s[0], lambda s, _v: s, None), PAIRS, BIT
@@ -123,31 +121,31 @@ def test_lifted_lens_passes_iff_lens_does():
 def test_mlens_with_logging_create_keeps_view_update():
     # an effectful create does not disturb the update/view round trips
     fam = writer_family()
-    ml = MLens(
+    ml = Lens(
+        view=lambda s: s[0],
+        update=lambda s, v: fam.unit((v, s[1])),
+        create=lambda v: fam.bind(((), ("created",)), lambda _u: fam.unit((v, 0))),
         effect=fam,
-        mview=lambda s: s[0],
-        mupdate=lambda s, v: fam.unit((v, s[1])),
-        mcreate=lambda v: fam.bind(((), ("created",)), lambda _u: fam.unit((v, 0))),
     )
-    report = check_mlens_laws(ml, PAIRS, BIT)
+    report = check_lens_laws(ml, PAIRS, BIT)
     assert report.law("view-update").ok
     assert report.ok
 
 
 def test_mlens_composition_rechecked():
     fam = identity_family()
-    inner = lens_to_mlens(fam, fst_lens())
-    outer = lens_to_mlens(fam, identity_lens())
-    composed = mlens_compose(inner, outer)
-    assert check_mlens_laws(composed, PAIRS, BIT).ok
-    assert composed.mview((3, 4)) == 3
+    inner = lift_lens(fam, fst_lens())
+    outer = lift_lens(fam, identity_lens())
+    composed = lens_compose(inner, outer)
+    assert check_lens_laws(composed, PAIRS, BIT).ok
+    assert composed.view((3, 4)) == 3
 
 
 def test_mlens_composition_creates_through_both_lenses():
     fam = identity_family()
-    with_create = lens_to_mlens(fam, fst_lens(0))
-    composed = mlens_compose(with_create, with_create)
-    assert [composed.mcreate(v) for v in (0, 1)] == [((0, 0), 0), ((1, 0), 0)]
-    without_create = lens_to_mlens(fam, fst_lens())
-    assert mlens_compose(with_create, without_create).mcreate is None
-    assert mlens_compose(without_create, with_create).mcreate is None
+    with_create = lift_lens(fam, fst_lens(0))
+    composed = lens_compose(with_create, with_create)
+    assert [composed.create(v) for v in (0, 1)] == [((0, 0), 0), ((1, 0), 0)]
+    without_create = lift_lens(fam, fst_lens())
+    assert lens_compose(with_create, without_create).create is None
+    assert lens_compose(without_create, with_create).create is None

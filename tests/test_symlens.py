@@ -11,7 +11,6 @@ from effectbx import (
     bx_to_symlens,
     check_seven_laws,
     check_symlens_laws,
-    check_symmlens_laws,
     consistent_triples,
     dual_symlens,
     failure_family,
@@ -20,12 +19,14 @@ from effectbx import (
     identity_family,
     identity_symlens,
     lens_span_to_symlens,
-    smlens_compose,
+    lift_lens,
+    lift_symlens,
     snd_lens,
+    symlens_compose,
     symlens_to_bx,
     symlens_to_lens_span,
-    symlens_to_symmlens,
     check_lens_laws,
+    writer_family,
 )
 from effectbx.examples import composers_symlens, composers_universe
 
@@ -231,12 +232,12 @@ def test_second_composers_scenario_agrees():
 
 def test_symmlens_composition_preserves_monadic_laws():
     fam = failure_family()
-    sl1 = symlens_to_symmlens(fam, identity_symlens())
-    sl2 = symlens_to_symmlens(fam, identity_symlens())
-    composed = smlens_compose(sl1, sl2)
+    sl1 = lift_symlens(fam, identity_symlens())
+    sl2 = lift_symlens(fam, identity_symlens())
+    composed = symlens_compose(sl1, sl2)
     dom_c = FiniteDomain("cc", ((None, None), (0, 0), (0, 1), (1, 0), (1, 1)))
-    assert check_symmlens_laws(composed, BIT, BIT, dom_c).ok
-    assert composed.mmissing == (None, None)
+    assert check_symlens_laws(composed, BIT, BIT, dom_c).ok
+    assert composed.missing == (None, None)
 
 
 def test_effectful_symmlens_with_failure():
@@ -245,12 +246,10 @@ def test_effectful_symmlens_with_failure():
     def guarded_put(v, _c):
         return fam.unit((v, v)) if v != 99 else NOTHING
 
-    from effectbx import SymMLens
-
-    sl = SymMLens(effect=fam, mput_r=guarded_put, mput_l=guarded_put, mmissing=None)
+    sl = SymLens(put_r=guarded_put, put_l=guarded_put, missing=None, effect=fam)
     dom = FiniteDomain("v", (0, 99))
     dom_c = FiniteDomain("c", (None, 0, 99))
-    assert check_symmlens_laws(sl, dom, dom, dom_c).ok
+    assert check_symlens_laws(sl, dom, dom, dom_c).ok
 
 
 def test_lifted_symlens_fails_the_laws_its_pure_form_fails():
@@ -258,11 +257,31 @@ def test_lifted_symlens_fails_the_laws_its_pure_form_fails():
     # same names, so a lifted lens fails the same laws at the same inputs
     stale = SymLens(put_r=lambda a, c: (a, c), put_l=lambda b, _c: (b, b), missing=0)
     pure = check_symlens_laws(stale, BIT, BIT, BIT)
-    lifted = check_symmlens_laws(symlens_to_symmlens(failure_family(), stale),
-                                 BIT, BIT, BIT)
+    lifted = check_symlens_laws(lift_symlens(failure_family(), stale), BIT, BIT, BIT)
     assert lifted.failing_laws == pure.failing_laws == ("put_r-put_l",)
     assert ([w.inputs for w in lifted.law("put_r-put_l").failures]
             == [w.inputs for w in pure.law("put_r-put_l").failures])
+
+
+def test_symlens_to_bx_refuses_a_symlens_at_another_effect():
+    sl = lift_symlens(writer_family(), identity_symlens())
+    with pytest.raises(ValueError, match="symlens_to_bx requires the identity effect"):
+        symlens_to_bx(sl, BIT, BIT)
+
+
+def test_span_conversions_and_lifts_refuse_lenses_at_another_effect():
+    fam = writer_family()
+    sl = lift_symlens(fam, identity_symlens())
+    lens = lift_lens(fam, fst_lens(0))
+    for convert, name in [
+        (lambda: symlens_to_lens_span(sl), "symlens_to_lens_span"),
+        (lambda: lens_span_to_symlens(lens, snd_lens(0)), "lens_span_to_symlens"),
+        (lambda: lens_span_to_symlens(fst_lens(0), lens), "lens_span_to_symlens"),
+        (lambda: lift_symlens(failure_family(), sl), "lift_symlens"),
+        (lambda: lift_lens(failure_family(), lens), "lift_lens"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} requires the identity effect, not writer"):
+            convert()
 
 
 def test_dual_of_the_dual_is_the_original_over_consistent_triples():
