@@ -70,8 +70,16 @@ def seven_laws(bx: Bx):
         Law(
             "get_l-get_r",
             [("s", bx.state_domain)],
-            lambda e: bx.get_l.bind(lambda a: bx.get_r.map(lambda b: (a, b))).run(e["s"]),
-            lambda e: bx.get_r.bind(lambda b: bx.get_l.map(lambda a: (a, b))).run(e["s"]),
+            lambda e: bx.get_l.bind(
+                lambda a: bx.get_r.map(
+                    lambda b: (a, b)
+                )
+            ).run(e["s"]),
+            lambda e: bx.get_r.bind(
+                lambda b: bx.get_l.map(
+                    lambda a: (a, b)
+                )
+            ).run(e["s"]),
         ),
     ]
 
@@ -178,7 +186,11 @@ def consistent_pairs(bx: Bx):
     """All (a, b) pairs observable by reading both sides in sequence,
     collecting across nondeterministic outcomes; the consistency relation."""
     pairs = []
-    probe = bx.get_l.bind(lambda a: bx.get_r.map(lambda b: (a, b)))
+    probe = bx.get_l.bind(
+        lambda a: bx.get_r.map(
+            lambda b: (a, b)
+        )
+    )
     for s in bx.state_domain:
         for result in bx.effect.outcomes_of(probe.run(s)):
             pair = result[0]
@@ -218,14 +230,22 @@ def init_laws(bx: InitBx):
         Law(
             "init_l-get_l",
             [("a", bx.dom_a)],
-            lambda e: fam.bind(bx.init_l(e["a"]), lambda s: bx.get_l.run(s)),
-            lambda e: fam.bind(bx.init_l(e["a"]), lambda s: fam.unit((e["a"], s))),
+            lambda e: fam.bind(bx.init_l(e["a"]), (
+                lambda s: bx.get_l.run(s)
+            )),
+            lambda e: fam.bind(bx.init_l(e["a"]), (
+                lambda s: fam.unit((e["a"], s))
+            )),
         ),
         Law(
             "init_r-get_r",
             [("b", bx.dom_b)],
-            lambda e: fam.bind(bx.init_r(e["b"]), lambda s: bx.get_r.run(s)),
-            lambda e: fam.bind(bx.init_r(e["b"]), lambda s: fam.unit((e["b"], s))),
+            lambda e: fam.bind(bx.init_r(e["b"]), (
+                lambda s: bx.get_r.run(s)
+            )),
+            lambda e: fam.bind(bx.init_r(e["b"]), (
+                lambda s: fam.unit((e["b"], s))
+            )),
         ),
     ]
 
@@ -282,11 +302,17 @@ def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
         get_l=st_get(fam),
         set_l=lambda a: st_set(fam, a),
         get_r=st_gets(fam, l.view),
-        set_r=lambda b: st_get(fam).bind(lambda s: st_set(fam, l.update(s, b))),
+        set_r=lambda b: st_get(fam).bind(
+            lambda s: st_set(fam, l.update(s, b))
+        ),
         state_domain=source_domain,
         dom_a=source_domain,
         dom_b=view_domain,
     )
     if l.create is None:
         return Bx(**parts)
-    return InitBx(**parts, init_l=lambda a: fam.unit(a), init_r=lambda b: fam.unit(l.create(b)))
+    return InitBx(
+        **parts,
+        init_l=lambda a: fam.unit(a),
+        init_r=lambda b: fam.unit(l.create(b)),
+    )

@@ -103,11 +103,15 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
         name=f"pair({bx1.name},{bx2.name})",
         effect=fam,
         get_l=left(bx1.get_l).bind(
-            lambda a1: right(bx2.get_l).map(lambda a2: (a1, a2))
+            lambda a1: right(bx2.get_l).map(
+                lambda a2: (a1, a2)
+            )
         ),
         set_l=lambda a: left(bx1.set_l(a[0])).then(right(bx2.set_l(a[1]))),
         get_r=left(bx1.get_r).bind(
-            lambda b1: right(bx2.get_r).map(lambda b2: (b1, b2))
+            lambda b1: right(bx2.get_r).map(
+                lambda b2: (b1, b2)
+            )
         ),
         set_r=lambda b: left(bx1.set_r(b[0])).then(right(bx2.set_r(b[1]))),
         state_domain=_product_domain(
@@ -120,11 +124,15 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
         return paired.with_initializers(
             lambda a: fam.bind(
                 bx1.init_l(a[0]),
-                lambda s1: fam.map(bx2.init_l(a[1]), lambda s2: (s1, s2)),
+                lambda s1: fam.map(bx2.init_l(a[1]), (
+                    lambda s2: (s1, s2)
+                )),
             ),
             lambda b: fam.bind(
                 bx1.init_r(b[0]),
-                lambda s1: fam.map(bx2.init_r(b[1]), lambda s2: (s1, s2)),
+                lambda s1: fam.map(bx2.init_r(b[1]), (
+                    lambda s2: (s1, s2)
+                )),
             ),
         )
     return paired
@@ -171,7 +179,9 @@ def _injection_bx(fam, dom_x, dom_y, default_x, tag_x, tag_y, views, name):
         name=name,
         effect=fam,
         get_l=st_gets(fam, lambda s: s[0]),
-        set_l=lambda x: st_get(fam).bind(lambda s: st_set(fam, (x, s[1]))),
+        set_l=lambda x: st_get(fam).bind(
+            lambda s: st_set(fam, (x, s[1]))
+        ),
         get_r=Stateful(fam, get_r_run),
         set_r=set_r,
         state_domain=states,
@@ -419,9 +429,23 @@ def assoc_bx(fam: EffectFamily, dom_x, dom_y, dom_z) -> InitBx:
 
 def unitl_bx(fam: EffectFamily, dom: FiniteDomain) -> InitBx:
     rhs = FiniteDomain("unitl", tuple(((), a) for a in dom))
-    return iso_bx(fam, lambda a: ((), a), lambda p: p[1], dom, rhs, name="unitl")
+    return iso_bx(
+        fam,
+        lambda a: ((), a),
+        lambda p: p[1],
+        dom,
+        rhs,
+        name="unitl",
+    )
 
 
 def unitr_bx(fam: EffectFamily, dom: FiniteDomain) -> InitBx:
     rhs = FiniteDomain("unitr", tuple((a, ()) for a in dom))
-    return iso_bx(fam, lambda a: (a, ()), lambda p: p[0], dom, rhs, name="unitr")
+    return iso_bx(
+        fam,
+        lambda a: (a, ()),
+        lambda p: p[0],
+        dom,
+        rhs,
+        name="unitr",
+    )

@@ -189,7 +189,9 @@ def _lens_left(bx1: Bx, bx2: Bx) -> Lens:
         _s1, s2 = state
         return fam.bind(
             st_eval(bx1.get_r, s1_new),
-            lambda b: fam.map(st_exec(bx2.set_l(b), s2), lambda s2_new: (s1_new, s2_new)),
+            lambda b: fam.map(st_exec(bx2.set_l(b), s2), (
+                lambda s2_new: (s1_new, s2_new)
+            )),
         )
 
     return Lens(view=lambda st: st[0], update=update, effect=fam)
@@ -202,7 +204,9 @@ def _lens_right(bx1: Bx, bx2: Bx) -> Lens:
         s1, _s2 = state
         return fam.bind(
             st_eval(bx2.get_l, s2_new),
-            lambda b: fam.map(st_exec(bx1.set_r(b), s1), lambda s1_new: (s1_new, s2_new)),
+            lambda b: fam.map(st_exec(bx1.set_r(b), s1), (
+                lambda s1_new: (s1_new, s2_new)
+            )),
         )
 
     return Lens(view=lambda st: st[1], update=update, effect=fam)
@@ -233,7 +237,9 @@ def _attach_init(composed: Bx, bx1: InitBx, bx2: InitBx) -> InitBx:
             bx1.init_l(a),
             lambda s1: fam.bind(
                 st_eval(bx1.get_r, s1),
-                lambda b: fam.map(bx2.init_l(b), lambda s2: (s1, s2)),
+                lambda b: fam.map(bx2.init_l(b), (
+                    lambda s2: (s1, s2)
+                )),
             ),
         )
 
@@ -242,7 +248,9 @@ def _attach_init(composed: Bx, bx1: InitBx, bx2: InitBx) -> InitBx:
             bx2.init_r(c),
             lambda s2: fam.bind(
                 st_eval(bx2.get_l, s2),
-                lambda b: fam.map(bx1.init_r(b), lambda s1: (s1, s2)),
+                lambda b: fam.map(bx1.init_r(b), (
+                    lambda s1: (s1, s2)
+                )),
             ),
         )
 

@@ -260,7 +260,11 @@ def _switch_reader():
         if flag:
             return lens_to_bx(fst_lens(), BIT_PAIRS, BIT, fam=fam, name="fst")
         return lens_to_bx(
-            Lens(lambda s: s[1], lambda s, v: (s[0], v), lambda v: (0, v)),
+            Lens(
+                lambda s: s[1],
+                lambda s, v: (s[0], v),
+                lambda v: (0, v),
+            ),
             BIT_PAIRS,
             BIT,
             fam=fam,

@@ -223,8 +223,12 @@ def nondet_bx(fam: EffectFamily, ok, bs, as_, dom_a: FiniteDomain,
         state_domain=FiniteDomain(f"{name}-states", states),
         dom_a=dom_a,
         dom_b=dom_b,
-        init_l=lambda a: fam.bind(tuple(bs(a)), lambda b: fam.unit((a, b))),
-        init_r=lambda b: fam.bind(tuple(as_(b)), lambda a: fam.unit((a, b))),
+        init_l=lambda a: fam.bind(tuple(bs(a)), (
+            lambda b: fam.unit((a, b))
+        )),
+        init_r=lambda b: fam.bind(tuple(as_(b)), (
+            lambda a: fam.unit((a, b))
+        )),
     )
 
 
@@ -236,23 +240,34 @@ def switch_bx(fam: EffectFamily, family_of_bx, name: str = "switch") -> Bx:
     """Dispatch every operation through a bx chosen by the reader context.
 
     Well-behaved whenever each member of the family is, but not transparent:
-    the gets consult the environment, not just the state.
+    the gets consult the environment, not just the state.  ``family_of_bx``
+    is called once per context, when the bx is built.
     """
     contexts = fam.enumerate_contexts or ()
     if not contexts:
         raise EffectbxError("switch_bx needs a reader family with contexts")
-    sample = family_of_bx(contexts[0])
+    members = tuple(family_of_bx(c) for c in contexts)
     pick = st_lift(fam, ask())
+
+    def member(c):
+        return members[contexts.index(c)]
+
+    def set_l(a):
+        return pick.bind(lambda c: member(c).set_l(a))
+
+    def set_r(b):
+        return pick.bind(lambda c: member(c).set_r(b))
+
     return Bx(
         name=name,
         effect=fam,
-        get_l=pick.bind(lambda c: family_of_bx(c).get_l),
-        set_l=lambda a: pick.bind(lambda c: family_of_bx(c).set_l(a)),
-        get_r=pick.bind(lambda c: family_of_bx(c).get_r),
-        set_r=lambda b: pick.bind(lambda c: family_of_bx(c).set_r(b)),
-        state_domain=sample.state_domain,
-        dom_a=sample.dom_a,
-        dom_b=sample.dom_b,
+        get_l=pick.bind(lambda c: member(c).get_l),
+        set_l=set_l,
+        get_r=pick.bind(lambda c: member(c).get_r),
+        set_r=set_r,
+        state_domain=members[0].state_domain,
+        dom_a=members[0].dom_a,
+        dom_b=members[0].dom_b,
     )
 
 

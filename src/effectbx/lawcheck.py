@@ -23,6 +23,14 @@ evaluated.  A function into a space of functions (a continuation whose
 values are reader or state-transformer values) is curried: its points are
 pairs of an outer and an inner argument, so the runner branches on one inner
 point at a time.
+
+The branching is a depth-first walk over one digit vector per function
+quantifier, the candidate vector of Korat (Boyapati, Khurshid & Marinov,
+2002): a law sees a live view of the vector, a demanded point is set in
+place and pushed on a trail, and backtracking advances or undoes the
+trail's last point.  No node is copied, and a function is decoded only to
+be compared, hashed or printed once all its points are assigned, or to
+become a witness, which is evaluated again from the decoded functions.
 """
 
 from __future__ import annotations
@@ -99,14 +107,14 @@ class FiniteFunction:
 class FunctionForm:
     """How ``run_laws`` assigns a space of functions point by point: element
     ``i`` maps ``keys[j]`` to ``codomain[digit j of i in base
-    len(codomain)]``, and ``wrap`` turns the partial function being assigned
-    into the value a law sees.
+    len(codomain)]``, and ``wrap`` turns the live view of the function being
+    assigned into the value a law sees; ``run_laws`` calls it once per law.
 
     A space of functions into a space of functions is curried: its keys are
     the pairs ``(k, x)`` of an outer key and an inner one, outer key major,
-    its codomain is the inner codomain, and ``wrap`` rebuilds the function
-    whose value at ``k`` is the inner function at ``(k, x)``, so a law that
-    reads one inner point assigns only that point."""
+    its codomain is the inner codomain, and ``wrap`` gives the view whose
+    value at ``k`` is the inner function at ``(k, x)``, so a law that reads
+    one inner point assigns only that point."""
 
     keys: tuple
     codomain: tuple
@@ -161,21 +169,10 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
     inner = cod.functions if isinstance(cod, Space) else None
     if inner is None:
         return Space(base ** len(keys), decode, FunctionForm(keys, values, lambda g: g))
-    n, inner_base = len(inner.keys), len(inner.codomain)
-
-    def curry(g):
-        # a section stays a partial view while one of its points is
-        # unassigned; a full one is the element of ``cod`` that ``decode``
-        # picks, so comparing it demands nothing
-        sections = []
-        for start in range(g.start, g.start + len(keys) * n, n):
-            digits = g.digits[start:start + n]
-            sections.append(inner.wrap(_PartialFunction(g.slot, inner, g.digits, start))
-                            if None in digits else values[_index(digits, inner_base)])
-        return FiniteFunction(keys, tuple(sections))
-
     pairs = tuple((k, x) for k in keys for x in inner.keys)
-    return Space(base ** len(keys), decode, FunctionForm(pairs, inner.codomain, curry))
+    form = FunctionForm(pairs, inner.codomain,
+                        lambda g: _CurriedFunction(g, keys, values, inner))
+    return Space(base ** len(keys), decode, form)
 
 
 def tuples_up_to(dom, max_len: int) -> tuple:
@@ -303,12 +300,15 @@ class _Demand(BaseException):
 
 
 class _PartialFunction:
-    """A function quantifier while ``run_laws`` assigns it point by point:
-    ``digits[start + j]`` is the codomain index given to ``keys[j]``, or
-    None.  ``start`` is nonzero for a section of a curried function, which
-    views its own slice of the quantifier's digits.  ``==``, ``hash`` and
-    ``repr`` read the whole function, so they demand its first unassigned
-    point.  Keys are looked up as ``FiniteFunction`` does."""
+    """The live view of a function quantifier that ``run_laws`` assigns point
+    by point: ``digits[start + j]`` is the codomain index given to
+    ``keys[j]``, or None, and the walk changes ``digits`` in place, so one
+    view serves every node of the walk.  ``start`` is nonzero for a section
+    of a curried function, which views its own slice of the quantifier's
+    digits.  ``==``, ``hash`` and ``repr`` read the whole function: they
+    demand its first unassigned point, and once every point is assigned they
+    act on the decoded ``FiniteFunction``.  Keys are looked up as
+    ``FiniteFunction`` does."""
 
     __slots__ = ("slot", "keys", "codomain", "digits", "start")
 
@@ -329,18 +329,66 @@ class _PartialFunction:
             raise _Demand(self.slot, j)
         return self.codomain[digit]
 
-    def _demand_first(self):
-        raise _Demand(self.slot, self.digits.index(
-            None, self.start, self.start + len(self.keys)))
+    def _decoded(self):
+        digits = self.digits[self.start:self.start + len(self.keys)]
+        if None in digits:
+            raise _Demand(self.slot, self.start + digits.index(None))
+        codomain = self.codomain
+        return FiniteFunction(self.keys, tuple(codomain[d] for d in digits))
 
     def __eq__(self, other):
-        self._demand_first()
+        return self._decoded() == other
 
     def __hash__(self):
-        self._demand_first()
+        return hash(self._decoded())
 
     def __repr__(self):
-        self._demand_first()
+        return repr(self._decoded())
+
+
+class _CurriedFunction:
+    """The live view of a function into a function space, over the digits of
+    the partial function ``g`` whose keys are (outer key, inner key) pairs:
+    the section at outer key ``j`` views the ``len(inner.keys)`` digits from
+    ``g.start + j * len(inner.keys)``.  A section with an unassigned point is
+    a live view of its own; a full one is the element of ``values`` that
+    ``decode`` picks, so comparing it demands nothing.  ``==``, ``hash`` and
+    ``repr`` act on the ``FiniteFunction`` of the sections."""
+
+    __slots__ = ("keys", "values", "digits", "width", "base", "starts", "sections")
+
+    def __init__(self, g, keys, values, inner):
+        self.keys = keys
+        self.values = values
+        self.digits = g.digits
+        self.width = len(inner.keys)
+        self.base = len(inner.codomain)
+        self.starts = range(g.start, g.start + len(keys) * self.width, self.width)
+        self.sections = tuple(inner.wrap(_PartialFunction(g.slot, inner, g.digits, start))
+                              for start in self.starts)
+
+    def __call__(self, k):
+        try:
+            j = self.keys.index(k)
+        except ValueError:
+            raise KeyError(f"{k!r} outside function domain") from None
+        start = self.starts[j]
+        digits = self.digits[start:start + self.width]
+        if None in digits:
+            return self.sections[j]
+        return self.values[_index(digits, self.base)]
+
+    def _sections(self):
+        return FiniteFunction(self.keys, tuple(map(self, self.keys)))
+
+    def __eq__(self, other):
+        return self._sections() == other
+
+    def __hash__(self):
+        return hash(self._sections())
+
+    def __repr__(self):
+        return repr(self._sections())
 
 
 def _index(digits, base):
@@ -349,36 +397,11 @@ def _index(digits, base):
     return sum(d * base ** j for j, d in enumerate(digits))
 
 
-def _assign(env, node, names, spaces, lazy):
-    """Put the function quantifiers of ``node`` into ``env``: a partial
-    function while a key is unassigned, else the decoded function.  Returns
-    how many assignments the node covers and whether it is total."""
-    covered, total = 1, True
-    for slot, ((i, form), digits) in enumerate(zip(lazy, node)):
-        base = len(form.codomain)
-        unassigned = digits.count(None)
-        if unassigned:
-            covered *= base ** unassigned
-            total = False
-            env[names[i]] = form.wrap(_PartialFunction(slot, form, digits))
-        else:
-            env[names[i]] = spaces[i].decode(_index(digits, base))
-    return covered, total
-
-
-def _split(node, slot, key, base):
-    """The children of ``node`` that assign key ``key`` of the function in
-    ``slot``, last codomain value first, so that popping them off a stack
-    visits the codomain in order."""
-    digits = node[slot]
-    return [node[:slot] + (digits[:key] + (d,) + digits[key + 1:],) + node[slot + 1:]
-            for d in reversed(range(base))]
-
-
 def _cube(row, node, spaces, lazy):
-    """The assignments that agree with ``node``, as tuples of one index per
-    quantifier, in enumeration order (so the first ones come first).  ``row``
-    numbers the assignment of the other quantifiers in their product."""
+    """The assignments that agree with ``node``, the digit vectors of the
+    function quantifiers, as tuples of one index per quantifier, in
+    enumeration order (so the first ones come first).  ``row`` numbers the
+    assignment of the other quantifiers in their product."""
     indices = []
     for d in reversed(spaces):
         row, digit = divmod(row, 1 if d.functions else d.size)
@@ -447,9 +470,14 @@ def run_laws(subject_name: str, laws, equal,
     point assigned.  When the law reads an unassigned point the evaluation
     stops and is repeated once per value of that point; an evaluation that
     completes covers every assignment that agrees with the points it read.
-    ``checked`` counts the assignments covered, exactly as many as plain
-    enumeration would evaluate, and the witnesses are the first
-    ``max_witnesses`` failing assignments, each evaluated in full.  Output
+    The points live in one digit vector per quantifier, which the law reads
+    through a view built once per law; the walk sets a demanded point in
+    place, records it on a trail and undoes it on backtracking, so the nodes
+    are visited depth first with no copies, and a function is decoded only
+    to compare, hash or print it or to report it.  ``checked`` counts the
+    assignments covered, exactly as many as plain enumeration would
+    evaluate, and the witnesses are the first ``max_witnesses`` failing
+    assignments, each evaluated again in full from decoded values.  Output
     ordering is deterministic: laws in given order, witnesses in enumeration
     order (or in seeded sample order above the cap).
     """
@@ -464,36 +492,56 @@ def run_laws(subject_name: str, laws, equal,
         modes.add(mode)
         lazy = [(i, d.functions) for i, d in enumerate(spaces)
                 if d.functions and mode == "exhaustive"]
-        root = tuple((None,) * len(form.keys) for _i, form in lazy)
+        # one live digit vector per function quantifier, None where unassigned
+        digits = [[None] * len(form.keys) for _i, form in lazy]
+        bases = [len(form.codomain) for _i, form in lazy]
+        views = {names[i]: form.wrap(_PartialFunction(slot, form, digits[slot]))
+                 for slot, (i, form) in enumerate(lazy)}
+        # the assignments a node covers before any point is assigned
+        root_covered = math.prod(base ** len(d) for base, d in zip(bases, digits))
         checked = 0
-        covered, total = 1, True  # what each node covers when no quantifier is lazy
-        # the first failing assignments: (order, (env, lhs, rhs) or None)
+        # the first failing assignments: (order, (env, lhs, rhs)), or
+        # (order, None) when found by the walk, to be evaluated again
         found = []
-        pending = []
         for row, values in enumerate(assignments):
-            pending.append(root)
-            while pending:
-                node = pending.pop()
-                env = dict(zip(names, values))
-                if lazy:
-                    covered, total = _assign(env, node, names, spaces, lazy)
+            env = dict(zip(names, values))
+            if not lazy:
+                lhs, rhs = law.evaluate(env)
+                checked += 1
+                if not equal(lhs, rhs):
+                    _keep(found, row, (env, lhs, rhs), max_witnesses)
+                continue
+            env.update(views)
+            # the assigned points, in the order the law demanded them
+            trail = []
+            covered = root_covered
+            while True:
                 try:
                     lhs, rhs = law.evaluate(env)
                     ok = equal(lhs, rhs)
                 except _Demand as demand:
                     slot, key = demand.args
-                    pending += _split(node, slot, key, len(lazy[slot][1].codomain))
+                    digits[slot][key] = 0
+                    trail.append(demand.args)
+                    covered //= bases[slot]
                     continue
                 checked += covered
-                if ok:
-                    continue
-                sides = (env, lhs, rhs) if total else None
-                if not lazy:
-                    _keep(found, row, sides, max_witnesses)
-                    continue
-                for order in _cube(row, node, spaces, lazy):
-                    if not _keep(found, order, sides, max_witnesses):
+                if not ok:
+                    for order in _cube(row, digits, spaces, lazy):
+                        if not _keep(found, order, None, max_witnesses):
+                            break
+                # backtrack: the deepest point with a value left takes it
+                while trail:
+                    slot, key = trail[-1]
+                    vector = digits[slot]
+                    if vector[key] + 1 < bases[slot]:
+                        vector[key] += 1
                         break
+                    vector[key] = None
+                    covered *= bases[slot]
+                    trail.pop()
+                else:
+                    break
         failures = []
         for order, sides in found:
             if sides is None:

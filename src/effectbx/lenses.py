@@ -32,7 +32,11 @@ class Lens:
 
 
 def identity_lens() -> Lens:
-    return Lens(lambda a: a, lambda _s, v: v, lambda v: v)
+    return Lens(
+        lambda a: a,
+        lambda _s, v: v,
+        lambda v: v,
+    )
 
 
 _NO_DEFAULT = object()
@@ -42,12 +46,20 @@ def fst_lens(default_b=_NO_DEFAULT) -> Lens:
     """Project the first component.  ``create`` exists only when a default for
     the hidden component is supplied explicitly; no value is invented."""
     create = None if default_b is _NO_DEFAULT else (lambda v: (v, default_b))
-    return Lens(lambda s: s[0], lambda s, v: (v, s[1]), create)
+    return Lens(
+        lambda s: s[0],
+        lambda s, v: (v, s[1]),
+        create,
+    )
 
 
 def snd_lens(default_a=_NO_DEFAULT) -> Lens:
     create = None if default_a is _NO_DEFAULT else (lambda v: (default_a, v))
-    return Lens(lambda s: s[1], lambda s, v: (s[0], v), create)
+    return Lens(
+        lambda s: s[1],
+        lambda s, v: (s[0], v),
+        create,
+    )
 
 
 def lift_lens(fam: EffectFamily, l: Lens) -> Lens:
@@ -100,7 +112,9 @@ def theta(l: Lens, m: Stateful) -> Stateful:
         v = l.view(s)
         return fam.bind(
             m.run(v),
-            lambda pair: fam.map(l.update(s, pair[1]), lambda s1: (pair[0], s1)),
+            lambda pair: fam.map(l.update(s, pair[1]), (
+                lambda s1: (pair[0], s1)
+            )),
         )
 
     return Stateful(fam, run)

@@ -12,6 +12,7 @@ from effectbx import (
     NOTHING,
     alert_bx,
     check_seven_laws,
+    check_suite,
     choice_family,
     console_family,
     console_run,
@@ -226,6 +227,22 @@ def test_switch_two_lens_family_reads_env():
     value, _ = switched.get_r.run((1, 0))(False)
     assert value == 0
     assert check_seven_laws(switched).ok
+
+
+def test_switch_builds_each_member_once():
+    fam = reader_family((False, True))
+    built = []
+
+    def pick(flag):
+        built.append(flag)
+        lens = fst_lens() if flag else snd_lens()
+        return lens_to_bx(lens, PAIRS, BIT, fam=fam)
+
+    switched = switch_bx(fam, pick)
+    verdicts = [check_suite(switched, suite).ok
+                for suite in ("seven", "overwritable", "stability")]
+    assert verdicts == [True, True, False]
+    assert built == [False, True]
 
 
 # ---------------------------------------------------------------------------

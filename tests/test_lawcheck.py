@@ -340,6 +340,29 @@ def test_comparing_or_hashing_a_section_matches_plain_enumeration(observe):
     assert curried.to_json() == plain.to_json()
 
 
+@pytest.mark.parametrize("functions", [
+    enumerate_functions(DOM3, COD3),
+    enumerate_functions(D2, enumerate_functions(D2, BIT)),
+], ids=["plain", "curried"])
+def test_a_function_quantifier_returned_as_a_side_is_witnessed_decoded(functions):
+    # comparing the quantifier itself reads every point, so each failing
+    # assignment is found by a full evaluation over the live view
+    fixed = functions.decode(0)
+
+    def report(functions):
+        law = Law("is-fixed", [("f", functions)], lambda e: e["f"], lambda e: fixed)
+        return run_laws("demo", [law], operator.eq, max_witnesses=5)
+
+    lazy, plain = report(functions), report(tuple(functions))
+    assert lazy.to_json() == plain.to_json()
+    failures = lazy.law("is-fixed").failures
+    assert len(failures) == 5
+    for i, w in enumerate(failures, start=1):
+        assert type(w.env["f"]) is FiniteFunction
+        assert w.env["f"] == functions.decode(i)
+        assert w.lhs == w.inputs["f"] == repr(functions.decode(i))
+
+
 def test_a_full_section_is_its_decoded_value_while_others_are_unassigned():
     seen = []
 
@@ -387,3 +410,13 @@ def test_curried_reader_continuations_cost_pinned_evaluations(monkeypatch):
         monkeypatch, lambda: check_monad_laws(fam, DOM3))
     assert d3.law("left-unit").checked == 59_049
     assert d3_evaluations["left-unit"] == 120
+
+
+def test_choice_continuations_cost_pinned_evaluations(monkeypatch):
+    d2, evaluations = _evaluations(
+        monkeypatch, lambda: check_monad_laws(choice_family(), D2))
+    assert d2.mode == "exhaustive" and d2.ok
+    assert d2.law("associativity").checked == 16_807
+    assert evaluations["associativity"] == 4_515
+    assert d2.law("left-unit").checked == 98
+    assert evaluations["left-unit"] == 16
