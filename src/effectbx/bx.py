@@ -96,34 +96,14 @@ def overwritable_laws(bx: Bx):
 
 @dataclass(frozen=True)
 class TransparencyAnalysis:
-    """``read_l``/``read_r`` are the views at each of ``states``, where
-    ``tuple.index`` finds a state by ``==`` (never by its repr)."""
+    """``read_l``/``read_r`` map a state to its view (None when the bx is
+    opaque); ``opaque_states`` are the states where a get is not a pure
+    query."""
 
     transparent: bool
-    states: tuple
-    read_l: Optional[tuple]
-    read_r: Optional[tuple]
-    opaque_states: tuple = ()
-    resolve_l: Optional[Callable] = None
-    resolve_r: Optional[Callable] = None
-
-    def read_l_fn(self):
-        return lambda s: self._read(self.read_l, self.resolve_l, s)
-
-    def read_r_fn(self):
-        return lambda s: self._read(self.read_r, self.resolve_r, s)
-
-    def _read(self, views, resolve, s):
-        try:
-            return views[self.states.index(s)]
-        except ValueError:
-            pass
-        # states reached outside the declared domain still resolve, as long
-        # as the get stays a pure query there
-        fresh = resolve(s) if resolve else None
-        if fresh is None:
-            raise UnobservableEffect(f"get is not a pure query at state {s!r}")
-        return fresh[0]
+    read_l: Optional[Callable]
+    read_r: Optional[Callable]
+    opaque_states: tuple
 
 
 def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
@@ -150,17 +130,34 @@ def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
             continue
         read_l.append(a_hit[0])
         read_r.append(b_hit[0])
-    states = bx.state_domain.elements
     if opaque:
-        return TransparencyAnalysis(False, states, None, None, tuple(opaque))
+        return TransparencyAnalysis(False, None, None, tuple(opaque))
+    states = bx.state_domain.elements
     return TransparencyAnalysis(
         True,
-        states,
-        tuple(read_l),
-        tuple(read_r),
-        resolve_l=lambda s: _extract_pure(fam, bx.get_l, s, bx.dom_a),
-        resolve_r=lambda s: _extract_pure(fam, bx.get_r, s, bx.dom_b),
+        _read_map(fam, bx.get_l, bx.dom_a, states, tuple(read_l)),
+        _read_map(fam, bx.get_r, bx.dom_b, states, tuple(read_r)),
+        (),
     )
+
+
+def _read_map(fam, getter, dom, states, views):
+    """The read map of a transparent side: the view at each of ``states``,
+    found by ``tuple.index`` (so by ``==``, never by repr)."""
+
+    def read(s):
+        try:
+            return views[states.index(s)]
+        except ValueError:
+            pass
+        # states reached outside the declared domain still resolve, as long
+        # as the get stays a pure query there
+        fresh = _extract_pure(fam, getter, s, dom)
+        if fresh is None:
+            raise UnobservableEffect(f"get is not a pure query at state {s!r}")
+        return fresh[0]
+
+    return read
 
 
 def _extract_pure(fam, getter, s, dom):

@@ -207,11 +207,13 @@ def _load_script(path):
 # sync
 
 
-def _parse_value(text):
+def _parse_value(value):
+    """Parse a string as an int where it reads as one; pass any other value
+    (a script's number, boolean or null) through unchanged."""
     try:
-        return int(text)
-    except (ValueError, TypeError):
-        return text
+        return int(value) if isinstance(value, str) else value
+    except ValueError:
+        return value
 
 
 def _cmd_sync(args) -> int:

@@ -77,13 +77,11 @@ def join_states(bx1: Bx, bx2: Bx) -> FiniteDomain:
 
 
 def _join_states(bx1, bx2, a1, a2) -> FiniteDomain:
-    read_r1 = a1.read_r_fn()
-    read_l2 = a2.read_l_fn()
     pairs = tuple(
         (s1, s2)
         for s1 in bx1.state_domain
         for s2 in bx2.state_domain
-        if read_r1(s1) == read_l2(s2)
+        if a1.read_r(s1) == a2.read_l(s2)
     )
     return FiniteDomain(f"{bx1.name};{bx2.name}-join", pairs)
 
@@ -135,10 +133,6 @@ def compose_init(bx1: InitBx, bx2: InitBx) -> InitBx:
 
 def _compose_direct(bx1, bx2, a1, a2) -> Bx:
     fam = bx1.effect
-    read_l1 = a1.read_l_fn()
-    read_r1 = a1.read_r_fn()
-    read_l2 = a2.read_l_fn()
-    read_r2 = a2.read_r_fn()
 
     def set_l(a):
         def run(state):
@@ -146,7 +140,7 @@ def _compose_direct(bx1, bx2, a1, a2) -> Bx:
             return fam.bind(
                 bx1.set_l(a).run(s1),
                 lambda p1: fam.bind(
-                    bx2.set_l(read_r1(p1[1])).run(s2),
+                    bx2.set_l(a1.read_r(p1[1])).run(s2),
                     lambda p2: fam.unit(((), (p1[1], p2[1]))),
                 ),
             )
@@ -159,7 +153,7 @@ def _compose_direct(bx1, bx2, a1, a2) -> Bx:
             return fam.bind(
                 bx2.set_r(c).run(s2),
                 lambda p2: fam.bind(
-                    bx1.set_r(read_l2(p2[1])).run(s1),
+                    bx1.set_r(a2.read_l(p2[1])).run(s1),
                     lambda p1: fam.unit(((), (p1[1], p2[1]))),
                 ),
             )
@@ -169,9 +163,9 @@ def _compose_direct(bx1, bx2, a1, a2) -> Bx:
     return Bx(
         name=f"{bx1.name};{bx2.name}",
         effect=fam,
-        get_l=Stateful(fam, lambda st: fam.unit((read_l1(st[0]), st))),
+        get_l=Stateful(fam, lambda st: fam.unit((a1.read_l(st[0]), st))),
         set_l=set_l,
-        get_r=Stateful(fam, lambda st: fam.unit((read_r2(st[1]), st))),
+        get_r=Stateful(fam, lambda st: fam.unit((a2.read_r(st[1]), st))),
         set_r=set_r,
         state_domain=_join_states(bx1, bx2, a1, a2),
         dom_a=bx1.dom_a,
@@ -348,7 +342,7 @@ def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> 
 
 def left_identity_bijection(bx: Bx) -> StateBijection:
     """bx  ==>  identity ; bx, sending s to (read_l s, s)."""
-    read_l = _require_transparent(bx).read_l_fn()
+    read_l = _require_transparent(bx).read_l
     return StateBijection(
         forward=lambda s: (read_l(s), s),
         backward=lambda pair: pair[1],
@@ -357,7 +351,7 @@ def left_identity_bijection(bx: Bx) -> StateBijection:
 
 def right_identity_bijection(bx: Bx) -> StateBijection:
     """bx  ==>  bx ; identity, sending s to (s, read_r s)."""
-    read_r = _require_transparent(bx).read_r_fn()
+    read_r = _require_transparent(bx).read_r
     return StateBijection(
         forward=lambda s: (s, read_r(s)),
         backward=lambda pair: pair[0],

@@ -29,8 +29,10 @@ quantifier, the candidate vector of Korat (Boyapati, Khurshid & Marinov,
 2002): a law sees a live view of the vector, a demanded point is set in
 place and pushed on a trail, and backtracking advances or undoes the
 trail's last point.  No node is copied, and a function is decoded only to
-be compared, hashed or printed once all its points are assigned, or to
-become a witness, which is evaluated again from the decoded functions.
+be compared, hashed or printed once all its points are assigned.  Sampled
+rows and rows with no function quantifier take the same walk, which then
+ends at the first evaluation; a failing row is kept as its indices and
+evaluated again from their decoded values to become a witness.
 """
 
 from __future__ import annotations
@@ -355,24 +357,25 @@ class _CurriedFunction:
     ``decode`` picks, so comparing it demands nothing.  ``==``, ``hash`` and
     ``repr`` act on the ``FiniteFunction`` of the sections."""
 
-    __slots__ = ("keys", "values", "digits", "width", "base", "starts", "sections")
+    __slots__ = ("keys", "values", "digits", "start", "width", "base", "sections")
 
     def __init__(self, g, keys, values, inner):
         self.keys = keys
         self.values = values
         self.digits = g.digits
+        self.start = g.start
         self.width = len(inner.keys)
         self.base = len(inner.codomain)
-        self.starts = range(g.start, g.start + len(keys) * self.width, self.width)
-        self.sections = tuple(inner.wrap(_PartialFunction(g.slot, inner, g.digits, start))
-                              for start in self.starts)
+        self.sections = tuple(
+            inner.wrap(_PartialFunction(g.slot, inner, g.digits, g.start + j * self.width))
+            for j in range(len(keys)))
 
     def __call__(self, k):
         try:
             j = self.keys.index(k)
         except ValueError:
             raise KeyError(f"{k!r} outside function domain") from None
-        start = self.starts[j]
+        start = self.start + j * self.width
         digits = self.digits[start:start + self.width]
         if None in digits:
             return self.sections[j]
@@ -397,16 +400,12 @@ def _index(digits, base):
     return sum(d * base ** j for j, d in enumerate(digits))
 
 
-def _cube(row, node, spaces, lazy):
-    """The assignments that agree with ``node``, the digit vectors of the
-    function quantifiers, as tuples of one index per quantifier, in
-    enumeration order (so the first ones come first).  ``row`` numbers the
-    assignment of the other quantifiers in their product."""
-    indices = []
-    for d in reversed(spaces):
-        row, digit = divmod(row, 1 if d.functions else d.size)
-        indices.append(digit)
-    indices.reverse()
+def _cube(indices, node, lazy):
+    """The assignments that agree with ``indices``, one index per quantifier
+    (None for each function quantifier), and with ``node``, the digit
+    vectors of the function quantifiers, as index tuples in enumeration
+    order (so the first ones come first)."""
+    indices = list(indices)
     # the free keys, most significant first: earlier quantifiers, then later keys
     free = [(slot, j) for slot, digits in enumerate(node)
             for j in reversed(range(len(digits))) if digits[j] is None]
@@ -420,34 +419,35 @@ def _cube(row, node, spaces, lazy):
         yield tuple(indices)
 
 
-def _keep(found, order, sides, limit):
-    """Insert ``(order, sides)`` into ``found``, which holds the ``limit``
+def _keep(found, order, indices, limit):
+    """Insert ``(order, indices)`` into ``found``, which holds the ``limit``
     lowest orders seen in order; False when ``order`` is too late to be kept."""
     if len(found) >= limit and (not found or order >= found[-1][0]):
         return False
-    bisect.insort(found, (order, sides), key=lambda item: item[0])
+    bisect.insort(found, (order, indices), key=lambda item: item[0])
     del found[limit:]
     return True
 
 
 def _assignments(spaces, cap, sample, seed):
-    """Yield (mode, iterator of value tuples) over the product of ``spaces``:
-    every tuple in order when there are at most ``cap`` of them, with None
-    standing for each function space (``run_laws`` assigns those point by
-    point), else ``sample`` seeded draws, one decoded index per space."""
+    """Yield (mode, iterator of index tuples, one index per space) over the
+    product of ``spaces``: every tuple in order when there are at most
+    ``cap`` of them, with None standing for each function space
+    (``run_laws`` assigns those point by point), else ``sample`` seeded
+    draws."""
     total = math.prod(d.size for d in spaces)
     if total == 0:  # vacuous quantification: build no other space
         return "exhaustive", iter(())
     if not spaces or total <= cap:
         return "exhaustive", itertools.product(
-            *((None,) if d.functions else d for d in spaces))
+            *((None,) if d.functions else range(d.size) for d in spaces))
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     rng = random.Random(seed)
 
     def sampled():
         for _ in range(sample):
-            yield tuple(d.decode(rng.randrange(d.size)) for d in spaces)
+            yield tuple(rng.randrange(d.size) for d in spaces)
 
     return f"sampled(n={sample},seed={seed})", sampled()
 
@@ -474,12 +474,16 @@ def run_laws(subject_name: str, laws, equal,
     through a view built once per law; the walk sets a demanded point in
     place, records it on a trail and undoes it on backtracking, so the nodes
     are visited depth first with no copies, and a function is decoded only
-    to compare, hash or print it or to report it.  ``checked`` counts the
-    assignments covered, exactly as many as plain enumeration would
-    evaluate, and the witnesses are the first ``max_witnesses`` failing
-    assignments, each evaluated again in full from decoded values.  Output
-    ordering is deterministic: laws in given order, witnesses in enumeration
-    order (or in seeded sample order above the cap).
+    to compare, hash or print it.  ``checked`` counts the assignments
+    covered, exactly as many as plain enumeration would evaluate.
+
+    Every row takes this one loop: it is one index per quantifier (None for
+    a function quantifier when exhaustive), its plain indices are decoded
+    into ``env``, and with no function quantifier (or when sampled) the
+    walk ends at the first evaluation, covering 1.  The witnesses are the
+    first ``max_witnesses`` failing index tuples, each evaluated again from
+    decoded values.  Output ordering is deterministic: laws in given order,
+    witnesses in enumeration order (or in seeded sample order).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -490,8 +494,9 @@ def run_laws(subject_name: str, laws, equal,
         names = [name for name, _dom in law.quantifiers]
         mode, assignments = _assignments(spaces, cap, sample, seed)
         modes.add(mode)
+        exhaustive = mode == "exhaustive"
         lazy = [(i, d.functions) for i, d in enumerate(spaces)
-                if d.functions and mode == "exhaustive"]
+                if d.functions and exhaustive]
         # one live digit vector per function quantifier, None where unassigned
         digits = [[None] * len(form.keys) for _i, form in lazy]
         bases = [len(form.codomain) for _i, form in lazy]
@@ -500,17 +505,12 @@ def run_laws(subject_name: str, laws, equal,
         # the assignments a node covers before any point is assigned
         root_covered = math.prod(base ** len(d) for base, d in zip(bases, digits))
         checked = 0
-        # the first failing assignments: (order, (env, lhs, rhs)), or
-        # (order, None) when found by the walk, to be evaluated again
+        # the first failing assignments as (order, indices): the order is the
+        # index tuple itself when exhaustive, the draw's position when sampled
         found = []
-        for row, values in enumerate(assignments):
-            env = dict(zip(names, values))
-            if not lazy:
-                lhs, rhs = law.evaluate(env)
-                checked += 1
-                if not equal(lhs, rhs):
-                    _keep(found, row, (env, lhs, rhs), max_witnesses)
-                continue
+        for row, indices in enumerate(assignments):
+            env = {name: d.decode(i)
+                   for name, d, i in zip(names, spaces, indices) if i is not None}
             env.update(views)
             # the assigned points, in the order the law demanded them
             trail = []
@@ -527,8 +527,9 @@ def run_laws(subject_name: str, laws, equal,
                     continue
                 checked += covered
                 if not ok:
-                    for order in _cube(row, digits, spaces, lazy):
-                        if not _keep(found, order, None, max_witnesses):
+                    for full in _cube(indices, digits, lazy):
+                        if not _keep(found, full if exhaustive else row, full,
+                                     max_witnesses):
                             break
                 # backtrack: the deepest point with a value left takes it
                 while trail:
@@ -543,12 +544,9 @@ def run_laws(subject_name: str, laws, equal,
                 else:
                     break
         failures = []
-        for order, sides in found:
-            if sides is None:
-                env = {name: d.decode(i) for name, d, i in zip(names, spaces, order)}
-                lhs, rhs = law.evaluate(env)
-            else:
-                env, lhs, rhs = sides
+        for _order, indices in found:
+            env = {name: d.decode(i) for name, d, i in zip(names, spaces, indices)}
+            lhs, rhs = law.evaluate(env)
             failures.append(
                 Witness(
                     inputs={k: stable_repr(v) for k, v in env.items()},

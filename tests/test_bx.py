@@ -87,7 +87,7 @@ def test_overwritable_verdicts():
 def test_transparency_identity():
     analysis = analyze_transparency(identity_bx(identity_family(), BIT))
     assert analysis.transparent
-    read_l = analysis.read_l_fn()
+    read_l = analysis.read_l
     for s in BIT:
         assert read_l(s) == s
 
@@ -96,8 +96,8 @@ def test_transparency_reads_an_unhashable_state_by_equality_not_repr():
     # [0] and "[0]" print alike; the read maps must still tell them apart
     analysis = analyze_transparency(
         identity_bx(identity_family(), FiniteDomain("mixed", ([0], "[0]"))))
-    assert analysis.read_l_fn()([0]) == [0]
-    assert analysis.read_r_fn()("[0]") == "[0]"
+    assert analysis.read_l([0]) == [0]
+    assert analysis.read_r("[0]") == "[0]"
 
 
 def test_transparency_resolves_a_state_outside_the_domain_through_a_pure_get():
@@ -107,9 +107,9 @@ def test_transparency_resolves_a_state_outside_the_domain_through_a_pure_get():
     escaping = replace(bx, get_l=Stateful(fam, lambda s: (s, 0 if s == 2 else s)))
     analysis = analyze_transparency(escaping)
     assert analysis.transparent
-    assert analysis.read_r_fn()(2) == 2
+    assert analysis.read_r(2) == 2
     with pytest.raises(UnobservableEffect, match="not a pure query at state 2"):
-        analysis.read_l_fn()(2)
+        analysis.read_l(2)
 
 
 def test_transparency_switch_is_opaque():
@@ -126,7 +126,7 @@ def test_log_wrapping_preserves_transparency():
 def test_extracted_read_matches_get_pointwise():
     bx = lens_to_bx(fst_lens(), PAIRS, BIT)
     analysis = analyze_transparency(bx)
-    read_r = analysis.read_r_fn()
+    read_r = analysis.read_r
     fam = bx.effect
     for s in bx.state_domain:
         assert fam.equal_values(bx.get_r.run(s), fam.unit((read_r(s), s)))

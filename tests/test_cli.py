@@ -215,6 +215,16 @@ def test_sync_dump(tmp_path, capsys):
     assert payload["memo_l"] == [[[2, 10], 7]]
 
 
+@pytest.mark.parametrize("initial, pair", [
+    ({"a": 1.5, "b": True}, [1.5, True]),
+    ({"a": "2", "b": "x"}, [2, "x"]),
+], ids=["numbers-kept", "strings-parsed"])
+def test_sync_script_parses_only_string_initial_values(tmp_path, capsys, initial, pair):
+    path = _write_session(tmp_path, [], [], initial=initial)
+    assert main(["sync", "--script", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["state"]["pair"] == pair
+
+
 def test_sync_script_exhaustion_exit_code(tmp_path, capsys):
     path = _write_session(tmp_path, [{"side": "L", "value": 2}], [])
     assert main(["sync", "--script", path]) == 3

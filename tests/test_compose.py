@@ -49,7 +49,7 @@ def test_identity_bx_is_well_behaved_transparent_overwritable():
     assert check_suite(bx, "overwritable").ok
     analysis = analyze_transparency(bx)
     assert analysis.transparent
-    assert analysis.read_l_fn()(1) == 1 and analysis.read_r_fn()(0) == 0
+    assert analysis.read_l(1) == 1 and analysis.read_r(0) == 0
 
 
 def test_dual_swaps_operations():

@@ -12,6 +12,7 @@ from effectbx import (
     FiniteFunction,
     Law,
     check_monad_laws,
+    check_suite,
     choice_family,
     enumerate_functions,
     enumerate_stateful,
@@ -19,7 +20,7 @@ from effectbx import (
     run_laws,
     state_law_suite,
 )
-from effectbx.corpus import run_corpus
+from effectbx.corpus import mutant_set_l_get_l, run_corpus
 from effectbx.lawcheck import DEFAULT_CAP, _PartialFunction
 
 
@@ -66,17 +67,22 @@ def test_sampling_decodes_only_the_drawn_functions():
     r1 = run_laws("demo", [law], operator.eq, cap=1000)
     r2 = run_laws("demo", [law], operator.eq, cap=1000)
     assert r1.mode == "sampled(n=400,seed=0)"
-    assert r1.law("zero-at-x").checked == 400 and r1.law("zero-at-x").failures
-    assert len(decoded) == 2 * 400
+    assert r1.law("zero-at-x").checked == 400 and len(r1.law("zero-at-x").failures) == 3
+    # each run decodes its 400 draws, then its 3 witnesses again from their indices
+    assert len(decoded) == 2 * (400 + 3)
     assert r1.to_json() == r2.to_json()
 
 
-@pytest.mark.parametrize("cap, mode", [(DEFAULT_CAP, "exhaustive"),
-                                       (10, "sampled(n=50,seed=2)")])
-def test_lazy_space_and_its_tuple_give_identical_reports(cap, mode):
+@pytest.mark.parametrize("cap, mode, cod", [
+    (DEFAULT_CAP, "exhaustive", FiniteDomain("c", ("x", "y", "z"))),
+    (10, "sampled(n=50,seed=2)", FiniteDomain("c", ("x", "y", "z"))),
+    # the one function on an empty domain: every section has no points
+    (DEFAULT_CAP, "exhaustive",
+     enumerate_functions(FiniteDomain("e", ()), FiniteDomain("c", ("x", "y")))),
+], ids=["1000000-exhaustive", "10-sampled(n=50,seed=2)", "empty-sections"])
+def test_lazy_space_and_its_tuple_give_identical_reports(cap, mode, cod):
     # decoding index i must give the i-th element of the iteration order
     dom = FiniteDomain("d", (0, 1, 2))
-    cod = FiniteDomain("c", ("x", "y", "z"))
 
     def report(functions):
         law = Law(
@@ -92,7 +98,8 @@ def test_lazy_space_and_its_tuple_give_identical_reports(cap, mode):
     eager = report(tuple(enumerate_functions(dom, cod)))
     finite = report(FiniteDomain("fns", enumerate_functions(dom, cod)))
     assert lazy.mode == mode
-    assert lazy.law("constant").failures
+    # every function into a codomain of one value is constant
+    assert lazy.law("constant").ok == (len(cod) == 1)
     assert lazy.to_json() == eager.to_json() == finite.to_json()
 
 
@@ -420,3 +427,27 @@ def test_choice_continuations_cost_pinned_evaluations(monkeypatch):
     assert evaluations["associativity"] == 4_515
     assert d2.law("left-unit").checked == 98
     assert evaluations["left-unit"] == 16
+
+
+def test_a_failing_law_without_function_quantifiers_costs_its_rows_and_witnesses(
+        monkeypatch):
+    # every row is one evaluation, and each witness is evaluated again from
+    # its indices
+    report, evaluations = _evaluations(
+        monkeypatch, lambda: check_suite(mutant_set_l_get_l(), "seven"))
+    result = report.law("set_l-get_l")
+    assert result.checked == 8 and len(result.failures) == 3
+    assert evaluations["set_l-get_l"] == result.checked + len(result.failures) == 11
+    assert evaluations["get_l-get_l"] == report.law("get_l-get_l").checked == 4
+
+
+def test_a_failing_sampled_law_costs_its_draws_and_witnesses(monkeypatch):
+    space = enumerate_functions(DOM3, FiniteDomain("c", tuple(range(100))))
+    law = Law("zero-at-x", [("f", space), ("x", DOM3)],
+              lambda e: e["f"](e["x"]), lambda e: 0)
+    report, evaluations = _evaluations(
+        monkeypatch, lambda: run_laws("demo", [law], operator.eq, cap=1000))
+    result = report.law("zero-at-x")
+    assert report.mode == "sampled(n=400,seed=0)"
+    assert result.checked == 400 and len(result.failures) == 3
+    assert evaluations["zero-at-x"] == 400 + 3

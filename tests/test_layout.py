@@ -1,7 +1,8 @@
-"""Source layout that the profiling tools rely on."""
+"""Rules on the package source: one function per first line, stdlib-only imports."""
 
 import ast
 import collections
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,19 @@ def test_no_line_starts_two_functions(path):
         if isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))
     )
     assert sorted(line for line, count in starts.items() if count > 1) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    # the package stays stdlib-only: every import is relative or names a
+    # module of the standard library
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        outside += [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
