@@ -70,6 +70,14 @@ class FiniteDomain:
     def __post_init__(self):
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
+        # a set finds no duplicate in linear time; the pairwise scan, which
+        # tests identity before equality, names the first duplicate and
+        # handles unhashable elements
+        try:
+            if len(set(elems)) == len(elems):
+                return
+        except TypeError:
+            pass
         for i, e in enumerate(elems):
             if e in elems[:i]:
                 raise ValueError(f"domain {self.name!r} has duplicate element {e!r}")

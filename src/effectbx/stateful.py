@@ -3,7 +3,6 @@ over (result, state) pairs, interpreted in a pluggable effect family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -19,33 +18,60 @@ from .lawcheck import (
 )
 
 
-@dataclass(frozen=True)
 class Stateful:
     """A computation ``run: S -> Eff((A, S))`` in a fixed effect family.
 
-    Values are immutable and first-class; law checking compares them
-    extensionally, pointwise over declared finite state domains.
+    Values are first-class and immutable by convention (nothing assigns to
+    ``effect`` or ``run`` after construction); law checking compares them
+    extensionally, pointwise over declared finite state domains.  The class
+    has slots and a plain ``__init__``, since the checker builds tens of
+    thousands per pass; repr, equality and hash are those of a frozen
+    dataclass over ``(effect, run)``.
     """
 
-    effect: EffectFamily
-    run: Callable[[Any], Any]
+    __slots__ = ("effect", "run")
+
+    def __init__(self, effect: EffectFamily, run: Callable[[Any], Any]):
+        self.effect = effect
+        self.run = run
+
+    def __repr__(self):
+        return f"Stateful(effect={self.effect!r}, run={self.run!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.effect, self.run) == (other.effect, other.run)
+
+    def __hash__(self):
+        return hash((self.effect, self.run))
+
+    # map and then build their closures directly rather than through bind,
+    # saving an st_unit computation and a closure on every run of the
+    # continuation; each inner lambda on a line of its own, so that
+    # profilers, which key a function by (file, first line, name), tell it
+    # from the outer
 
     def bind(self, k: Callable[[Any], "Stateful"]) -> "Stateful":
         fam = self.effect
-        # each inner lambda on a line of its own, so that profilers, which
-        # key a function by (file, first line, name), tell it from the outer
-        return Stateful(
-            fam,
-            lambda s: fam.bind(self.run(s), (
-                lambda pair: k(pair[0]).run(pair[1])
-            )),
-        )
+        bind, run = fam.bind, self.run
+        return Stateful(fam, lambda s: bind(run(s), (
+            lambda pair: k(pair[0]).run(pair[1])
+        )))
 
     def map(self, f) -> "Stateful":
-        return self.bind(lambda a: st_unit(self.effect, f(a)))
+        fam = self.effect
+        bind, unit, run = fam.bind, fam.unit, self.run
+        return Stateful(fam, lambda s: bind(run(s), (
+            lambda pair: unit((f(pair[0]), pair[1]))
+        )))
 
     def then(self, m: "Stateful") -> "Stateful":
-        return self.bind(lambda _a: m)
+        fam = self.effect
+        bind, run = fam.bind, self.run
+        return Stateful(fam, lambda s: bind(run(s), (
+            lambda pair: m.run(pair[1])
+        )))
 
 
 def st_unit(fam: EffectFamily, a) -> Stateful:

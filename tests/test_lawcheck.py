@@ -182,6 +182,12 @@ def test_finite_domain_finds_a_duplicate_by_identity_before_equality():
     assert len(FiniteDomain("two-nans", (nan, float("nan")))) == 2
 
 
+def test_finite_domain_checks_unhashable_elements_pairwise():
+    with pytest.raises(ValueError, match=r"duplicate element \[1\]"):
+        FiniteDomain("lists", ([0], [1], [1]))
+    assert len(FiniteDomain("lists", ([0], [1], []))) == 3
+
+
 def test_vacuous_quantification_passes_with_zero_checks():
     law = Law(
         "vacuous",

@@ -1,5 +1,7 @@
 """State-transformer computations and the data-refinement construction."""
 
+import re
+
 import pytest
 
 from effectbx import (
@@ -28,8 +30,8 @@ from effectbx import (
     writer_family,
 )
 from effectbx.effects import morphism_laws
-from effectbx.lawcheck import enumerate_functions
-from effectbx.stateful import state_family
+from effectbx.lawcheck import enumerate_functions, stable_repr
+from effectbx.stateful import Stateful, enumerate_stateful, state_family
 
 BIT = FiniteDomain("bit", (0, 1))
 
@@ -92,6 +94,39 @@ def test_lift_zero_then_set_is_lift_zero():
     for x in BIT:
         assert stateful_equal(dead.then(st_set(fam, x)), dead.then(st_unit(fam, ())), BIT)
         assert dead.then(st_set(fam, x)).run(0) is NOTHING
+
+
+@pytest.mark.parametrize("fam", families(), ids=lambda f: f.name)
+def test_map_and_then_compute_what_their_binds_compute(fam):
+    # map and then build their closures directly; at every state they must
+    # agree with map f = bind (unit . f) and then n = bind (const n)
+    s2 = FiniteDomain("s2", (0, 1))
+    f = lambda a: (a, 1 - a)
+    n = st_set(fam, 1).then(st_get(fam))
+    space = enumerate_stateful(fam, s2, BIT)
+    for i in range(space.size):
+        m = space.decode(i)
+        for s in s2:
+            assert fam.equal(m.map(f).run(s),
+                             m.bind(lambda a: st_unit(fam, f(a))).run(s))
+            assert fam.equal(m.then(n).run(s),
+                             m.bind(lambda _a: n).run(s))
+
+
+def test_stateful_prints_compares_and_hashes_over_effect_and_run():
+    fam = identity_family()
+    run = lambda s: fam.unit((s, s))
+    m = Stateful(fam, run)
+    assert re.fullmatch(
+        r"Stateful\(effect=EffectFamily\(identity\), "
+        r"run=<function .* at 0x\.\.>\)",
+        stable_repr(m),
+    )
+    twin = Stateful(fam, run)
+    assert m == twin and hash(m) == hash(twin)
+    assert m != Stateful(fam, lambda s: fam.unit((s, s)))
+    assert m.__eq__(object()) is NotImplemented
+    assert not hasattr(m, "__dict__")
 
 
 @pytest.mark.parametrize("fam", families(), ids=lambda f: f.name)
