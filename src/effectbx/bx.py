@@ -267,6 +267,9 @@ def check_suite(bx: Bx, suite: str, cap=None, seed=0) -> LawReport:
     needs an ``InitBx``)."""
     if suite == "init" and not isinstance(bx, InitBx):
         raise NoInitializers(f"{bx.name} has no initializers")
+    missing = [f for f in ("state_domain", "dom_a", "dom_b") if getattr(bx, f) is None]
+    if missing:
+        raise UnobservableEffect(f"{bx.name} declares no {', '.join(missing)}")
     return run_laws(
         bx.name if suite == "seven" else f"{bx.name}:{suite}", SUITES[suite](bx),
         bx.effect.equal_values, cap=cap, seed=seed, effect=bx.effect.name,

@@ -8,7 +8,7 @@ from typing import Callable
 
 from .bx import Bx, InitBx, TransparencyAnalysis, analyze_transparency
 from .effects import EffectFamily
-from .errors import MiddleTypeMismatch, NotBijective, NotTransparent
+from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
 from .lenses import Lens, theta
 from .stateful import Stateful, st_eval, st_exec, st_get, st_set
@@ -89,8 +89,6 @@ def _join_states(bx1, bx2, a1, a2) -> FiniteDomain:
 def join_states_general(bx1: Bx, bx2: Bx) -> FiniteDomain:
     """Eval-based join predicate; meaningful for identity-effect bx only,
     where comparing the two get computations directly is decidable."""
-    from .errors import EffectbxError
-
     fam = bx1.effect
     if fam.name != "identity":
         raise EffectbxError("general join predicate requires the identity effect")

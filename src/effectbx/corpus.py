@@ -30,7 +30,12 @@ from .combinators import (
 )
 from .compose import dual, identity_bx
 from .effects import (
+    NOTHING,
     EffectFamily,
+    Just,
+    check_commutative,
+    check_monad_laws,
+    check_monad_morphism,
     choice_family,
     console_family,
     failure_family,
@@ -53,7 +58,7 @@ from .examples import (
 )
 from .lawcheck import FiniteDomain
 from .lenses import Lens, fst_lens
-from .stateful import Stateful
+from .stateful import Stateful, check_lift_morphism, state_law_suite
 
 
 BIT = FiniteDomain("bit", (0, 1))
@@ -507,9 +512,6 @@ def run_monad_suite(cap=None, seed=0) -> dict:
     """Monad laws (plus zero absorption) for every shipped family on domains
     of size 1..3, commutativity verdicts against the expected table, and the
     fixed monad-morphism checks."""
-    from .effects import NOTHING, Just, check_commutative, check_monad_laws, \
-        check_monad_morphism
-
     results = []
     ok = True
     doms = [
@@ -558,8 +560,6 @@ def run_monad_suite(cap=None, seed=0) -> dict:
 def run_state_suite(cap=None, seed=0) -> dict:
     """Get/set laws, discardable unused gets, lifting commutation, and the
     lift morphism, for every family over state domains of size 1..3."""
-    from .stateful import check_lift_morphism, state_law_suite
-
     results = []
     ok = True
     doms = [

@@ -6,7 +6,8 @@ class EffectbxError(Exception):
 
 
 class UnobservableEffect(EffectbxError):
-    """The effect family declares no (total) equality, so laws cannot be decided."""
+    """Laws cannot be decided: the effect family declares no (total)
+    equality, or a subject declares no finite domain to quantify over."""
 
 
 class ScriptExhausted(EffectbxError):

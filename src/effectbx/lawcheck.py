@@ -22,7 +22,8 @@ covered, not the evaluations made, and reads as if every assignment had been
 evaluated.  A function into a space of functions (a continuation whose
 values are reader or state-transformer values) is curried: its points are
 pairs of an outer and an inner argument, so the runner branches on one inner
-point at a time.
+point at a time, and a law sees it as a ``FiniteFunction`` whose values are
+the live views of its sections.
 
 The branching is a depth-first walk over one digit vector per function
 quantifier, the candidate vector of Korat (Boyapati, Khurshid & Marinov,
@@ -122,9 +123,10 @@ class FunctionForm:
 
     A space of functions into a space of functions is curried: its keys are
     the pairs ``(k, x)`` of an outer key and an inner one, outer key major,
-    its codomain is the inner codomain, and ``wrap`` gives the view whose
-    value at ``k`` is the inner function at ``(k, x)``, so a law that reads
-    one inner point assigns only that point."""
+    its codomain is the inner codomain, and ``wrap`` gives a
+    ``FiniteFunction`` whose value at ``k`` is the inner form's view of the
+    section at ``k``, the points ``(k, x)``, so a law that reads one inner
+    point assigns only that point."""
 
     keys: tuple
     codomain: tuple
@@ -164,7 +166,8 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
     When ``cod`` is a ``Space`` of functions with ``n`` keys and base ``b``,
     the form is curried (see ``FunctionForm``): index ``i`` is also
     ``sum d_jl * b**(j*n + l)`` over the digits ``d_jl`` of the inner value
-    at key ``j``, so the numbering does not change."""
+    at key ``j``, so the numbering does not change, and the section at key
+    ``j`` is the live view of the ``n`` digits from ``j * n``."""
     keys = tuple(dom.elements)
     values = tuple(cod)
     base = len(values)
@@ -179,10 +182,15 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
     inner = cod.functions if isinstance(cod, Space) else None
     if inner is None:
         return Space(base ** len(keys), decode, FunctionForm(keys, values, lambda g: g))
+    width = len(inner.keys)
+
+    def curried(g):
+        return FiniteFunction(keys, tuple(
+            inner.wrap(_PartialFunction(g.slot, inner, g.digits, g.start + j * width))
+            for j in range(len(keys))))
+
     pairs = tuple((k, x) for k in keys for x in inner.keys)
-    form = FunctionForm(pairs, inner.codomain,
-                        lambda g: _CurriedFunction(g, keys, values, inner))
-    return Space(base ** len(keys), decode, form)
+    return Space(base ** len(keys), decode, FunctionForm(pairs, inner.codomain, curried))
 
 
 def tuples_up_to(dom, max_len: int) -> tuple:
@@ -313,11 +321,13 @@ class _PartialFunction:
     """The live view of a function quantifier that ``run_laws`` assigns point
     by point: ``digits[start + j]`` is the codomain index given to
     ``keys[j]``, or None, and the walk changes ``digits`` in place, so one
-    view serves every node of the walk.  ``start`` is nonzero for a section
-    of a curried function, which views its own slice of the quantifier's
-    digits.  ``==``, ``hash`` and ``repr`` read the whole function: they
-    demand its first unassigned point, and once every point is assigned they
-    act on the decoded ``FiniteFunction``.  Keys are looked up as
+    view serves every node of the walk.  It is the only live view: a curried
+    function is a ``FiniteFunction`` of sections, each a view with a nonzero
+    ``start`` over its own slice of the quantifier's digits.  ``==``,
+    ``hash`` and ``repr`` read the whole function: they demand its first
+    unassigned point, and once every point is assigned they act on the
+    decoded ``FiniteFunction``, so a full section compares, hashes and
+    prints as the element ``decode`` picks.  Keys are looked up as
     ``FiniteFunction`` does."""
 
     __slots__ = ("slot", "keys", "codomain", "digits", "start")
@@ -354,52 +364,6 @@ class _PartialFunction:
 
     def __repr__(self):
         return repr(self._decoded())
-
-
-class _CurriedFunction:
-    """The live view of a function into a function space, over the digits of
-    the partial function ``g`` whose keys are (outer key, inner key) pairs:
-    the section at outer key ``j`` views the ``len(inner.keys)`` digits from
-    ``g.start + j * len(inner.keys)``.  A section with an unassigned point is
-    a live view of its own; a full one is the element of ``values`` that
-    ``decode`` picks, so comparing it demands nothing.  ``==``, ``hash`` and
-    ``repr`` act on the ``FiniteFunction`` of the sections."""
-
-    __slots__ = ("keys", "values", "digits", "start", "width", "base", "sections")
-
-    def __init__(self, g, keys, values, inner):
-        self.keys = keys
-        self.values = values
-        self.digits = g.digits
-        self.start = g.start
-        self.width = len(inner.keys)
-        self.base = len(inner.codomain)
-        self.sections = tuple(
-            inner.wrap(_PartialFunction(g.slot, inner, g.digits, g.start + j * self.width))
-            for j in range(len(keys)))
-
-    def __call__(self, k):
-        try:
-            j = self.keys.index(k)
-        except ValueError:
-            raise KeyError(f"{k!r} outside function domain") from None
-        start = self.start + j * self.width
-        digits = self.digits[start:start + self.width]
-        if None in digits:
-            return self.sections[j]
-        return self.values[_index(digits, self.base)]
-
-    def _sections(self):
-        return FiniteFunction(self.keys, tuple(map(self, self.keys)))
-
-    def __eq__(self, other):
-        return self._sections() == other
-
-    def __hash__(self):
-        return hash(self._sections())
-
-    def __repr__(self):
-        return repr(self._sections())
 
 
 def _index(digits, base):

@@ -14,8 +14,11 @@ from effectbx import (
     check_init_laws,
     check_seven_laws,
     check_suite,
+    composers_bx,
+    console_family,
     consistent_pairs,
     const_bx,
+    dynamic_console_bx,
     fst_lens,
     identity_bx,
     identity_family,
@@ -23,6 +26,7 @@ from effectbx import (
     Bx,
     InitBx,
     Lens,
+    NoInitializers,
     lens_to_bx,
     log_bx,
     writer_family,
@@ -191,6 +195,17 @@ def test_check_suite_names_the_subject_per_suite():
 def test_check_suite_refuses_init_without_initializers():
     with pytest.raises(ValueError, match="mutant-unstable has no initializers"):
         check_suite(mutant_unstable(), "init")
+
+
+def test_check_suite_refuses_a_bx_without_finite_domains():
+    for bx in (composers_bx(), dynamic_console_bx(console_family())):
+        for suite in ("seven", "overwritable", "stability", "init"):
+            if suite == "init" and not isinstance(bx, InitBx):
+                error, message = NoInitializers, "has no initializers"
+            else:
+                error, message = UnobservableEffect, "declares no state_domain, dom_a, dom_b"
+            with pytest.raises(error, match=f"^{bx.name} {message}$"):
+                check_suite(bx, suite)
 
 
 def test_run_corpus_refuses_unknown_entry_names():

@@ -11,16 +11,20 @@ from effectbx import (
     FiniteDomain,
     FiniteFunction,
     Law,
+    check_lift_morphism,
     check_monad_laws,
     check_suite,
+    check_theta_morphism,
     choice_family,
     enumerate_functions,
     enumerate_stateful,
+    fst_lens,
+    identity_family,
     reader_family,
     run_laws,
     state_law_suite,
 )
-from effectbx.corpus import mutant_set_l_get_l, run_corpus
+from effectbx.corpus import mutant_set_l_get_l, non_overwrite_lens, run_corpus
 from effectbx.lawcheck import DEFAULT_CAP, _PartialFunction
 
 
@@ -315,7 +319,13 @@ READER = reader_family((0, 1))
      lambda e: e["k"].run(e["s"]),
      lambda e: e["k"].run(0),
      READER.equal_values),
-], ids=["functions", "stateful"])
+    # a function into state transformers (a curried space over a mapped one)
+    (enumerate_functions(BIT, enumerate_stateful(reader_family((0,)), BIT, BIT)),
+     [("a", BIT), ("s", BIT)],
+     lambda e: e["k"](e["a"]).run(e["s"]),
+     lambda e: e["k"](0).run(0),
+     reader_family((0,)).equal_values),
+], ids=["functions", "stateful", "functions-into-stateful"])
 def test_a_curried_space_and_its_tuple_give_identical_reports(
         functions, extra, lhs, rhs, equal, cap, mode):
     def report(functions):
@@ -423,6 +433,25 @@ def test_curried_reader_continuations_cost_pinned_evaluations(monkeypatch):
         monkeypatch, lambda: check_monad_laws(fam, DOM3))
     assert d3.law("left-unit").checked == 59_049
     assert d3_evaluations["left-unit"] == 120
+
+
+PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("check, law, checked, evaluations, failing", [
+    (lambda: check_lift_morphism(reader_family((0, 1)), BIT, BIT),
+     "lift-preserves-bind", 128, 62, ()),
+    (lambda: check_theta_morphism(fst_lens(), identity_family(), PAIRS, BIT, BIT),
+     "theta-preserves-bind", 16_384, 84, ()),
+    (lambda: check_theta_morphism(non_overwrite_lens(), identity_family(), PAIRS, BIT, BIT),
+     "theta-preserves-bind", 16_384, 87, ("theta-preserves-bind",)),
+], ids=["lift-reader", "theta-fst", "theta-non-overwrite"])
+def test_curried_continuations_into_state_transformers_cost_pinned_evaluations(
+        monkeypatch, check, law, checked, evaluations, failing):
+    report, counts = _evaluations(monkeypatch, check)
+    assert report.mode == "exhaustive" and report.failing_laws == failing
+    assert report.law(law).checked == checked
+    assert counts[law] == evaluations
 
 
 def test_choice_continuations_cost_pinned_evaluations(monkeypatch):
