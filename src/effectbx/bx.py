@@ -4,7 +4,7 @@ overwritability, stability, transparency and initialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family, require_identity
@@ -21,7 +21,9 @@ class Bx:
     ``get_l``/``get_r`` are computations returning the view; ``set_l``/
     ``set_r`` accept a new view value and restore consistency, possibly with
     effects.  The finite domains make the instance checkable; they may be
-    declared larger than the reachable state set.
+    declared larger than the reachable state set.  The initializers build a
+    starting state (an effect value) from either view; like a lens's
+    ``create`` they are optional, and a bx with both is ``initialisable``.
     """
 
     name: str
@@ -33,20 +35,17 @@ class Bx:
     state_domain: Optional[FiniteDomain] = None
     dom_a: Optional[FiniteDomain] = None
     dom_b: Optional[FiniteDomain] = None
+    init_l: Optional[Callable[[Any], Any]] = None
+    init_r: Optional[Callable[[Any], Any]] = None
 
-    def with_initializers(self, init_l, init_r) -> "InitBx":
-        """This bx as an ``InitBx`` with the given initializers."""
-        return InitBx(**{f.name: getattr(self, f.name) for f in fields(Bx)},
-                      init_l=init_l, init_r=init_r)
+    @property
+    def initialisable(self) -> bool:
+        return self.init_l is not None and self.init_r is not None
 
 
-@dataclass(frozen=True, kw_only=True)
-class InitBx(Bx):
-    """A bx with initializers building a starting state from either view
-    (effect values over the state type)."""
-
-    init_l: Callable[[Any], Any]
-    init_r: Callable[[Any], Any]
+def require_initialisable(bx: Bx):
+    if not bx.initialisable:
+        raise NoInitializers(f"{bx.name} has no initializers")
 
 
 def _side_laws(bx: Bx):
@@ -221,7 +220,7 @@ def stability_laws(bx: Bx):
 # initialization
 
 
-def init_laws(bx: InitBx):
+def init_laws(bx: Bx):
     fam = bx.effect
     return [
         Law(
@@ -264,9 +263,9 @@ def check_suite(bx: Bx, suite: str, cap=None, seed=0) -> LawReport:
     ("seven"), a later set fully overwriting an earlier one ("overwritable"),
     every consistent pair surviving its sets in either order ("stability"),
     or initialising then getting the initialised value ("init", which
-    needs an ``InitBx``)."""
-    if suite == "init" and not isinstance(bx, InitBx):
-        raise NoInitializers(f"{bx.name} has no initializers")
+    needs an ``initialisable`` bx)."""
+    if suite == "init":
+        require_initialisable(bx)
     missing = [f for f in ("state_domain", "dom_a", "dom_b") if getattr(bx, f) is None]
     if missing:
         raise UnobservableEffect(f"{bx.name} declares no {', '.join(missing)}")
@@ -280,7 +279,7 @@ def check_seven_laws(bx: Bx, cap=None, seed=0) -> LawReport:
     return check_suite(bx, "seven", cap, seed)
 
 
-def check_init_laws(bx: InitBx, cap=None, seed=0) -> LawReport:
+def check_init_laws(bx: Bx, cap=None, seed=0) -> LawReport:
     return check_suite(bx, "init", cap, seed)
 
 
@@ -292,11 +291,11 @@ def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
                fam: Optional[EffectFamily] = None, name: str = "lens") -> Bx:
     """Simulate a lens at the identity effect as a bx at ``fam`` (the identity
     by default): the hidden state is the source itself, the left view is the
-    whole source, the right view is the lens view.  A lens with ``create``
-    gives an ``InitBx``."""
+    whole source, the right view is the lens view.  The bx is initialisable
+    exactly when the lens has a ``create``."""
     require_identity(l.effect, "lens_to_bx")
     fam = fam or identity_family()
-    parts = dict(
+    return Bx(
         name=name,
         effect=fam,
         get_l=st_get(fam),
@@ -308,11 +307,6 @@ def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
         state_domain=source_domain,
         dom_a=source_domain,
         dom_b=view_domain,
-    )
-    if l.create is None:
-        return Bx(**parts)
-    return InitBx(
-        **parts,
-        init_l=lambda a: fam.unit(a),
-        init_r=lambda b: fam.unit(l.create(b)),
+        init_l=None if l.create is None else lambda a: fam.unit(a),
+        init_r=None if l.create is None else lambda b: fam.unit(l.create(b)),
     )

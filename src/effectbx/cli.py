@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     except ScriptExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (KeyViolation, EffectbxError, ValueError) as exc:
+    except (KeyViolation, EffectbxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

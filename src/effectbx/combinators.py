@@ -3,11 +3,11 @@ retentive lists, and isomorphism-derived bx."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from .bx import Bx, InitBx, lens_to_bx
-from .compose import _require_transparent
+from .bx import Bx, lens_to_bx, require_initialisable
+from .compose import _require_same_effect, _require_transparent
 from .effects import EffectFamily, Just, NOTHING
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
@@ -52,10 +52,10 @@ def _unit_domain():
     return FiniteDomain("unit", ((),))
 
 
-def const_bx(fam: EffectFamily, a, dom: FiniteDomain, name: Optional[str] = None) -> InitBx:
+def const_bx(fam: EffectFamily, a, dom: FiniteDomain, name: Optional[str] = None) -> Bx:
     """Relates the unit type to values of ``dom``; the hidden state is the
     current right-hand value, seeded with ``a``."""
-    return InitBx(
+    return Bx(
         name=name or f"const({a!r})",
         effect=fam,
         get_l=st_unit(fam, ()),
@@ -75,7 +75,7 @@ def _product_domain(name, d1: FiniteDomain, d2: FiniteDomain) -> FiniteDomain:
 
 
 def fst_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
-            default_b) -> InitBx:
+            default_b) -> Bx:
     """Pair state against its first component; ``default_b`` fills the hidden
     slot when initializing from the projection side."""
     pairs = _product_domain("pairs", dom_a, dom_b)
@@ -83,7 +83,7 @@ def fst_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
 
 
 def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
-            default_a) -> InitBx:
+            default_a) -> Bx:
     pairs = _product_domain("pairs", dom_a, dom_b)
     return lens_to_bx(snd_lens(default_a), pairs, dom_b, fam, name="snd")
 
@@ -91,13 +91,15 @@ def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
 def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
     """Componentwise pairing over the product state space.
 
-    Both components must be transparent.  Effect ordering is fixed: the left
-    component's operation always runs before the right component's, and this
-    ordering is part of the combinator's contract for non-commutative effect
-    families.
+    Both components must be transparent and at one effect.  Effect ordering
+    is fixed: the left component's operation always runs before the right
+    component's, and this ordering is part of the combinator's contract for
+    non-commutative effect families.  The pair is initialisable when both
+    components are.
     """
     _require_transparent(bx1)
     _require_transparent(bx2)
+    _require_same_effect(bx1, bx2)
     fam = bx1.effect
     paired = Bx(
         name=f"pair({bx1.name},{bx2.name})",
@@ -120,21 +122,17 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
         dom_a=_product_domain("a1xa2", bx1.dom_a, bx2.dom_a),
         dom_b=_product_domain("b1xb2", bx1.dom_b, bx2.dom_b),
     )
-    if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
-        return paired.with_initializers(
-            lambda a: fam.bind(
-                bx1.init_l(a[0]),
-                lambda s1: fam.map(bx2.init_l(a[1]), (
+    if bx1.initialisable and bx2.initialisable:
+        def init_pair(init1, init2):
+            return lambda v: fam.bind(
+                init1(v[0]),
+                lambda s1: fam.map(init2(v[1]), (
                     lambda s2: (s1, s2)
                 )),
-            ),
-            lambda b: fam.bind(
-                bx1.init_r(b[0]),
-                lambda s1: fam.map(bx2.init_r(b[1]), (
-                    lambda s2: (s1, s2)
-                )),
-            ),
-        )
+            )
+
+        return replace(paired, init_l=init_pair(bx1.init_l, bx2.init_l),
+                       init_r=init_pair(bx1.init_r, bx2.init_r))
     return paired
 
 
@@ -175,7 +173,7 @@ def _injection_bx(fam, dom_x, dom_y, default_x, tag_x, tag_y, views, name):
             return fam.unit((v.value, NOTHING))
         return fam.unit((default_x, Just(v.value)))
 
-    return InitBx(
+    return Bx(
         name=name,
         effect=fam,
         get_l=st_gets(fam, lambda s: s[0]),
@@ -193,7 +191,7 @@ def _injection_bx(fam, dom_x, dom_y, default_x, tag_x, tag_y, views, name):
 
 
 def inl_bx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
-           default_a) -> InitBx:
+           default_a) -> Bx:
     """Inject the left type into a sum; the old left value is retained while
     the sum side holds a right value."""
     return _injection_bx(fam, dom_a, dom_b, default_a, Left, Right,
@@ -201,7 +199,7 @@ def inl_bx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
 
 
 def inr_bx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
-           default_b) -> InitBx:
+           default_b) -> Bx:
     """Mirror image of inl_bx: relates the right type to the sum."""
     return _injection_bx(fam, dom_b, dom_a, default_b, Right, Left,
                          either_domain(dom_a, dom_b), "inr")
@@ -212,12 +210,14 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
     retained across switches so it can be restored.
 
     State is (flag, s1, s2) with flag picking the live component.  Both
-    components must be transparent.  Initialization populates only the active
-    slot; the other holds an explicit uninitialized marker whose observation
-    is an error.
+    components must be transparent and at one effect.  The sum is
+    initialisable when both components are; initialization populates only
+    the active slot, and the other holds an explicit uninitialized marker
+    whose observation is an error.
     """
     _require_transparent(bx1)
     _require_transparent(bx2)
+    _require_same_effect(bx1, bx2)
     fam = bx1.effect
 
     def active(side_get, s):
@@ -276,7 +276,7 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
         dom_a=either_domain(bx1.dom_a, bx2.dom_a),
         dom_b=either_domain(bx1.dom_b, bx2.dom_b),
     )
-    if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
+    if bx1.initialisable and bx2.initialisable:
         def init_side(init1, init2):
             def init(v):
                 if isinstance(v, Left):
@@ -285,9 +285,8 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
 
             return init
 
-        return summed.with_initializers(
-            init_side(bx1.init_l, bx2.init_l), init_side(bx1.init_r, bx2.init_r)
-        )
+        return replace(summed, init_l=init_side(bx1.init_l, bx2.init_l),
+                       init_r=init_side(bx1.init_r, bx2.init_r))
     return summed
 
 
@@ -295,8 +294,9 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
 # retentive lists
 
 
-def list_ibx(bx: InitBx, max_len: int = 2) -> InitBx:
-    """Lift an initialisable element bx to lists (represented as tuples).
+def list_ibx(bx: Bx, max_len: int = 2) -> Bx:
+    """Lift an initialisable element bx to lists (represented as tuples);
+    a bx without initializers is refused with ``NoInitializers``.
 
     Retentive: shortening a list keeps the surplus element states around so a
     later lengthening restores them; lengthening past the stored states calls
@@ -306,6 +306,7 @@ def list_ibx(bx: InitBx, max_len: int = 2) -> InitBx:
     """
     if max_len < 0:
         raise ValueError("list_ibx: max_len must be non-negative")
+    require_initialisable(bx)
     _require_transparent(bx)
     fam = bx.effect
 
@@ -362,7 +363,7 @@ def list_ibx(bx: InitBx, max_len: int = 2) -> InitBx:
         f"list-{bx.name}",
         tuple((n, cs) for cs in element_states for n in range(len(cs) + 1)),
     )
-    return InitBx(
+    return Bx(
         name=f"list({bx.name})",
         effect=fam,
         get_l=gets_list(bx.get_l),
@@ -382,9 +383,9 @@ def list_ibx(bx: InitBx, max_len: int = 2) -> InitBx:
 
 
 def iso_bx(fam: EffectFamily, forward, backward, dom_a: FiniteDomain,
-           dom_b: FiniteDomain, name: str = "iso") -> InitBx:
+           dom_b: FiniteDomain, name: str = "iso") -> Bx:
     """Lift a bijection between the view types to a bx with state A."""
-    return InitBx(
+    return Bx(
         name=name,
         effect=fam,
         get_l=st_get(fam),
@@ -399,7 +400,7 @@ def iso_bx(fam: EffectFamily, forward, backward, dom_a: FiniteDomain,
     )
 
 
-def swap_bx(fam: EffectFamily, dom_x: FiniteDomain, dom_y: FiniteDomain) -> InitBx:
+def swap_bx(fam: EffectFamily, dom_x: FiniteDomain, dom_y: FiniteDomain) -> Bx:
     return iso_bx(
         fam,
         lambda p: (p[1], p[0]),
@@ -410,7 +411,7 @@ def swap_bx(fam: EffectFamily, dom_x: FiniteDomain, dom_y: FiniteDomain) -> Init
     )
 
 
-def assoc_bx(fam: EffectFamily, dom_x, dom_y, dom_z) -> InitBx:
+def assoc_bx(fam: EffectFamily, dom_x, dom_y, dom_z) -> Bx:
     lhs = FiniteDomain(
         "assoc-l", tuple(((x, y), z) for x in dom_x for y in dom_y for z in dom_z)
     )
@@ -427,7 +428,7 @@ def assoc_bx(fam: EffectFamily, dom_x, dom_y, dom_z) -> InitBx:
     )
 
 
-def unitl_bx(fam: EffectFamily, dom: FiniteDomain) -> InitBx:
+def unitl_bx(fam: EffectFamily, dom: FiniteDomain) -> Bx:
     rhs = FiniteDomain("unitl", tuple(((), a) for a in dom))
     return iso_bx(
         fam,
@@ -439,7 +440,7 @@ def unitl_bx(fam: EffectFamily, dom: FiniteDomain) -> InitBx:
     )
 
 
-def unitr_bx(fam: EffectFamily, dom: FiniteDomain) -> InitBx:
+def unitr_bx(fam: EffectFamily, dom: FiniteDomain) -> Bx:
     rhs = FiniteDomain("unitr", tuple((a, ()) for a in dom))
     return iso_bx(
         fam,

@@ -3,10 +3,10 @@ duality, and equivalence checking via state bijections."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .bx import Bx, InitBx, TransparencyAnalysis, analyze_transparency
+from .bx import Bx, TransparencyAnalysis, analyze_transparency, require_initialisable
 from .effects import EffectFamily
 from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
@@ -14,9 +14,10 @@ from .lenses import Lens, theta
 from .stateful import Stateful, st_eval, st_exec, st_get, st_set
 
 
-def identity_bx(fam: EffectFamily, dom: FiniteDomain, name: str = "identity") -> InitBx:
-    """Both views are the state itself; transparent and overwritable."""
-    return InitBx(
+def identity_bx(fam: EffectFamily, dom: FiniteDomain, name: str = "identity") -> Bx:
+    """Both views are the state itself; transparent, overwritable and
+    initialisable."""
+    return Bx(
         name=name,
         effect=fam,
         get_l=st_get(fam),
@@ -32,21 +33,20 @@ def identity_bx(fam: EffectFamily, dom: FiniteDomain, name: str = "identity") ->
 
 
 def dual(bx: Bx) -> Bx:
-    """Exchange the two sides; preserves transparency and overwritability."""
-    flipped = Bx(
+    """Exchange the two sides, their domains and their initializers;
+    preserves transparency, overwritability and initialisability."""
+    return replace(
+        bx,
         name=f"dual({bx.name})",
-        effect=bx.effect,
         get_l=bx.get_r,
         set_l=bx.set_r,
         get_r=bx.get_l,
         set_r=bx.set_l,
-        state_domain=bx.state_domain,
         dom_a=bx.dom_b,
         dom_b=bx.dom_a,
+        init_l=bx.init_r,
+        init_r=bx.init_l,
     )
-    if isinstance(bx, InitBx):
-        return flipped.with_initializers(bx.init_r, bx.init_l)
-    return flipped
 
 
 def _require_transparent(bx: Bx) -> TransparencyAnalysis:
@@ -54,6 +54,12 @@ def _require_transparent(bx: Bx) -> TransparencyAnalysis:
     if not analysis.transparent:
         raise NotTransparent(bx.name)
     return analysis
+
+
+def _require_same_effect(bx1: Bx, bx2: Bx):
+    if bx1.effect.name != bx2.effect.name:
+        raise ValueError(f"{bx1.name} is at effect {bx1.effect.name} but {bx2.name} "
+                         f"at {bx2.effect.name}; bx combine only at one effect")
 
 
 def _check_middle(bx1: Bx, bx2: Bx):
@@ -104,32 +110,41 @@ def join_states_general(bx1: Bx, bx2: Bx) -> FiniteDomain:
 def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
     """Sequential composition over the join state space.
 
-    Both arguments must be transparent; setting one end sets the matching
-    component, reads the updated middle view, and pushes it into the other
-    component.  ``via_theta`` switches to the equivalent formulation that
-    widens component computations with ``theta`` through lenses at the bx's
-    effect onto the pair state; the two routes agree pointwise on join
-    states.
+    Both arguments must be transparent and at one effect; setting one end
+    sets the matching component, reads the updated middle view, and pushes it
+    into the other component.  ``via_theta`` switches to the equivalent
+    formulation that widens component computations with ``theta`` through
+    lenses at the bx's effect onto the pair state; the two routes agree
+    pointwise on join states.  The composite is initialisable when both
+    components are: it initialises the first and feeds its middle view to
+    the second's initializer.
     """
     _check_middle(bx1, bx2)
     a1 = _require_transparent(bx1)
     a2 = _require_transparent(bx2)
-    if via_theta:
-        composed = _compose_theta(bx1, bx2, a1, a2)
-    else:
-        composed = _compose_direct(bx1, bx2, a1, a2)
-    if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
+    _require_same_effect(bx1, bx2)
+    ops = _compose_theta(bx1, bx2) if via_theta else _compose_direct(bx1, bx2, a1, a2)
+    composed = Bx(
+        name=f"{bx1.name};{bx2.name}",
+        effect=bx1.effect,
+        **ops,
+        state_domain=_join_states(bx1, bx2, a1, a2),
+        dom_a=bx1.dom_a,
+        dom_b=bx2.dom_b,
+    )
+    if bx1.initialisable and bx2.initialisable:
         return _attach_init(composed, bx1, bx2)
     return composed
 
 
-def compose_init(bx1: InitBx, bx2: InitBx) -> InitBx:
-    out = compose(bx1, bx2)
-    assert isinstance(out, InitBx)
-    return out
+def compose_init(bx1: Bx, bx2: Bx) -> Bx:
+    require_initialisable(bx1)
+    require_initialisable(bx2)
+    return compose(bx1, bx2)
 
 
-def _compose_direct(bx1, bx2, a1, a2) -> Bx:
+def _compose_direct(bx1, bx2, a1, a2) -> dict:
+    """The four operations of the composite, through the read maps."""
     fam = bx1.effect
 
     def set_l(a):
@@ -158,16 +173,11 @@ def _compose_direct(bx1, bx2, a1, a2) -> Bx:
 
         return Stateful(fam, run)
 
-    return Bx(
-        name=f"{bx1.name};{bx2.name}",
-        effect=fam,
+    return dict(
         get_l=Stateful(fam, lambda st: fam.unit((a1.read_l(st[0]), st))),
         set_l=set_l,
         get_r=Stateful(fam, lambda st: fam.unit((a2.read_r(st[1]), st))),
         set_r=set_r,
-        state_domain=_join_states(bx1, bx2, a1, a2),
-        dom_a=bx1.dom_a,
-        dom_b=bx2.dom_b,
     )
 
 
@@ -204,24 +214,19 @@ def _lens_right(bx1: Bx, bx2: Bx) -> Lens:
     return Lens(view=lambda st: st[1], update=update, effect=fam)
 
 
-def _compose_theta(bx1, bx2, a1, a2) -> Bx:
-    fam = bx1.effect
+def _compose_theta(bx1, bx2) -> dict:
+    """The four operations of the composite, widened with ``theta``."""
     phi = lambda m: theta(_lens_left(bx1, bx2), m)
     psi = lambda m: theta(_lens_right(bx1, bx2), m)
-    return Bx(
-        name=f"{bx1.name};{bx2.name}",
-        effect=fam,
+    return dict(
         get_l=phi(bx1.get_l),
         set_l=lambda a: phi(bx1.set_l(a)),
         get_r=psi(bx2.get_r),
         set_r=lambda c: psi(bx2.set_r(c)),
-        state_domain=_join_states(bx1, bx2, a1, a2),
-        dom_a=bx1.dom_a,
-        dom_b=bx2.dom_b,
     )
 
 
-def _attach_init(composed: Bx, bx1: InitBx, bx2: InitBx) -> InitBx:
+def _attach_init(composed: Bx, bx1: Bx, bx2: Bx) -> Bx:
     fam = composed.effect
 
     def init_l(a):
@@ -246,7 +251,7 @@ def _attach_init(composed: Bx, bx1: InitBx, bx2: InitBx) -> InitBx:
             ),
         )
 
-    return composed.with_initializers(init_l, init_r)
+    return replace(composed, init_l=init_l, init_r=init_r)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +290,9 @@ def iota(h: StateBijection, fam: EffectFamily, m: Stateful) -> Stateful:
 
 
 def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> LawReport:
-    """Verify that transporting bx1's operations along ``h`` yields bx2's,
-    including the initializers when both sides carry them."""
+    """Verify that transporting bx1's operations along ``h`` yields bx2's (at
+    one effect), including the initializers when both are initialisable."""
+    _require_same_effect(bx1, bx2)
     _check_bijection(h, bx1.state_domain, bx2.state_domain)
     fam = bx1.effect
     laws = [
@@ -315,23 +321,21 @@ def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> 
             lambda e: bx2.set_r(e["b"]).run(e["s"]),
         ),
     ]
-    if isinstance(bx1, InitBx) and isinstance(bx2, InitBx):
-        laws.append(
+    if bx1.initialisable and bx2.initialisable:
+        laws += [
             Law(
                 "h-init_l",
                 [("a", bx1.dom_a)],
                 lambda e: fam.map(bx1.init_l(e["a"]), h.forward),
                 lambda e: bx2.init_l(e["a"]),
-            )
-        )
-        laws.append(
+            ),
             Law(
                 "h-init_r",
                 [("b", bx1.dom_b)],
                 lambda e: fam.map(bx1.init_r(e["b"]), h.forward),
                 lambda e: bx2.init_r(e["b"]),
-            )
-        )
+            ),
+        ]
     return run_laws(
         f"{bx1.name}=={bx2.name}", laws, fam.equal_values, cap=cap, seed=seed,
         effect=fam.name,

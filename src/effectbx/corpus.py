@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .bx import SUITES, Bx, InitBx, analyze_transparency, check_suite, lens_to_bx
+from .bx import SUITES, Bx, analyze_transparency, check_suite, lens_to_bx
 from .combinators import (
     const_bx,
     fst_ibx,
@@ -218,7 +218,7 @@ def mutant_unstable() -> Bx:
                lambda b, s: s if b == s[1] else (0, b))
 
 
-def mutant_bad_init() -> InitBx:
+def mutant_bad_init() -> Bx:
     """Initializer ignores its argument."""
     return replace(identity_bx(identity_family(), BIT), name="mutant-bad-init",
                    init_l=lambda _a: 0)

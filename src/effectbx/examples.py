@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .bx import Bx, InitBx
+from .bx import Bx
 from .combinators import Left, Right
 from .effects import (
     EffectFamily,
@@ -33,7 +33,7 @@ from .symlens import SymLens, symlens_to_bx
 
 
 def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
-               dom_b: FiniteDomain, name: str = "partial") -> InitBx:
+               dom_b: FiniteDomain, name: str = "partial") -> Bx:
     """Relate two types through partial inverse functions ``f``/``g`` (which
     return None where undefined); setting a value outside the relation yields
     ``err``, which must be a zero of the effect family.
@@ -67,7 +67,7 @@ def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
         return err if a is None else fam.unit((a, b))
 
     states = tuple((a, f(a)) for a in dom_a if f(a) is not None)
-    return InitBx(
+    return Bx(
         name=name,
         effect=fam,
         get_l=st_gets(fam, lambda s: s[0]),
@@ -107,7 +107,7 @@ def _check_partial_inverses(f, g, dom_a, dom_b):
             )
 
 
-def inv_bx() -> InitBx:
+def inv_bx() -> Bx:
     """Exact reciprocal relation over five rationals, failing on zero."""
     dom = FiniteDomain(
         "rationals",
@@ -118,7 +118,7 @@ def inv_bx() -> InitBx:
     return partial_bx(fam, NOTHING, recip, recip, dom, dom, name="inv")
 
 
-def read_some_bx() -> InitBx:
+def read_some_bx() -> Bx:
     """Relate the ints 0 and 1 to their printed form over the failing effect.
     Setting an unparsable string (the domain has ``"junk"``) fails, except
     that re-setting the current string is always a no-op."""
@@ -151,7 +151,7 @@ def read_some_bx() -> InitBx:
     # Laws are quantified over the printed graph only; setting the right side
     # can leave it (e.g. alternative renderings), which the laws tolerate.
     states = tuple((a, str(a)) for a in dom_a)
-    return InitBx(
+    return Bx(
         name="read-some",
         effect=fam,
         get_l=st_gets(fam, lambda s: s[0]),
@@ -171,7 +171,7 @@ def read_some_bx() -> InitBx:
 
 
 def nondet_bx(fam: EffectFamily, ok, bs, as_, dom_a: FiniteDomain,
-              dom_b: FiniteDomain, name: str = "nondet") -> InitBx:
+              dom_b: FiniteDomain, name: str = "nondet") -> Bx:
     """Restore consistency by branching over the injected candidate lists.
 
     ``ok`` decides consistency of a pair; ``bs(a)``/``as_(b)`` list candidate
@@ -213,7 +213,7 @@ def nondet_bx(fam: EffectFamily, ok, bs, as_, dom_a: FiniteDomain,
         return Stateful(fam, run)
 
     states = tuple((a, b) for a in dom_a for b in dom_b if ok(a, b))
-    return InitBx(
+    return Bx(
         name=name,
         effect=fam,
         get_l=st_gets(fam, lambda s: s[0]),
@@ -530,7 +530,7 @@ def composers_symlens() -> SymLens:
     return SymLens(put_r=put_r, put_l=put_l, missing=())
 
 
-def composers_bx() -> InitBx:
+def composers_bx() -> Bx:
     """The same synchronization as a bx over the identity effect; the hidden
     state is the ordered triple list."""
     fam = identity_family()
@@ -577,7 +577,7 @@ def composers_bx() -> InitBx:
         _require_unique_names(rows, "right view")
         return tuple((name, nation, None) for name, nation in rows)
 
-    return InitBx(
+    return Bx(
         name="composers",
         effect=fam,
         get_l=Stateful(fam, get_l),
@@ -630,7 +630,7 @@ def _ordered_rows(items, size):
             if len({x[0] for x in combo}) == size]
 
 
-def composers_symlens_bx(name: str = "composers-symlens") -> InitBx:
+def composers_symlens_bx(name: str = "composers-symlens") -> Bx:
     """The symmetric-lens composers simulated as a bx on consistent triples,
     with the small-universe domains attached for law checking."""
     dom_a, dom_b, _dom_c = composers_universe()
@@ -692,7 +692,7 @@ def default_composers_script():
 
 
 class _BxRunner:
-    def __init__(self, bx: InitBx):
+    def __init__(self, bx: Bx):
         self.bx = bx
         self.state = bx.init_r(())
 

@@ -4,7 +4,7 @@ over (result, state) pairs, interpreted in a pluggable effect family."""
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .effects import EffectFamily, NativeStateOps, morphism_laws
 from .errors import BaseLawsViolated
@@ -182,19 +182,17 @@ def get_set_laws(get: Stateful, set_, views, states, names=("get", "set"),
 
 
 def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
-                    value_domain: Optional[FiniteDomain] = None,
-                    cap=None, seed=0) -> LawReport:
+                    value_domain: FiniteDomain, cap=None, seed=0) -> LawReport:
     """The four get/set laws, discardability of unused gets, and the two
     lifting-commutation equalities, exhaustively over the state domain."""
     get = st_get(fam)
-    vdom = value_domain or state_domain
-    tvs = fam.values_over(vdom)
+    tvs = fam.values_over(value_domain)
     # inner lambdas on lines of their own, as in Stateful.bind
     laws = [
         *get_set_laws(get, lambda x: st_set(fam, x), state_domain, state_domain),
         Law(
             "unused-get-discardable",
-            [("m", enumerate_stateful(fam, state_domain, vdom)), ("s", state_domain)],
+            [("m", enumerate_stateful(fam, state_domain, value_domain)), ("s", state_domain)],
             lambda e: get.bind(
                 lambda _a: e["m"]
             ).run(e["s"]),

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from .bx import InitBx
+from .bx import Bx, require_initialisable
 from .effects import EffectFamily, Just, NOTHING, identity_family, require_identity
 from .errors import DomainTooLarge
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
@@ -163,7 +163,7 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
 
 def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,
                   dom_b: Optional[FiniteDomain] = None,
-                  name: str = "symlens") -> InitBx:
+                  name: str = "symlens") -> Bx:
     """Simulate a symmetric lens at the identity effect as an identity-effect
     bx whose state is a consistent triple.
 
@@ -201,7 +201,7 @@ def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,
     states = None
     if dom_a is not None and dom_b is not None:
         states = consistent_triples(sl, dom_a, dom_b)
-    return InitBx(
+    return Bx(
         name=name,
         effect=fam,
         get_l=st_gets(fam, lambda t: t[0]),
@@ -216,11 +216,12 @@ def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,
     )
 
 
-def bx_to_symlens(bx: InitBx) -> SymLens:
+def bx_to_symlens(bx: Bx) -> SymLens:
     """Flatten an identity-effect bx into a symmetric lens whose complement is
     the optional hidden state; an absent complement routes through the bx's
-    initializer."""
+    initializer, so a bx without one is refused with ``NoInitializers``."""
     require_identity(bx.effect, "bx_to_symlens")
+    require_initialisable(bx)
 
     def put_r(a, mc):
         m = bx.set_l(a).then(bx.get_r)

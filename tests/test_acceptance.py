@@ -10,7 +10,6 @@ import time
 
 from effectbx import (
     FiniteDomain,
-    InitBx,
     analyze_transparency,
     assoc_bijection,
     check_equivalence,
@@ -197,7 +196,7 @@ def test_criterion_6_initialization():
         if entry.expected_failing:
             continue
         bx = entry.build()
-        if isinstance(bx, InitBx):
+        if bx.initialisable:
             ok = ok and check_init_laws(bx).ok
 
     fam = identity_family()

@@ -11,9 +11,11 @@ from effectbx import (
     Stateful,
     UnobservableEffect,
     analyze_transparency,
+    bx_to_symlens,
     check_init_laws,
     check_seven_laws,
     check_suite,
+    compose_init,
     composers_bx,
     console_family,
     consistent_pairs,
@@ -23,8 +25,8 @@ from effectbx import (
     identity_bx,
     identity_family,
     inv_bx,
+    list_ibx,
     Bx,
-    InitBx,
     Lens,
     NoInitializers,
     lens_to_bx,
@@ -197,10 +199,21 @@ def test_check_suite_refuses_init_without_initializers():
         check_suite(mutant_unstable(), "init")
 
 
+@pytest.mark.parametrize("build", [
+    list_ibx,
+    bx_to_symlens,
+    lambda bx: compose_init(bx, identity_bx(identity_family(), BIT)),
+], ids=["list_ibx", "bx_to_symlens", "compose_init"])
+def test_what_needs_initializers_refuses_a_bx_without_them_when_built(build):
+    plain = lens_to_bx(fst_lens(), PAIRS, BIT, name="plain")
+    with pytest.raises(NoInitializers, match="^plain has no initializers$"):
+        build(plain)
+
+
 def test_check_suite_refuses_a_bx_without_finite_domains():
     for bx in (composers_bx(), dynamic_console_bx(console_family())):
         for suite in ("seven", "overwritable", "stability", "init"):
-            if suite == "init" and not isinstance(bx, InitBx):
+            if suite == "init" and not bx.initialisable:
                 error, message = NoInitializers, "has no initializers"
             else:
                 error, message = UnobservableEffect, "declares no state_domain, dom_a, dom_b"
@@ -263,8 +276,10 @@ def test_lens_to_ibx_create_feeds_init():
 
 
 def test_lens_to_bx_initialises_exactly_the_lenses_with_create():
-    assert type(lens_to_bx(fst_lens(), PAIRS, BIT)) is Bx
-    assert isinstance(lens_to_bx(fst_lens(default_b=0), PAIRS, BIT), InitBx)
+    plain = lens_to_bx(fst_lens(), PAIRS, BIT)
+    assert type(plain) is Bx and not plain.initialisable
+    assert plain.init_l is None and plain.init_r is None
+    assert lens_to_bx(fst_lens(default_b=0), PAIRS, BIT).initialisable
     # the corpus lens mutant has a create, so it is initialisable and lawful there
     assert check_init_laws(broken_view_update_lens()).ok
 

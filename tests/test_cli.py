@@ -242,6 +242,17 @@ def test_sync_answers_from_plain_text_file(tmp_path, capsys):
     assert payload["transcript"][-1] == {"dir": "in", "text": "77"}
 
 
+@pytest.mark.parametrize("flag, target", [
+    ("--answers", "missing.txt"),
+    ("--dump", "no/such/dir/state.json"),
+], ids=["answers", "dump"])
+def test_sync_file_errors_exit_2(flag, target, tmp_path, capsys):
+    path = _write_session(tmp_path, [{"side": "L", "value": 2}], ["7"])
+    assert main(["sync", "--script", path, flag, str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and target.split("/")[0] in err
+
+
 @pytest.mark.parametrize("session, message", [
     ({"edits": [{"side": "L", "value": 2}, {"side": "L"}]}, "edit 2 needs"),
     ({"edits": [{"side": "X", "value": 1}]}, "edit 1 needs a 'side'"),

@@ -6,6 +6,7 @@ from effectbx import (
     FiniteDomain,
     MiddleTypeMismatch,
     NOTHING,
+    NoInitializers,
     NotBijective,
     NotTransparent,
     StateBijection,
@@ -28,10 +29,12 @@ from effectbx import (
     join_states_general,
     left_identity_bijection,
     lens_to_bx,
+    pair_bx,
     reader_family,
     right_identity_bijection,
     snd_lens,
     st_exec,
+    sum_bx,
 )
 from effectbx.corpus import _switch_reader
 
@@ -115,6 +118,24 @@ def test_compose_requires_transparency():
     with pytest.raises(NotTransparent) as err:
         compose(_switch_reader(), identity_bx(fam, BIT))
     assert "switch" in str(err.value)
+
+
+@pytest.mark.parametrize("combine", [
+    lambda i, f: compose(f, i),
+    lambda i, f: compose(i, f),
+    lambda i, f: pair_bx(f, i),
+    lambda i, f: sum_bx(f, i),
+    lambda i, f: check_equivalence(i, f, StateBijection(lambda s: s, lambda s: s)),
+], ids=["compose-f-i", "compose-i-f", "pair", "sum", "equivalence"])
+def test_bx_at_different_effects_do_not_combine(combine):
+    # every operation of the result is read at one effect; a component at
+    # another would be misread (a failure value taken for an identity value)
+    i = identity_bx(identity_family(), BIT, name="at-identity")
+    f = identity_bx(failure_family(), BIT, name="at-failure")
+    with pytest.raises(ValueError) as err:
+        combine(i, f)
+    for word in ("at-identity", "at-failure", "identity", "failure"):
+        assert word in str(err.value)
 
 
 def test_compose_middle_mismatch():
@@ -228,3 +249,33 @@ def test_effectful_composition_with_failure():
     composed = compose(bx1, bx2)
     assert check_seven_laws(composed).ok
     assert analyze_transparency(composed).transparent
+
+
+@pytest.mark.parametrize("combine, operands", [
+    (dual, ("init",)),
+    (dual, ("plain",)),
+    (pair_bx, ("init", "init")),
+    (pair_bx, ("init", "plain")),
+    (pair_bx, ("plain", "init")),
+    (sum_bx, ("init", "init")),
+    (sum_bx, ("init", "plain")),
+    (sum_bx, ("plain", "init")),
+    (compose, ("init", "init")),
+    (compose, ("init", "plain")),
+    (compose, ("plain", "init-bit")),
+], ids=["dual-init", "dual-plain", "pair-init-init", "pair-init-plain", "pair-plain-init",
+        "sum-init-init", "sum-init-plain", "sum-plain-init", "compose-init-init",
+        "compose-init-plain", "compose-plain-init"])
+def test_initialisers_survive_exactly_when_every_component_has_them(combine, operands):
+    fam = identity_family()
+    bxs = {
+        "init": identity_bx(fam, PAIRS, name="init"),
+        "init-bit": identity_bx(fam, BIT, name="init-bit"),
+        "plain": lens_to_bx(fst_lens(), PAIRS, BIT, name="plain"),
+    }
+    combined = combine(*(bxs[name] for name in operands))
+    if "plain" in operands:
+        with pytest.raises(NoInitializers, match="has no initializers"):
+            check_suite(combined, "init")
+    else:
+        assert check_suite(combined, "init").ok

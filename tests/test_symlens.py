@@ -123,9 +123,9 @@ def test_bx_to_symlens_round_trip_preserves_puts():
 def test_bx_to_symlens_absent_complement_uses_init():
     calls = []
     base = identity_bx(identity_family(), BIT)
-    from effectbx import InitBx
+    from effectbx import Bx
 
-    tracked = InitBx(
+    tracked = Bx(
         name="tracked",
         effect=base.effect,
         get_l=base.get_l,
