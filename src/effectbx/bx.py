@@ -4,7 +4,7 @@ overwritability, stability, transparency and initialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family, require_identity
@@ -41,6 +41,24 @@ class Bx:
     @property
     def initialisable(self) -> bool:
         return self.init_l is not None and self.init_r is not None
+
+
+def dual(bx: Bx) -> Bx:
+    """Exchange the two sides, their domains and their initializers;
+    preserves transparency, overwritability and initialisability.  A
+    right-side law of ``bx`` is the matching left-side law of its dual."""
+    return replace(
+        bx,
+        name=f"dual({bx.name})",
+        get_l=bx.get_r,
+        set_l=bx.set_r,
+        get_r=bx.get_l,
+        set_r=bx.set_l,
+        dom_a=bx.dom_b,
+        dom_b=bx.dom_a,
+        init_l=bx.init_r,
+        init_r=bx.init_l,
+    )
 
 
 def require_initialisable(bx: Bx):
@@ -220,30 +238,25 @@ def stability_laws(bx: Bx):
 # initialization
 
 
-def init_laws(bx: Bx):
+def _init_law(bx: Bx, side, var):
+    """Initialising from the left view then getting it returns that view;
+    named for ``side``, quantified over ``var``."""
     fam = bx.effect
-    return [
-        Law(
-            "init_l-get_l",
-            [("a", bx.dom_a)],
-            lambda e: fam.bind(bx.init_l(e["a"]), (
-                lambda s: bx.get_l.run(s)
-            )),
-            lambda e: fam.bind(bx.init_l(e["a"]), (
-                lambda s: fam.unit((e["a"], s))
-            )),
-        ),
-        Law(
-            "init_r-get_r",
-            [("b", bx.dom_b)],
-            lambda e: fam.bind(bx.init_r(e["b"]), (
-                lambda s: bx.get_r.run(s)
-            )),
-            lambda e: fam.bind(bx.init_r(e["b"]), (
-                lambda s: fam.unit((e["b"], s))
-            )),
-        ),
-    ]
+    return Law(
+        f"init_{side}-get_{side}",
+        [(var, bx.dom_a)],
+        lambda e: fam.bind(bx.init_l(e[var]), (
+            lambda s: bx.get_l.run(s)
+        )),
+        lambda e: fam.bind(bx.init_l(e[var]), (
+            lambda s: fam.unit((e[var], s))
+        )),
+    )
+
+
+def init_laws(bx: Bx):
+    """The left initializer law, and the right one as the dual's left."""
+    return [_init_law(bx, "l", "a"), _init_law(dual(bx), "r", "b")]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +305,8 @@ def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
     """Simulate a lens at the identity effect as a bx at ``fam`` (the identity
     by default): the hidden state is the source itself, the left view is the
     whole source, the right view is the lens view.  The bx is initialisable
-    exactly when the lens has a ``create``."""
+    exactly when the lens has a ``create``.  ``identity_bx``, ``iso_bx`` and
+    ``const_bx`` are such bx, each of a one-line lens."""
     require_identity(l.effect, "lens_to_bx")
     fam = fam or identity_family()
     return Bx(
@@ -301,9 +315,11 @@ def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
         get_l=st_get(fam),
         set_l=lambda a: st_set(fam, a),
         get_r=st_gets(fam, l.view),
-        set_r=lambda b: st_get(fam).bind(
-            lambda s: st_set(fam, l.update(s, b))
-        ),
+        # a single closure, cheaper than binding st_get into st_set; the
+        # inner lambda on a line of its own, as in Stateful.bind
+        set_r=lambda b: Stateful(fam, (
+            lambda s: fam.unit(((), l.update(s, b)))
+        )),
         state_domain=source_domain,
         dom_a=source_domain,
         dom_b=view_domain,

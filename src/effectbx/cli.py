@@ -5,7 +5,9 @@ and the memoizing synchronization session (scripted or interactive).
 per-bx suite of ``bx.SUITES`` (run on the corpus entry named by ``--bx``).
 
 Exit codes: 0 all verdicts as expected, 1 unexpected law verdict, 2 usage or
-script parse error, 3 console script exhausted.
+script parse error, 3 console script exhausted.  ``--bx`` with an aggregate
+suite, a negative ``--cap`` and ``sync --interactive --answers`` are usage
+errors.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ def _build_parser():
         default="all",
         choices=["all", *AGGREGATES, *SUITES],
     )
-    laws.add_argument("--bx", default="identity",
-                      help="corpus entry name for single-suite runs")
+    laws.add_argument("--bx", default=None,
+                      help="corpus entry name for a per-bx suite (default: identity)")
     laws.add_argument("--format", default="text", choices=["text", "json"])
-    laws.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    laws.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP,
                       help="assignments per law checked exhaustively; above it "
                            "a seeded sample is checked, function-valued "
                            "quantifiers included")
@@ -69,6 +71,16 @@ def _build_parser():
     sync.add_argument("--dump", default=None, help="write final state as JSON")
     sync.add_argument("--format", default="text", choices=["text", "json"])
     return parser
+
+
+def _non_negative(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -95,7 +107,7 @@ def main(argv=None) -> int:
 
 
 def _single_suite(args):
-    (entry,) = select_entries({args.bx})
+    (entry,) = select_entries({args.bx or "identity"})
     return check_suite(entry.build(), args.suite, cap=args.cap, seed=args.seed)
 
 
@@ -108,6 +120,8 @@ def _cmd_laws(args) -> int:
             for line in report.summary_lines():
                 print(line)
         return 0 if report.ok else 1
+    if args.bx is not None:
+        raise ValueError(f"--bx applies to a per-bx suite, not to --suite {args.suite}")
 
     aggregate = {
         name: run(cap=args.cap, seed=args.seed)
@@ -218,6 +232,8 @@ def _parse_value(value):
 
 def _cmd_sync(args) -> int:
     if args.interactive:
+        if args.answers is not None:
+            raise ValueError("--answers applies to a --script session, not to --interactive")
         print("interactive session; enter edits as 'L <value>' or 'R <value>', blank line ends")
         try:
             a0 = input("initial left value> ")

@@ -4,15 +4,15 @@ retentive lists, and isomorphism-derived bx."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any
 
-from .bx import Bx, lens_to_bx, require_initialisable
+from .bx import Bx, dual, lens_to_bx, require_initialisable
 from .compose import _require_same_effect, _require_transparent
 from .effects import EffectFamily, Just, NOTHING
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
-from .lenses import fst_lens, left, right, snd_lens
-from .stateful import Stateful, st_eval, st_exec, st_get, st_gets, st_set, st_unit
+from .lenses import Lens, fst_lens, left, right, snd_lens
+from .stateful import Stateful, st_eval, st_exec, st_get, st_gets, st_set
 
 
 
@@ -52,22 +52,17 @@ def _unit_domain():
     return FiniteDomain("unit", ((),))
 
 
-def const_bx(fam: EffectFamily, a, dom: FiniteDomain, name: Optional[str] = None) -> Bx:
+def const_bx(fam: EffectFamily, a, dom: FiniteDomain) -> Bx:
     """Relates the unit type to values of ``dom``; the hidden state is the
-    current right-hand value, seeded with ``a``."""
-    return Bx(
-        name=name or f"const({a!r})",
-        effect=fam,
-        get_l=st_unit(fam, ()),
-        set_l=lambda _u: st_unit(fam, ()),
-        get_r=st_get(fam),
-        set_r=lambda b: st_set(fam, b),
-        state_domain=dom,
-        dom_a=_unit_domain(),
-        dom_b=dom,
-        init_l=lambda _u: fam.unit(a),
-        init_r=lambda b: fam.unit(b),
+    current right-hand value, seeded with ``a``: the dual of the bx of the
+    lens from ``dom`` onto the unit."""
+    to_unit = Lens(
+        view=lambda _s: (),
+        update=lambda s, _u: s,
+        create=lambda _u: a,
     )
+    return replace(dual(lens_to_bx(to_unit, dom, _unit_domain(), fam)),
+                   name=f"const({a!r})")
 
 
 def _product_domain(name, d1: FiniteDomain, d2: FiniteDomain) -> FiniteDomain:
@@ -384,20 +379,11 @@ def list_ibx(bx: Bx, max_len: int = 2) -> Bx:
 
 def iso_bx(fam: EffectFamily, forward, backward, dom_a: FiniteDomain,
            dom_b: FiniteDomain, name: str = "iso") -> Bx:
-    """Lift a bijection between the view types to a bx with state A."""
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_get(fam),
-        set_l=lambda a: st_set(fam, a),
-        get_r=st_gets(fam, forward),
-        set_r=lambda b: st_set(fam, backward(b)),
-        state_domain=dom_a,
-        dom_a=dom_a,
-        dom_b=dom_b,
-        init_l=lambda a: fam.unit(a),
-        init_r=lambda b: fam.unit(backward(b)),
-    )
+    """Lift a bijection between the view types to a bx with state A: the bx
+    of the lens whose view is ``forward`` and whose update and create are
+    ``backward``."""
+    return lens_to_bx(Lens(forward, lambda _s, b: backward(b), backward),
+                      dom_a, dom_b, fam, name=name)
 
 
 def swap_bx(fam: EffectFamily, dom_x: FiniteDomain, dom_y: FiniteDomain) -> Bx:

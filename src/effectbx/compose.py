@@ -1,52 +1,30 @@
 """Composition of transparent bx over the join state space, the identity bx,
-duality, and equivalence checking via state bijections."""
+and equivalence checking via state bijections."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .bx import Bx, TransparencyAnalysis, analyze_transparency, require_initialisable
+from .bx import (
+    Bx,
+    TransparencyAnalysis,
+    analyze_transparency,
+    dual,
+    lens_to_bx,
+    require_initialisable,
+)
 from .effects import EffectFamily
 from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
 from .lawcheck import FiniteDomain, Law, LawReport, run_laws
-from .lenses import Lens, theta
-from .stateful import Stateful, st_eval, st_exec, st_get, st_set
+from .lenses import Lens, identity_lens, theta
+from .stateful import Stateful, st_eval, st_exec
 
 
 def identity_bx(fam: EffectFamily, dom: FiniteDomain, name: str = "identity") -> Bx:
-    """Both views are the state itself; transparent, overwritable and
-    initialisable."""
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_get(fam),
-        set_l=lambda a: st_set(fam, a),
-        get_r=st_get(fam),
-        set_r=lambda b: st_set(fam, b),
-        state_domain=dom,
-        dom_a=dom,
-        dom_b=dom,
-        init_l=lambda a: fam.unit(a),
-        init_r=lambda b: fam.unit(b),
-    )
-
-
-def dual(bx: Bx) -> Bx:
-    """Exchange the two sides, their domains and their initializers;
-    preserves transparency, overwritability and initialisability."""
-    return replace(
-        bx,
-        name=f"dual({bx.name})",
-        get_l=bx.get_r,
-        set_l=bx.set_r,
-        get_r=bx.get_l,
-        set_r=bx.set_l,
-        dom_a=bx.dom_b,
-        dom_b=bx.dom_a,
-        init_l=bx.init_r,
-        init_r=bx.init_l,
-    )
+    """Both views are the state itself: the bx of the identity lens;
+    transparent, overwritable and initialisable."""
+    return lens_to_bx(identity_lens(), dom, dom, fam, name=name)
 
 
 def _require_transparent(bx: Bx) -> TransparencyAnalysis:
@@ -57,9 +35,14 @@ def _require_transparent(bx: Bx) -> TransparencyAnalysis:
 
 
 def _require_same_effect(bx1: Bx, bx2: Bx):
-    if bx1.effect.name != bx2.effect.name:
-        raise ValueError(f"{bx1.name} is at effect {bx1.effect.name} but {bx2.name} "
-                         f"at {bx2.effect.name}; bx combine only at one effect")
+    """Refuse bx at different families: a family is its name and the
+    contexts its equality observes, so two reader families over different
+    environments differ."""
+    e1, e2 = bx1.effect, bx2.effect
+    if (e1.name, e1.enumerate_contexts) != (e2.name, e2.enumerate_contexts):
+        raise ValueError(f"{bx1.name} is at effect {e1.name} over contexts "
+                         f"{e1.enumerate_contexts!r} but {bx2.name} at {e2.name} over "
+                         f"contexts {e2.enumerate_contexts!r}; bx combine only at one effect")
 
 
 def _check_middle(bx1: Bx, bx2: Bx):
@@ -289,53 +272,45 @@ def iota(h: StateBijection, fam: EffectFamily, m: Stateful) -> Stateful:
     )
 
 
-def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> LawReport:
-    """Verify that transporting bx1's operations along ``h`` yields bx2's (at
-    one effect), including the initializers when both are initialisable."""
-    _require_same_effect(bx1, bx2)
-    _check_bijection(h, bx1.state_domain, bx2.state_domain)
+def _iota_laws(bx1: Bx, bx2: Bx, h: StateBijection, side, var):
+    """The left-side equivalence laws, named for ``side`` and quantified over
+    ``var``: the two operations transported along ``h``, and the
+    initializer."""
     fam = bx1.effect
-    laws = [
+    return (
         Law(
-            "iota-get_l",
+            f"iota-get_{side}",
             [("s", bx2.state_domain)],
             lambda e: iota(h, fam, bx1.get_l).run(e["s"]),
             lambda e: bx2.get_l.run(e["s"]),
         ),
         Law(
-            "iota-set_l",
-            [("a", bx1.dom_a), ("s", bx2.state_domain)],
-            lambda e: iota(h, fam, bx1.set_l(e["a"])).run(e["s"]),
-            lambda e: bx2.set_l(e["a"]).run(e["s"]),
+            f"iota-set_{side}",
+            [(var, bx1.dom_a), ("s", bx2.state_domain)],
+            lambda e: iota(h, fam, bx1.set_l(e[var])).run(e["s"]),
+            lambda e: bx2.set_l(e[var]).run(e["s"]),
         ),
         Law(
-            "iota-get_r",
-            [("s", bx2.state_domain)],
-            lambda e: iota(h, fam, bx1.get_r).run(e["s"]),
-            lambda e: bx2.get_r.run(e["s"]),
+            f"h-init_{side}",
+            [(var, bx1.dom_a)],
+            lambda e: fam.map(bx1.init_l(e[var]), h.forward),
+            lambda e: bx2.init_l(e[var]),
         ),
-        Law(
-            "iota-set_r",
-            [("b", bx1.dom_b), ("s", bx2.state_domain)],
-            lambda e: iota(h, fam, bx1.set_r(e["b"])).run(e["s"]),
-            lambda e: bx2.set_r(e["b"]).run(e["s"]),
-        ),
-    ]
+    )
+
+
+def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> LawReport:
+    """Verify that transporting bx1's operations along ``h`` yields bx2's (at
+    one effect), including the initializers when both are initialisable.
+    The right-side laws are the left-side laws of the two duals."""
+    _require_same_effect(bx1, bx2)
+    _check_bijection(h, bx1.state_domain, bx2.state_domain)
+    get_l, set_l, init_l = _iota_laws(bx1, bx2, h, "l", "a")
+    get_r, set_r, init_r = _iota_laws(dual(bx1), dual(bx2), h, "r", "b")
+    laws = [get_l, set_l, get_r, set_r]
     if bx1.initialisable and bx2.initialisable:
-        laws += [
-            Law(
-                "h-init_l",
-                [("a", bx1.dom_a)],
-                lambda e: fam.map(bx1.init_l(e["a"]), h.forward),
-                lambda e: bx2.init_l(e["a"]),
-            ),
-            Law(
-                "h-init_r",
-                [("b", bx1.dom_b)],
-                lambda e: fam.map(bx1.init_r(e["b"]), h.forward),
-                lambda e: bx2.init_r(e["b"]),
-            ),
-        ]
+        laws += [init_l, init_r]
+    fam = bx1.effect
     return run_laws(
         f"{bx1.name}=={bx2.name}", laws, fam.equal_values, cap=cap, seed=seed,
         effect=fam.name,

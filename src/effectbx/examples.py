@@ -406,8 +406,7 @@ def dynamic_memo_states(dom_a: FiniteDomain, dom_b: FiniteDomain) -> FiniteDomai
     return FiniteDomain("dynamic-states", states)
 
 
-def dynamic_search_bx(p, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                      name: str = "dynamic-search") -> Bx:
+def dynamic_search_bx(p, dom_a: FiniteDomain, dom_b: FiniteDomain) -> Bx:
     """Memoizing restoration whose oracle scans the declared enumerations for
     the first consistent candidate, failing when none exists."""
     fam = failure_family()
@@ -427,7 +426,7 @@ def dynamic_search_bx(p, dom_a: FiniteDomain, dom_b: FiniteDomain,
     return dynamic_bx(
         fam, f, g, dom_a=dom_a, dom_b=dom_b,
         state_domain=dynamic_memo_states(dom_a, dom_b),
-        name=name,
+        name="dynamic-search",
     )
 
 
@@ -447,15 +446,14 @@ def match_console(parse=None):
     return matcher
 
 
-def dynamic_console_bx(fam: EffectFamily, parse=None,
-                       name: str = "dynamic-console") -> Bx:
+def dynamic_console_bx(fam: EffectFamily, parse=None) -> Bx:
     """Interactive memoizing restorer over the scripted console."""
     m = match_console(parse)
     return dynamic_bx(
         fam,
         lambda a1, b: m(a1, b),
         lambda a, b1: m(b1, a),
-        name=name,
+        name="dynamic-console",
     )
 
 
@@ -630,11 +628,11 @@ def _ordered_rows(items, size):
             if len({x[0] for x in combo}) == size]
 
 
-def composers_symlens_bx(name: str = "composers-symlens") -> Bx:
+def composers_symlens_bx() -> Bx:
     """The symmetric-lens composers simulated as a bx on consistent triples,
     with the small-universe domains attached for law checking."""
     dom_a, dom_b, _dom_c = composers_universe()
-    return symlens_to_bx(composers_symlens(), dom_a, dom_b, name=name)
+    return symlens_to_bx(composers_symlens(), dom_a, dom_b, name="composers-symlens")
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,10 @@ def test_setl_forgetting_mutant_fails_with_witness():
     assert report.failing_laws == ("set_l-get_l",)
     w = report.law("set_l-get_l").failures[0]
     assert recheck_witness(bx, "seven", "set_l-get_l", w.env)
+    with pytest.raises(KeyError, match="set_l-get_r"):
+        report.law("set_l-get_r")
+    with pytest.raises(KeyError, match="set_l-get_r"):
+        recheck_witness(bx, "seven", "set_l-get_r", w.env)
 
 
 @pytest.mark.parametrize("name,target", sorted(MUTANT_LAW_TARGETS.items()))
@@ -116,6 +120,11 @@ def test_transparency_resolves_a_state_outside_the_domain_through_a_pure_get():
     assert analysis.read_r(2) == 2
     with pytest.raises(UnobservableEffect, match="not a pure query at state 2"):
         analysis.read_l(2)
+
+
+def test_transparency_needs_a_state_domain():
+    with pytest.raises(UnobservableEffect, match="needs a state domain"):
+        analyze_transparency(composers_bx())
 
 
 def test_transparency_switch_is_opaque():

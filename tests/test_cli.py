@@ -50,6 +50,29 @@ def test_laws_unknown_bx(capsys):
     assert "unknown bx" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["laws", "--suite", "corpus", "--bx", "inv"],
+     "error: --bx applies to a per-bx suite, not to --suite corpus"),
+    (["laws", "--suite", "seven", "--bx", "identity", "--cap", "-5"],
+     "argument --cap: must not be negative: -5"),
+    (["laws", "--suite", "seven", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+    (["sync", "--interactive", "--answers", "{answers}"],
+     "error: --answers applies to a --script session, not to --interactive"),
+], ids=["bx-with-aggregate-suite", "negative-cap", "cap-not-an-int",
+        "answers-with-interactive"])
+def test_inputs_that_would_be_ignored_or_misread_are_usage_errors(argv, message, tmp_path,
+                                                                  monkeypatch, capsys):
+    answers = tmp_path / "answers.txt"
+    answers.write_text("7\n", encoding="utf-8")
+    monkeypatch.setattr("builtins.input", lambda _prompt="": pytest.fail("read the terminal"))
+    try:
+        code = main([arg.format(answers=answers) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_laws_corpus(capsys):
     assert main(["laws", "--suite", "corpus"]) == 0
     out = capsys.readouterr().out
@@ -127,6 +150,19 @@ def test_composers_malformed_script_reports_line(tmp_path, capsys):
     assert main(["composers", "--script", str(path)]) == 2
     err = capsys.readouterr().err
     assert "parse error at line" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read script"),
+    ({"op": "getR"}, "expected a JSON list of steps"),
+    ([{"value": []}], "step 1 needs an 'op' field"),
+], ids=["unreadable", "not-a-list", "no-op"])
+def test_composers_unusable_script_is_a_script_error(content, message, tmp_path, capsys):
+    path = tmp_path / "script.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    assert main(["composers", "--script", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_composers_bad_op(tmp_path, capsys):
@@ -260,8 +296,9 @@ def test_sync_file_errors_exit_2(flag, target, tmp_path, capsys):
     ({"edits": [["L", 2]]}, "edit 1 needs"),
     ({"edits": {"side": "L", "value": 2}}, "'edits' must be a list"),
     ([{"side": "L", "value": 2}], "expected a JSON object"),
+    ({"initial": [1, 10], "edits": []}, "'initial' must be a JSON object"),
 ], ids=["no-value", "unknown-side", "list-value", "not-an-object", "edits-not-a-list",
-        "not-a-session"])
+        "not-a-session", "initial-not-an-object"])
 def test_sync_malformed_session_is_a_script_error(session, message, tmp_path, capsys):
     path = tmp_path / "session.json"
     path.write_text(json.dumps(session))
@@ -310,8 +347,22 @@ def test_sync_interactive_end_of_input_at_a_prompt_exits_3(monkeypatch, capsys):
     assert captured.err == "error: console input ended\n"
 
 
+def test_sync_interactive_end_of_input_at_the_initial_prompt_starts_empty(monkeypatch,
+                                                                          capsys):
+    def closed_input(_prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", closed_input)
+    assert main(["sync", "--interactive", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["state"]["pair"] == ["", ""]
+
+
 def test_laws_other_single_suites(capsys):
     assert main(["laws", "--suite", "overwritable", "--bx", "identity"]) == 0
+    # a per-bx suite without --bx runs on the identity entry
+    assert main(["laws", "--suite", "overwritable"]) == 0
+    assert capsys.readouterr().out.count("pass  identity:overwritable") == 4
     assert main(["laws", "--suite", "stability", "--bx", "inv"]) == 0
     assert main(["laws", "--suite", "init", "--bx", "read-some"]) == 0
     assert main(["laws", "--suite", "init", "--bx", "mutant-unstable"]) == 2

@@ -3,6 +3,7 @@
 import pytest
 
 from effectbx import (
+    EffectbxError,
     FiniteDomain,
     Just,
     Left,
@@ -165,8 +166,6 @@ def test_sum_bx_init_marks_inactive_slot():
 
 
 def test_sum_bx_reading_uninitialized_slot_is_an_error():
-    from effectbx import EffectbxError
-
     fam = identity_family()
     bx = sum_bx(identity_bx(fam, BIT, name="x"), identity_bx(fam, BIT, name="y"))
     with pytest.raises(EffectbxError):
@@ -208,6 +207,10 @@ def test_list_ibx_rejects_negative_length():
     fam = identity_family()
     with pytest.raises(ValueError):
         list_ibx(identity_bx(fam, BIT), max_len=-1)
+    # a state that counts more elements than it stores is refused when read
+    bx = list_ibx(identity_bx(fam, BIT))
+    with pytest.raises(EffectbxError, match="list state count 2 out of range"):
+        bx.get_l.run((2, (0,)))
 
 
 def test_swap_iso():

@@ -1,8 +1,11 @@
 """Composition over join states, identity/duality, and equivalence checking."""
 
+from dataclasses import replace
+
 import pytest
 
 from effectbx import (
+    EffectbxError,
     FiniteDomain,
     MiddleTypeMismatch,
     NOTHING,
@@ -80,6 +83,9 @@ def test_join_states_filters_by_middle_view():
     assert set(join.elements) == {((a, b), a) for a in (0, 1) for b in (0, 1)}
     general = join_states_general(bx1, bx2)
     assert set(general.elements) == set(join.elements)
+    at_failure = identity_bx(failure_family(), BIT)
+    with pytest.raises(EffectbxError, match="requires the identity effect"):
+        join_states_general(at_failure, at_failure)
 
 
 def test_compose_seven_laws_and_transparency():
@@ -120,13 +126,17 @@ def test_compose_requires_transparency():
     assert "switch" in str(err.value)
 
 
-@pytest.mark.parametrize("combine", [
+COMBINERS = [
     lambda i, f: compose(f, i),
     lambda i, f: compose(i, f),
     lambda i, f: pair_bx(f, i),
     lambda i, f: sum_bx(f, i),
     lambda i, f: check_equivalence(i, f, StateBijection(lambda s: s, lambda s: s)),
-], ids=["compose-f-i", "compose-i-f", "pair", "sum", "equivalence"])
+]
+COMBINER_IDS = ["compose-f-i", "compose-i-f", "pair", "sum", "equivalence"]
+
+
+@pytest.mark.parametrize("combine", COMBINERS, ids=COMBINER_IDS)
 def test_bx_at_different_effects_do_not_combine(combine):
     # every operation of the result is read at one effect; a component at
     # another would be misread (a failure value taken for an identity value)
@@ -138,11 +148,27 @@ def test_bx_at_different_effects_do_not_combine(combine):
         assert word in str(err.value)
 
 
+@pytest.mark.parametrize("combine", COMBINERS, ids=COMBINER_IDS)
+def test_bx_at_reader_families_over_different_contexts_do_not_combine(combine):
+    # both families are named reader, but a combination compares its effect
+    # values at the contexts of one: a set that misbehaves only at
+    # environment 1 would pass every law at environment 0
+    narrow = identity_bx(reader_family((0,)), BIT, name="over-0")
+    wide = identity_bx(reader_family((0, 1)), BIT, name="over-01")
+    with pytest.raises(ValueError) as err:
+        combine(narrow, wide)
+    for word in ("over-0 ", "over-01 ", "(0,)", "(0, 1)"):
+        assert word in str(err.value)
+
+
 def test_compose_middle_mismatch():
     bx1 = _fst()  # right view over {0,1}
     wide = identity_bx(identity_family(), FiniteDomain("wide", (0, 1, 2)))
     with pytest.raises(MiddleTypeMismatch):
         compose(bx1, wide)
+    undeclared = replace(identity_bx(identity_family(), BIT), dom_a=None)
+    with pytest.raises(MiddleTypeMismatch, match="needs declared middle domains"):
+        compose(bx1, undeclared)
 
 
 def test_identity_composition_equivalences():
@@ -195,6 +221,12 @@ def test_not_bijective_detection():
     squash = StateBijection(forward=lambda _s: (0, 0), backward=lambda p: p[1])
     with pytest.raises(NotBijective):
         check_equivalence(bx, composed, squash)
+    outside = StateBijection(forward=lambda s: (s, 1 - s), backward=lambda p: p[0])
+    with pytest.raises(NotBijective, match=r"forward image \(0, 1\) outside codomain"):
+        check_equivalence(bx, composed, outside)
+    one = identity_bx(fam, FiniteDomain("one", (0,)))
+    with pytest.raises(NotBijective, match="not onto the codomain"):
+        check_equivalence(one, bx, StateBijection(lambda s: s, lambda s: s))
 
 
 def test_compose_init_lands_in_join_and_satisfies_laws():

@@ -175,6 +175,13 @@ def test_console_exhaustion_is_not_a_result_value():
     assert fam.equal_values(reads_past_end, fam.bind(console_read(), fam.unit))
 
 
+def test_console_values_with_one_transcript_and_different_results_differ():
+    fam = console_family(scripts=(("a",),))
+    assert not fam.equal_values(fam.unit(0), fam.unit(1))
+    assert not fam.equal_values(fam.then(console_write("x"), fam.unit(0)),
+                                fam.then(console_write("x"), fam.unit(1)))
+
+
 def test_console_world_transcript_grows_monotonically():
     world = ConsoleWorld(("one", "two"))
     world.write("hello")

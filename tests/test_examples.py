@@ -74,6 +74,16 @@ def test_partial_bx_rejects_non_inverses():
             FiniteDomain("b", (1, 2)),
         )
     assert "not partial inverses" in str(err.value)
+    # f inverts g on every a, but g(2) = 0 is not inverted by f
+    with pytest.raises(EffectbxError, match=r"g\(2\)=0 but f\(0\)=0"):
+        partial_bx(
+            fam,
+            NOTHING,
+            lambda a: a,
+            lambda b: 0 if b == 2 else b,
+            BIT,
+            FiniteDomain("b", (0, 1, 2)),
+        )
 
 
 def test_partial_bx_rejects_non_zero_err():
@@ -190,12 +200,21 @@ def test_nondet_never_leaves_ok_region():
 
 
 def test_nondet_rejects_bad_side_conditions():
-    with pytest.raises(EffectbxError):
+    with pytest.raises(EffectbxError, match=r"^bs\(0\) offers inconsistent 1$"):
         nondet_bx(
             choice_family(),
             ok=lambda a, b: a == b,
             bs=lambda a: [1 - a],  # inconsistent candidate
             as_=lambda b: [b],
+            dom_a=BIT,
+            dom_b=BIT,
+        )
+    with pytest.raises(EffectbxError, match=r"^as\(0\) offers inconsistent 1$"):
+        nondet_bx(
+            choice_family(),
+            ok=lambda a, b: a == b,
+            bs=lambda a: [a],
+            as_=lambda b: [1 - b],  # inconsistent candidate
             dom_a=BIT,
             dom_b=BIT,
         )
@@ -212,6 +231,11 @@ def test_switch_constant_family_behaves_like_member():
     for s in PAIRS:
         for env in (0, 1):
             assert switched.get_r.run(s)(env) == member.get_r.run(s)(env)
+
+
+def test_switch_needs_a_family_with_contexts():
+    with pytest.raises(EffectbxError, match="needs a reader family with contexts"):
+        switch_bx(identity_family(), lambda _c: identity_bx(identity_family(), BIT))
 
 
 def test_switch_two_lens_family_reads_env():
@@ -356,6 +380,7 @@ def test_dynamic_search_first_match_and_failure():
     assert out == Just(((), ((1, expected_b), (((1, 0), expected_b),), ())))
     nope = dynamic_search_bx(lambda a, b: False, BIT, BIT)
     assert nope.set_l(1).run(((0, 0), (), ())) is NOTHING
+    assert nope.set_r(1).run(((0, 0), (), ())) is NOTHING
 
 
 def test_dynamic_console_second_identical_edit_silent():
