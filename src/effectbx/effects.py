@@ -13,6 +13,7 @@ by the data-refinement construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable, Iterable, Optional
@@ -174,25 +175,26 @@ def choice_family(multiset: bool = False) -> EffectFamily:
             out = out + tuple(k(a))
         return out
 
-    def equal(x, y):
-        if multiset:
-            remaining = list(y)
-            for a in x:
-                for i, b in enumerate(remaining):
-                    if a == b:
-                        del remaining[i]
-                        break
-                else:
-                    return False
-            return not remaining
-        return len(x) == len(y) and all(a == b for a, b in zip(x, y))
+    def same_sequence(x, y):
+        return len(x) == len(y) and all(map(operator.eq, x, y))
+
+    def same_multiset(x, y):
+        remaining = list(y)
+        for a in x:
+            for i, b in enumerate(remaining):
+                if a == b:
+                    del remaining[i]
+                    break
+            else:
+                return False
+        return not remaining
 
     return EffectFamily(
         name="choice" if not multiset else "choice-multiset",
         unit=lambda a: (a,),
         bind=bind,
         zero=(),
-        equal=equal,
+        equal=same_multiset if multiset else same_sequence,
         enumerate_values=lambda dom: tuples_up_to(dom, 2),
         outcomes=lambda x: tuple(x),
     )

@@ -14,10 +14,9 @@ are sampled without being built.  The mode is recorded in the report so
 
 Exhaustive checking evaluates only the points of a function a law reads, as
 in Lazy SmallCheck (Runciman, Naylor & Lindblad, 2008): a function-valued
-quantifier starts with no point assigned, applying it at an unassigned point
-interrupts the evaluation, and the runner branches on that one point.  An
-evaluation that completes decides every total function that agrees with the
-points assigned so far, so a report's ``checked`` counts the assignments
+quantifier starts with no point assigned, and the runner branches on each
+point the law reads.  An evaluation decides every total function that agrees
+with the points it read, so a report's ``checked`` counts the assignments
 covered, not the evaluations made, and reads as if every assignment had been
 evaluated.  A function into a space of functions (a continuation whose
 values are reader or state-transformer values) is curried: its points are
@@ -27,13 +26,15 @@ the live views of its sections.
 
 The branching is a depth-first walk over one digit vector per function
 quantifier, the candidate vector of Korat (Boyapati, Khurshid & Marinov,
-2002): a law sees a live view of the vector, a demanded point is set in
-place and pushed on a trail, and backtracking advances or undoes the
-trail's last point.  No node is copied, and a function is decoded only to
-be compared, hashed or printed once all its points are assigned.  Sampled
-rows and rows with no function quantifier take the same walk, which then
-ends at the first evaluation; a failing row is kept as its indices and
-evaluated again from their decoded values to become a witness.
+2002), which also supplies its access list: a law sees a live view of the
+vector, a first read of a point gives it the first codomain value in place
+and appends it to a trail shared by the law's views, and backtracking
+advances or undoes the trail's last point.  No evaluation is interrupted,
+so each one completes and covers a leaf; no node is copied, and a function
+is decoded only to be compared, hashed or printed.  Sampled rows and rows
+with no function quantifier take the same walk, which then ends at the
+first evaluation; a failing row is kept as its indices and evaluated again
+from their decoded values to become a witness.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
 
     def curried(g):
         return FiniteFunction(keys, tuple(
-            inner.wrap(_PartialFunction(g.slot, inner, g.digits, g.start + j * width))
+            inner.wrap(_PartialFunction(g.slot, inner, g.digits, g.trail,
+                                        g.start + j * width))
             for j in range(len(keys))))
 
     pairs = tuple((k, x) for k in keys for x in inner.keys)
@@ -310,33 +312,28 @@ def _as_space(values) -> Space:
     return Space(len(values), values.__getitem__)
 
 
-class _Demand(BaseException):
-    """A law read a point that its partial function has not assigned yet;
-    ``args`` are the function's slot in the node and the key's index.  Not an
-    ``Exception``, so that neither a law side's ``except Exception`` nor a
-    ``KeyError`` handler can swallow it."""
-
-
 class _PartialFunction:
     """The live view of a function quantifier that ``run_laws`` assigns point
     by point: ``digits[start + j]`` is the codomain index given to
     ``keys[j]``, or None, and the walk changes ``digits`` in place, so one
     view serves every node of the walk.  It is the only live view: a curried
     function is a ``FiniteFunction`` of sections, each a view with a nonzero
-    ``start`` over its own slice of the quantifier's digits.  ``==``,
-    ``hash`` and ``repr`` read the whole function: they demand its first
-    unassigned point, and once every point is assigned they act on the
-    decoded ``FiniteFunction``, so a full section compares, hashes and
-    prints as the element ``decode`` picks.  Keys are looked up as
-    ``FiniteFunction`` does."""
+    ``start`` over its own slice of the quantifier's digits.  Reading a point
+    that is still None gives it digit 0 and appends ``(slot, index)`` to
+    ``trail``, the access list that the views of one law share.  ``==``,
+    ``hash`` and ``repr`` read the whole function: they assign each
+    unassigned point in key order and act on the decoded ``FiniteFunction``,
+    so a section compares, hashes and prints as the element ``decode``
+    picks.  Keys are looked up as ``FiniteFunction`` does."""
 
-    __slots__ = ("slot", "keys", "codomain", "digits", "start")
+    __slots__ = ("slot", "keys", "codomain", "digits", "trail", "start")
 
-    def __init__(self, slot, form, digits, start=0):
+    def __init__(self, slot, form, digits, trail, start=0):
         self.slot = slot
         self.keys = form.keys
         self.codomain = form.codomain
         self.digits = digits
+        self.trail = trail
         self.start = start
 
     def __call__(self, x):
@@ -346,15 +343,23 @@ class _PartialFunction:
             raise KeyError(f"{x!r} outside function domain") from None
         digit = self.digits[j]
         if digit is None:
-            raise _Demand(self.slot, j)
+            self.digits[j] = 0
+            self.trail.append((self.slot, j))
+            return self.codomain[0]
         return self.codomain[digit]
 
     def _decoded(self):
-        digits = self.digits[self.start:self.start + len(self.keys)]
-        if None in digits:
-            raise _Demand(self.slot, self.start + digits.index(None))
+        digits, start = self.digits, self.start
+        end = start + len(self.keys)
+        window = digits[start:end]
+        if None in window:
+            for j in range(start, end):
+                if digits[j] is None:
+                    digits[j] = 0
+                    self.trail.append((self.slot, j))
+            window = digits[start:end]
         codomain = self.codomain
-        return FiniteFunction(self.keys, tuple(codomain[d] for d in digits))
+        return FiniteFunction(self.keys, tuple(codomain[d] for d in window))
 
     def __eq__(self, other):
         return self._decoded() == other
@@ -439,23 +444,25 @@ def run_laws(subject_name: str, laws, equal,
 
     In exhaustive mode a function-valued quantifier (a ``Space`` with a
     ``functions`` form, as ``enumerate_functions`` builds) starts with no
-    point assigned.  When the law reads an unassigned point the evaluation
-    stops and is repeated once per value of that point; an evaluation that
-    completes covers every assignment that agrees with the points it read.
+    point assigned.  The first read of a point gives it the first value of
+    the codomain and records it on a trail, Korat's access list; an
+    evaluation covers every assignment that agrees with the points it read,
+    and backtracking advances the trail's last point to its next value, or
+    undoes it and backtracks further, before the law is evaluated again.
     The points live in one digit vector per quantifier, which the law reads
-    through a view built once per law; the walk sets a demanded point in
-    place, records it on a trail and undoes it on backtracking, so the nodes
-    are visited depth first with no copies, and a function is decoded only
-    to compare, hash or print it.  ``checked`` counts the assignments
+    through a view built once per law, so the nodes are visited depth first
+    with no copies, every evaluation completes, and a function is decoded
+    only to compare, hash or print it.  ``checked`` counts the assignments
     covered, exactly as many as plain enumeration would evaluate.
 
     Every row takes this one loop: it is one index per quantifier (None for
-    a function quantifier when exhaustive), its plain indices are decoded
-    into ``env``, and with no function quantifier (or when sampled) the
-    walk ends at the first evaluation, covering 1.  The witnesses are the
-    first ``max_witnesses`` failing index tuples, each evaluated again from
-    decoded values.  Output ordering is deterministic: laws in given order,
-    witnesses in enumeration order (or in seeded sample order).
+    a function quantifier when exhaustive), and ``env`` decodes the plain
+    indices that differ from the previous row's; with no function
+    quantifier (or when sampled) the walk ends at the first evaluation,
+    covering 1.  The witnesses are the first ``max_witnesses`` failing
+    index tuples, each evaluated again from freshly decoded values.  Output
+    ordering is deterministic: laws in given order, witnesses in
+    enumeration order (or in seeded sample order).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -472,7 +479,9 @@ def run_laws(subject_name: str, laws, equal,
         # one live digit vector per function quantifier, None where unassigned
         digits = [[None] * len(form.keys) for _i, form in lazy]
         bases = [len(form.codomain) for _i, form in lazy]
-        views = {names[i]: form.wrap(_PartialFunction(slot, form, digits[slot]))
+        # the assigned points, in the order the law first read them
+        trail = []
+        views = {names[i]: form.wrap(_PartialFunction(slot, form, digits[slot], trail))
                  for slot, (i, form) in enumerate(lazy)}
         # the assignments a node covers before any point is assigned
         root_covered = math.prod(base ** len(d) for base, d in zip(bases, digits))
@@ -480,23 +489,24 @@ def run_laws(subject_name: str, laws, equal,
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
         found = []
+        # one env per law: a row decodes the plain indices that differ from
+        # the previous row's, all of them on the first row
+        env = dict(views)
+        previous = (None,) * len(spaces)
         for row, indices in enumerate(assignments):
-            env = {name: d.decode(i)
-                   for name, d, i in zip(names, spaces, indices) if i is not None}
-            env.update(views)
-            # the assigned points, in the order the law demanded them
-            trail = []
+            for name, d, i, was in zip(names, spaces, indices, previous):
+                if i != was:
+                    env[name] = d.decode(i)
+            previous = indices
             covered = root_covered
+            # trail[:counted] are the points already divided out of covered
+            counted = 0
             while True:
-                try:
-                    lhs, rhs = law.evaluate(env)
-                    ok = equal(lhs, rhs)
-                except _Demand as demand:
-                    slot, key = demand.args
-                    digits[slot][key] = 0
-                    trail.append(demand.args)
-                    covered //= bases[slot]
-                    continue
+                lhs, rhs = law.evaluate(env)
+                ok = equal(lhs, rhs)
+                while counted < len(trail):
+                    covered //= bases[trail[counted][0]]
+                    counted += 1
                 checked += covered
                 if not ok:
                     for full in _cube(indices, digits, lazy):
@@ -513,6 +523,7 @@ def run_laws(subject_name: str, laws, equal,
                     vector[key] = None
                     covered *= bases[slot]
                     trail.pop()
+                    counted -= 1
                 else:
                     break
         failures = []
