@@ -9,7 +9,7 @@ from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family, require_identity
 from .errors import NoInitializers, UnobservableEffect
-from .lawcheck import FiniteDomain, Law, LawReport, run_laws
+from .lawcheck import FiniteDomain, Law, LawReport, pointwise, run_laws
 from .lenses import Lens
 from .stateful import Stateful, get_set_laws, st_get, st_gets, st_set, st_unit
 
@@ -84,19 +84,18 @@ def seven_laws(bx: Bx):
     return [
         *left[:3],
         *right[:3],
-        Law(
-            "get_l-get_r",
-            [("s", bx.state_domain)],
+        pointwise(
+            "get_l-get_r", [], bx.state_domain,
             lambda e: bx.get_l.bind(
                 lambda a: bx.get_r.map(
                     lambda b: (a, b)
                 )
-            ).run(e["s"]),
+            ),
             lambda e: bx.get_r.bind(
                 lambda b: bx.get_l.map(
                     lambda a: (a, b)
                 )
-            ).run(e["s"]),
+            ),
         ),
     ]
 
@@ -217,19 +216,17 @@ def stability_laws(bx: Bx):
     """Every consistent pair survives its two sets, in either order."""
     pairs = consistent_pairs(bx)
     return [
-        Law(
-            "stable-set_l-first",
-            [("p", pairs), ("s", bx.state_domain)],
-            lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1])).then(bx.get_l).run(e["s"]),
+        pointwise(
+            "stable-set_l-first", [("p", pairs)], bx.state_domain,
+            lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1])).then(bx.get_l),
             lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1]))
-            .then(st_unit(bx.effect, e["p"][0])).run(e["s"]),
+            .then(st_unit(bx.effect, e["p"][0])),
         ),
-        Law(
-            "stable-set_r-first",
-            [("p", pairs), ("s", bx.state_domain)],
-            lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0])).then(bx.get_r).run(e["s"]),
+        pointwise(
+            "stable-set_r-first", [("p", pairs)], bx.state_domain,
+            lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0])).then(bx.get_r),
             lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0]))
-            .then(st_unit(bx.effect, e["p"][1])).run(e["s"]),
+            .then(st_unit(bx.effect, e["p"][1])),
         ),
     ]
 

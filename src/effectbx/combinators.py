@@ -96,20 +96,22 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
     _require_transparent(bx2)
     _require_same_effect(bx1, bx2)
     fam = bx1.effect
+
+    def paired_get(get1, get2):
+        # the right get is widened once, not on every run of the continuation
+        second = right(get2)
+        return left(get1).bind(
+            lambda v1: second.map(
+                lambda v2: (v1, v2)
+            )
+        )
+
     paired = Bx(
         name=f"pair({bx1.name},{bx2.name})",
         effect=fam,
-        get_l=left(bx1.get_l).bind(
-            lambda a1: right(bx2.get_l).map(
-                lambda a2: (a1, a2)
-            )
-        ),
+        get_l=paired_get(bx1.get_l, bx2.get_l),
         set_l=lambda a: left(bx1.set_l(a[0])).then(right(bx2.set_l(a[1]))),
-        get_r=left(bx1.get_r).bind(
-            lambda b1: right(bx2.get_r).map(
-                lambda b2: (b1, b2)
-            )
-        ),
+        get_r=paired_get(bx1.get_r, bx2.get_r),
         set_r=lambda b: left(bx1.set_r(b[0])).then(right(bx2.set_r(b[1]))),
         state_domain=_product_domain(
             f"{bx1.name}x{bx2.name}", bx1.state_domain, bx2.state_domain

@@ -16,7 +16,7 @@ from .bx import (
 )
 from .effects import EffectFamily
 from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
-from .lawcheck import FiniteDomain, Law, LawReport, run_laws
+from .lawcheck import FiniteDomain, Law, LawReport, pointwise, run_laws
 from .lenses import Lens, identity_lens, theta
 from .stateful import Stateful, st_eval, st_exec
 
@@ -264,12 +264,11 @@ def _check_bijection(h: StateBijection, dom1: FiniteDomain, dom2: FiniteDomain):
 
 def iota(h: StateBijection, fam: EffectFamily, m: Stateful) -> Stateful:
     """Transport a computation along a state bijection."""
-    return Stateful(
-        fam,
-        lambda t: fam.map(
-            m.run(h.backward(t)), lambda pair: (pair[0], h.forward(pair[1]))
-        ),
-    )
+
+    def forward(pair):
+        return (pair[0], h.forward(pair[1]))
+
+    return Stateful(fam, lambda t: fam.map(m.run(h.backward(t)), forward))
 
 
 def _iota_laws(bx1: Bx, bx2: Bx, h: StateBijection, side, var):
@@ -278,17 +277,15 @@ def _iota_laws(bx1: Bx, bx2: Bx, h: StateBijection, side, var):
     initializer."""
     fam = bx1.effect
     return (
-        Law(
-            f"iota-get_{side}",
-            [("s", bx2.state_domain)],
-            lambda e: iota(h, fam, bx1.get_l).run(e["s"]),
-            lambda e: bx2.get_l.run(e["s"]),
+        pointwise(
+            f"iota-get_{side}", [], bx2.state_domain,
+            lambda e: iota(h, fam, bx1.get_l),
+            lambda e: bx2.get_l,
         ),
-        Law(
-            f"iota-set_{side}",
-            [(var, bx1.dom_a), ("s", bx2.state_domain)],
-            lambda e: iota(h, fam, bx1.set_l(e[var])).run(e["s"]),
-            lambda e: bx2.set_l(e[var]).run(e["s"]),
+        pointwise(
+            f"iota-set_{side}", [(var, bx1.dom_a)], bx2.state_domain,
+            lambda e: iota(h, fam, bx1.set_l(e[var])),
+            lambda e: bx2.set_l(e[var]),
         ),
         Law(
             f"h-init_{side}",

@@ -24,6 +24,7 @@ from .lawcheck import (
     Law,
     LawReport,
     enumerate_functions,
+    pointwise,
     run_laws,
     tuples_up_to,
 )
@@ -598,28 +599,29 @@ def morphism_laws(prefix, phi, src: EffectFamily, dst: EffectFamily,
     unit at every ``a`` in ``dom`` and distributes over bind for the effect
     value quantifier ``m``, a (name, values) pair, and every continuation
     ``k`` in ``conts``.  When ``states`` is a domain, the ``dst`` values are
-    state transformers, compared by running both sides at a quantified
-    ``s``; when it is None they are compared as they are."""
-    at = [] if states is None else [("s", states)]
+    state transformers, compared ``pointwise`` at a quantified ``s``; when
+    it is None they are compared as they are."""
     var = m[0]
 
-    def observe(x, e):
-        return x if states is None else x.run(e["s"])
+    def law(name, quantifiers, lhs, rhs):
+        if states is None:
+            return Law(name, quantifiers, lhs, rhs)
+        return pointwise(name, quantifiers, states, lhs, rhs)
 
     return [
-        Law(
+        law(
             f"{prefix}preserves-unit",
-            [("a", dom), *at],
-            lambda e: observe(phi(src.unit(e["a"])), e),
-            lambda e: observe(dst.unit(e["a"]), e),
+            [("a", dom)],
+            lambda e: phi(src.unit(e["a"])),
+            lambda e: dst.unit(e["a"]),
         ),
-        Law(
+        law(
             f"{prefix}preserves-bind",
-            [m, ("k", conts), *at],
-            lambda e: observe(phi(src.bind(e[var], e["k"])), e),
-            lambda e: observe(dst.bind(phi(e[var]), (
+            [m, ("k", conts)],
+            lambda e: phi(src.bind(e[var], e["k"])),
+            lambda e: dst.bind(phi(e[var]), (
                 lambda a: phi(e["k"](a))
-            )), e),
+            )),
         ),
     ]
 

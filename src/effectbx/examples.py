@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .bx import Bx
+from .bx import Bx, dual
 from .combinators import Left, Right
 from .effects import (
     EffectFamily,
@@ -278,23 +278,23 @@ def switch_bx(fam: EffectFamily, family_of_bx, name: str = "switch") -> Bx:
 def signal_bx(sig_a, sig_b, bx: Bx) -> Bx:
     """Fire a signal whenever a set actually changes the view; unchanged sets
     stay silent, which is what keeps the wrapper well-behaved."""
+    return replace(bx, name=f"signal({bx.name})", set_l=_signalled_set_l(sig_a, bx),
+                   set_r=_signalled_set_l(sig_b, dual(bx)))
+
+
+def _signalled_set_l(sig, bx: Bx):
+    """``bx.set_l`` followed by ``sig`` of the new view when it differs from
+    the old one; the right side of ``signal_bx`` is this on ``dual(bx)``."""
     fam = bx.effect
 
     def set_l(a1):
         return bx.get_l.bind(
             lambda a: bx.set_l(a1).then(
-                st_lift(fam, sig_a(a1) if a != a1 else fam.unit(()))
+                st_lift(fam, sig(a1) if a != a1 else fam.unit(()))
             )
         )
 
-    def set_r(b1):
-        return bx.get_r.bind(
-            lambda b: bx.set_r(b1).then(
-                st_lift(fam, sig_b(b1) if b != b1 else fam.unit(()))
-            )
-        )
-
-    return replace(bx, name=f"signal({bx.name})", set_l=set_l, set_r=set_r)
+    return set_l
 
 
 def log_bx(bx: Bx) -> Bx:

@@ -43,6 +43,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -227,6 +228,59 @@ class Law:
 
     def evaluate(self, env):
         return self.lhs(env), self.rhs(env)
+
+
+def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
+    """A law between two computations observed at every state: it compares
+    ``lhs(e).run(s)`` with ``rhs(e).run(s)`` over ``[*quantifiers, ("s",
+    states)]``, where ``lhs`` and ``rhs`` build the computations (``Stateful``
+    values) from the other quantifiers alone, reading them while they build.
+
+    Each side is built once per assignment of ``quantifiers`` (once per law
+    when there are none) and run at every state: ``run_laws`` walks ``s``
+    innermost and keeps a plain quantifier's value as one object until its
+    index changes, so a one-entry cache keyed by the identities of those
+    values hits at every state but the first.  Each side checks the key
+    itself, so ``lhs``, ``rhs`` and ``evaluate`` are each right when called
+    alone.  A function-valued quantifier (a ``Space`` with a ``functions``
+    form) turns the cache off: its live view changes in place under one
+    identity, and a side may read it while it is built (an eager ``bind``,
+    as choice's, runs its continuation at once)."""
+    quantifiers = tuple(quantifiers)
+    observed = (*quantifiers, ("s", states))
+    if any(isinstance(d, Space) and d.functions for _n, d in quantifiers):
+        return Law(name, observed, lambda e: lhs(e).run(e["s"]),
+                   lambda e: rhs(e).run(e["s"]))
+    # the key and its test, cheap for the common laws of at most one name
+    if len(quantifiers) > 1:
+        key = operator.itemgetter(*[n for n, _d in quantifiers])
+
+        def same(values, held):
+            return all(map(operator.is_, values, held))
+    else:
+        key = operator.itemgetter(quantifiers[0][0]) if quantifiers else _no_key
+        same = operator.is_
+    return Law(name, observed, _built_once(lhs, key, same), _built_once(rhs, key, same))
+
+
+def _no_key(_env):
+    return None
+
+
+def _built_once(build, key, same):
+    """The side ``env -> build(env).run(env["s"])``, which builds again only
+    when ``key(env)`` is not ``same`` as the key it last built for."""
+    held = built = None
+
+    def side(e):
+        nonlocal held, built
+        values = key(e)
+        if built is None or not same(values, held):
+            built = build(e)
+            held = values
+        return built.run(e["s"])
+
+    return side
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ from .effects import EffectFamily, NativeStateOps, morphism_laws
 from .errors import BaseLawsViolated
 from .lawcheck import (
     FiniteDomain,
-    Law,
     LawReport,
     Space,
     enumerate_functions,
+    pointwise,
     run_laws,
 )
 
@@ -27,6 +27,10 @@ class Stateful:
     has slots and a plain ``__init__``, since the checker builds tens of
     thousands per pass; repr, equality and hash are those of a frozen
     dataclass over ``(effect, run)``.
+
+    ``bind``, ``map`` and ``then`` build their continuation once, when the
+    computation is composed: a run passes it to the family's ``bind`` and
+    builds nothing else, and no continuation captures the state.
     """
 
     __slots__ = ("effect", "run")
@@ -46,32 +50,37 @@ class Stateful:
     def __hash__(self):
         return hash((self.effect, self.run))
 
-    # map and then build their closures directly rather than through bind,
-    # saving an st_unit computation and a closure on every run of the
-    # continuation; each inner lambda on a line of its own, so that
-    # profilers, which key a function by (file, first line, name), tell it
-    # from the outer
+    # map and then build their continuations directly rather than through
+    # bind, saving an st_unit computation on every run of the continuation;
+    # each continuation is a def of its own, so that profilers, which key a
+    # function by (file, first line, name), tell it from the run closure
 
     def bind(self, k: Callable[[Any], "Stateful"]) -> "Stateful":
         fam = self.effect
         bind, run = fam.bind, self.run
-        return Stateful(fam, lambda s: bind(run(s), (
-            lambda pair: k(pair[0]).run(pair[1])
-        )))
+
+        def cont(pair):
+            return k(pair[0]).run(pair[1])
+
+        return Stateful(fam, lambda s: bind(run(s), cont))
 
     def map(self, f) -> "Stateful":
         fam = self.effect
         bind, unit, run = fam.bind, fam.unit, self.run
-        return Stateful(fam, lambda s: bind(run(s), (
-            lambda pair: unit((f(pair[0]), pair[1]))
-        )))
+
+        def cont(pair):
+            return unit((f(pair[0]), pair[1]))
+
+        return Stateful(fam, lambda s: bind(run(s), cont))
 
     def then(self, m: "Stateful") -> "Stateful":
         fam = self.effect
         bind, run = fam.bind, self.run
-        return Stateful(fam, lambda s: bind(run(s), (
-            lambda pair: m.run(pair[1])
-        )))
+
+        def cont(pair):
+            return m.run(pair[1])
+
+        return Stateful(fam, lambda s: bind(run(s), cont))
 
 
 def st_unit(fam: EffectFamily, a) -> Stateful:
@@ -134,7 +143,7 @@ def enumerate_stateful(fam: EffectFamily, state_domain: FiniteDomain,
 
 def get_set_laws(get: Stateful, set_, views, states, names=("get", "set"),
                  variables=("x", "y")):
-    """The four laws of one state interface, each evaluated pointwise over
+    """The four laws of one state interface, each ``pointwise`` over
     ``states``: get-get (reading twice reads the same), set-get (a get after
     a set returns the value set), get-set (setting what was got changes
     nothing) and set-set (a later set overwrites an earlier one).
@@ -148,35 +157,31 @@ def get_set_laws(get: Stateful, set_, views, states, names=("get", "set"),
     fam = get.effect
     # inner lambdas on lines of their own, as in Stateful.bind
     return [
-        Law(
-            f"{get_name}-{get_name}",
-            [("s", states)],
+        pointwise(
+            f"{get_name}-{get_name}", [], states,
             lambda e: get.bind(
                 lambda a: get.map(
                     lambda a2: (a, a2)
                 )
-            ).run(e["s"]),
+            ),
             lambda e: get.map(
                 lambda a: (a, a)
-            ).run(e["s"]),
+            ),
         ),
-        Law(
-            f"{set_name}-{get_name}",
-            [(x, views), ("s", states)],
-            lambda e: set_(e[x]).then(get).run(e["s"]),
-            lambda e: set_(e[x]).then(st_unit(fam, e[x])).run(e["s"]),
+        pointwise(
+            f"{set_name}-{get_name}", [(x, views)], states,
+            lambda e: set_(e[x]).then(get),
+            lambda e: set_(e[x]).then(st_unit(fam, e[x])),
         ),
-        Law(
-            f"{get_name}-{set_name}",
-            [("s", states)],
-            lambda e: get.bind(set_).run(e["s"]),
-            lambda e: st_unit(fam, ()).run(e["s"]),
+        pointwise(
+            f"{get_name}-{set_name}", [], states,
+            lambda e: get.bind(set_),
+            lambda e: st_unit(fam, ()),
         ),
-        Law(
-            f"{set_name}-{set_name}",
-            [(x, views), (y, views), ("s", states)],
-            lambda e: set_(e[x]).then(set_(e[y])).run(e["s"]),
-            lambda e: set_(e[y]).run(e["s"]),
+        pointwise(
+            f"{set_name}-{set_name}", [(x, views), (y, views)], states,
+            lambda e: set_(e[x]).then(set_(e[y])),
+            lambda e: set_(e[y]),
         ),
     ]
 
@@ -187,38 +192,47 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
     lifting-commutation equalities, exhaustively over the state domain."""
     get = st_get(fam)
     tvs = fam.values_over(value_domain)
-    # inner lambdas on lines of their own, as in Stateful.bind
+
+    # these sides read tv and x while they are built, not in a continuation,
+    # so that what a cached side holds does not depend on the env it was
+    # built from; inner lambdas on lines of their own, as in Stateful.bind
+    def lift_after_get(e):
+        lifted = st_lift(fam, e["tv"])
+        return get.bind(
+            lambda a: lifted.map(
+                lambda b: (a, b)
+            )
+        )
+
+    def set_after_lift(e):
+        set_x = st_set(fam, e["x"])
+        return st_lift(fam, e["tv"]).bind(
+            lambda b: set_x.then(st_unit(fam, b))
+        )
+
     laws = [
         *get_set_laws(get, lambda x: st_set(fam, x), state_domain, state_domain),
-        Law(
+        pointwise(
             "unused-get-discardable",
-            [("m", enumerate_stateful(fam, state_domain, value_domain)), ("s", state_domain)],
+            [("m", enumerate_stateful(fam, state_domain, value_domain))], state_domain,
             lambda e: get.bind(
                 lambda _a: e["m"]
-            ).run(e["s"]),
-            lambda e: e["m"].run(e["s"]),
+            ),
+            lambda e: e["m"],
         ),
-        Law(
-            "lift-commutes-with-get",
-            [("tv", tvs), ("s", state_domain)],
-            lambda e: get.bind(
-                lambda a: st_lift(fam, e["tv"]).map(
-                    lambda b: (a, b)
-                )
-            ).run(e["s"]),
+        pointwise(
+            "lift-commutes-with-get", [("tv", tvs)], state_domain,
+            lift_after_get,
             lambda e: st_lift(fam, e["tv"]).bind(
                 lambda b: get.map(
                     lambda a: (a, b)
                 )
-            ).run(e["s"]),
+            ),
         ),
-        Law(
-            "lift-commutes-with-set",
-            [("x", state_domain), ("tv", tvs), ("s", state_domain)],
-            lambda e: st_set(fam, e["x"]).then(st_lift(fam, e["tv"])).run(e["s"]),
-            lambda e: st_lift(fam, e["tv"])
-            .bind(lambda b: st_set(fam, e["x"]).then(st_unit(fam, b)))
-            .run(e["s"]),
+        pointwise(
+            "lift-commutes-with-set", [("x", state_domain), ("tv", tvs)], state_domain,
+            lambda e: st_set(fam, e["x"]).then(st_lift(fam, e["tv"])),
+            set_after_lift,
         ),
     ]
     return run_laws(

@@ -27,10 +27,12 @@ from effectbx import (
     inv_bx,
     list_ibx,
     Bx,
+    Law,
     Lens,
     NoInitializers,
     lens_to_bx,
     log_bx,
+    seven_laws,
     writer_family,
 )
 from effectbx.corpus import (
@@ -194,6 +196,40 @@ def test_init_laws():
     assert report.failing_laws == ("init_l-get_l",)
     w = report.law("init_l-get_l").failures[0]
     assert w.inputs == {"a": "1"}
+
+
+@pytest.mark.parametrize("name, states", [("identity", 2), ("dynamic-identity", 324)])
+def test_seven_builds_each_set_once_per_view_at_any_number_of_states(
+        monkeypatch, name, states):
+    # set_l-get_l builds set_l(a) once per view for each side, however many
+    # states it runs at; get_l-set_l applies set_l to the view each run reads
+    bx = next(entry.build() for entry in corpus_entries() if entry.name == name)
+    assert (len(bx.dom_a), len(bx.state_domain)) == (2, states)
+    counts, law_name = {}, [None]
+    evaluate = Law.evaluate
+
+    def naming(law, env):
+        law_name[0] = law.name
+        return evaluate(law, env)
+
+    def set_l(a):
+        counts[law_name[0]] = counts.get(law_name[0], 0) + 1
+        return bx.set_l(a)
+
+    monkeypatch.setattr(Law, "evaluate", naming)
+    assert check_suite(replace(bx, set_l=set_l), "seven").ok
+    assert counts == {"set_l-get_l": 4, "get_l-set_l": states}
+
+
+def test_a_pointwise_side_called_alone_builds_from_its_own_env():
+    law = seven_laws(identity_bx(identity_family(), BIT))[1]
+    assert law.name == "set_l-get_l"
+    fresh = {"a": 1, "s": 0}
+    assert law.rhs(fresh) == law.evaluate(fresh)[1] == (1, 1)
+    # a side built for a = 0 is not reused for a = 1
+    assert law.evaluate({"a": 0, "s": 1}) == ((0, 0), (0, 0))
+    assert law.rhs({"a": 1, "s": 1}) == (1, 1)
+    assert law.lhs({"a": 1, "s": 0}) == (1, 1)
 
 
 def test_check_suite_names_the_subject_per_suite():

@@ -22,8 +22,10 @@ from effectbx import (
     enumerate_stateful,
     fst_lens,
     identity_family,
+    pointwise,
     reader_family,
     run_laws,
+    st_unit,
     state_law_suite,
 )
 from effectbx.corpus import (
@@ -328,6 +330,28 @@ def test_no_partial_function_appears_in_a_witness():
 D2 = FiniteDomain("d2", (0, 1))
 BIT = FiniteDomain("bit", (0, 1))
 READER = reader_family((0, 1))
+
+
+@pytest.mark.parametrize("cap, mode", [(DEFAULT_CAP, "exhaustive"),
+                                       (3, "sampled(n=400,seed=0)")])
+def test_a_pointwise_side_that_reads_a_function_while_built_matches_the_plain_law(
+        cap, mode):
+    # the lhs reads k(0) while it is built; the live view of k keeps one
+    # identity while its points change, so a cache keyed on it would build
+    # the lhs once and miss every witness
+    fam = identity_family()
+    functions = enumerate_functions(BIT, BIT)
+    cached = pointwise("k0", [("k", functions)], BIT,
+                       lambda e: st_unit(fam, e["k"](0)), lambda e: st_unit(fam, 0))
+    plain = Law("k0", [("k", functions), ("s", BIT)],
+                lambda e: st_unit(fam, e["k"](0)).run(e["s"]),
+                lambda e: st_unit(fam, 0).run(e["s"]))
+    report = run_laws("k0", [cached], fam.equal_values, cap=cap)
+    assert report.to_json() == run_laws("k0", [plain], fam.equal_values, cap=cap).to_json()
+    assert report.mode == mode and not report.ok
+    if mode == "exhaustive":
+        assert report.laws[0].checked == 8
+        assert report.laws[0].failures[0].inputs["k"] == "{0->1, 1->0}"
 
 
 @pytest.mark.parametrize("cap, mode", [(DEFAULT_CAP, "exhaustive"),
