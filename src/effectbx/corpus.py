@@ -13,6 +13,7 @@ differs) and repairing the escape in the sets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -358,8 +359,9 @@ def _pair_logging():
 # registry
 
 
+@functools.cache
 def corpus_entries() -> tuple:
-    """The registered entries, in the order reports list them."""
+    """The registered entries, in the order reports list them; built once."""
     return (
         CorpusEntry("identity", lambda: identity_bx(identity_family(), BIT),
                     ("seven", "overwritable", "stability", "init"), transparent=True),

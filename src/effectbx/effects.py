@@ -505,11 +505,12 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
 
 
 def _continuations(fam: EffectFamily, dom: FiniteDomain):
-    # the continuations take the values as a Space, so that a function-valued
-    # effect (reader, native state) gives a curried function space; the
-    # values themselves stay a plain domain
+    # the values go to run_laws as values_over gives them: a function-valued
+    # effect's (reader, native state) are a Space of functions, so an ``m``
+    # over them is walked point by point like the continuations, which take
+    # that Space as codomain and so are curried
     values = fam.values_over(dom)
-    return FiniteDomain(f"{fam.name}-values", values), enumerate_functions(dom, values)
+    return values, enumerate_functions(dom, values)
 
 
 def check_monad_laws(fam: EffectFamily, dom: FiniteDomain, cap=None, seed=0) -> LawReport:

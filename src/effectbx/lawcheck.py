@@ -21,15 +21,18 @@ covered, not the evaluations made, and reads as if every assignment had been
 evaluated.  A function into a space of functions (a continuation whose
 values are reader or state-transformer values) is curried: its points are
 pairs of an outer and an inner argument, so the runner branches on one inner
-point at a time, and a law sees it as a ``FiniteFunction`` whose values are
-the live views of its sections.
+point at a time, and a law sees it as a live view whose every point is fixed
+to the live view of its section.
 
 The branching is a depth-first walk over one digit vector per function
 quantifier, the candidate vector of Korat (Boyapati, Khurshid & Marinov,
 2002), which also supplies its access list: a law sees a live view of the
-vector, a first read of a point gives it the first codomain value in place
-and appends it to a trail shared by the law's views, and backtracking
-advances or undoes the trail's last point.  No evaluation is interrupted,
+vector, a dict of the points assigned so far that it calls by
+``dict.__getitem__``, so reading an assigned point runs no Python code; a
+first read of a point falls to ``__missing__``, which gives it the first
+codomain value in place and appends it to a trail shared by the law's views,
+and backtracking advances or undoes the trail's last point, in the digits
+and the dict together.  No evaluation is interrupted,
 so each one completes and covers a leaf; no node is copied, and a function
 is decoded only to be compared, hashed or printed.  Sampled rows and rows
 with no function quantifier take the same walk, which then ends at the
@@ -59,7 +62,26 @@ _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 
 def stable_repr(value) -> str:
     """repr with memory addresses masked, so reports stay byte-identical
-    across runs even when witnesses contain function values."""
+    across runs even when witnesses contain function values.  A ``set`` or
+    ``frozenset``, alone or at any depth inside an exact ``tuple``, ``list``
+    or ``dict``, lists its elements in the order of their own stable repr,
+    not in the order of their hashes (those of strings are salted per
+    process, and None's is its address).  Everything else prints as
+    ``repr``."""
+    kind = type(value)
+    if kind is tuple or kind is list or kind is set or kind is frozenset:
+        items = list(map(stable_repr, value))
+        if kind is tuple:
+            return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+        if kind is list:
+            return f"[{', '.join(items)}]"
+        if not items:
+            return f"{kind.__name__}()"
+        items.sort()
+        return f"{{{', '.join(items)}}}" if kind is set else f"frozenset({{{', '.join(items)}}})"
+    if kind is dict:
+        return "{" + ", ".join(f"{stable_repr(k)}: {stable_repr(v)}"
+                               for k, v in value.items()) + "}"
     return _ADDRESS.sub("0x..", repr(value))
 
 
@@ -98,7 +120,9 @@ class FiniteDomain:
 @dataclass(frozen=True)
 class FiniteFunction:
     """A function given by its finite graph; hashable and printable so it can
-    appear in witnesses.  A key is looked up with ``tuple.index``, which
+    appear in witnesses.  It is the frozen value that ``decode`` gives and a
+    witness holds; ``run_laws`` reads a quantifier it walks through a live
+    view instead.  A key is looked up with ``tuple.index``, which
     tests ``is`` before ``==`` (as ``in`` does), so a key that is not equal
     to itself is still found by identity."""
 
@@ -125,10 +149,10 @@ class FunctionForm:
 
     A space of functions into a space of functions is curried: its keys are
     the pairs ``(k, x)`` of an outer key and an inner one, outer key major,
-    its codomain is the inner codomain, and ``wrap`` gives a
-    ``FiniteFunction`` whose value at ``k`` is the inner form's view of the
-    section at ``k``, the points ``(k, x)``, so a law that reads one inner
-    point assigns only that point."""
+    its codomain is the inner codomain, and ``wrap`` gives a live view whose
+    point ``k`` is fixed to the inner form's view of the section at ``k``,
+    the points ``(k, x)``, so a law that reads one inner point assigns only
+    that point."""
 
     keys: tuple
     codomain: tuple
@@ -169,7 +193,9 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
     the form is curried (see ``FunctionForm``): index ``i`` is also
     ``sum d_jl * b**(j*n + l)`` over the digits ``d_jl`` of the inner value
     at key ``j``, so the numbering does not change, and the section at key
-    ``j`` is the live view of the ``n`` digits from ``j * n``."""
+    ``j`` is the live view of the ``n`` digits from ``j * n``.  A live view
+    is a dict of its points, so a ``dom`` whose keys do not all hash gives a
+    space with no ``functions`` form, which ``run_laws`` enumerates plainly."""
     keys = tuple(dom.elements)
     values = tuple(cod)
     base = len(values)
@@ -181,16 +207,23 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
             picks.append(values[digit])
         return FiniteFunction(keys, tuple(picks))
 
+    try:
+        hash(keys)
+    except TypeError:  # a live view is a dict of its points: enumerate plainly
+        return Space(base ** len(keys), decode)
     inner = cod.functions if isinstance(cod, Space) else None
     if inner is None:
         return Space(base ** len(keys), decode, FunctionForm(keys, values, lambda g: g))
     width = len(inner.keys)
 
     def curried(g):
-        return FiniteFunction(keys, tuple(
-            inner.wrap(_PartialFunction(g.slot, inner, g.digits, g.trail,
+        sections = tuple(
+            inner.wrap(_PartialFunction(inner.keys, inner.codomain, g.digits, g.trail,
                                         g.start + j * width))
-            for j in range(len(keys))))
+            for j in range(len(keys)))
+        outer = _PartialFunction(keys, sections, list(range(len(keys))), g.trail)
+        outer.update(zip(keys, sections))
+        return outer
 
     pairs = tuple((k, x) for k in keys for x in inner.keys)
     return Space(base ** len(keys), decode, FunctionForm(pairs, inner.codomain, curried))
@@ -366,60 +399,65 @@ def _as_space(values) -> Space:
     return Space(len(values), values.__getitem__)
 
 
-class _PartialFunction:
+class _PartialFunction(dict):
     """The live view of a function quantifier that ``run_laws`` assigns point
-    by point: ``digits[start + j]`` is the codomain index given to
-    ``keys[j]``, or None, and the walk changes ``digits`` in place, so one
-    view serves every node of the walk.  It is the only live view: a curried
-    function is a ``FiniteFunction`` of sections, each a view with a nonzero
-    ``start`` over its own slice of the quantifier's digits.  Reading a point
-    that is still None gives it digit 0 and appends ``(slot, index)`` to
-    ``trail``, the access list that the views of one law share.  ``==``,
-    ``hash`` and ``repr`` read the whole function: they assign each
-    unassigned point in key order and act on the decoded ``FiniteFunction``,
-    so a section compares, hashes and prints as the element ``decode``
-    picks.  Keys are looked up as ``FiniteFunction`` does."""
+    by point: a dict of the points assigned so far, so that a call, which is
+    ``dict.__getitem__``, reads an assigned point without entering Python.
+    ``digits[start + j]`` is the codomain index given to ``domain[j]``, or
+    None, and ``run_laws`` changes it in place together with the dict entry,
+    so one view serves every node of the walk.  It is the only live view: a
+    curried function is a view of its sections whose every point is fixed
+    (its codomain is the sections), and section ``j`` is a view with start
+    ``j * width`` over its own slice of the quantifier's digits.  A first
+    read falls to ``__missing__``, which gives the point digit 0, stores it
+    and appends ``(view, key, index)`` to ``trail``, the access list that
+    the views of one law share.  ``==``, ``!=``, ``hash`` and ``repr`` read
+    the whole function in key order, assigning each unassigned point, and
+    act on the decoded ``FiniteFunction``, so a view compares, hashes and
+    prints as the element ``decode`` picks, and a view is true even with no
+    point assigned.  A key outside the domain raises ``KeyError`` as
+    ``FiniteFunction`` does."""
 
-    __slots__ = ("slot", "keys", "codomain", "digits", "trail", "start")
+    __slots__ = ("domain", "codomain", "digits", "trail", "start")
 
-    def __init__(self, slot, form, digits, trail, start=0):
-        self.slot = slot
-        self.keys = form.keys
-        self.codomain = form.codomain
+    __call__ = dict.__getitem__
+
+    def __init__(self, domain, codomain, digits, trail, start=0):
+        self.domain = domain
+        self.codomain = codomain
         self.digits = digits
         self.trail = trail
         self.start = start
 
-    def __call__(self, x):
+    def __missing__(self, x):
         try:
-            j = self.start + self.keys.index(x)
+            j = self.domain.index(x)
         except ValueError:
             raise KeyError(f"{x!r} outside function domain") from None
-        digit = self.digits[j]
-        if digit is None:
-            self.digits[j] = 0
-            self.trail.append((self.slot, j))
-            return self.codomain[0]
-        return self.codomain[digit]
+        index = self.start + j
+        digit = self.digits[index]
+        if digit is not None:  # x equals an assigned key but hashes unlike it
+            return self.codomain[digit]
+        self.digits[index] = 0
+        key = self.domain[j]
+        self.trail.append((self, key, index))
+        value = self[key] = self.codomain[0]
+        return value
 
     def _decoded(self):
-        digits, start = self.digits, self.start
-        end = start + len(self.keys)
-        window = digits[start:end]
-        if None in window:
-            for j in range(start, end):
-                if digits[j] is None:
-                    digits[j] = 0
-                    self.trail.append((self.slot, j))
-            window = digits[start:end]
-        codomain = self.codomain
-        return FiniteFunction(self.keys, tuple(codomain[d] for d in window))
+        return FiniteFunction(self.domain, tuple(map(self, self.domain)))
 
     def __eq__(self, other):
         return self._decoded() == other
 
+    def __ne__(self, other):
+        return self._decoded() != other
+
     def __hash__(self):
         return hash(self._decoded())
+
+    def __bool__(self):
+        return True
 
     def __repr__(self):
         return repr(self._decoded())
@@ -475,12 +513,9 @@ def _assignments(spaces, cap, sample, seed):
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     rng = random.Random(seed)
-
-    def sampled():
-        for _ in range(sample):
-            yield tuple(rng.randrange(d.size) for d in spaces)
-
-    return f"sampled(n={sample},seed={seed})", sampled()
+    sizes = [d.size for d in spaces]
+    return f"sampled(n={sample},seed={seed})", (
+        tuple(map(rng.randrange, sizes)) for _ in range(sample))
 
 
 def run_laws(subject_name: str, laws, equal,
@@ -504,7 +539,8 @@ def run_laws(subject_name: str, laws, equal,
     and backtracking advances the trail's last point to its next value, or
     undoes it and backtracks further, before the law is evaluated again.
     The points live in one digit vector per quantifier, which the law reads
-    through a view built once per law, so the nodes are visited depth first
+    through a view built once per law, a dict of the assigned points that
+    backtracking updates with the digits, so the nodes are visited depth first
     with no copies, every evaluation completes, and a function is decoded
     only to compare, hash or print it.  ``checked`` counts the assignments
     covered, exactly as many as plain enumeration would evaluate.
@@ -533,10 +569,11 @@ def run_laws(subject_name: str, laws, equal,
         # one live digit vector per function quantifier, None where unassigned
         digits = [[None] * len(form.keys) for _i, form in lazy]
         bases = [len(form.codomain) for _i, form in lazy]
-        # the assigned points, in the order the law first read them
+        # the assigned points as (view, key, digit index), in the order the
+        # law first read them
         trail = []
-        views = {names[i]: form.wrap(_PartialFunction(slot, form, digits[slot], trail))
-                 for slot, (i, form) in enumerate(lazy)}
+        views = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain, vector, trail))
+                 for (i, form), vector in zip(lazy, digits)}
         # the assignments a node covers before any point is assigned
         root_covered = math.prod(base ** len(d) for base, d in zip(bases, digits))
         checked = 0
@@ -559,7 +596,7 @@ def run_laws(subject_name: str, laws, equal,
                 lhs, rhs = law.evaluate(env)
                 ok = equal(lhs, rhs)
                 while counted < len(trail):
-                    covered //= bases[trail[counted][0]]
+                    covered //= len(trail[counted][0].codomain)
                     counted += 1
                 checked += covered
                 if not ok:
@@ -567,15 +604,19 @@ def run_laws(subject_name: str, laws, equal,
                         if not _keep(found, full if exhaustive else row, full,
                                      max_witnesses):
                             break
-                # backtrack: the deepest point with a value left takes it
+                # backtrack: the deepest point with a value left takes it,
+                # in its digit and in its view
                 while trail:
-                    slot, key = trail[-1]
-                    vector = digits[slot]
-                    if vector[key] + 1 < bases[slot]:
-                        vector[key] += 1
+                    view, key, j = trail[-1]
+                    vector, codomain = view.digits, view.codomain
+                    digit = vector[j] + 1
+                    if digit < len(codomain):
+                        vector[j] = digit
+                        view[key] = codomain[digit]
                         break
-                    vector[key] = None
-                    covered *= bases[slot]
+                    vector[j] = None
+                    del view[key]
+                    covered *= len(codomain)
                     trail.pop()
                     counted -= 1
                 else:

@@ -443,3 +443,26 @@ def test_console_script_and_transcript_helpers(tmp_path):
     assert load_console_script(str(empty)) == ()
     records = transcript_records((("out", "hi"), ("in", "yo")))
     assert records == [{"dir": "out", "text": "hi"}, {"dir": "in", "text": "yo"}]
+
+
+def test_a_report_that_prints_sets_is_the_same_under_any_hash_seed():
+    # composers' overwritable witnesses print frozensets of (name, country,
+    # None) triples, whose iteration order follows the hash seed of strings
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import effectbx
+
+    src = str(Path(effectbx.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "effectbx", "laws", "--suite", "overwritable",
+            "--bx", "composers", "--format", "json"]
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(argv, env=env, capture_output=True, check=False)
+        assert run.returncode == 1, run.stderr
+        outputs.append(run.stdout)
+    assert b"frozenset({" in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -569,3 +569,103 @@ def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks
     assert run_monad_suite()["ok"] and run_state_suite()["ok"] and run_corpus()["ok"]
     assert len(walks) > 100
     assert [w for w in walks if w[2] > w[3]] == []
+
+
+# the live view itself: a dict of the points assigned so far, read by
+# dict lookup, whose first read of a point falls to ``__missing__``
+
+def _view(domain=(0, 1, 2), codomain=("x", "y")):
+    trail = []
+    return _PartialFunction(domain, codomain, [None] * len(domain), trail), trail
+
+
+def _advance(view, key, index):
+    """Give ``key`` its next codomain value, as ``run_laws`` backtracks."""
+    view.digits[index] += 1
+    view[key] = view.codomain[view.digits[index]]
+
+
+def test_a_view_with_no_point_assigned_is_truthy():
+    view, trail = _view()
+    assert len(view) == 0 and bool(view) is True
+    assert trail == []
+
+
+def test_a_view_compares_unequal_exactly_when_it_compares_unequal_decoded():
+    view, _ = _view()
+    other, _ = _view()
+    assert view(1) == "x" and other(2) == "x"
+    assert (view == other, view != other) == (True, False)
+    assert (view == FiniteFunction((0, 1, 2), ("x", "x", "x")),
+            view != FiniteFunction((0, 1, 2), ("x", "x", "x"))) == (True, False)
+    _advance(other, 2, 2)
+    assert (view == other, view != other) == (False, True)
+    assert (other == view, other != view) == (False, True)
+    decoded = FiniteFunction((0, 1, 2), ("x", "x", "y"))
+    assert (other == decoded, other != decoded) == (True, False)
+    assert (view == decoded, view != decoded) == (False, True)
+    assert (decoded != other, decoded != view) == (False, True)
+
+
+class _Alias:
+    """Equal to ``key`` but hashed unlike it."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __eq__(self, other):
+        return other == self.key
+
+    def __hash__(self):
+        return hash(("alias", self.key))
+
+
+def test_a_key_equal_to_an_assigned_point_but_hashed_unlike_it_reads_that_point():
+    view, trail = _view()
+    assert view(1) == "x" and trail == [(view, 1, 1)]
+    assert view(_Alias(1)) == "x"
+    _advance(view, 1, 1)
+    assert view(_Alias(1)) == "y"
+    assert trail == [(view, 1, 1)] and dict(view) == {1: "y"}
+    # an alias of an unassigned point assigns the domain's own key
+    assert view(_Alias(2)) == "x"
+    assert trail == [(view, 1, 1), (view, 2, 2)] and view(2) == "x"
+
+
+def test_an_out_of_domain_read_of_a_view_raises_key_error():
+    view, trail = _view()
+    with pytest.raises(KeyError) as raised:
+        view(7)
+    assert raised.value.args == ("7 outside function domain",)
+    with pytest.raises(KeyError) as decoded:
+        FiniteFunction((0, 1, 2), ("x", "x", "x"))(7)
+    assert decoded.value.args == raised.value.args
+    assert trail == [] and len(view) == 0
+
+
+def test_an_out_of_domain_read_of_a_curried_view_raises_key_error():
+    law = Law(
+        "outside",
+        [("k", enumerate_functions(D2, enumerate_functions(DOM3, COD3)))],
+        lambda e: e["k"](7),
+        lambda e: "x",
+    )
+    with pytest.raises(KeyError, match="7 outside function domain"):
+        run_laws("demo", [law], operator.eq)
+
+
+def test_functions_over_unhashable_keys_are_enumerated_plainly():
+    lists = FiniteDomain("lists", ([0], [1]))
+    space = enumerate_functions(lists, BIT)
+    assert space.functions is None
+
+    def report(functions):
+        law = Law("same-at-both", [("k", functions)],
+                  lambda e: e["k"]([0]), lambda e: e["k"]([1]))
+        return run_laws("demo", [law], operator.eq)
+
+    lazy, plain = report(space), report(tuple(space))
+    assert lazy.law("same-at-both").checked == 4
+    assert [w.inputs["k"] for w in lazy.law("same-at-both").failures] == [
+        "{[0]->1, [1]->0}", "{[0]->0, [1]->1}"]
+    assert lazy.to_json() == plain.to_json()
