@@ -36,8 +36,10 @@ and the dict together.  No evaluation is interrupted,
 so each one completes and covers a leaf; no node is copied, and a function
 is decoded only to be compared, hashed or printed.  Sampled rows and rows
 with no function quantifier take the same walk, which then ends at the
-first evaluation; a failing row is kept as its indices and evaluated again
-from their decoded values to become a witness.
+first evaluation, except that an exhaustive ``pointwise`` law builds each
+side once per assignment of its other quantifiers and runs both at every
+state.  A failing row is kept as its indices and evaluated again from their
+decoded values to become a witness.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import bisect
 import itertools
 import json
 import math
-import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -248,18 +249,24 @@ class Law:
     ``FiniteDomain`` or any finite iterable.  ``lhs``/``rhs`` take ``env``,
     mapping variable names to chosen values, and return the values to
     compare (usually effect values); the law's subject is whatever they
-    close over.
+    close over.  A ``pointwise`` law (see ``pointwise``) has a last
+    quantifier ``s``, and its sides return computations that ``evaluate``
+    runs at ``env["s"]``.
     """
 
     name: str
     quantifiers: tuple
     lhs: Callable[[dict], Any]
     rhs: Callable[[dict], Any]
+    pointwise: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "quantifiers", tuple(self.quantifiers))
 
     def evaluate(self, env):
+        if self.pointwise:
+            s = env["s"]
+            return self.lhs(env).run(s), self.rhs(env).run(s)
         return self.lhs(env), self.rhs(env)
 
 
@@ -268,52 +275,11 @@ def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
     ``lhs(e).run(s)`` with ``rhs(e).run(s)`` over ``[*quantifiers, ("s",
     states)]``, where ``lhs`` and ``rhs`` build the computations (``Stateful``
     values) from the other quantifiers alone, reading them while they build.
-
-    Each side is built once per assignment of ``quantifiers`` (once per law
-    when there are none) and run at every state: ``run_laws`` walks ``s``
-    innermost and keeps a plain quantifier's value as one object until its
-    index changes, so a one-entry cache keyed by the identities of those
-    values hits at every state but the first.  Each side checks the key
-    itself, so ``lhs``, ``rhs`` and ``evaluate`` are each right when called
-    alone.  A function-valued quantifier (a ``Space`` with a ``functions``
-    form) turns the cache off: its live view changes in place under one
-    identity, and a side may read it while it is built (an eager ``bind``,
-    as choice's, runs its continuation at once)."""
-    quantifiers = tuple(quantifiers)
-    observed = (*quantifiers, ("s", states))
-    if any(isinstance(d, Space) and d.functions for _n, d in quantifiers):
-        return Law(name, observed, lambda e: lhs(e).run(e["s"]),
-                   lambda e: rhs(e).run(e["s"]))
-    # the key and its test, cheap for the common laws of at most one name
-    if len(quantifiers) > 1:
-        key = operator.itemgetter(*[n for n, _d in quantifiers])
-
-        def same(values, held):
-            return all(map(operator.is_, values, held))
-    else:
-        key = operator.itemgetter(quantifiers[0][0]) if quantifiers else _no_key
-        same = operator.is_
-    return Law(name, observed, _built_once(lhs, key, same), _built_once(rhs, key, same))
-
-
-def _no_key(_env):
-    return None
-
-
-def _built_once(build, key, same):
-    """The side ``env -> build(env).run(env["s"])``, which builds again only
-    when ``key(env)`` is not ``same`` as the key it last built for."""
-    held = built = None
-
-    def side(e):
-        nonlocal held, built
-        values = key(e)
-        if built is None or not same(values, held):
-            built = build(e)
-            held = values
-        return built.run(e["s"])
-
-    return side
+    Checked exhaustively with no function-valued quantifier, each side is
+    built once per assignment of ``quantifiers``, from an env without ``s``,
+    and run at every state; otherwise ``Law.evaluate`` builds both sides at
+    each evaluation."""
+    return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True)
 
 
 @dataclass(frozen=True)
@@ -531,6 +497,11 @@ def run_laws(subject_name: str, laws, equal,
     default cap; pass ``sample=None`` to get DomainTooLarge instead of
     sampling.
 
+    An exhaustive ``pointwise`` law with no function quantifier takes one
+    short loop: for each assignment of the other quantifiers, in order, it
+    builds both sides once and compares their runs at each state, in state
+    order.  Every other law takes the walk.
+
     In exhaustive mode a function-valued quantifier (a ``Space`` with a
     ``functions`` form, as ``enumerate_functions`` builds) starts with no
     point assigned.  The first read of a point gives it the first value of
@@ -545,12 +516,12 @@ def run_laws(subject_name: str, laws, equal,
     only to compare, hash or print it.  ``checked`` counts the assignments
     covered, exactly as many as plain enumeration would evaluate.
 
-    Every row takes this one loop: it is one index per quantifier (None for
-    a function quantifier when exhaustive), and ``env`` decodes the plain
-    indices that differ from the previous row's; with no function
-    quantifier (or when sampled) the walk ends at the first evaluation,
-    covering 1.  The witnesses are the first ``max_witnesses`` failing
-    index tuples, each evaluated again from freshly decoded values.  Output
+    Each row of the walk is one index per quantifier (None for a function
+    quantifier when exhaustive), and ``env`` decodes the plain indices that
+    differ from the previous row's; with no function quantifier (or when
+    sampled) the walk ends at the first evaluation, covering 1.  The
+    witnesses are the first ``max_witnesses`` failing index tuples, each
+    evaluated again by ``Law.evaluate`` from freshly decoded values.  Output
     ordering is deterministic: laws in given order, witnesses in
     enumeration order (or in seeded sample order).
     """
@@ -566,61 +537,79 @@ def run_laws(subject_name: str, laws, equal,
         exhaustive = mode == "exhaustive"
         lazy = [(i, d.functions) for i, d in enumerate(spaces)
                 if d.functions and exhaustive]
-        # one live digit vector per function quantifier, None where unassigned
-        digits = [[None] * len(form.keys) for _i, form in lazy]
-        bases = [len(form.codomain) for _i, form in lazy]
-        # the assigned points as (view, key, digit index), in the order the
-        # law first read them
-        trail = []
-        views = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain, vector, trail))
-                 for (i, form), vector in zip(lazy, digits)}
-        # the assignments a node covers before any point is assigned
-        root_covered = math.prod(base ** len(d) for base, d in zip(bases, digits))
         checked = 0
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
         found = []
-        # one env per law: a row decodes the plain indices that differ from
-        # the previous row's, all of them on the first row
-        env = dict(views)
-        previous = (None,) * len(spaces)
-        for row, indices in enumerate(assignments):
-            for name, d, i, was in zip(names, spaces, indices, previous):
-                if i != was:
-                    env[name] = d.decode(i)
-            previous = indices
-            covered = root_covered
-            # trail[:counted] are the points already divided out of covered
-            counted = 0
-            while True:
-                lhs, rhs = law.evaluate(env)
-                ok = equal(lhs, rhs)
-                while counted < len(trail):
-                    covered //= len(trail[counted][0].codomain)
-                    counted += 1
-                checked += covered
-                if not ok:
-                    for full in _cube(indices, digits, lazy):
-                        if not _keep(found, full if exhaustive else row, full,
-                                     max_witnesses):
+        if law.pointwise and exhaustive and not lazy:
+            # the states are the last quantifier; an empty domain builds nothing
+            *outer, states = spaces
+            states = tuple(states)
+            rows = zip(itertools.product(*(range(d.size) for d in outer)),
+                       itertools.product(*outer)) if states else ()
+            env = {}
+            for indices, values in rows:
+                env.update(zip(names, values))
+                left, right = law.lhs(env), law.rhs(env)
+                verdicts = map(equal, map(left.run, states), map(right.run, states))
+                for j, ok in enumerate(verdicts):
+                    if not ok:
+                        full = (*indices, j)
+                        _keep(found, full, full, max_witnesses)
+                checked += len(states)
+        else:
+            # one live digit vector per function quantifier, None where unassigned
+            digits = [[None] * len(form.keys) for _i, form in lazy]
+            bases = [len(form.codomain) for _i, form in lazy]
+            # the assigned points as (view, key, digit index), in the order the
+            # law first read them
+            trail = []
+            views = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain,
+                                                          vector, trail))
+                     for (i, form), vector in zip(lazy, digits)}
+            # the assignments a node covers before any point is assigned
+            root_covered = math.prod(base ** len(d) for base, d in zip(bases, digits))
+            # one env per law: a row decodes the plain indices that differ from
+            # the previous row's, all of them on the first row
+            env = dict(views)
+            previous = (None,) * len(spaces)
+            for row, indices in enumerate(assignments):
+                for name, d, i, was in zip(names, spaces, indices, previous):
+                    if i != was:
+                        env[name] = d.decode(i)
+                previous = indices
+                covered = root_covered
+                # trail[:counted] are the points already divided out of covered
+                counted = 0
+                while True:
+                    lhs, rhs = law.evaluate(env)
+                    ok = equal(lhs, rhs)
+                    while counted < len(trail):
+                        covered //= len(trail[counted][0].codomain)
+                        counted += 1
+                    checked += covered
+                    if not ok:
+                        for full in _cube(indices, digits, lazy):
+                            if not _keep(found, full if exhaustive else row, full,
+                                         max_witnesses):
+                                break
+                    # backtrack: the deepest point with a value left takes it,
+                    # in its digit and in its view
+                    while trail:
+                        view, key, j = trail[-1]
+                        vector, codomain = view.digits, view.codomain
+                        digit = vector[j] + 1
+                        if digit < len(codomain):
+                            vector[j] = digit
+                            view[key] = codomain[digit]
                             break
-                # backtrack: the deepest point with a value left takes it,
-                # in its digit and in its view
-                while trail:
-                    view, key, j = trail[-1]
-                    vector, codomain = view.digits, view.codomain
-                    digit = vector[j] + 1
-                    if digit < len(codomain):
-                        vector[j] = digit
-                        view[key] = codomain[digit]
+                        vector[j] = None
+                        del view[key]
+                        covered *= len(codomain)
+                        trail.pop()
+                        counted -= 1
+                    else:
                         break
-                    vector[j] = None
-                    del view[key]
-                    covered *= len(codomain)
-                    trail.pop()
-                    counted -= 1
-                else:
-                    break
         failures = []
         for _order, indices in found:
             env = {name: d.decode(i) for name, d, i in zip(names, spaces, indices)}

@@ -193,9 +193,8 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
     get = st_get(fam)
     tvs = fam.values_over(value_domain)
 
-    # these sides read tv and x while they are built, not in a continuation,
-    # so that what a cached side holds does not depend on the env it was
-    # built from; inner lambdas on lines of their own, as in Stateful.bind
+    # these sides lift tv and set x once, when they are built, not at every
+    # run; inner lambdas on lines of their own, as in Stateful.bind
     def lift_after_get(e):
         lifted = st_lift(fam, e["tv"])
         return get.bind(

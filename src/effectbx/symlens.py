@@ -123,39 +123,39 @@ def lift_symlens(fam: EffectFamily, sl: SymLens) -> SymLens:
 def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
                        dom_b: FiniteDomain) -> FiniteDomain:
     """Materialize the consistent (a, b, c) triples of a symmetric lens at
-    the identity effect by closure: seed with the puts applied to the missing
-    complement, then iterate set-transitions until no new triple appears.
-    Raises DomainTooLarge if the closure has not converged after 64 rounds
-    (e.g. a complement that grows without bound)."""
-    triples = []
-
-    def add(t):
-        if not any(t == u for u in triples):
+    the identity effect by closure: apply every put to the missing
+    complement, then to the complement of each triple the previous round
+    found, until a round finds none, keeping the triples in the order found.
+    A triple is looked up in a set, or by an ``==`` scan when it does not
+    hash, as ``FiniteDomain`` does.  Raises DomainTooLarge if the closure
+    has not converged after 64 rounds (e.g. a complement that grows without
+    bound)."""
+    triples, seen, loose = [], set(), []  # loose: the triples that do not hash
+    complements = [sl.missing]
+    for _ in range(_CLOSURE_ROUNDS + 1):
+        known = len(triples)
+        for t in (step for c in complements for step in _puts(sl, dom_a, dom_b, c)):
+            try:
+                if t in seen or any(t == u for u in loose):
+                    continue
+                seen.add(t)
+            except TypeError:
+                if any(t == u for u in triples):
+                    continue
+                loose.append(t)
             triples.append(t)
-            return True
-        return False
-
-    for a in dom_a:
-        b, c = sl.put_r(a, sl.missing)
-        add((a, b, c))
-    for b in dom_b:
-        a, c = sl.put_l(b, sl.missing)
-        add((a, b, c))
-    for _ in range(_CLOSURE_ROUNDS):
-        changed = False
-        for (a, b, c) in list(triples):
-            for a1 in dom_a:
-                b1, c1 = sl.put_r(a1, c)
-                changed |= add((a1, b1, c1))
-            for b1 in dom_b:
-                a1, c1 = sl.put_l(b1, c)
-                changed |= add((a1, b1, c1))
-        if not changed:
+        if len(triples) == known:
             return FiniteDomain("consistent-triples", tuple(triples))
-    raise DomainTooLarge(
-        f"consistent triples not closed after {_CLOSURE_ROUNDS} rounds "
-        f"({len(triples)} found)"
-    )
+        complements = [c for _a, _b, c in triples[known:]]
+    raise DomainTooLarge(f"consistent triples not closed after {_CLOSURE_ROUNDS} "
+                         f"rounds ({len(triples)} found)")
+
+
+def _puts(sl: SymLens, dom_a, dom_b, c):
+    """The triple each put of a view in ``dom_a``, then in ``dom_b``, gives
+    from complement ``c``."""
+    return ([(a, *sl.put_r(a, c)) for a in dom_a]
+            + [(a, b, c1) for b in dom_b for a, c1 in [sl.put_l(b, c)]])
 
 
 def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,

@@ -1,9 +1,16 @@
 """Cross-implementation differentials: the two composers implementations over
-many scripts, the flattened composers bx, and a hand-rolled re-evaluation of
+many scripts, the flattened composers bx, a hand-rolled re-evaluation of
 every per-bx suite of the corpus and of the suites with function-valued
-quantifiers."""
+quantifiers, and the runner's per-state loop for pointwise laws against its
+row-by-row walk."""
 
+import dataclasses
 import itertools
+import json
+import operator
+import sys
+
+import pytest
 
 from effectbx import (
     NOTHING,
@@ -13,18 +20,31 @@ from effectbx import (
     check_lift_morphism,
     check_monad_laws,
     check_suite,
+    check_equivalence,
     check_theta_morphism,
+    compose,
     composers_bx,
     composers_symlens,
+    dual,
     fst_lens,
+    identity_bx,
     identity_family,
     identity_lens,
+    lens_to_bx,
+    pointwise,
     snd_lens,
     state_law_suite,
     symlens_to_bx,
 )
 from effectbx import effects, lenses, stateful
-from effectbx.corpus import _entry_suites, _families, corpus_entries, non_overwrite_lens
+from effectbx.compose import assoc_bijection
+from effectbx.corpus import (
+    _entry_suites,
+    _families,
+    corpus_entries,
+    non_overwrite_lens,
+    run_state_suite,
+)
 from effectbx.examples import _BxRunner
 from effectbx.lawcheck import run_laws, stable_repr
 
@@ -158,3 +178,73 @@ def test_function_quantified_suites_against_plain_enumeration(monkeypatch):
         assert report.to_dict()["laws"] == _plain_enumeration(laws, equal), where
         failing.update(f"{where}:{name}" for name in report.failing_laws)
     assert failing == {"theta/non-overwrite:theta-preserves-bind"}
+
+
+# an exhaustive pointwise law with no function quantifier is checked by
+# building each side once per assignment of its other quantifiers and
+# running it at every state; the same law as a plain law whose sides run at
+# ``s``, walked row by row, is the reference
+
+
+def _per_row(law):
+    """``law`` with the pointwise flag cleared, its sides running what
+    ``law``'s sides build at ``env["s"]``, as ``run_laws`` walks a plain law."""
+    if not law.pointwise:
+        return law
+    return dataclasses.replace(law, pointwise=False,
+                               lhs=lambda e: law.lhs(e).run(e["s"]),
+                               rhs=lambda e: law.rhs(e).run(e["s"]))
+
+
+def _pointwise_reports(cap, seed):
+    """The JSON of every corpus entry's suites, of ``run_state_suite`` and of
+    the associativity equivalences of acceptance criterion 5."""
+    reports = []
+    for entry in corpus_entries():
+        bx = entry.build()
+        for suite in _entry_suites(entry):
+            if suite != "init" or bx.initialisable:
+                reports.append(check_suite(bx, suite, cap=cap, seed=seed).to_json())
+    reports.append(json.dumps(run_state_suite(cap=cap, seed=seed), sort_keys=True))
+    fam = identity_family()
+    fstbx = lens_to_bx(fst_lens(), PAIRS, BIT, name="fst")
+    for b1, b2, b3 in (
+        (identity_bx(fam, PAIRS, name="t1"), fstbx, identity_bx(fam, BIT, name="t2")),
+        (identity_bx(fam, PAIRS, name="u1"), identity_bx(fam, PAIRS, name="u2"), fstbx),
+        (dual(lens_to_bx(snd_lens(), PAIRS, BIT)), fstbx, identity_bx(fam, BIT, name="v3")),
+    ):
+        reports.append(check_equivalence(compose(compose(b1, b2), b3),
+                                         compose(b1, compose(b2, b3)),
+                                         assoc_bijection(), cap=cap, seed=seed).to_json())
+    return reports
+
+
+@pytest.mark.parametrize("cap, seed", [(None, 0), (3, 1)])
+def test_pointwise_laws_report_as_their_row_by_row_walk(monkeypatch, cap, seed):
+    batched = _pointwise_reports(cap, seed)
+    pointwise_laws = []
+
+    def per_row(subject, laws, *args, **kwargs):
+        laws = list(laws)
+        pointwise_laws.extend(law for law in laws if law.pointwise)
+        return run_laws(subject, [_per_row(law) for law in laws], *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("effectbx.") and getattr(module, "run_laws", None) is run_laws:
+            monkeypatch.setattr(module, "run_laws", per_row)
+    assert _pointwise_reports(cap, seed) == batched
+    assert len(pointwise_laws) > 200
+    assert any('"failures": [{' in report for report in batched)
+
+
+@pytest.mark.parametrize("outer, states", [([("a", BIT)], ()), ([("a", ())], BIT),
+                                           ([], ())], ids=["no-state", "no-a", "nothing"])
+def test_a_vacuous_pointwise_law_checks_nothing_and_builds_nothing(outer, states):
+    def build(_env):
+        raise AssertionError("a vacuous law built a side")
+
+    law = pointwise("vacuous", outer, states, build, build)
+    for checked in (law, _per_row(law)):
+        report = run_laws("vacuous", [checked], operator.eq)
+        assert report.mode == "exhaustive" and report.ok
+        assert report.laws[0].checked == 0

@@ -1,5 +1,6 @@
 """The generic law runner: enumeration, sampling, reports, determinism."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -13,6 +14,7 @@ from effectbx import (
     FiniteDomain,
     FiniteFunction,
     Law,
+    Stateful,
     check_lift_morphism,
     check_monad_laws,
     check_suite,
@@ -25,6 +27,7 @@ from effectbx import (
     pointwise,
     reader_family,
     run_laws,
+    seven_laws,
     st_unit,
     state_law_suite,
 )
@@ -337,16 +340,16 @@ READER = reader_family((0, 1))
 def test_a_pointwise_side_that_reads_a_function_while_built_matches_the_plain_law(
         cap, mode):
     # the lhs reads k(0) while it is built; the live view of k keeps one
-    # identity while its points change, so a cache keyed on it would build
-    # the lhs once and miss every witness
+    # identity while its points change, so a side built once per law would
+    # miss every witness: a law with a function quantifier takes the walk
     fam = identity_family()
     functions = enumerate_functions(BIT, BIT)
-    cached = pointwise("k0", [("k", functions)], BIT,
-                       lambda e: st_unit(fam, e["k"](0)), lambda e: st_unit(fam, 0))
+    law = pointwise("k0", [("k", functions)], BIT,
+                    lambda e: st_unit(fam, e["k"](0)), lambda e: st_unit(fam, 0))
     plain = Law("k0", [("k", functions), ("s", BIT)],
                 lambda e: st_unit(fam, e["k"](0)).run(e["s"]),
                 lambda e: st_unit(fam, 0).run(e["s"]))
-    report = run_laws("k0", [cached], fam.equal_values, cap=cap)
+    report = run_laws("k0", [law], fam.equal_values, cap=cap)
     assert report.to_json() == run_laws("k0", [plain], fam.equal_values, cap=cap).to_json()
     assert report.mode == mode and not report.ok
     if mode == "exhaustive":
@@ -514,16 +517,48 @@ def test_choice_continuations_cost_pinned_evaluations(monkeypatch):
     assert evaluations["left-unit"] == 14
 
 
+def _counting_sides(law, counts):
+    """``law`` with sides that count their calls in ``counts``, keyed by
+    (law, side, "builds"), and when ``law`` is pointwise the runs of the
+    computations they build, keyed by (law, side, "runs")."""
+    def counted(build, side):
+        def counted_build(env):
+            counts[law.name, side, "builds"] += 1
+            built = build(env)
+            if not law.pointwise:
+                return built
+
+            def run(s):
+                counts[law.name, side, "runs"] += 1
+                return built.run(s)
+
+            return Stateful(built.effect, run)
+
+        return counted_build
+
+    return dataclasses.replace(law, lhs=counted(law.lhs, "lhs"), rhs=counted(law.rhs, "rhs"))
+
+
 def test_a_failing_law_without_function_quantifiers_costs_its_rows_and_witnesses(
         monkeypatch):
-    # every row is one evaluation, and each witness is evaluated again from
-    # its indices
+    # each side is built once per view and run at each of the 4 states; each
+    # witness is evaluated again from its indices, one build and run per side
+    bx = mutant_set_l_get_l()
+    reference = check_suite(bx, "seven").to_json()
+    counts = collections.Counter()
+    laws = [_counting_sides(law, counts) for law in seven_laws(bx)]
     report, evaluations = _evaluations(
-        monkeypatch, lambda: check_suite(mutant_set_l_get_l(), "seven"))
+        monkeypatch, lambda: run_laws(bx.name, laws, bx.effect.equal_values,
+                                      effect=bx.effect.name))
+    assert report.to_json() == reference
     result = report.law("set_l-get_l")
     assert result.checked == 8 and len(result.failures) == 3
-    assert evaluations["set_l-get_l"] == result.checked + len(result.failures) == 11
-    assert evaluations["get_l-get_l"] == report.law("get_l-get_l").checked == 4
+    assert evaluations == {"set_l-get_l": 3}
+    for side in ("lhs", "rhs"):
+        assert counts["set_l-get_l", side, "builds"] == 2 + 3
+        assert counts["set_l-get_l", side, "runs"] == 8 + 3
+        assert counts["get_l-get_l", side, "builds"] == 1
+        assert counts["get_l-get_l", side, "runs"] == report.law("get_l-get_l").checked == 4
 
 
 def test_a_failing_sampled_law_costs_its_draws_and_witnesses(monkeypatch):
@@ -540,35 +575,39 @@ def test_a_failing_sampled_law_costs_its_draws_and_witnesses(monkeypatch):
 
 def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks(
         monkeypatch):
-    # each evaluation of the walk covers at least one assignment; the
-    # witnesses, evaluated again from their indices, are not part of the walk
-    walks = []
+    # each evaluation of the walk covers at least one assignment, and an
+    # exhaustive pointwise law with no function quantifier builds its lhs
+    # once per assignment of the other quantifiers and runs it once per
+    # assignment; the witnesses, evaluated again from their indices, are
+    # not part of either
+    walks, at_every_state = [], []
 
     def counting_run_laws(subject, laws, equal, cap=None, **kwargs):
-        counted = []
-        for law in laws:
-            calls = []
-
-            def lhs(env, side=law.lhs, calls=calls):
-                calls.append(1)
-                return side(env)
-
-            counted.append((dataclasses.replace(law, lhs=lhs), calls))
-        report = run_laws(subject, [law for law, _calls in counted], equal,
-                          cap=cap, **kwargs)
+        laws, counts = list(laws), collections.Counter()
+        report = run_laws(subject, [_counting_sides(law, counts) for law in laws],
+                          equal, cap=cap, **kwargs)
         limit = DEFAULT_CAP if cap is None else cap
-        for (law, calls), result in zip(counted, report.laws):
-            if math.prod(_as_space(dom).size for _name, dom in law.quantifiers) <= limit:
-                walks.append((subject, law.name, len(calls) - len(result.failures),
-                              result.checked))
+        for law, result in zip(laws, report.laws):
+            spaces = [_as_space(dom) for _name, dom in law.quantifiers]
+            if math.prod(d.size for d in spaces) > limit:
+                continue
+            witnesses = len(result.failures)
+            builds = counts[law.name, "lhs", "builds"] - witnesses
+            # an evaluation of the lhs is a run when pointwise, else a call
+            evaluations = counts[law.name, "lhs", "runs"] - witnesses if law.pointwise else builds
+            walks.append((subject, law.name, evaluations, result.checked))
+            if law.pointwise and not any(d.functions for d in spaces):
+                at_every_state.append((subject, law.name, builds * spaces[-1].size,
+                                       evaluations, result.checked))
         return report
 
     for name, module in list(sys.modules.items()):
         if name.startswith("effectbx.") and getattr(module, "run_laws", None) is run_laws:
             monkeypatch.setattr(module, "run_laws", counting_run_laws)
     assert run_monad_suite()["ok"] and run_state_suite()["ok"] and run_corpus()["ok"]
-    assert len(walks) > 100
+    assert len(walks) > 100 and len(at_every_state) > 100
     assert [w for w in walks if w[2] > w[3]] == []
+    assert [w for w in at_every_state if not w[2] == w[3] == w[4]] == []
 
 
 # the live view itself: a dict of the points assigned so far, read by

@@ -192,6 +192,19 @@ def test_consistent_triples_refuses_a_closure_that_never_converges():
         consistent_triples(sl, BIT, BIT)
 
 
+def test_consistent_triples_tell_unhashable_triples_apart_by_equality():
+    # a list complement does not hash, so a triple is looked up by ==; the
+    # triples and their order are those of the same lens with tuples
+    def lens(wrap):
+        return SymLens(put_r=lambda a, _c: (a, wrap([a])),
+                       put_l=lambda b, _c: (b, wrap([b])), missing=wrap([]))
+
+    listed = consistent_triples(lens(list), BIT, BIT).elements
+    assert listed == ((0, 0, [0]), (1, 1, [1]))
+    assert tuple((a, b, tuple(c)) for a, b, c in listed) == \
+        consistent_triples(lens(tuple), BIT, BIT).elements
+
+
 def test_lawful_symlenses_convert_to_lawful_bx():
     # quantified over the small corpus of symmetric lenses: whenever the put
     # round-trip laws hold, the simulated bx passes the seven-law suite
