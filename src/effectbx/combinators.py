@@ -3,33 +3,28 @@ retentive lists, and isomorphism-derived bx."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import replace
 
 from .bx import Bx, dual, lens_to_bx, require_initialisable
 from .compose import _require_same_effect, _require_transparent
-from .effects import EffectFamily, Just, NOTHING
+from .effects import EffectFamily, Just, NOTHING, _Tagged
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
-from .lenses import Lens, fst_lens, left, right, snd_lens
+from .lenses import Lens, fst_lens, snd_lens
 from .stateful import Stateful, st_eval, st_exec, st_get, st_gets, st_set
 
 
 
-@dataclass(frozen=True)
-class Left:
-    value: Any
+class Left(_Tagged):
+    """The left injection of a sum value."""
 
-    def __repr__(self):
-        return f"Left({self.value!r})"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Right:
-    value: Any
+class Right(_Tagged):
+    """The right injection of a sum value."""
 
-    def __repr__(self):
-        return f"Right({self.value!r})"
+    __slots__ = ()
 
 
 class _Uninit:
@@ -83,6 +78,14 @@ def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
     return lens_to_bx(snd_lens(default_a), pairs, dom_b, fam, name="snd")
 
 
+def _both(v1, v2):
+    return (v1, v2)
+
+
+def _second(_v1, v2):
+    return v2
+
+
 def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
     """Componentwise pairing over the product state space.
 
@@ -91,28 +94,47 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
     component's, and this ordering is part of the combinator's contract for
     non-commutative effect families.  The pair is initialisable when both
     components are.
+
+    Each operation runs the components directly on the tuple state: the
+    first at ``s[0]``, then the second at ``s[1]``, through the family's
+    ``bind``.  A get returns the pair of the two views, a set what the
+    second set returns.  This is the widening of each component through
+    ``left`` and ``right`` (``left(g1).bind(v1 -> right(g2).map(v2 -> (v1,
+    v2)))`` and ``left(s1).then(right(s2))``) without building the
+    widenings; tests keep that form as the reference.
     """
     _require_transparent(bx1)
     _require_transparent(bx2)
     _require_same_effect(bx1, bx2)
     fam = bx1.effect
+    bind, unit = fam.bind, fam.unit
 
-    def paired_get(get1, get2):
-        # the right get is widened once, not on every run of the continuation
-        second = right(get2)
-        return left(get1).bind(
-            lambda v1: second.map(
-                lambda v2: (v1, v2)
-            )
-        )
+    # each continuation is a def of its own, as in Stateful.bind
+    def paired(m1, m2, result):
+        run1, run2 = m1.run, m2.run
 
-    paired = Bx(
+        def run(s):
+            s2 = s[1]
+
+            def after_first(p1):
+                v1, t1 = p1
+
+                def after_second(p2):
+                    return unit((result(v1, p2[0]), (t1, p2[1])))
+
+                return bind(run2(s2), after_second)
+
+            return bind(run1(s[0]), after_first)
+
+        return Stateful(fam, run)
+
+    paired_bx = Bx(
         name=f"pair({bx1.name},{bx2.name})",
         effect=fam,
-        get_l=paired_get(bx1.get_l, bx2.get_l),
-        set_l=lambda a: left(bx1.set_l(a[0])).then(right(bx2.set_l(a[1]))),
-        get_r=paired_get(bx1.get_r, bx2.get_r),
-        set_r=lambda b: left(bx1.set_r(b[0])).then(right(bx2.set_r(b[1]))),
+        get_l=paired(bx1.get_l, bx2.get_l, _both),
+        set_l=lambda a: paired(bx1.set_l(a[0]), bx2.set_l(a[1]), _second),
+        get_r=paired(bx1.get_r, bx2.get_r, _both),
+        set_r=lambda b: paired(bx1.set_r(b[0]), bx2.set_r(b[1]), _second),
         state_domain=_product_domain(
             f"{bx1.name}x{bx2.name}", bx1.state_domain, bx2.state_domain
         ),
@@ -128,9 +150,9 @@ def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
                 )),
             )
 
-        return replace(paired, init_l=init_pair(bx1.init_l, bx2.init_l),
+        return replace(paired_bx, init_l=init_pair(bx1.init_l, bx2.init_l),
                        init_r=init_pair(bx1.init_r, bx2.init_r))
-    return paired
+    return paired_bx
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,14 @@ class EffectFamily:
             raise UnobservableEffect(f"{self.name}: no value enumerator")
         return self.enumerate_values(dom)
 
-    def equal_values(self, x, y) -> bool:
+    @property
+    def equal_values(self) -> Callable[[Any, Any], bool]:
+        """The family's ``equal`` itself, so that a law runner given it
+        calls ``equal`` with no frame in between; reading it raises
+        UnobservableEffect when the family declares no equality."""
         if self.equal is None:
             raise UnobservableEffect(f"{self.name}: no declared equality")
-        return self.equal(x, y)
+        return self.equal
 
     def outcomes_of(self, x) -> tuple:
         if self.outcomes is None:
@@ -118,12 +122,38 @@ def require_identity(fam: EffectFamily, what: str):
 # failure
 
 
-@dataclass(frozen=True)
-class Just:
-    value: Any
+class _Tagged:
+    """A value under a one-field tag: the base of ``Just`` and of the sum
+    injections ``Left`` and ``Right``.  A tagged value is immutable by
+    convention (nothing assigns to ``value`` after construction).  The
+    class has slots and a plain ``__init__``, since the failure family
+    builds one at every ``unit``; repr, equality and hash are those of a
+    frozen dataclass: ``==`` compares ``(value,)`` tuples, so it tests
+    identity before equality, and a value of another tag is unequal."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
     def __repr__(self):
-        return f"Just({self.value!r})"
+        return f"{self.__class__.__name__}({self.value!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value,) == (other.value,)
+
+    def __hash__(self):
+        return hash((self.value,))
+
+
+class Just(_Tagged):
+    """The success value of the failure family, built at every ``unit``: a
+    slotted one-field tag, printed ``Just(value)``, equal only to a ``Just``
+    of an equal value."""
+
+    __slots__ = ()
 
 
 class _Nothing:

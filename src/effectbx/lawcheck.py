@@ -118,17 +118,30 @@ class FiniteDomain:
         return f"FiniteDomain({self.name}, {list(self.elements)!r})"
 
 
-@dataclass(frozen=True)
 class FiniteFunction:
     """A function given by its finite graph; hashable and printable so it can
-    appear in witnesses.  It is the frozen value that ``decode`` gives and a
-    witness holds; ``run_laws`` reads a quantifier it walks through a live
-    view instead.  A key is looked up with ``tuple.index``, which
-    tests ``is`` before ``==`` (as ``in`` does), so a key that is not equal
-    to itself is still found by identity."""
+    appear in witnesses.  It is the value that ``decode`` gives and a
+    witness holds, immutable by convention (nothing assigns to ``keys`` or
+    ``values`` after construction); ``run_laws`` reads a quantifier it walks
+    through a live view instead.  A key is looked up with ``tuple.index``,
+    which tests ``is`` before ``==`` (as ``in`` does), so a key that is not
+    equal to itself is still found by identity.  The class has slots and a
+    plain ``__init__``; equality and hash are those of a frozen dataclass
+    over ``(keys, values)``."""
 
-    keys: tuple
-    values: tuple
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: tuple, values: tuple):
+        self.keys = keys
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.keys, self.values) == (other.keys, other.values)
+
+    def __hash__(self):
+        return hash((self.keys, self.values))
 
     def __call__(self, x):
         try:

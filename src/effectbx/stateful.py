@@ -84,19 +84,23 @@ class Stateful:
 
 
 def st_unit(fam: EffectFamily, a) -> Stateful:
-    return Stateful(fam, lambda s: fam.unit((a, s)))
+    unit = fam.unit
+    return Stateful(fam, lambda s: unit((a, s)))
 
 
 def st_get(fam: EffectFamily) -> Stateful:
-    return Stateful(fam, lambda s: fam.unit((s, s)))
+    unit = fam.unit
+    return Stateful(fam, lambda s: unit((s, s)))
 
 
 def st_set(fam: EffectFamily, s1) -> Stateful:
-    return Stateful(fam, lambda _state: fam.unit(((), s1)))
+    unit = fam.unit
+    return Stateful(fam, lambda _state: unit(((), s1)))
 
 
 def st_gets(fam: EffectFamily, f) -> Stateful:
-    return Stateful(fam, lambda s: fam.unit((f(s), s)))
+    unit = fam.unit
+    return Stateful(fam, lambda s: unit((f(s), s)))
 
 
 def st_eval(m: Stateful, s):

@@ -9,7 +9,7 @@ from typing import Any, Callable, Optional
 from .bx import Bx, dual, require_initialisable
 from .effects import EffectFamily, Just, NOTHING, identity_family, require_identity
 from .errors import DomainTooLarge
-from .lawcheck import FiniteDomain, Law, LawReport, run_laws
+from .lawcheck import DEFAULT_CAP, FiniteDomain, Law, LawReport, run_laws
 from .lenses import Lens
 from .stateful import Stateful, st_gets
 
@@ -127,8 +127,10 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
     complement, then to the complement of each triple the previous round
     found, until a round finds none, keeping the triples in the order found.
     A triple is looked up in a set, or by an ``==`` scan when it does not
-    hash, as ``FiniteDomain`` does.  Raises DomainTooLarge if the closure
-    has not converged after 64 rounds (e.g. a complement that grows without
+    hash, as ``FiniteDomain`` does.  Raises DomainTooLarge as soon as more
+    than ``DEFAULT_CAP`` triples are found (e.g. a complement that records
+    history and so doubles the frontier every round), or if the closure has
+    not converged after 64 rounds (a complement that grows without
     bound)."""
     triples, seen, loose = [], set(), []  # loose: the triples that do not hash
     complements = [sl.missing]
@@ -144,6 +146,9 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
                     continue
                 loose.append(t)
             triples.append(t)
+            if len(triples) > DEFAULT_CAP:
+                raise DomainTooLarge(f"consistent triples exceed the bound of "
+                                     f"{DEFAULT_CAP} triples")
         if len(triples) == known:
             return FiniteDomain("consistent-triples", tuple(triples))
         complements = [c for _a, _b, c in triples[known:]]

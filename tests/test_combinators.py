@@ -17,15 +17,21 @@ from effectbx import (
     check_init_laws,
     check_seven_laws,
     check_suite,
+    choice_family,
     compose,
+    console_family,
     const_bx,
+    failure_family,
     fst_ibx,
     identity_bx,
     identity_family,
     inl_bx,
     inr_bx,
+    left,
     list_ibx,
     pair_bx,
+    reader_family,
+    right,
     snd_ibx,
     st_exec,
     sum_bx,
@@ -84,6 +90,46 @@ def test_pair_set_ordering_left_then_right():
     paired = pair_bx(loud1, loud2)
     (_, _state), log = paired.set_l((1, 1)).run((0, 0))
     assert log == (("L1", 1), ("L2", 1))
+
+
+def _pairs_of_components():
+    families = [identity_family(), failure_family(), choice_family(),
+                reader_family((0, 1)), writer_family(),
+                console_family(scripts=((), ("line",)))]
+    pairs = [pytest.param(identity_bx(fam, BIT, name="x"), identity_bx(fam, BIT, name="y"),
+                          id=f"identity-{fam.name}")
+             for fam in families]
+    logging = writer_family(bound=1)
+    pairs.append(pytest.param(_logging_component(logging), _logging_component(logging),
+                              id="logging-component"))
+    return pairs
+
+
+@pytest.mark.parametrize("bx1, bx2", _pairs_of_components())
+def test_pair_runs_as_the_widening_of_its_components(bx1, bx2):
+    # the reference: each component widened to the product state through
+    # theta (left, right), the left component's effect first
+    paired = pair_bx(bx1, bx2)
+    fam = paired.effect
+
+    def widened_get(get1, get2):
+        return left(get1).bind(
+            lambda v1: right(get2).map(
+                lambda v2: (v1, v2)
+            )
+        )
+
+    def widened_set(set1, set2):
+        return lambda v: left(set1(v[0])).then(right(set2(v[1])))
+
+    ops = [(paired.get_l, widened_get(bx1.get_l, bx2.get_l)),
+           (paired.get_r, widened_get(bx1.get_r, bx2.get_r))]
+    for views, set_, set1, set2 in ((paired.dom_a, paired.set_l, bx1.set_l, bx2.set_l),
+                                    (paired.dom_b, paired.set_r, bx1.set_r, bx2.set_r)):
+        ops += [(set_(v), widened_set(set1, set2)(v)) for v in views]
+    for s in paired.state_domain:
+        for direct, reference in ops:
+            assert fam.equal(direct.run(s), reference.run(s)), (s, direct, reference)
 
 
 def test_pair_requires_transparency():

@@ -5,8 +5,11 @@ import pytest
 from effectbx import (
     ConsoleWorld,
     FiniteDomain,
+    FiniteFunction,
     Just,
+    Left,
     NOTHING,
+    Right,
     ScriptExhausted,
     UnobservableEffect,
     check_commutative,
@@ -199,3 +202,52 @@ def test_unobservable_effect():
         fam.equal_values(1, 1)
     with pytest.raises(UnobservableEffect):
         check_monad_laws(fam, BIT)
+
+
+# the slotted values: Just, the sum injections and FiniteFunction keep the
+# repr, equality and hash of the frozen dataclasses they replaced
+
+def _slotted_values():
+    def ff(value):
+        return FiniteFunction((0, 1), ("a", value))
+
+    def ff_payload(f):
+        return (f.keys, f.values)
+
+    def tag_payload(t):
+        return (t.value,)
+
+    return [
+        # (make a value from a payload, a payload, its repr, its field tuple,
+        #  a value of another tag with the same payload)
+        (Just, 1, "Just(1)", tag_payload, Left(1)),
+        (Left, "x", "Left('x')", tag_payload, Right("x")),
+        (Right, (0,), "Right((0,))", tag_payload, Just((0,))),
+        (ff, "b", "{0->'a', 1->'b'}", ff_payload, ((0, 1), ("a", "b"))),
+    ]
+
+
+@pytest.mark.parametrize("make, payload, text, fields, other", _slotted_values(),
+                         ids=["Just", "Left", "Right", "FiniteFunction"])
+def test_slotted_values_keep_the_dataclass_repr_equality_and_hash(
+        make, payload, text, fields, other):
+    value, twin = make(payload), make(payload)
+    assert repr(value) == text
+    assert value == twin and not value != twin and value is not twin
+    assert hash(value) == hash(twin) == hash(fields(value))
+    assert value != other and other != value
+    assert value.__eq__(object()) is NotImplemented
+    nan = float("nan")
+    assert make(nan) == make(nan)  # one NaN object: equal by identity
+    assert make(nan) != make(float("nan"))
+    assert not hasattr(value, "__dict__")
+
+
+def test_equal_values_is_the_family_equality():
+    from effectbx import EffectFamily
+
+    for fam in all_families():
+        assert fam.equal_values is fam.equal
+    fam = EffectFamily(name="opaque", unit=lambda a: a, bind=lambda m, k: k(m))
+    with pytest.raises(UnobservableEffect, match="opaque: no declared equality"):
+        fam.equal_values

@@ -192,6 +192,20 @@ def test_consistent_triples_refuses_a_closure_that_never_converges():
         consistent_triples(sl, BIT, BIT)
 
 
+def test_consistent_triples_refuse_more_triples_than_the_cap(monkeypatch):
+    # a complement that records history doubles the frontier every round, so
+    # the closure is refused by its number of triples long before its
+    # rounds run out (14 rounds would find 65,534 triples)
+    from effectbx import symlens
+
+    monkeypatch.setattr(symlens, "DEFAULT_CAP", 1_000, raising=False)
+    monkeypatch.setattr(symlens, "_CLOSURE_ROUNDS", 14)
+    sl = SymLens(put_r=lambda a, c: (a, c + (a,)), put_l=lambda b, c: (b, c + (b,)),
+                 missing=())
+    with pytest.raises(DomainTooLarge, match="bound of 1000 triples"):
+        consistent_triples(sl, BIT, BIT)
+
+
 def test_consistent_triples_tell_unhashable_triples_apart_by_equality():
     # a list complement does not hash, so a triple is looked up by ==; the
     # triples and their order are those of the same lens with tuples
