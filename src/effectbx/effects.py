@@ -20,6 +20,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from .errors import ScriptExhausted, UnobservableEffect
 from .lawcheck import (
+    Conjunction,
     FiniteDomain,
     Law,
     LawReport,
@@ -37,7 +38,10 @@ class EffectFamily:
     ``equal(x, y)`` compares two effect values structurally, their results
     with ``==``, and is total only for families with finite observability.
     ``enumerate_contexts`` lists the observation contexts equality
-    quantifies over (environments for reader, input scripts for console);
+    quantifies over (environments for reader, input scripts for console,
+    states for native state); such a family's ``equal`` is a
+    ``Conjunction`` of one comparison per context, in that order, which
+    ``run_laws`` walks context by context;
     ``enumerate_values`` yields a deterministic finite listing (a tuple or a
     lazy ``Space``) of effect values over a given carrier, used by the law
     checker.  ``outcomes`` extracts the observable results of an effect
@@ -241,6 +245,9 @@ def reader_family(contexts, name: str = "reader") -> EffectFamily:
 
     ctxs = tuple(contexts)
 
+    def same_at(e):
+        return lambda x, y: x(e) == y(e)
+
     return EffectFamily(
         name=name,
         # each inner lambda on a line of its own, so that profilers, which
@@ -251,7 +258,7 @@ def reader_family(contexts, name: str = "reader") -> EffectFamily:
         bind=lambda m, k: (
             lambda env: k(m(env))(env)
         ),
-        equal=lambda x, y: all(x(e) == y(e) for e in ctxs),
+        equal=Conjunction(map(same_at, ctxs)),
         enumerate_contexts=ctxs,
         enumerate_values=lambda dom: enumerate_functions(FiniteDomain("env", ctxs), dom),
         outcomes=lambda x: tuple(x(e) for e in ctxs),
@@ -394,18 +401,17 @@ def console_family(scripts=((),)) -> EffectFamily:
             return (_EXHAUSTED, world.snapshot())
         return (result, world.snapshot())
 
-    def equal(x, y):
-        for script in scripts:
+    def same_on(script):
+        def same(x, y):
             rx, wx = observe(x, script)
             ry, wy = observe(y, script)
             if wx != wy:
                 return False
             if rx is _EXHAUSTED or ry is _EXHAUSTED:
-                if not (rx is _EXHAUSTED and ry is _EXHAUSTED):
-                    return False
-            elif rx != ry:
-                return False
-        return True
+                return rx is _EXHAUSTED and ry is _EXHAUSTED
+            return rx == ry
+
+        return same
 
     def enumerate_values(dom):
         values = []
@@ -440,7 +446,7 @@ def console_family(scripts=((),)) -> EffectFamily:
         bind=lambda m, k: (
             lambda world: k(m(world))(world)
         ),
-        equal=equal,
+        equal=Conjunction(map(same_on, scripts)),
         enumerate_contexts=scripts,
         enumerate_values=enumerate_values,
         outcomes=outcomes,
@@ -499,10 +505,12 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
 
         return run
 
-    def equal(x, y):
-        return all(
-            x(s)[0] == y(s)[0] and x(s)[1] == y(s)[1] for s in states
-        )
+    def same_at(s):
+        def same(x, y):
+            a, b = x(s), y(s)
+            return a[0] == b[0] and a[1] == b[1]
+
+        return same
 
     def enumerate_values(dom):
         return enumerate_functions(
@@ -515,7 +523,7 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
             lambda s: (a, s)
         ),
         bind=bind,
-        equal=equal,
+        equal=Conjunction(map(same_at, states)),
         enumerate_contexts=states,
         enumerate_values=enumerate_values,
         outcomes=lambda x: tuple(x(s)[0] for s in states),

@@ -32,14 +32,24 @@ vector, a dict of the points assigned so far that it calls by
 first read of a point falls to ``__missing__``, which gives it the first
 codomain value in place and appends it to a trail shared by the law's views,
 and backtracking advances or undoes the trail's last point, in the digits
-and the dict together.  No evaluation is interrupted,
-so each one completes and covers a leaf; no node is copied, and a function
-is decoded only to be compared, hashed or printed.  Sampled rows and rows
-with no function quantifier take the same walk, which then ends at the
-first evaluation, except that an exhaustive ``pointwise`` law builds each
-side once per assignment of its other quantifiers and runs both at every
-state.  A failing row is kept as its indices and evaluated again from their
-decoded values to become a witness.
+and the dict together.  No build, run or observation is interrupted, so
+each one completes and covers a leaf; no node is copied, and a function is
+decoded only to be compared, hashed or printed.
+
+The walk is staged, as the checks it replaces are nested: a law holds at an
+assignment when its sides, built once, agree when run at every state (for a
+``pointwise`` law) and when observed by every part of the equality (a
+``Conjunction`` over contexts, such as a reader's environments).  So the
+sides are built once per leaf of the points read while building, run once
+per state per leaf of that run's reads, and each part observes them on its
+own branch of the points it reads; backtracking resumes at the stage that
+read the point it advanced.  Checking every context of every assignment as
+every assignment of every context is sound for a conjunction.  Sampled rows
+and rows with no function quantifier take one plain loop instead, where
+nothing can be read: an exhaustive ``pointwise`` law builds each side once
+per assignment of its other quantifiers and runs both at every state, and
+any other row is one ``Law.evaluate``.  A failing row is kept as its
+indices and evaluated again from their decoded values to become a witness.
 """
 
 from __future__ import annotations
@@ -288,11 +298,38 @@ def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
     ``lhs(e).run(s)`` with ``rhs(e).run(s)`` over ``[*quantifiers, ("s",
     states)]``, where ``lhs`` and ``rhs`` build the computations (``Stateful``
     values) from the other quantifiers alone, reading them while they build.
-    Checked exhaustively with no function-valued quantifier, each side is
-    built once per assignment of ``quantifiers``, from an env without ``s``,
-    and run at every state; otherwise ``Law.evaluate`` builds both sides at
-    each evaluation."""
+    Checked exhaustively, each side is built from an env without ``s`` once
+    per assignment of ``quantifiers`` (once per leaf of the points read
+    while building, when one is a function) and run at every state, and
+    each part of the equality (see ``Conjunction``) observes each run; a
+    sampled draw and a witness build both sides with ``Law.evaluate``."""
     return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True)
+
+
+class Conjunction:
+    """An equality that holds when each of its ``parts`` holds, as a
+    family's equality over its observation contexts is the conjunction of
+    one comparison per context.  Called, it is ``all(part(x, y) for part in
+    parts)``, written as a loop; ``run_laws`` walks each part on its own
+    branch instead.  An equality that is not a ``Conjunction`` is one part.
+    ``__code__`` is that of the call, so tools that key a callable by its
+    code object, as profilers do, find a family's ``equal`` as they find a
+    function."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def __call__(self, x, y):
+        for part in self.parts:
+            if not part(x, y):
+                return False
+        return True
+
+    @property
+    def __code__(self):
+        return Conjunction.__call__.__code__
 
 
 @dataclass(frozen=True)
@@ -469,26 +506,31 @@ def _cube(indices, node, lazy):
 
 def _keep(found, order, indices, limit):
     """Insert ``(order, indices)`` into ``found``, which holds the ``limit``
-    lowest orders seen in order; False when ``order`` is too late to be kept."""
+    lowest orders seen, in order and each once; False when ``order`` is too
+    late to be kept."""
     if len(found) >= limit and (not found or order >= found[-1][0]):
         return False
-    bisect.insort(found, (order, indices), key=lambda item: item[0])
-    del found[limit:]
+    at = bisect.bisect_left(found, order, key=lambda item: item[0])
+    if at == len(found) or found[at][0] != order:  # another part's may be kept
+        found.insert(at, (order, indices))
+        del found[limit:]
     return True
 
 
-def _assignments(spaces, cap, sample, seed):
+def _assignments(spaces, cap, sample, seed, pointwise):
     """Yield (mode, iterator of index tuples, one index per space) over the
     product of ``spaces``: every tuple in order when there are at most
     ``cap`` of them, with None standing for each function space
-    (``run_laws`` assigns those point by point), else ``sample`` seeded
-    draws."""
+    (``run_laws`` assigns those point by point) and, for a ``pointwise``
+    law, without the last space, the states, which ``run_laws`` runs inside
+    each row; else ``sample`` seeded draws."""
     total = math.prod(d.size for d in spaces)
     if total == 0:  # vacuous quantification: build no other space
         return "exhaustive", iter(())
     if not spaces or total <= cap:
+        rows = spaces[:-1] if pointwise else spaces
         return "exhaustive", itertools.product(
-            *((None,) if d.functions else range(d.size) for d in spaces))
+            *((None,) if d.functions else range(d.size) for d in rows))
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     rng = random.Random(seed)
@@ -502,136 +544,182 @@ def run_laws(subject_name: str, laws, equal,
              seed: int = 0, max_witnesses: int = 3, effect: str = "") -> LawReport:
     """Run a list of laws and collect a LawReport named ``subject_name``.
 
-    ``equal`` compares both sides.  Each quantifier's domain is taken as a
-    ``Space`` (a tuple of its elements unless it is one already).  A law with
-    at most ``cap`` assignments (the product of the domain sizes) is checked
-    exhaustively; one with more is checked on ``sample`` seeded draws
-    instead, function-valued quantifiers included.  ``cap=None`` means the
-    default cap; pass ``sample=None`` to get DomainTooLarge instead of
-    sampling.
+    ``equal`` compares both sides; a ``Conjunction`` (a family's equality
+    over its ``enumerate_contexts``) is walked part by part.  Each
+    quantifier's domain is taken as a ``Space`` (a tuple of its elements
+    unless it is one already).  A law with at most ``cap`` assignments (the
+    product of the domain sizes) is checked exhaustively; one with more is
+    checked on ``sample`` seeded draws instead, function-valued quantifiers
+    included.  ``cap=None`` means the default cap; pass ``sample=None`` to
+    get DomainTooLarge instead of sampling.
 
-    An exhaustive ``pointwise`` law with no function quantifier takes one
-    short loop: for each assignment of the other quantifiers, in order, it
-    builds both sides once and compares their runs at each state, in state
-    order.  Every other law takes the walk.
+    Each row is one index per quantifier: a seeded draw when sampled, and
+    when exhaustive, a tuple in enumeration order with None for a function
+    quantifier and, for a ``pointwise`` law, without the states, which run
+    inside the row in state order.  ``env`` decodes the plain indices that
+    differ from the previous row's.  A row with no function quantifier takes
+    one plain loop: an exhaustive pointwise law builds both sides once and
+    compares their runs at each state, and any other row is one
+    ``Law.evaluate`` compared by the whole of ``equal``.
 
     In exhaustive mode a function-valued quantifier (a ``Space`` with a
     ``functions`` form, as ``enumerate_functions`` builds) starts with no
-    point assigned.  The first read of a point gives it the first value of
-    the codomain and records it on a trail, Korat's access list; an
-    evaluation covers every assignment that agrees with the points it read,
-    and backtracking advances the trail's last point to its next value, or
-    undoes it and backtracks further, before the law is evaluated again.
+    point assigned, and its row takes the staged walk.  The first read of a
+    point gives it the first value of the codomain and records it on a
+    trail, Korat's access list.  The walk builds both sides, runs them at
+    the row's first state (when pointwise) and observes the runs by the
+    first part of ``equal``; backtracking advances the trail's last point
+    to its next value, or undoes it and backtracks further, and resumes at
+    the stage that read the point: a part observes again, a run runs again
+    and observes from the first part, a build builds again and runs from
+    the first state.  A stage whose points are all undone passes to the
+    next part, or to the next state.  A leaf of a part covers every
+    assignment that agrees with the points read by the build, the run and
+    that part, so the leaves of each part partition the row's assignments.
     The points live in one digit vector per quantifier, which the law reads
     through a view built once per law, a dict of the assigned points that
-    backtracking updates with the digits, so the nodes are visited depth first
-    with no copies, every evaluation completes, and a function is decoded
-    only to compare, hash or print it.  ``checked`` counts the assignments
-    covered, exactly as many as plain enumeration would evaluate.
+    backtracking updates with the digits, so the nodes are visited depth
+    first with no copies, every build, run and observation completes, and a
+    function is decoded only to compare, hash or print it.  ``checked``
+    counts the assignments covered by the leaves of the first part, exactly
+    as many as plain enumeration would evaluate.
 
-    Each row of the walk is one index per quantifier (None for a function
-    quantifier when exhaustive), and ``env`` decodes the plain indices that
-    differ from the previous row's; with no function quantifier (or when
-    sampled) the walk ends at the first evaluation, covering 1.  The
-    witnesses are the first ``max_witnesses`` failing index tuples, each
-    evaluated again by ``Law.evaluate`` from freshly decoded values.  Output
-    ordering is deterministic: laws in given order, witnesses in
+    A failing leaf of any part contributes its assignments, each kept once.
+    The witnesses are the first ``max_witnesses`` failing index tuples,
+    each evaluated again by ``Law.evaluate`` from freshly decoded values.
+    Output ordering is deterministic: laws in given order, witnesses in
     enumeration order (or in seeded sample order).
     """
     if cap is None:
         cap = DEFAULT_CAP
+    parts = equal.parts if isinstance(equal, Conjunction) else (equal,)
+    last_part = len(parts) - 1
     results = []
     modes = set()
     for law in laws:
         spaces = [_as_space(dom) for _name, dom in law.quantifiers]
         names = [name for name, _dom in law.quantifiers]
-        mode, assignments = _assignments(spaces, cap, sample, seed)
+        mode, assignments = _assignments(spaces, cap, sample, seed, law.pointwise)
         modes.add(mode)
         exhaustive = mode == "exhaustive"
-        lazy = [(i, d.functions) for i, d in enumerate(spaces)
+        # an exhaustive pointwise law runs its states inside each row
+        batched = law.pointwise and exhaustive
+        states = tuple(spaces[-1]) if batched else (None,)
+        lazy = [(i, d.functions) for i, d in enumerate(spaces[:-1] if batched else spaces)
                 if d.functions and exhaustive]
         checked = 0
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
         found = []
-        if law.pointwise and exhaustive and not lazy:
-            # the states are the last quantifier; an empty domain builds nothing
-            *outer, states = spaces
-            states = tuple(states)
-            rows = zip(itertools.product(*(range(d.size) for d in outer)),
-                       itertools.product(*outer)) if states else ()
-            env = {}
-            for indices, values in rows:
-                env.update(zip(names, values))
-                left, right = law.lhs(env), law.rhs(env)
-                verdicts = map(equal, map(left.run, states), map(right.run, states))
-                for j, ok in enumerate(verdicts):
-                    if not ok:
-                        full = (*indices, j)
-                        _keep(found, full, full, max_witnesses)
-                checked += len(states)
-        else:
-            # one live digit vector per function quantifier, None where unassigned
-            digits = [[None] * len(form.keys) for _i, form in lazy]
-            bases = [len(form.codomain) for _i, form in lazy]
-            # the assigned points as (view, key, digit index), in the order the
-            # law first read them
-            trail = []
-            views = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain,
-                                                          vector, trail))
-                     for (i, form), vector in zip(lazy, digits)}
-            # the assignments a node covers before any point is assigned
-            root_covered = math.prod(base ** len(d) for base, d in zip(bases, digits))
-            # one env per law: a row decodes the plain indices that differ from
-            # the previous row's, all of them on the first row
-            env = dict(views)
-            previous = (None,) * len(spaces)
-            for row, indices in enumerate(assignments):
-                for name, d, i, was in zip(names, spaces, indices, previous):
-                    if i != was:
-                        env[name] = d.decode(i)
-                previous = indices
-                covered = root_covered
-                # trail[:counted] are the points already divided out of covered
-                counted = 0
-                while True:
-                    lhs, rhs = law.evaluate(env)
-                    ok = equal(lhs, rhs)
-                    while counted < len(trail):
-                        covered //= len(trail[counted][0].codomain)
-                        counted += 1
+        # one live digit vector per function quantifier, None where unassigned
+        digits = [[None] * len(form.keys) for _i, form in lazy]
+        # the assigned points as (view, key, digit index), in the order the
+        # law first read them
+        trail = []
+        # one env per law: a row decodes the plain indices that differ from
+        # the previous row's, all of them on the first row
+        env = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain, vector, trail))
+               for (i, form), vector in zip(lazy, digits)}
+        previous = (None,) * len(spaces)
+        # the assignments a node covers before any point is assigned
+        root_covered = math.prod(len(form.codomain) ** len(form.keys) for _i, form in lazy)
+        last_state = len(states) - 1
+        lhs, rhs = law.lhs, law.rhs
+        for row, indices in enumerate(assignments):
+            for name, d, i, was in zip(names, spaces, indices, previous):
+                if i != was:
+                    env[name] = d.decode(i)
+            previous = indices
+            if not lazy:
+                # the plain loop: nothing can be read
+                if batched:
+                    left, right = lhs(env), rhs(env)
+                    verdicts = map(equal, map(left.run, states), map(right.run, states))
+                    for j, ok in enumerate(verdicts):
+                        if not ok:
+                            full = (*indices, j)
+                            _keep(found, full, full, max_witnesses)
+                    checked += len(states)
+                else:
+                    if not equal(*law.evaluate(env)):
+                        _keep(found, indices if exhaustive else row, indices, max_witnesses)
+                    checked += 1
+                continue
+            # the staged walk
+            covered = root_covered
+            # trail[:counted] are the points already divided out of covered
+            counted = 0
+            # the stage to resume: 0 build, 1 run at states[j], 2 observe by
+            # parts[p], -1 none (the row is done); the build read
+            # trail[:built], the run trail[built:ran] and the part the rest
+            stage = 0
+            while stage >= 0:
+                if stage == 0:
+                    x, y = lhs(env), rhs(env)
+                    ran = built = len(trail)
+                    j = p = 0
+                    if batched:
+                        left, right = x, y
+                        stage = 1
+                if stage == 1:
+                    s = states[j]
+                    x, y = left.run(s), right.run(s)
+                    ran = len(trail)
+                    p = 0
+                ok = parts[p](x, y)
+                while counted < len(trail):
+                    covered //= len(trail[counted][0].codomain)
+                    counted += 1
+                if not p:
                     checked += covered
-                    if not ok:
-                        for full in _cube(indices, digits, lazy):
-                            if not _keep(found, full if exhaustive else row, full,
-                                         max_witnesses):
-                                break
-                    # backtrack: the deepest point with a value left takes it,
-                    # in its digit and in its view
-                    while trail:
-                        view, key, j = trail[-1]
-                        vector, codomain = view.digits, view.codomain
-                        digit = vector[j] + 1
-                        if digit < len(codomain):
-                            vector[j] = digit
-                            view[key] = codomain[digit]
+                if not ok:
+                    for full in _cube((*indices, j) if batched else indices, digits, lazy):
+                        if not _keep(found, full, full, max_witnesses):
                             break
-                        vector[j] = None
-                        del view[key]
-                        covered *= len(codomain)
-                        trail.pop()
-                        counted -= 1
-                    else:
+                # backtrack: the next part once this one's points are undone,
+                # the next state once the run's are, else the deepest point
+                # with a value left takes it, in its digit and in its view,
+                # and its stage resumes
+                while True:
+                    depth = len(trail)
+                    if depth > ran:
+                        stage = 2
+                    elif p < last_part:
+                        p += 1
+                        stage = 2
                         break
+                    elif depth > built:
+                        stage = 1
+                    elif j < last_state:
+                        j += 1
+                        stage = 1
+                        break
+                    elif depth:
+                        stage = 0
+                    else:
+                        stage = -1
+                        break
+                    view, key, at = trail[-1]
+                    vector, codomain = view.digits, view.codomain
+                    digit = vector[at] + 1
+                    if digit < len(codomain):
+                        vector[at] = digit
+                        view[key] = codomain[digit]
+                        break
+                    vector[at] = None
+                    del view[key]
+                    covered *= len(codomain)
+                    trail.pop()
+                    counted -= 1
         failures = []
         for _order, indices in found:
             env = {name: d.decode(i) for name, d, i in zip(names, spaces, indices)}
-            lhs, rhs = law.evaluate(env)
+            x, y = law.evaluate(env)
             failures.append(
                 Witness(
                     inputs={k: stable_repr(v) for k, v in env.items()},
-                    lhs=stable_repr(lhs),
-                    rhs=stable_repr(rhs),
+                    lhs=stable_repr(x),
+                    rhs=stable_repr(y),
                     env=env,
                 )
             )

@@ -1,8 +1,9 @@
 """Cross-implementation differentials: the two composers implementations over
 many scripts, the flattened composers bx, a hand-rolled re-evaluation of
 every per-bx suite of the corpus and of the suites with function-valued
-quantifiers, and the runner's per-state loop for pointwise laws against its
-row-by-row walk."""
+quantifiers, the runner's per-state loop for pointwise laws against its
+row-by-row walk, and its part-by-part walk of a conjunction against the
+joint walk of the same equality as one part."""
 
 import dataclasses
 import itertools
@@ -20,6 +21,7 @@ from effectbx import (
     check_lift_morphism,
     check_monad_laws,
     check_suite,
+    check_commutative,
     check_equivalence,
     check_theta_morphism,
     compose,
@@ -31,7 +33,9 @@ from effectbx import (
     identity_family,
     identity_lens,
     lens_to_bx,
+    native_state_family,
     pointwise,
+    reader_family,
     snd_lens,
     state_law_suite,
     symlens_to_bx,
@@ -248,3 +252,50 @@ def test_a_vacuous_pointwise_law_checks_nothing_and_builds_nothing(outer, states
         report = run_laws("vacuous", [checked], operator.eq)
         assert report.mode == "exhaustive" and report.ok
         assert report.laws[0].checked == 0
+
+
+# a family whose equality is a conjunction over contexts is walked context
+# by context; the same family with its equality as one plain part is walked
+# jointly over the union of what every context reads, and is the reference
+
+
+def _jointly(fam):
+    """``fam`` with its equality as one part that ``run_laws`` cannot
+    split."""
+    whole = fam.equal
+    return dataclasses.replace(fam, equal=lambda x, y: whole(x, y))
+
+
+def _conjunction_cases():
+    native = native_state_family(S2).family
+    ca, cb = FiniteDomain("ca", (0, 1)), FiniteDomain("cb", (2, 3))
+    for fam in (*_families((0, 1, 2)), native):
+        for dom in (D1, D2):
+            yield f"monad/{fam.name}/{dom.name}", fam, (
+                lambda fam, dom=dom, **kw: check_monad_laws(fam, dom, **kw))
+        yield f"commute/{fam.name}", fam, (
+            lambda fam, **kw: check_commutative(fam, ca, cb, **kw))
+    for fam in (*_families((0, 1)), native):
+        for dom in (S1, S2, FiniteDomain("s3", (0, 1, 2))):
+            yield f"state/{fam.name}/{dom.name}", fam, (
+                lambda fam, dom=dom, **kw: state_law_suite(fam, dom, BIT, **kw))
+        yield f"lift/{fam.name}", fam, (
+            lambda fam, **kw: check_lift_morphism(fam, BIT, BIT, **kw))
+    for fam in (identity_family(), reader_family((0, 1))):
+        for name, lens in (("fst", fst_lens()), ("non-overwrite", non_overwrite_lens())):
+            yield f"theta/{name}/{fam.name}", fam, (
+                lambda fam, lens=lens, **kw: check_theta_morphism(lens, fam, PAIRS, BIT, BIT,
+                                                                  **kw))
+
+
+@pytest.mark.parametrize("cap, seed", [(None, 0), (100, 3)])
+def test_conjunctions_report_as_their_joint_walk(cap, seed):
+    failing = set()
+    for where, fam, check in _conjunction_cases():
+        report = check(fam, cap=cap, seed=seed)
+        assert report.to_json() == check(_jointly(fam), cap=cap, seed=seed).to_json(), where
+        failing.update(f"{where}:{name}" for name in report.failing_laws)
+    # native state does not commute, and its failing assignments are walked
+    # state by state (exhaustively at the default cap), some failing at both
+    assert "commute/native-state:commute" in failing
+    assert "theta/non-overwrite/reader:theta-preserves-bind" in failing

@@ -1,8 +1,12 @@
 """Effect families: monad laws, zeros, commutativity, morphisms, console."""
 
+import collections
+import itertools
+
 import pytest
 
 from effectbx import (
+    Conjunction,
     ConsoleWorld,
     FiniteDomain,
     FiniteFunction,
@@ -22,6 +26,7 @@ from effectbx import (
     console_run,
     failure_family,
     identity_family,
+    native_state_family,
     reader_family,
     writer_family,
 )
@@ -251,3 +256,46 @@ def test_equal_values_is_the_family_equality():
     fam = EffectFamily(name="opaque", unit=lambda a: a, bind=lambda m, k: k(m))
     with pytest.raises(UnobservableEffect, match="opaque: no declared equality"):
         fam.equal_values
+
+
+# a family whose equality quantifies over contexts builds it as a
+# Conjunction of one part per context, which run_laws walks part by part
+
+@pytest.mark.parametrize("fam, needed", [
+    (reader_family((0, 1, 2)), [0, 1, 2]),
+    # a read past the end of the empty script reads the line of the other
+    # script, where the remaining input tells it apart too
+    (console_family(scripts=((), ("line",))), [1]),
+    (native_state_family(FiniteDomain("s2", (0, 1))).family, [0, 1]),
+], ids=["reader", "console", "native-state"])
+def test_a_context_quantified_equality_is_the_conjunction_of_its_parts(fam, needed):
+    equal = fam.equal
+    assert isinstance(equal, Conjunction)
+    assert len(equal.parts) == len(fam.enumerate_contexts)
+    pairs = list(itertools.product(fam.values_over(BIT), repeat=2))
+    verdicts = [equal(x, y) for x, y in pairs]
+    assert verdicts == [all(p(x, y) for p in equal.parts) for x, y in pairs]
+    assert any(verdicts) and not all(verdicts)
+    # the contexts whose part, left out, changes the verdict on some pair
+    missing = [Conjunction(equal.parts[:k] + equal.parts[k + 1:])
+               for k in range(len(equal.parts))]
+    assert [k for k, partial in enumerate(missing)
+            if [partial(x, y) for x, y in pairs] != verdicts] == needed
+
+
+def test_native_state_equality_runs_each_value_once_per_state_and_compares_both_fields():
+    fam = native_state_family(FiniteDomain("s3", (0, 1, 2))).family
+    calls = collections.Counter()
+
+    def counted(name, run):
+        def value(s):
+            calls[name, s] += 1
+            return run(s)
+
+        return value
+
+    assert fam.equal(counted("x", lambda s: (s, s)), counted("y", lambda s: (s, s)))
+    assert calls == {(name, s): 1 for name in "xy" for s in (0, 1, 2)}
+    # a result or a final state that differs at one state is told apart
+    assert not fam.equal(lambda s: (s, s), lambda s: (s if s < 2 else 0, s))
+    assert not fam.equal(lambda s: (s, s), lambda s: (s, s if s < 2 else 0))

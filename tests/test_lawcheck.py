@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from effectbx import (
+    Conjunction,
     DomainTooLarge,
     FiniteDomain,
     FiniteFunction,
@@ -38,6 +39,7 @@ from effectbx.corpus import (
     run_monad_suite,
     run_state_suite,
 )
+from effectbx import effects, lenses, stateful
 from effectbx.lawcheck import DEFAULT_CAP, _as_space, _PartialFunction
 
 
@@ -135,6 +137,52 @@ def test_run_laws_exhaustive_and_witness():
     w = res.failures[0]
     assert w.inputs == {"x": "2", "y": "2"}
     assert w.lhs == "4" and w.rhs == "5"
+
+
+def test_a_conjunction_holds_when_each_part_holds_and_stops_at_the_first_that_fails():
+    calls = []
+
+    def part(verdict):
+        def check(x, y):
+            calls.append(verdict)
+            return verdict
+
+        return check
+
+    assert Conjunction(())(0, 0)
+    assert Conjunction([part(True), part(True)])(0, 1) and calls == [True, True]
+    calls.clear()
+    assert not Conjunction([part(True), part(False), part(True)])(0, 1)
+    assert calls == [True, False]
+    # tools that key a callable by its code object find the call
+    assert Conjunction(()).__code__ is Conjunction.__call__.__code__
+    assert not hasattr(Conjunction(()), "__dict__")
+
+
+def test_a_conjunction_is_walked_part_by_part_as_its_joint_walk_reports():
+    # each part reads one point of f, so it has 3 leaves where the joint
+    # walk has 27, and an assignment that fails two parts is kept once
+    space = enumerate_functions(DOM3, COD3)
+    fixed = space.decode(0)
+    observations = collections.Counter()
+
+    def same_at(k):
+        def same(x, y):
+            observations[k] += 1
+            return x(k) == y(k)
+
+        return same
+
+    parts = [same_at(k) for k in DOM3]
+    law = Law("is-fixed", [("f", space)], lambda e: e["f"], lambda e: fixed)
+    walked = run_laws("demo", [law], Conjunction(parts), max_witnesses=5)
+    assert observations == {0: 3, 1: 3, 2: 3}
+    joint = run_laws("demo", [law], lambda x, y: all(p(x, y) for p in parts),
+                     max_witnesses=5)
+    assert walked.to_json() == joint.to_json()
+    assert walked.law("is-fixed").checked == 27
+    assert [w.inputs["f"] for w in walked.law("is-fixed").failures] == [
+        repr(space.decode(i)) for i in (1, 2, 3, 4, 5)]
 
 
 def test_run_laws_sampling_above_cap_is_reported_and_reproducible():
@@ -461,7 +509,9 @@ def test_a_full_section_is_its_decoded_value_while_others_are_unassigned():
 
 def _evaluations(monkeypatch, report):
     """The number of ``Law.evaluate`` calls per law while ``report()`` runs:
-    one per leaf of the walk, plus one per witness."""
+    one per sampled draw and per row of a plain law, plus one per witness
+    (the staged walk and a pointwise law's exhaustive rows build and run
+    their sides directly)."""
     counts = {}
     evaluate = Law.evaluate
 
@@ -474,47 +524,93 @@ def _evaluations(monkeypatch, report):
 
 
 def test_curried_reader_continuations_cost_pinned_evaluations(monkeypatch):
-    # every evaluation completes and covers one leaf, so reading every
-    # point of a section costs no evaluation of its own
+    # reader's bind reads nothing while it builds, so each side is built
+    # once, and each environment's part reads m, k1 and k2 there alone: 8
+    # leaves per part where the joint walk had 512 over all three
     fam = reader_family((0, 1, 2))
-    d2, d2_evaluations = _evaluations(
-        monkeypatch, lambda: check_monad_laws(fam, D2))
+    d2, costs = _costs(monkeypatch, effects, lambda: check_monad_laws(fam, D2),
+                       "associativity")
     assert d2.mode == "exhaustive" and d2.ok
     assert d2.law("associativity").checked == 32_768
-    assert d2_evaluations["associativity"] == 512
-    d3, d3_evaluations = _evaluations(
-        monkeypatch, lambda: check_monad_laws(fam, DOM3))
+    assert costs == (1, 0, (8, 8, 8))
+    d3, costs = _costs(monkeypatch, effects, lambda: check_monad_laws(fam, DOM3),
+                       "left-unit")
     assert d3.law("left-unit").checked == 59_049
-    assert d3_evaluations["left-unit"] == 81
+    assert costs == (3, 0, (9, 9, 9))
 
 
 PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
-@pytest.mark.parametrize("check, law, checked, evaluations, failing", [
-    (lambda: check_lift_morphism(reader_family((0, 1)), BIT, BIT),
-     "lift-preserves-bind", 128, 32, ()),
-    (lambda: check_theta_morphism(fst_lens(), identity_family(), PAIRS, BIT, BIT),
-     "theta-preserves-bind", 16_384, 64, ()),
-    (lambda: check_theta_morphism(non_overwrite_lens(), identity_family(), PAIRS, BIT, BIT),
-     "theta-preserves-bind", 16_384, 67, ("theta-preserves-bind",)),
+@pytest.mark.parametrize("module, check, law, checked, costs, failing", [
+    (stateful, lambda: check_lift_morphism(reader_family((0, 1)), BIT, BIT),
+     "lift-preserves-bind", 128, (1, 2, (8, 8)), ()),
+    (lenses, lambda: check_theta_morphism(fst_lens(), identity_family(), PAIRS, BIT, BIT),
+     "theta-preserves-bind", 16_384, (1, 64, (64,)), ()),
+    # one build and 64 runs in the walk, then one of each per witness
+    (lenses, lambda: check_theta_morphism(non_overwrite_lens(), identity_family(),
+                                          PAIRS, BIT, BIT),
+     "theta-preserves-bind", 16_384, (1 + 3, 64 + 3, (64,)), ("theta-preserves-bind",)),
 ], ids=["lift-reader", "theta-fst", "theta-non-overwrite"])
 def test_curried_continuations_into_state_transformers_cost_pinned_evaluations(
-        monkeypatch, check, law, checked, evaluations, failing):
-    report, counts = _evaluations(monkeypatch, check)
+        monkeypatch, module, check, law, checked, costs, failing):
+    # the sides are built before the continuations are read, once per row,
+    # and the runs at each state read them
+    report, spent = _costs(monkeypatch, module, check, law)
     assert report.mode == "exhaustive" and report.failing_laws == failing
     assert report.law(law).checked == checked
-    assert counts[law] == evaluations
+    assert spent == costs
 
 
 def test_choice_continuations_cost_pinned_evaluations(monkeypatch):
-    d2, evaluations = _evaluations(
-        monkeypatch, lambda: check_monad_laws(choice_family(), D2))
+    # choice's bind runs its continuations while it builds, so a law with
+    # one part costs one build and one observation per leaf, as it did in
+    # the joint walk
+    d2, costs = _costs(monkeypatch, effects,
+                       lambda: check_monad_laws(choice_family(), D2), "associativity")
     assert d2.mode == "exhaustive" and d2.ok
     assert d2.law("associativity").checked == 16_807
-    assert evaluations["associativity"] == 3_871
+    assert costs == (3_871, 0, (3_871,))
+    d2, costs = _costs(monkeypatch, effects,
+                       lambda: check_monad_laws(choice_family(), D2), "left-unit")
     assert d2.law("left-unit").checked == 98
-    assert evaluations["left-unit"] == 14
+    assert costs == (14, 0, (14,))
+
+
+def _costs(monkeypatch, module, check, name):
+    """The report of ``check()``, which calls ``module.run_laws`` once, and
+    what its law ``name`` costs when run again alone: the builds and the
+    runs of one side, as ``_counting_sides`` counts them (the other side
+    costs the same), and the observations of each part of the equality,
+    in order.  A witness builds and runs each side once more and observes
+    nothing."""
+    given = []
+
+    def recording(subject, laws, equal, **kwargs):
+        given.append((list(laws), equal))
+        return run_laws(subject, laws, equal, **kwargs)
+
+    monkeypatch.setattr(module, "run_laws", recording)
+    report = check()
+    (laws, equal), = given
+    law, = [law for law in laws if law.name == name]
+    parts = equal.parts if isinstance(equal, Conjunction) else (equal,)
+    observations = [0] * len(parts)
+
+    def counted(j, part):
+        def observe(x, y):
+            observations[j] += 1
+            return part(x, y)
+
+        return observe
+
+    counts = collections.Counter()
+    alone = run_laws(report.subject, [_counting_sides(law, counts)],
+                     Conjunction(map(counted, range(len(parts)), parts)))
+    assert alone.laws == (report.law(name),)
+    builds, runs = (counts[name, "lhs", kind] for kind in ("builds", "runs"))
+    assert (builds, runs) == tuple(counts[name, "rhs", kind] for kind in ("builds", "runs"))
+    return report, (builds, runs, tuple(observations))
 
 
 def _counting_sides(law, counts):
