@@ -8,8 +8,8 @@ with counterexample witnesses.
 
 Checking is exhaustive up to one cap (default 10**6 assignments per law),
 applied only by ``run_laws``; above it a seeded random sample is used,
-decoding one index per quantifier from a lazy ``Space``, so function spaces
-are sampled without being built.  The mode is recorded in the report so
+one index per quantifier of a lazy ``Space``, so function spaces are
+sampled without being built.  The mode is recorded in the report so
 "pass" claims stay auditable.
 
 Exhaustive checking evaluates only the points of a function a law reads, as
@@ -44,12 +44,20 @@ sides are built once per leaf of the points read while building, run once
 per state per leaf of that run's reads, and each part observes them on its
 own branch of the points it reads; backtracking resumes at the stage that
 read the point it advanced.  Checking every context of every assignment as
-every assignment of every context is sound for a conjunction.  Sampled rows
-and rows with no function quantifier take one plain loop instead, where
-nothing can be read: an exhaustive ``pointwise`` law builds each side once
-per assignment of its other quantifiers and runs both at every state, and
-any other row is one ``Law.evaluate``.  A failing row is kept as its
-indices and evaluated again from their decoded values to become a witness.
+every assignment of every context is sound for a conjunction.
+
+A sampled law with a function quantifier walks its draws the same way.  Its
+draws are grouped by their plain indices, and each group is a row whose
+first read of a point branches only on the digits that the draws of the
+current node take there, so a leaf covers the draws that agree with the
+points it read, and a function is decoded only for a witness.  The
+exhaustive walk is the case where every codomain digit is taken, and a
+leaf covers the whole cube of assignments that agree with it.  Rows with
+no function quantifier take one plain loop instead, where nothing can be
+read: an exhaustive ``pointwise`` law builds each side once per assignment
+of its other quantifiers and runs both at every state, and any other row
+is one ``Law.evaluate``.  A failing row is kept as its indices and
+evaluated again from their decoded values to become a witness.
 """
 
 from __future__ import annotations
@@ -302,7 +310,9 @@ def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
     per assignment of ``quantifiers`` (once per leaf of the points read
     while building, when one is a function) and run at every state, and
     each part of the equality (see ``Conjunction``) observes each run; a
-    sampled draw and a witness build both sides with ``Law.evaluate``."""
+    sampled law draws ``s`` with the others, and its rows (its leaves, when
+    it has a function quantifier) and its witnesses build and run both
+    sides with ``Law.evaluate``."""
     return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True)
 
 
@@ -416,22 +426,24 @@ def _as_space(values) -> Space:
 
 
 class _PartialFunction(dict):
-    """The live view of a function quantifier that ``run_laws`` assigns point
-    by point: a dict of the points assigned so far, so that a call, which is
-    ``dict.__getitem__``, reads an assigned point without entering Python.
-    ``digits[start + j]`` is the codomain index given to ``domain[j]``, or
-    None, and ``run_laws`` changes it in place together with the dict entry,
-    so one view serves every node of the walk.  It is the only live view: a
-    curried function is a view of its sections whose every point is fixed
-    (its codomain is the sections), and section ``j`` is a view with start
-    ``j * width`` over its own slice of the quantifier's digits.  A first
-    read falls to ``__missing__``, which gives the point digit 0, stores it
-    and appends ``(view, key, index)`` to ``trail``, the access list that
-    the views of one law share.  ``==``, ``!=``, ``hash`` and ``repr`` read
-    the whole function in key order, assigning each unassigned point, and
-    act on the decoded ``FiniteFunction``, so a view compares, hashes and
-    prints as the element ``decode`` picks, and a view is true even with no
-    point assigned.  A key outside the domain raises ``KeyError`` as
+    """The live view of a function quantifier that ``run_laws`` assigns
+    point by point: a dict of the points assigned so far, so that a call,
+    which is ``dict.__getitem__``, reads an assigned point without entering
+    Python.  ``digits[start + j]`` is the codomain index given to
+    ``domain[j]``, or None, and ``run_laws`` changes it in place together
+    with the dict entry, so one view serves every node of the walk.  It is
+    the only live view: a curried function is a view of its sections whose
+    every point is fixed (its codomain is the sections), and section ``j``
+    is a view with start ``j * width`` over its own slice of the
+    quantifier's digits.  A first read falls to ``__missing__``, which gives
+    the point digit 0, appends ``(view, key, index)`` to ``trail``, the
+    access list that the views of one law share (a ``_Draws`` trail then
+    gives the point the lowest digit its draws take there), and stores the
+    point's value.  ``==``, ``!=``, ``hash`` and ``repr`` read the whole
+    function in key order, assigning each unassigned point, and act on the
+    decoded ``FiniteFunction``, so a view compares, hashes and prints as the
+    element ``decode`` picks, and a view is true even with no point
+    assigned.  A key outside the domain raises ``KeyError`` as
     ``FiniteFunction`` does."""
 
     __slots__ = ("domain", "codomain", "digits", "trail", "start")
@@ -451,13 +463,13 @@ class _PartialFunction(dict):
         except ValueError:
             raise KeyError(f"{x!r} outside function domain") from None
         index = self.start + j
-        digit = self.digits[index]
-        if digit is not None:  # x equals an assigned key but hashes unlike it
-            return self.codomain[digit]
-        self.digits[index] = 0
+        digits = self.digits
+        if digits[index] is not None:  # x equals an assigned key but hashes unlike it
+            return self.codomain[digits[index]]
+        digits[index] = 0
         key = self.domain[j]
-        self.trail.append((self, key, index))
-        value = self[key] = self.codomain[0]
+        self.trail.append((self, key, index))  # a _Draws trail may pick another digit
+        value = self[key] = self.codomain[digits[index]]
         return value
 
     def _decoded(self):
@@ -479,6 +491,73 @@ class _PartialFunction(dict):
         return repr(self._decoded())
 
 
+class _Draws(list):
+    """The trail of a walk over sampled draws: Korat's access list, as a
+    plain trail is, whose first read of a point branches only on the digits
+    that the draws of the current node take there.  ``node`` holds those
+    draws as ``(position, indices)`` pairs in draw order, with
+    ``indices[slots[id(vector)]]`` the index of the function quantifier
+    whose digit vector is ``vector``; the digit at its flat position ``p``
+    is ``index // base**p % base``, as ``enumerate_functions`` numbers it.
+    ``append`` splits the node by that digit and enters the lowest one,
+    ``advance`` enters the next, and ``pop`` returns to the node the point
+    split."""
+
+    __slots__ = ("slots", "node", "branches")
+
+    def __init__(self, slots):
+        super().__init__()
+        self.slots = slots
+        self.node = []
+        # per point: an iterator over its remaining (digit, draws), and the
+        # node it split
+        self.branches = []
+
+    def append(self, point):
+        view, _key, at = point
+        base = len(view.codomain)
+        slot = self.slots[id(view.digits)]
+        power = base ** at
+        node = self.node
+        if len(node) == 1:  # one draw: its digit, and the node stays
+            alternatives = iter(())
+            view.digits[at] = node[0][1][slot] // power % base
+        else:
+            split = {}
+            for draw in node:
+                split.setdefault(draw[1][slot] // power % base, []).append(draw)
+            alternatives = iter(sorted(split.items()))
+            view.digits[at], self.node = next(alternatives)
+        self.branches.append((alternatives, node))
+        list.append(self, point)
+
+    def advance(self):
+        """Enter the last point's next digit and return it; its codomain's
+        size when no draw of the node it split takes a later one."""
+        following = next(self.branches[-1][0], None)
+        if following is None:
+            return len(self[-1][0].codomain)
+        digit, self.node = following
+        return digit
+
+    def pop(self):
+        _alternatives, self.node = self.branches.pop()
+        return list.pop(self)
+
+
+def _draw_rows(draws, lazy):
+    """The sampled ``draws`` as rows for the walk: a dict from each distinct
+    tuple of plain indices, None at each function quantifier in ``lazy``,
+    to its draws as ``(position, indices)`` in draw order."""
+    rows = {}
+    for position, indices in enumerate(draws):
+        plain = list(indices)
+        for i, _form in lazy:
+            plain[i] = None
+        rows.setdefault(tuple(plain), []).append((position, indices))
+    return rows
+
+
 def _index(digits, base):
     """The index of the function whose key ``j`` takes codomain digit
     ``digits[j]``, as ``enumerate_functions`` numbers them."""
@@ -488,8 +567,9 @@ def _index(digits, base):
 def _cube(indices, node, lazy):
     """The assignments that agree with ``indices``, one index per quantifier
     (None for each function quantifier), and with ``node``, the digit
-    vectors of the function quantifiers, as index tuples in enumeration
-    order (so the first ones come first)."""
+    vectors of the function quantifiers, in enumeration order (so the first
+    ones come first), as the ``(order, indices)`` pairs ``_keep`` takes: the
+    order of an exhaustive assignment is its index tuple."""
     indices = list(indices)
     # the free keys, most significant first: earlier quantifiers, then later keys
     free = [(slot, j) for slot, digits in enumerate(node)
@@ -501,7 +581,8 @@ def _cube(indices, node, lazy):
             filled[slot][j] = d
         for (i, form), digits in zip(lazy, filled):
             indices[i] = _index(digits, len(form.codomain))
-        yield tuple(indices)
+        full = tuple(indices)
+        yield full, full
 
 
 def _keep(found, order, indices, limit):
@@ -523,7 +604,9 @@ def _assignments(spaces, cap, sample, seed, pointwise):
     ``cap`` of them, with None standing for each function space
     (``run_laws`` assigns those point by point) and, for a ``pointwise``
     law, without the last space, the states, which ``run_laws`` runs inside
-    each row; else ``sample`` seeded draws."""
+    each row; else ``sample`` seeded draws, each index drawn as
+    ``random.Random(seed).randrange(size)`` would draw it: ``getrandbits``
+    of the size's bit length, again while it is not below the size."""
     total = math.prod(d.size for d in spaces)
     if total == 0:  # vacuous quantification: build no other space
         return "exhaustive", iter(())
@@ -533,10 +616,21 @@ def _assignments(spaces, cap, sample, seed, pointwise):
             *((None,) if d.functions else range(d.size) for d in rows))
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
-    rng = random.Random(seed)
-    sizes = [d.size for d in spaces]
-    return f"sampled(n={sample},seed={seed})", (
-        tuple(map(rng.randrange, sizes)) for _ in range(sample))
+    return f"sampled(n={sample},seed={seed})", _draws(spaces, sample, seed)
+
+
+def _draws(spaces, sample, seed):
+    """The ``sample`` seeded draws of ``_assignments``."""
+    getrandbits = random.Random(seed).getrandbits
+    sizes = [(d.size, d.size.bit_length()) for d in spaces]
+    for _ in range(sample):
+        indices = []
+        for size, bits in sizes:
+            index = getrandbits(bits)
+            while index >= size:
+                index = getrandbits(bits)
+            indices.append(index)
+        yield tuple(indices)
 
 
 def run_laws(subject_name: str, laws, equal,
@@ -553,42 +647,50 @@ def run_laws(subject_name: str, laws, equal,
     included.  ``cap=None`` means the default cap; pass ``sample=None`` to
     get DomainTooLarge instead of sampling.
 
-    Each row is one index per quantifier: a seeded draw when sampled, and
-    when exhaustive, a tuple in enumeration order with None for a function
-    quantifier and, for a ``pointwise`` law, without the states, which run
-    inside the row in state order.  ``env`` decodes the plain indices that
-    differ from the previous row's.  A row with no function quantifier takes
-    one plain loop: an exhaustive pointwise law builds both sides once and
-    compares their runs at each state, and any other row is one
-    ``Law.evaluate`` compared by the whole of ``equal``.
+    Each row is one index per quantifier, with None for a function
+    quantifier (a ``Space`` with a ``functions`` form, as
+    ``enumerate_functions`` builds).  When exhaustive, the rows are the
+    tuples in enumeration order, for a ``pointwise`` law without the states,
+    which run inside the row in state order.  When sampled, a law with a
+    function quantifier has a row per distinct tuple of plain indices among
+    its draws, holding those draws, and any other law a row per draw.
+    ``env`` decodes the plain indices that differ from the previous row's.
+    A row with no function quantifier takes one plain loop: an exhaustive
+    pointwise law builds both sides once and compares their runs at each
+    state, and any other row is one ``Law.evaluate`` compared by the whole
+    of ``equal``.
 
-    In exhaustive mode a function-valued quantifier (a ``Space`` with a
-    ``functions`` form, as ``enumerate_functions`` builds) starts with no
-    point assigned, and its row takes the staged walk.  The first read of a
-    point gives it the first value of the codomain and records it on a
-    trail, Korat's access list.  The walk builds both sides, runs them at
-    the row's first state (when pointwise) and observes the runs by the
-    first part of ``equal``; backtracking advances the trail's last point
-    to its next value, or undoes it and backtracks further, and resumes at
-    the stage that read the point: a part observes again, a run runs again
-    and observes from the first part, a build builds again and runs from
-    the first state.  A stage whose points are all undone passes to the
-    next part, or to the next state.  A leaf of a part covers every
-    assignment that agrees with the points read by the build, the run and
-    that part, so the leaves of each part partition the row's assignments.
-    The points live in one digit vector per quantifier, which the law reads
-    through a view built once per law, a dict of the assigned points that
-    backtracking updates with the digits, so the nodes are visited depth
-    first with no copies, every build, run and observation completes, and a
-    function is decoded only to compare, hash or print it.  ``checked``
-    counts the assignments covered by the leaves of the first part, exactly
-    as many as plain enumeration would evaluate.
+    A row with a function quantifier starts with no point assigned and takes
+    the staged walk.  The first read of a point gives it the first value of
+    the codomain (when sampled, the lowest digit that a draw of the current
+    node takes there, and those draws become the node) and records it on a
+    trail, Korat's access list.  The walk builds both sides (by
+    ``Law.evaluate`` when sampled, so a pointwise law runs them at its drawn
+    state), runs them at the row's first state (when pointwise) and observes
+    the runs by the first part of ``equal``; backtracking advances the
+    trail's last point to its next value (the next digit its node's draws
+    take), or undoes it and backtracks further, and resumes at the stage
+    that read the point: a part observes again, a run runs again and
+    observes from the first part, a build builds again and runs from the
+    first state.  A stage whose points are all undone passes to the next
+    part, or to the next state.  A leaf of a part covers every assignment
+    (every draw of the row, when sampled) that agrees with the points read
+    by the build, the run and that part, so the leaves of each part
+    partition the row's assignments.  The points live in one digit vector
+    per quantifier, which the law reads through a view built once per law, a
+    dict of the assigned points that backtracking updates with the digits,
+    so the nodes are visited depth first with no copies, every build, run
+    and observation completes, and a function is decoded only to compare,
+    hash or print it.  ``checked`` counts the assignments (the draws,
+    duplicates included) covered by the leaves of the first part, exactly as
+    many as plain enumeration (or evaluating every draw) would evaluate.
 
-    A failing leaf of any part contributes its assignments, each kept once.
-    The witnesses are the first ``max_witnesses`` failing index tuples,
-    each evaluated again by ``Law.evaluate`` from freshly decoded values.
-    Output ordering is deterministic: laws in given order, witnesses in
-    enumeration order (or in seeded sample order).
+    A failing leaf of any part contributes its assignments, or its draws in
+    draw order, each kept once.  The witnesses are the first
+    ``max_witnesses`` failing index tuples, in enumeration order or by draw
+    position, each evaluated again by ``Law.evaluate`` from freshly decoded
+    values.  Output ordering is deterministic: laws in given order,
+    witnesses in enumeration order (or in seeded sample order).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -606,7 +708,10 @@ def run_laws(subject_name: str, laws, equal,
         batched = law.pointwise and exhaustive
         states = tuple(spaces[-1]) if batched else (None,)
         lazy = [(i, d.functions) for i, d in enumerate(spaces[:-1] if batched else spaces)
-                if d.functions and exhaustive]
+                if d.functions]
+        # a sampled law with a function quantifier walks its draws, a row per
+        # distinct plain indices
+        sampled = bool(lazy) and not exhaustive
         checked = 0
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
@@ -615,7 +720,11 @@ def run_laws(subject_name: str, laws, equal,
         digits = [[None] * len(form.keys) for _i, form in lazy]
         # the assigned points as (view, key, digit index), in the order the
         # law first read them
-        trail = []
+        if sampled:
+            assignments = _draw_rows(assignments, lazy)
+            trail = _Draws({id(vector): i for (i, _form), vector in zip(lazy, digits)})
+        else:
+            trail = []
         # one env per law: a row decodes the plain indices that differ from
         # the previous row's, all of them on the first row
         env = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain, vector, trail))
@@ -624,7 +733,7 @@ def run_laws(subject_name: str, laws, equal,
         # the assignments a node covers before any point is assigned
         root_covered = math.prod(len(form.codomain) ** len(form.keys) for _i, form in lazy)
         last_state = len(states) - 1
-        lhs, rhs = law.lhs, law.rhs
+        lhs, rhs, evaluate = law.lhs, law.rhs, law.evaluate
         for row, indices in enumerate(assignments):
             for name, d, i, was in zip(names, spaces, indices, previous):
                 if i != was:
@@ -641,11 +750,13 @@ def run_laws(subject_name: str, laws, equal,
                             _keep(found, full, full, max_witnesses)
                     checked += len(states)
                 else:
-                    if not equal(*law.evaluate(env)):
+                    if not equal(*evaluate(env)):
                         _keep(found, indices if exhaustive else row, indices, max_witnesses)
                     checked += 1
                 continue
             # the staged walk
+            if sampled:
+                trail.node = assignments[indices]
             covered = root_covered
             # trail[:counted] are the points already divided out of covered
             counted = 0
@@ -655,7 +766,10 @@ def run_laws(subject_name: str, laws, equal,
             stage = 0
             while stage >= 0:
                 if stage == 0:
-                    x, y = lhs(env), rhs(env)
+                    if sampled:  # evaluate runs a pointwise law at its drawn state
+                        x, y = evaluate(env)
+                    else:
+                        x, y = lhs(env), rhs(env)
                     ran = built = len(trail)
                     j = p = 0
                     if batched:
@@ -671,10 +785,11 @@ def run_laws(subject_name: str, laws, equal,
                     covered //= len(trail[counted][0].codomain)
                     counted += 1
                 if not p:
-                    checked += covered
+                    checked += len(trail.node) if sampled else covered
                 if not ok:
-                    for full in _cube((*indices, j) if batched else indices, digits, lazy):
-                        if not _keep(found, full, full, max_witnesses):
+                    for order, full in (trail.node if sampled else _cube(
+                            (*indices, j) if batched else indices, digits, lazy)):
+                        if not _keep(found, order, full, max_witnesses):
                             break
                 # backtrack: the next part once this one's points are undone,
                 # the next state once the run's are, else the deepest point
@@ -701,7 +816,7 @@ def run_laws(subject_name: str, laws, equal,
                         break
                     view, key, at = trail[-1]
                     vector, codomain = view.digits, view.codomain
-                    digit = vector[at] + 1
+                    digit = trail.advance() if sampled else vector[at] + 1
                     if digit < len(codomain):
                         vector[at] = digit
                         view[key] = codomain[digit]

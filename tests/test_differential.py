@@ -2,13 +2,16 @@
 many scripts, the flattened composers bx, a hand-rolled re-evaluation of
 every per-bx suite of the corpus and of the suites with function-valued
 quantifiers, the runner's per-state loop for pointwise laws against its
-row-by-row walk, and its part-by-part walk of a conjunction against the
-joint walk of the same equality as one part."""
+row-by-row walk, its part-by-part walk of a conjunction against the
+joint walk of the same equality as one part, and its walk over sampled
+draws against evaluating each draw."""
 
 import dataclasses
 import itertools
 import json
+import math
 import operator
+import random
 import sys
 
 import pytest
@@ -50,7 +53,18 @@ from effectbx.corpus import (
     run_state_suite,
 )
 from effectbx.examples import _BxRunner
-from effectbx.lawcheck import run_laws, stable_repr
+from effectbx.lawcheck import (
+    DEFAULT_CAP,
+    DEFAULT_SAMPLE,
+    Law,
+    LawReport,
+    LawResult,
+    Witness,
+    _as_space,
+    enumerate_functions,
+    run_laws,
+    stable_repr,
+)
 
 
 BEA = ("Bea", "AT")
@@ -299,3 +313,90 @@ def test_conjunctions_report_as_their_joint_walk(cap, seed):
     # state by state (exhaustively at the default cap), some failing at both
     assert "commute/native-state:commute" in failing
     assert "theta/non-overwrite/reader:theta-preserves-bind" in failing
+
+
+# a sampled law with a function quantifier walks its draws, grouped by their
+# plain indices, and evaluates each leaf once for every draw that agrees
+# with the points it read; evaluating each draw on its decoded values, as
+# random.Random(seed).randrange draws it, is the reference
+
+
+def _per_draw(subject, laws, equal, cap=None, sample=DEFAULT_SAMPLE, seed=0,
+              max_witnesses=3, effect=""):
+    """``run_laws`` with every sampled law checked draw by draw: each index
+    drawn by ``randrange``, each quantifier decoded, the sides evaluated by
+    ``Law.evaluate`` and compared by the whole of ``equal``.  An exhaustive
+    law is left to ``run_laws``."""
+    cap = DEFAULT_CAP if cap is None else cap
+    results, modes = [], set()
+    for law in laws:
+        spaces = [_as_space(dom) for _name, dom in law.quantifiers]
+        if math.prod(d.size for d in spaces) <= cap:
+            report = run_laws(subject, [law], equal, cap=cap, sample=sample, seed=seed,
+                              max_witnesses=max_witnesses)
+            results.extend(report.laws)
+            modes.add(report.mode)
+            continue
+        rng = random.Random(seed)
+        failures = []
+        for _ in range(sample):
+            env = {name: d.decode(rng.randrange(d.size))
+                   for (name, _dom), d in zip(law.quantifiers, spaces)}
+            x, y = law.evaluate(env)
+            if not equal(x, y) and len(failures) < max_witnesses:
+                failures.append(Witness(inputs={k: stable_repr(v) for k, v in env.items()},
+                                        lhs=stable_repr(x), rhs=stable_repr(y)))
+        results.append(LawResult(law.name, sample, tuple(failures)))
+        modes.add(f"sampled(n={sample},seed={seed})")
+    mode = "exhaustive" if modes <= {"exhaustive"} else ", ".join(sorted(modes - {"exhaustive"}))
+    return LawReport(subject=subject, mode=mode, laws=tuple(results), effect=effect)
+
+
+def _sampled_cases():
+    families = {fam.name: fam for fam in _families((0, 1, 2))}
+    d3 = FiniteDomain("d3", (0, 1, 2))
+    for seed in range(4):
+        for name in ("choice", "reader", "writer", "console"):
+            yield (f"monad/{name}/d3/seed{seed}", effects,
+                   lambda fam=families[name], seed=seed: check_monad_laws(fam, d3, seed=seed))
+    yield ("state/choice/s4", stateful,
+           lambda: state_law_suite(families["choice"], FiniteDomain("s4", (0, 1, 2, 3)),
+                                   BIT, cap=1000))
+    yield ("commute/console", effects,
+           lambda: check_commutative(families["console"], FiniteDomain("ca", (0, 1)),
+                                     FiniteDomain("cb", (2, 3)), cap=10))
+    # four functions and 400 draws: every draw has duplicates
+    law = Law("constant", [("f", enumerate_functions(BIT, BIT))],
+              lambda e: e["f"](0), lambda e: e["f"](1))
+    yield ("constant/cap2", sys.modules[__name__],
+           lambda: run_laws("constant", [law], operator.eq, cap=2))
+    # comparing the views reads every point, so the walk branches on each
+    functions = enumerate_functions(FiniteDomain("d3", (0, 1, 2)), (0, 1, 2))
+    same = Law("same-at-zero", [("f", functions), ("g", functions)],
+               lambda e: e["f"] == e["g"], lambda e: e["f"](0) == e["g"](0))
+    yield ("same-at-zero/cap100", sys.modules[__name__],
+           lambda: run_laws("same-at-zero", [same], operator.eq, cap=100))
+
+
+def test_sampled_laws_report_as_their_draws_evaluated_one_by_one(monkeypatch):
+    failing = set()
+    for where, module, check in _sampled_cases():
+        walked = check()
+        with monkeypatch.context() as patched:
+            patched.setattr(module, "run_laws", _per_draw)
+            assert check().to_json() == walked.to_json(), where
+        assert walked.mode.startswith("sampled(n=400,"), where
+        failing.update(f"{where}:{name}" for name in walked.failing_laws)
+    assert failing == {"commute/console:commute", "constant/cap2:constant",
+                       "same-at-zero/cap100:same-at-zero"}
+
+
+def test_a_sampled_side_that_raises_raises_as_its_draw_does():
+    def lhs(e):
+        return 1 / (e["k"](0) - e["k"](1)) if e["x"] else 0
+
+    law = Law("divides", [("k", enumerate_functions(BIT, (0, 1, 2))), ("x", BIT)],
+              lhs, lambda e: 0)
+    for runner in (run_laws, _per_draw):
+        with pytest.raises(ZeroDivisionError):
+            runner("divides", [law], operator.eq, cap=3)

@@ -190,6 +190,33 @@ def test_console_values_with_one_transcript_and_different_results_differ():
                                 fam.then(console_write("x"), fam.unit(1)))
 
 
+def test_console_values_that_differ_only_in_the_remaining_input_differ():
+    # a read that leaves no transcript entry: the worlds differ in pending alone
+    fam = console_family(scripts=(("a", "b"),))
+
+    def skips(world):
+        world.pending.pop(0)
+        return 0
+
+    assert not fam.equal(skips, fam.unit(0))
+    assert not fam.equal(fam.unit(0), skips)
+    assert fam.equal(skips, skips)
+
+
+def test_console_values_that_differ_only_in_the_transcript_differ():
+    fam = console_family(scripts=((), ("a",)))
+    writes_x = fam.then(console_write("x"), fam.unit(0))
+    writes_y = fam.then(console_write("y"), fam.unit(0))
+    assert not fam.equal(writes_x, writes_y)
+    assert fam.equal(writes_x, fam.then(console_write("x"), fam.unit(0)))
+
+
+def test_a_console_world_has_slots():
+    world = ConsoleWorld(("a",))
+    assert not hasattr(world, "__dict__")
+    assert (world.pending, world.transcript, world.interactive) == (["a"], [], False)
+
+
 def test_console_world_transcript_grows_monotonically():
     world = ConsoleWorld(("one", "two"))
     world.write("hello")

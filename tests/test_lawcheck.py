@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import operator
+import random
 import sys
 
 import pytest
@@ -33,6 +34,7 @@ from effectbx import (
     state_law_suite,
 )
 from effectbx.corpus import (
+    _families,
     mutant_set_l_get_l,
     non_overwrite_lens,
     run_corpus,
@@ -40,7 +42,7 @@ from effectbx.corpus import (
     run_state_suite,
 )
 from effectbx import effects, lenses, stateful
-from effectbx.lawcheck import DEFAULT_CAP, _as_space, _PartialFunction
+from effectbx.lawcheck import DEFAULT_CAP, Space, _as_space, _assignments, _PartialFunction
 
 
 def test_enumerate_functions_counts():
@@ -87,8 +89,9 @@ def test_sampling_decodes_only_the_drawn_functions():
     r2 = run_laws("demo", [law], operator.eq, cap=1000)
     assert r1.mode == "sampled(n=400,seed=0)"
     assert r1.law("zero-at-x").checked == 400 and len(r1.law("zero-at-x").failures) == 3
-    # each run decodes its 400 draws, then its 3 witnesses again from their indices
-    assert len(decoded) == 2 * (400 + 3)
+    # each run wraps the live view of f once and walks its 400 draws through
+    # it, then decodes its 3 witnesses from their indices
+    assert len(decoded) == 2 * (1 + 3)
     assert r1.to_json() == r2.to_json()
 
 
@@ -509,9 +512,10 @@ def test_a_full_section_is_its_decoded_value_while_others_are_unassigned():
 
 def _evaluations(monkeypatch, report):
     """The number of ``Law.evaluate`` calls per law while ``report()`` runs:
-    one per sampled draw and per row of a plain law, plus one per witness
-    (the staged walk and a pointwise law's exhaustive rows build and run
-    their sides directly)."""
+    one per build of a sampled law's walk over its draws, per sampled draw
+    of a law with no function quantifier and per row of a plain law, plus
+    one per witness (the exhaustive walk and a pointwise law's exhaustive
+    rows build and run their sides directly)."""
     counts = {}
     evaluate = Law.evaluate
 
@@ -579,7 +583,8 @@ def test_choice_continuations_cost_pinned_evaluations(monkeypatch):
 
 def _costs(monkeypatch, module, check, name):
     """The report of ``check()``, which calls ``module.run_laws`` once, and
-    what its law ``name`` costs when run again alone: the builds and the
+    what its law ``name`` costs when run again alone with the same keyword
+    arguments (so a sampled law walks the same draws): the builds and the
     runs of one side, as ``_counting_sides`` counts them (the other side
     costs the same), and the observations of each part of the equality,
     in order.  A witness builds and runs each side once more and observes
@@ -587,12 +592,12 @@ def _costs(monkeypatch, module, check, name):
     given = []
 
     def recording(subject, laws, equal, **kwargs):
-        given.append((list(laws), equal))
+        given.append((list(laws), equal, kwargs))
         return run_laws(subject, laws, equal, **kwargs)
 
     monkeypatch.setattr(module, "run_laws", recording)
     report = check()
-    (laws, equal), = given
+    (laws, equal, kwargs), = given
     law, = [law for law in laws if law.name == name]
     parts = equal.parts if isinstance(equal, Conjunction) else (equal,)
     observations = [0] * len(parts)
@@ -606,7 +611,7 @@ def _costs(monkeypatch, module, check, name):
 
     counts = collections.Counter()
     alone = run_laws(report.subject, [_counting_sides(law, counts)],
-                     Conjunction(map(counted, range(len(parts)), parts)))
+                     Conjunction(map(counted, range(len(parts)), parts)), **kwargs)
     assert alone.laws == (report.law(name),)
     builds, runs = (counts[name, "lhs", kind] for kind in ("builds", "runs"))
     assert (builds, runs) == tuple(counts[name, "rhs", kind] for kind in ("builds", "runs"))
@@ -666,7 +671,48 @@ def test_a_failing_sampled_law_costs_its_draws_and_witnesses(monkeypatch):
     result = report.law("zero-at-x")
     assert report.mode == "sampled(n=400,seed=0)"
     assert result.checked == 400 and len(result.failures) == 3
-    assert evaluations["zero-at-x"] == 400 + 3
+    # one evaluation per leaf of the walk over the draws, where the draws
+    # that agree at f(x) share one, then one per witness
+    assert evaluations["zero-at-x"] == 226 + 3
+
+
+SIZES = (1, 2, 3, 255, 256, 257, 300 ** 8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_indices_are_drawn_as_randrange_draws_them(seed):
+    # cap 0 samples every nonempty product
+    for size in SIZES:
+        rng = random.Random(seed)
+        mode, draws = _assignments([Space(size, None)], 0, 50, seed, False)
+        assert mode == f"sampled(n=50,seed={seed})"
+        assert list(draws) == [(rng.randrange(size),) for _ in range(50)]
+    rng = random.Random(seed)
+    _mode, draws = _assignments([Space(size, None) for size in SIZES], 0, 50, seed, False)
+    assert list(draws) == [tuple(rng.randrange(size) for size in SIZES) for _ in range(50)]
+
+
+@pytest.mark.parametrize("seed, spent", [
+    (0, {"choice": (333, 0, (333,)), "reader": (1, 0, (27, 27, 27)),
+         "writer": (310, 0, (310,)), "console": (9, 0, (162, 285))}),
+    (1, {"choice": (356, 0, (356,)), "reader": (1, 0, (27, 27, 27)),
+         "writer": (314, 0, (314,)), "console": (9, 0, (157, 288))}),
+])
+def test_sampled_d3_associativity_walks_its_draws_in_pinned_evaluations(
+        monkeypatch, seed, spent):
+    # the 400 draws of each law are walked: a build or an observation covers
+    # every draw that agrees with the points it read, so none costs more
+    # than the draws, and reader and console observe each context apart
+    families = {fam.name: fam for fam in _families((0, 1, 2))}
+    for name, costs in spent.items():
+        report, walked = _costs(
+            monkeypatch, effects,
+            lambda: check_monad_laws(families[name], DOM3, seed=seed), "associativity")
+        assert report.mode == f"sampled(n=400,seed={seed})" and report.ok, name
+        assert report.law("associativity").checked == 400
+        assert walked == costs, name
+        builds, runs, observations = walked
+        assert max(builds, runs, *observations) <= 400
 
 
 def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks(
