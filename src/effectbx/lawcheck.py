@@ -46,18 +46,18 @@ own branch of the points it reads; backtracking resumes at the stage that
 read the point it advanced.  Checking every context of every assignment as
 every assignment of every context is sound for a conjunction.
 
-A sampled law with a function quantifier walks its draws the same way.  Its
-draws are grouped by their plain indices, and each group is a row whose
-first read of a point branches only on the digits that the draws of the
-current node take there, so a leaf covers the draws that agree with the
-points it read, and a function is decoded only for a witness.  The
-exhaustive walk is the case where every codomain digit is taken, and a
-leaf covers the whole cube of assignments that agree with it.  Rows with
-no function quantifier take one plain loop instead, where nothing can be
-read: an exhaustive ``pointwise`` law builds each side once per assignment
-of its other quantifiers and runs both at every state, and any other row
-is one ``Law.evaluate``.  A failing row is kept as its indices and
-evaluated again from their decoded values to become a witness.
+A sampled law walks its draws the same way.  Its draws are grouped by
+their plain indices (all of them, with no function quantifier), and each
+group is a row whose first read of a point branches only on the digits
+that the draws of the current node take there, so a leaf covers the draws
+that agree with the points it read, a row drawn twice is built once, and a
+function is decoded only for a witness.  The exhaustive walk takes every
+codomain digit, and a leaf covers the cube of assignments that agree with
+it.  A row walks, unless it is an exhaustive ``pointwise`` batch in which
+nothing can be read: that builds each side once per assignment of its
+other quantifiers and maps both runs over the states.  A failing row is
+kept as its indices and evaluated again from their decoded values to
+become a witness.
 """
 
 from __future__ import annotations
@@ -308,11 +308,11 @@ def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
     values) from the other quantifiers alone, reading them while they build.
     Checked exhaustively, each side is built from an env without ``s`` once
     per assignment of ``quantifiers`` (once per leaf of the points read
-    while building, when one is a function) and run at every state, and
-    each part of the equality (see ``Conjunction``) observes each run; a
-    sampled law draws ``s`` with the others, and its rows (its leaves, when
-    it has a function quantifier) and its witnesses build and run both
-    sides with ``Law.evaluate``."""
+    while building, when one is a function) and run at every state; each
+    part of the equality (see ``Conjunction``) observes each run, or with
+    no function quantifier the whole equality does.  A sampled law draws
+    ``s`` with the others and walks its draws: each distinct row (each
+    leaf) and each witness builds and runs both sides with ``Law.evaluate``."""
     return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True)
 
 
@@ -546,15 +546,18 @@ class _Draws(list):
 
 
 def _draw_rows(draws, lazy):
-    """The sampled ``draws`` as rows for the walk: a dict from each distinct
-    tuple of plain indices, None at each function quantifier in ``lazy``,
-    to its draws as ``(position, indices)`` in draw order."""
+    """Any sampled law's ``draws`` as rows for the walk: a dict from each
+    distinct tuple of plain indices, None at each function quantifier in
+    ``lazy``, to its draws as ``(position, indices)`` in draw order."""
     rows = {}
     for position, indices in enumerate(draws):
-        plain = list(indices)
-        for i, _form in lazy:
-            plain[i] = None
-        rows.setdefault(tuple(plain), []).append((position, indices))
+        plain = indices
+        if lazy:
+            plain = list(indices)
+            for i, _form in lazy:
+                plain[i] = None
+            plain = tuple(plain)
+        rows.setdefault(plain, []).append((position, indices))
     return rows
 
 
@@ -645,26 +648,26 @@ def run_laws(subject_name: str, laws, equal,
     product of the domain sizes) is checked exhaustively; one with more is
     checked on ``sample`` seeded draws instead, function-valued quantifiers
     included.  ``cap=None`` means the default cap; pass ``sample=None`` to
-    get DomainTooLarge instead of sampling.
+    get DomainTooLarge instead of sampling.  A negative ``cap``, a ``sample``
+    below 1 and a ``max_witnesses`` below 1 raise ValueError.
 
     Each row is one index per quantifier, with None for a function
     quantifier (a ``Space`` with a ``functions`` form, as
     ``enumerate_functions`` builds).  When exhaustive, the rows are the
     tuples in enumeration order, for a ``pointwise`` law without the states,
-    which run inside the row in state order.  When sampled, a law with a
-    function quantifier has a row per distinct tuple of plain indices among
-    its draws, holding those draws, and any other law a row per draw.
-    ``env`` decodes the plain indices that differ from the previous row's.
-    A row with no function quantifier takes one plain loop: an exhaustive
-    pointwise law builds both sides once and compares their runs at each
-    state, and any other row is one ``Law.evaluate`` compared by the whole
-    of ``equal``.
+    which run inside the row in state order.  When sampled, a law has a row
+    per distinct tuple of plain indices among its draws, holding those
+    draws.  ``env`` decodes the plain indices that differ from the previous
+    row's.  An exhaustive pointwise row with no function quantifier, where
+    nothing can be read, builds both sides once and maps their runs over
+    the states, each compared by the whole of ``equal``.
 
-    A row with a function quantifier starts with no point assigned and takes
-    the staged walk.  The first read of a point gives it the first value of
-    the codomain (when sampled, the lowest digit that a draw of the current
-    node takes there, and those draws become the node) and records it on a
-    trail, Korat's access list.  The walk builds both sides (by
+    Every other row takes the staged walk, starting with no point assigned
+    (a row with no function quantifier is one leaf that reads nothing).  The
+    first read of a point gives it the first value of the codomain (when
+    sampled, the lowest digit that a draw of the current node takes there,
+    and those draws become the node) and records it on a trail, Korat's
+    access list.  The walk builds both sides (by
     ``Law.evaluate`` when sampled, so a pointwise law runs them at its drawn
     state), runs them at the row's first state (when pointwise) and observes
     the runs by the first part of ``equal``; backtracking advances the
@@ -694,6 +697,12 @@ def run_laws(subject_name: str, laws, equal,
     """
     if cap is None:
         cap = DEFAULT_CAP
+    if cap < 0:
+        raise ValueError(f"cap must not be negative, not {cap}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1 or None, not {sample}")
+    if max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, not {max_witnesses}")
     parts = equal.parts if isinstance(equal, Conjunction) else (equal,)
     last_part = len(parts) - 1
     results = []
@@ -703,15 +712,15 @@ def run_laws(subject_name: str, laws, equal,
         names = [name for name, _dom in law.quantifiers]
         mode, assignments = _assignments(spaces, cap, sample, seed, law.pointwise)
         modes.add(mode)
-        exhaustive = mode == "exhaustive"
+        # a sampled law walks its draws, a row per distinct plain indices
+        sampled = mode != "exhaustive"
         # an exhaustive pointwise law runs its states inside each row
-        batched = law.pointwise and exhaustive
+        batched = law.pointwise and not sampled
         states = tuple(spaces[-1]) if batched else (None,)
         lazy = [(i, d.functions) for i, d in enumerate(spaces[:-1] if batched else spaces)
                 if d.functions]
-        # a sampled law with a function quantifier walks its draws, a row per
-        # distinct plain indices
-        sampled = bool(lazy) and not exhaustive
+        # a row walks, unless it is a per-state batch in which nothing can be read
+        mapped = batched and not lazy
         checked = 0
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
@@ -734,25 +743,19 @@ def run_laws(subject_name: str, laws, equal,
         root_covered = math.prod(len(form.codomain) ** len(form.keys) for _i, form in lazy)
         last_state = len(states) - 1
         lhs, rhs, evaluate = law.lhs, law.rhs, law.evaluate
-        for row, indices in enumerate(assignments):
+        for indices in assignments:
             for name, d, i, was in zip(names, spaces, indices, previous):
                 if i != was:
                     env[name] = d.decode(i)
             previous = indices
-            if not lazy:
-                # the plain loop: nothing can be read
-                if batched:
-                    left, right = lhs(env), rhs(env)
-                    verdicts = map(equal, map(left.run, states), map(right.run, states))
-                    for j, ok in enumerate(verdicts):
-                        if not ok:
-                            full = (*indices, j)
-                            _keep(found, full, full, max_witnesses)
-                    checked += len(states)
-                else:
-                    if not equal(*evaluate(env)):
-                        _keep(found, indices if exhaustive else row, indices, max_witnesses)
-                    checked += 1
+            if mapped:
+                left, right = lhs(env), rhs(env)
+                verdicts = map(equal, map(left.run, states), map(right.run, states))
+                for j, ok in enumerate(verdicts):
+                    if not ok:
+                        full = (*indices, j)
+                        _keep(found, full, full, max_witnesses)
+                checked += len(states)
                 continue
             # the staged walk
             if sampled:

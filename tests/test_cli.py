@@ -121,6 +121,23 @@ def test_corpus_reports_each_unexpected_verdict(monkeypatch, capsys):
     assert out[-1] == "unexpected verdicts present"
 
 
+def test_a_sampled_corpus_run_holds_no_witness_to_its_stored_inputs(capsys):
+    from effectbx import corpus
+
+    # a sample need not draw the first failing assignment in enumeration
+    # order, so its witness is only rechecked standalone: mutant-get_l-get_l
+    # stores s = (0, 0), and these draws find (1, 0) first
+    result = corpus.run_corpus(cap=0, seed=4)
+    assert [(e["name"], e["problems"]) for e in result["entries"] if not e["ok"]] == []
+    entry = next(e for e in result["entries"] if e["name"] == "mutant-get_l-get_l")
+    seven = entry["suites"]["seven"]
+    failing = next(law for law in seven["laws"] if law["name"] == "get_l-get_l")
+    assert seven["mode"] == "sampled(n=400,seed=4)"
+    assert failing["failures"][0]["inputs"] == {"s": "(1, 0)"}
+    assert main(["laws", "--suite", "corpus", "--cap", "0"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_composers_default_fixture(capsys):
     assert main(["composers"]) == 0
     assert "agreement: all true" in capsys.readouterr().out

@@ -43,12 +43,13 @@ from effectbx import (
     state_law_suite,
     symlens_to_bx,
 )
-from effectbx import effects, lenses, stateful
+from effectbx import bx as bx_module, effects, lenses, stateful
 from effectbx.compose import assoc_bijection
 from effectbx.corpus import (
     _entry_suites,
     _families,
     corpus_entries,
+    mutant_set_l_get_l,
     non_overwrite_lens,
     run_state_suite,
 )
@@ -376,6 +377,10 @@ def _sampled_cases():
                lambda e: e["f"] == e["g"], lambda e: e["f"](0) == e["g"](0))
     yield ("same-at-zero/cap100", sys.modules[__name__],
            lambda: run_laws("same-at-zero", [same], operator.eq, cap=100))
+    # pointwise laws with no function quantifier, one failing: 400 draws over
+    # 4 or 8 assignments, so every row is drawn many times
+    yield ("seven/mutant-set_l-get_l/cap3", bx_module,
+           lambda: check_suite(mutant_set_l_get_l(), "seven", cap=3, seed=1))
 
 
 def test_sampled_laws_report_as_their_draws_evaluated_one_by_one(monkeypatch):
@@ -388,7 +393,8 @@ def test_sampled_laws_report_as_their_draws_evaluated_one_by_one(monkeypatch):
         assert walked.mode.startswith("sampled(n=400,"), where
         failing.update(f"{where}:{name}" for name in walked.failing_laws)
     assert failing == {"commute/console:commute", "constant/cap2:constant",
-                       "same-at-zero/cap100:same-at-zero"}
+                       "same-at-zero/cap100:same-at-zero",
+                       "seven/mutant-set_l-get_l/cap3:set_l-get_l"}
 
 
 def test_a_sampled_side_that_raises_raises_as_its_draw_does():

@@ -215,6 +215,19 @@ def test_run_laws_domain_too_large_when_sampling_disabled():
         run_laws("demo", [law], lambda a, b: a == b, cap=100, sample=None)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_witnesses": 0}, "max_witnesses must be at least 1, not 0"),
+    ({"cap": 0, "sample": -5}, "sample must be at least 1 or None, not -5"),
+    ({"cap": -5}, "cap must not be negative, not -5"),
+], ids=["no-witnesses", "negative-sample", "negative-cap"])
+def test_run_laws_refuses_arguments_it_cannot_honour(kwargs, message):
+    # each would report a law that fails at x = 1 as passing, or sample it
+    # silently
+    law = Law("is-zero", [("x", (0, 1))], lambda e: e["x"], lambda e: 0)
+    with pytest.raises(ValueError, match=message):
+        run_laws("demo", [law], operator.eq, **kwargs)
+
+
 def test_report_json_round_trip():
     report = check_monad_laws(choice_family(), FiniteDomain("d", (0, 1)))
     payload = json.loads(report.to_json())
@@ -512,10 +525,9 @@ def test_a_full_section_is_its_decoded_value_while_others_are_unassigned():
 
 def _evaluations(monkeypatch, report):
     """The number of ``Law.evaluate`` calls per law while ``report()`` runs:
-    one per build of a sampled law's walk over its draws, per sampled draw
-    of a law with no function quantifier and per row of a plain law, plus
-    one per witness (the exhaustive walk and a pointwise law's exhaustive
-    rows build and run their sides directly)."""
+    one per build of a sampled law's walk over its draws (per distinct
+    drawn row, with no function quantifier), plus one per witness (an
+    exhaustive row builds and runs its sides directly)."""
     counts = {}
     evaluate = Law.evaluate
 
@@ -660,6 +672,36 @@ def test_a_failing_law_without_function_quantifiers_costs_its_rows_and_witnesses
         assert counts["set_l-get_l", side, "runs"] == 8 + 3
         assert counts["get_l-get_l", side, "builds"] == 1
         assert counts["get_l-get_l", side, "runs"] == report.law("get_l-get_l").checked == 4
+
+
+def test_a_sampled_law_without_function_quantifiers_builds_each_drawn_row_once():
+    # 400 draws over 4 or 8 assignments, and over 100 for "commutes": each
+    # distinct row is built and run once however often it was drawn, every
+    # draw is checked, and each witness is built and run again
+    bx = mutant_set_l_get_l()
+    plain = Law("commutes", [("x", range(10)), ("y", range(10))],
+                lambda e: e["x"] + e["y"], lambda e: e["y"] + e["x"])
+    counts = collections.Counter()
+    laws = [*seven_laws(bx), plain]
+    report = run_laws(bx.name, [_counting_sides(law, counts) for law in laws],
+                      bx.effect.equal_values, cap=3, seed=1, effect=bx.effect.name)
+    assert report.mode == "sampled(n=400,seed=1)"
+    assert report.laws[:-1] == check_suite(bx, "seven", cap=3, seed=1).laws
+    builds = {}
+    for law, result in zip(laws, report.laws):
+        spaces = [_as_space(dom) for _name, dom in law.quantifiers]
+        _mode, draws = _assignments(spaces, 3, 400, 1, law.pointwise)
+        drawn = len(set(draws))
+        assert result.checked == 400
+        for side in ("lhs", "rhs"):
+            assert counts[law.name, side, "builds"] == drawn + len(result.failures)
+            assert counts[law.name, side, "runs"] == (counts[law.name, side, "builds"]
+                                                      if law.pointwise else 0)
+        builds[law.name] = counts[law.name, "lhs", "builds"]
+    assert report.failing_laws == ("set_l-get_l",)
+    assert builds == {"get_l-get_l": 4, "set_l-get_l": 8 + 3, "get_l-set_l": 4,
+                    "get_r-get_r": 4, "set_r-get_r": 8, "get_r-set_r": 4,
+                    "get_l-get_r": 4, "commutes": 98}
 
 
 def test_a_failing_sampled_law_costs_its_draws_and_witnesses(monkeypatch):
