@@ -583,8 +583,8 @@ def run_state_suite(cap=None, seed=0) -> dict:
 def run_corpus(cap=None, seed=0, names=None) -> dict:
     """Run the suites of every registered entry (or of the entries named in
     ``names``), compare against the expected verdicts, and confirm each
-    expected failure's witness (its stored inputs when declared and the
-    report is exhaustive, plus standalone reproduction)."""
+    expected failure's witness (its stored inputs when declared and the law
+    was checked exhaustively, plus standalone reproduction)."""
     results = []
     all_ok = True
     for entry in select_entries(names):
@@ -606,10 +606,11 @@ def run_corpus(cap=None, seed=0, names=None) -> dict:
                 )
                 continue
             for law_name in sorted(got):
-                witness = report.law(law_name).failures[0]
+                result = report.law(law_name)
+                witness = result.failures[0]
                 stored = entry.expected_witness.get(f"{suite}:{law_name}")
                 # a sample need not draw the first failing assignment
-                if (stored is not None and report.mode == "exhaustive"
+                if (stored is not None and result.mode == "exhaustive"
                         and stored != witness.inputs):
                     problems.append(
                         f"{suite}:{law_name}: witness {witness.inputs} != stored {stored}"

@@ -53,11 +53,9 @@ that the draws of the current node take there, so a leaf covers the draws
 that agree with the points it read, a row drawn twice is built once, and a
 function is decoded only for a witness.  The exhaustive walk takes every
 codomain digit, and a leaf covers the cube of assignments that agree with
-it.  A row walks, unless it is an exhaustive ``pointwise`` batch in which
-nothing can be read: that builds each side once per assignment of its
-other quantifiers and maps both runs over the states.  A failing row is
-kept as its indices and evaluated again from their decoded values to
-become a witness.
+it.  Every row walks, a row with no function quantifier as one leaf that
+reads nothing.  A failing row is kept as its indices and evaluated again
+from their decoded values to become a witness.
 """
 
 from __future__ import annotations
@@ -308,11 +306,11 @@ def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
     values) from the other quantifiers alone, reading them while they build.
     Checked exhaustively, each side is built from an env without ``s`` once
     per assignment of ``quantifiers`` (once per leaf of the points read
-    while building, when one is a function) and run at every state; each
-    part of the equality (see ``Conjunction``) observes each run, or with
-    no function quantifier the whole equality does.  A sampled law draws
-    ``s`` with the others and walks its draws: each distinct row (each
-    leaf) and each witness builds and runs both sides with ``Law.evaluate``."""
+    while building, when one is a function) and run at every state, and
+    each part of the equality (see ``Conjunction``) observes each run.  A
+    sampled law draws ``s`` with the others and walks its draws: each
+    distinct row (each leaf) and each witness builds and runs both sides
+    with ``Law.evaluate``."""
     return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True)
 
 
@@ -355,9 +353,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class LawResult:
+    """One law's verdict: ``mode`` is how this law was checked, as a
+    report's ``mode`` reads for a report of this law alone; only the
+    report's ``mode`` is serialised."""
+
     name: str
     checked: int
     failures: tuple
+    mode: str = "exhaustive"
 
     @property
     def ok(self):
@@ -658,12 +661,10 @@ def run_laws(subject_name: str, laws, equal,
     which run inside the row in state order.  When sampled, a law has a row
     per distinct tuple of plain indices among its draws, holding those
     draws.  ``env`` decodes the plain indices that differ from the previous
-    row's.  An exhaustive pointwise row with no function quantifier, where
-    nothing can be read, builds both sides once and maps their runs over
-    the states, each compared by the whole of ``equal``.
+    row's.
 
-    Every other row takes the staged walk, starting with no point assigned
-    (a row with no function quantifier is one leaf that reads nothing).  The
+    Every row takes the staged walk, starting with no point assigned (a row
+    with no function quantifier is one leaf that reads nothing).  The
     first read of a point gives it the first value of the codomain (when
     sampled, the lowest digit that a draw of the current node takes there,
     and those draws become the node) and records it on a trail, Korat's
@@ -719,8 +720,6 @@ def run_laws(subject_name: str, laws, equal,
         states = tuple(spaces[-1]) if batched else (None,)
         lazy = [(i, d.functions) for i, d in enumerate(spaces[:-1] if batched else spaces)
                 if d.functions]
-        # a row walks, unless it is a per-state batch in which nothing can be read
-        mapped = batched and not lazy
         checked = 0
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
@@ -748,16 +747,6 @@ def run_laws(subject_name: str, laws, equal,
                 if i != was:
                     env[name] = d.decode(i)
             previous = indices
-            if mapped:
-                left, right = lhs(env), rhs(env)
-                verdicts = map(equal, map(left.run, states), map(right.run, states))
-                for j, ok in enumerate(verdicts):
-                    if not ok:
-                        full = (*indices, j)
-                        _keep(found, full, full, max_witnesses)
-                checked += len(states)
-                continue
-            # the staged walk
             if sampled:
                 trail.node = assignments[indices]
             covered = root_covered
@@ -841,6 +830,6 @@ def run_laws(subject_name: str, laws, equal,
                     env=env,
                 )
             )
-        results.append(LawResult(law.name, checked, tuple(failures)))
+        results.append(LawResult(law.name, checked, tuple(failures), mode))
     mode = "exhaustive" if modes <= {"exhaustive"} else ", ".join(sorted(modes - {"exhaustive"}))
     return LawReport(subject=subject_name, mode=mode, laws=tuple(results), effect=effect)

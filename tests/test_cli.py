@@ -138,6 +138,26 @@ def test_a_sampled_corpus_run_holds_no_witness_to_its_stored_inputs(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_a_law_checked_exhaustively_is_held_to_its_stored_witness_in_a_sampled_suite(
+        monkeypatch):
+    from effectbx import corpus
+
+    # at cap=4 set_l-get_l (8 assignments) samples while get_l-get_l (4) is
+    # enumerated, so the failing law's witness is still compared
+    def entries():
+        return (corpus.CorpusEntry(
+            "wrong-witness", corpus.mutant_get_l_get_l, ("seven",),
+            expected_failing={"seven": ("get_l-get_l",)},
+            expected_witness={"seven:get_l-get_l": {"s": "(1, 0)"}}),)
+
+    monkeypatch.setattr(corpus, "corpus_entries", entries)
+    entry = corpus.run_corpus(cap=4)["entries"][0]
+    seven = entry["suites"]["seven"]
+    assert seven["mode"] == "sampled(n=400,seed=0)"
+    assert entry["problems"] == [
+        "seven:get_l-get_l: witness {'s': '(0, 0)'} != stored {'s': '(1, 0)'}"]
+
+
 def test_composers_default_fixture(capsys):
     assert main(["composers"]) == 0
     assert "agreement: all true" in capsys.readouterr().out

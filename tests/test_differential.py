@@ -347,8 +347,9 @@ def _per_draw(subject, laws, equal, cap=None, sample=DEFAULT_SAMPLE, seed=0,
             if not equal(x, y) and len(failures) < max_witnesses:
                 failures.append(Witness(inputs={k: stable_repr(v) for k, v in env.items()},
                                         lhs=stable_repr(x), rhs=stable_repr(y)))
-        results.append(LawResult(law.name, sample, tuple(failures)))
-        modes.add(f"sampled(n={sample},seed={seed})")
+        mode = f"sampled(n={sample},seed={seed})"
+        results.append(LawResult(law.name, sample, tuple(failures), mode))
+        modes.add(mode)
     mode = "exhaustive" if modes <= {"exhaustive"} else ", ".join(sorted(modes - {"exhaustive"}))
     return LawReport(subject=subject, mode=mode, laws=tuple(results), effect=effect)
 
