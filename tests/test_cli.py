@@ -441,6 +441,11 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
      "7f4d7282d5404fb9bd70b4f759bada520b1fdb2699d619a94fc8eab475f90428"),
     (_cli("laws", "--suite", "all", "--format", "json", "--cap", "5000", "--seed", "2"),
      "873b03ea4dab633794649ee6e213a48b354936be8e593a0f0b00574557cfa9c8"),
+    # every report sampled, and 104 of the 118 sampled at cap 3
+    (_cli("laws", "--suite", "all", "--format", "json", "--cap", "0", "--seed", "4"),
+     "f3b9b3ba3fb060c4d701d84bb28791c7c956dbf88c1f923447744dbf5020a481"),
+    (_cli("laws", "--suite", "all", "--format", "json", "--cap", "3", "--seed", "1"),
+     "9e76ef20a153ea6e05f66389404866f425c84d1116fd2118fa1ee1209a553eed"),
     # the aggregate text printer
     (_cli("laws", "--suite", "all"),
      "d297d60e88c754b3f89dfb85fa50ac8a8ee37a7d6d0f6d89b4a878f586264b7f"),
@@ -460,7 +465,8 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
     # both composers implementations, step by step
     (_cli("composers", "--format", "json"),
      "716df982e4b2d86262cfc3339954b72b0ee028d79c2e401651607599e2934694"),
-], ids=["all", "all-cap100-seed3", "all-seed1", "all-cap5000-seed2", "all-text", "corpus",
+], ids=["all", "all-cap100-seed3", "all-seed1", "all-cap5000-seed2", "all-cap0-seed4",
+         "all-cap3-seed1", "all-text", "corpus",
          "lens-non-overwrite", "lens-update-ignores-view",
         "symlens-stale-complement", "composers"])
 def test_laws_reports_are_byte_identical_to_the_golden_digest(output, digest, capsys):

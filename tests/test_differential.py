@@ -382,6 +382,15 @@ def _sampled_cases():
     # 4 or 8 assignments, so every row is drawn many times
     yield ("seven/mutant-set_l-get_l/cap3", bx_module,
            lambda: check_suite(mutant_set_l_get_l(), "seven", cap=3, seed=1))
+    # pointwise laws whose curried continuations are read while the sides
+    # run at each drawn state, one failing
+    yield ("theta/non-overwrite/reader/cap100", lenses,
+           lambda: check_theta_morphism(non_overwrite_lens(), reader_family((0, 1)), PAIRS,
+                                        BIT, BIT, cap=100, seed=3))
+    for fam in _families((0, 1)):
+        if fam.name in ("reader", "choice"):
+            yield (f"lift/{fam.name}/cap10", stateful,
+                   lambda fam=fam: check_lift_morphism(fam, BIT, BIT, cap=10, seed=1))
 
 
 def test_sampled_laws_report_as_their_draws_evaluated_one_by_one(monkeypatch):
@@ -395,7 +404,8 @@ def test_sampled_laws_report_as_their_draws_evaluated_one_by_one(monkeypatch):
         failing.update(f"{where}:{name}" for name in walked.failing_laws)
     assert failing == {"commute/console:commute", "constant/cap2:constant",
                        "same-at-zero/cap100:same-at-zero",
-                       "seven/mutant-set_l-get_l/cap3:set_l-get_l"}
+                       "seven/mutant-set_l-get_l/cap3:set_l-get_l",
+                       "theta/non-overwrite/reader/cap100:theta-preserves-bind"}
 
 
 def test_a_sampled_side_that_raises_raises_as_its_draw_does():
