@@ -46,16 +46,18 @@ own branch of the points it reads; backtracking resumes at the stage that
 read the point it advanced.  Checking every context of every assignment as
 every assignment of every context is sound for a conjunction.
 
-A sampled law walks its draws the same way.  Its draws are grouped by
-their plain indices (all of them, with no function quantifier), and each
-group is a row whose first read of a point branches only on the digits
-that the draws of the current node take there, so a leaf covers the draws
-that agree with the points it read, a row drawn twice is built once, and a
-function is decoded only for a witness.  The exhaustive walk takes every
-codomain digit, and a leaf covers the cube of assignments that agree with
-it.  Every row walks, a row with no function quantifier as one leaf that
-reads nothing.  A failing row is kept as its indices and evaluated again
-from their decoded values to become a witness.
+A sampled law takes the same walk over its draws: only the trail tells the
+two modes apart.  The draws are grouped by their plain indices, those of
+the quantifiers that are neither functions nor the state of a pointwise
+law, and each group is a row whose first read of a point branches only on
+the digits that the draws of the current node take there, and which runs
+at each state its draws take, so a leaf covers the draws that agree with
+the points it read and the state it ran at, a row drawn twice is built
+once, and a function is decoded only for a witness.  The exhaustive walk
+takes every codomain digit and every state, and a leaf covers the cube of
+assignments that agree with it.  Every row walks, a row with no function
+quantifier as one leaf that reads nothing.  A failing row is kept as its
+indices and evaluated again from their decoded values to become a witness.
 """
 
 from __future__ import annotations
@@ -293,6 +295,10 @@ class Law:
         object.__setattr__(self, "quantifiers", tuple(self.quantifiers))
 
     def evaluate(self, env):
+        """Both sides at the one assignment ``env``, run at ``env["s"]`` when
+        the law is pointwise: the reference that a witness, ``run_corpus``'s
+        recheck and the tests' oracles evaluate.  ``run_laws`` walks its rows
+        without it."""
         if self.pointwise:
             s = env["s"]
             return self.lhs(env).run(s), self.rhs(env).run(s)
@@ -304,12 +310,13 @@ def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
     ``lhs(e).run(s)`` with ``rhs(e).run(s)`` over ``[*quantifiers, ("s",
     states)]``, where ``lhs`` and ``rhs`` build the computations (``Stateful``
     values) from the other quantifiers alone, reading them while they build.
-    Checked exhaustively, each side is built from an env without ``s`` once
-    per assignment of ``quantifiers`` (once per leaf of the points read
-    while building, when one is a function) and run at every state, and
-    each part of the equality (see ``Conjunction``) observes each run.  A
-    sampled law draws ``s`` with the others and walks its draws: each
-    distinct row (each leaf) and each witness builds and runs both sides
+    Each side is built from an env without ``s`` once per row, an assignment
+    of ``quantifiers`` (once per leaf of the points read while building,
+    when one is a function), and run inside the row, and each part of the
+    equality (see ``Conjunction``) observes each run.  Checked exhaustively,
+    a row runs at every state; sampled, ``s`` is drawn with the others, the
+    draws are grouped into rows by the other quantifiers, and a row runs at
+    each state drawn with it.  Only a witness builds and runs both sides
     with ``Law.evaluate``."""
     return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True)
 
@@ -494,27 +501,119 @@ class _PartialFunction(dict):
         return repr(self._decoded())
 
 
-class _Draws(list):
-    """The trail of a walk over sampled draws: Korat's access list, as a
-    plain trail is, whose first read of a point branches only on the digits
-    that the draws of the current node take there.  ``node`` holds those
-    draws as ``(position, indices)`` pairs in draw order, with
-    ``indices[slots[id(vector)]]`` the index of the function quantifier
-    whose digit vector is ``vector``; the digit at its flat position ``p``
-    is ``index // base**p % base``, as ``enumerate_functions`` numbers it.
+class _Trail(list):
+    """The trail of an exhaustive walk, Korat's access list: the points
+    assigned so far as ``(view, key, digit index)``, in the order the law
+    first read them.  ``rows`` are the law's rows, ``lazy`` its function
+    quantifiers as ``(position, form)`` and ``digits`` one live digit vector
+    per function quantifier, None where unassigned.
+
+    The walk asks a trail five things, and a ``_Draws`` trail answers them
+    for sampled draws: ``runs()``, the state indices a pointwise leaf runs
+    at (all of them); ``count()``, the assignments the current leaf covers
+    (those that agree with every point assigned); ``failing(row, s)``, those
+    assignments at state ``s`` as the ``(order, indices)`` pairs ``_keep``
+    takes; ``advance()``, which gives the last point its next codomain value
+    (False when it has none); and ``pop()``, which undoes the last point."""
+
+    __slots__ = ("rows", "lazy", "digits", "states", "covered", "counted")
+
+    def __init__(self, rows, lazy, states=range(0)):
+        self.rows = rows
+        self.lazy = lazy
+        self.digits = [[None] * len(form.keys) for _i, form in lazy]
+        self.states = states
+        # the assignments a node covers, with the points trail[:counted]
+        # divided out of it
+        self.covered = math.prod(len(form.codomain) ** len(form.keys) for _i, form in lazy)
+        self.counted = 0
+
+    def runs(self):
+        return iter(self.states)
+
+    def count(self):
+        while self.counted < len(self):
+            self.covered //= len(self[self.counted][0].codomain)
+            self.counted += 1
+        return self.covered
+
+    def failing(self, row, s):
+        """The assignments of the current leaf, those that agree with
+        ``row``, with ``s`` at the states of a pointwise law and with the
+        assigned points, in enumeration order, each as ``(indices,
+        indices)``: the order of an assignment is its index tuple."""
+        indices = list(row)
+        if s is not None:
+            indices[-1] = s
+        # the free keys, most significant first: earlier quantifiers, then later keys
+        free = [(slot, j) for slot, digits in enumerate(self.digits)
+                for j in reversed(range(len(digits))) if digits[j] is None]
+        ranges = [range(len(self.lazy[slot][1].codomain)) for slot, _j in free]
+        for picks in itertools.product(*ranges):
+            filled = [list(digits) for digits in self.digits]
+            for (slot, j), d in zip(free, picks):
+                filled[slot][j] = d
+            # the index of each function, as enumerate_functions numbers it
+            for (i, form), digits in zip(self.lazy, filled):
+                base = len(form.codomain)
+                indices[i] = sum(d * base ** j for j, d in enumerate(digits))
+            full = tuple(indices)
+            yield full, full
+
+    def advance(self):
+        view, key, at = self[-1]
+        digit = view.digits[at] + 1
+        if digit == len(view.codomain):
+            return False
+        view.digits[at] = digit
+        view[key] = view.codomain[digit]
+        return True
+
+    def pop(self):
+        view, key, at = list.pop(self)
+        view.digits[at] = None
+        del view[key]
+        if self.counted > len(self):
+            self.counted = len(self)
+            self.covered *= len(view.codomain)
+
+
+class _Draws(_Trail):
+    """The trail of a walk over sampled draws, whose first read of a point
+    branches only on the digits that the draws of the current node take
+    there.  ``draws`` are grouped by their indices with None at each
+    position in ``walked`` (the function quantifiers, and the states of a
+    pointwise law), and each group is a row whose draws are the first node.
+    ``node`` holds the current node's draws as ``(position, indices)``
+    pairs in draw order, with ``indices[slots[id(vector)]]`` the index of
+    the function quantifier whose digit vector is ``vector``; the digit at
+    its flat position ``p`` is ``index // base**p % base``, as
+    ``enumerate_functions`` numbers it.
+
     ``append`` splits the node by that digit and enters the lowest one,
     ``advance`` enters the next, and ``pop`` returns to the node the point
-    split."""
+    split.  ``runs`` splits the node by drawn state and enters each state's
+    draws in turn.  A leaf covers, and fails at, the draws of its node."""
 
     __slots__ = ("slots", "node", "branches")
 
-    def __init__(self, slots):
-        super().__init__()
-        self.slots = slots
+    def __init__(self, draws, lazy, walked):
+        groups = {}
+        for position, indices in enumerate(draws):
+            row = list(indices)
+            for i in walked:
+                row[i] = None
+            groups.setdefault(tuple(row), []).append((position, indices))
+        super().__init__(self._enter(groups), lazy)
+        self.slots = {id(vector): i for (i, _form), vector in zip(lazy, self.digits)}
         self.node = []
         # per point: an iterator over its remaining (digit, draws), and the
         # node it split
         self.branches = []
+
+    def _enter(self, groups):
+        for row, self.node in groups.items():
+            yield row
 
     def append(self, point):
         view, _key, at = point
@@ -534,61 +633,33 @@ class _Draws(list):
         self.branches.append((alternatives, node))
         list.append(self, point)
 
+    def runs(self):
+        split = {}
+        for draw in self.node:
+            split.setdefault(draw[1][-1], []).append(draw)
+        for s, self.node in sorted(split.items()):
+            yield s
+
+    def count(self):
+        return len(self.node)
+
+    def failing(self, row, s):
+        return self.node
+
     def advance(self):
-        """Enter the last point's next digit and return it; its codomain's
-        size when no draw of the node it split takes a later one."""
         following = next(self.branches[-1][0], None)
         if following is None:
-            return len(self[-1][0].codomain)
-        digit, self.node = following
-        return digit
+            return False
+        view, key, at = self[-1]
+        view.digits[at], self.node = following
+        view[key] = view.codomain[view.digits[at]]
+        return True
 
     def pop(self):
         _alternatives, self.node = self.branches.pop()
-        return list.pop(self)
-
-
-def _draw_rows(draws, lazy):
-    """Any sampled law's ``draws`` as rows for the walk: a dict from each
-    distinct tuple of plain indices, None at each function quantifier in
-    ``lazy``, to its draws as ``(position, indices)`` in draw order."""
-    rows = {}
-    for position, indices in enumerate(draws):
-        plain = indices
-        if lazy:
-            plain = list(indices)
-            for i, _form in lazy:
-                plain[i] = None
-            plain = tuple(plain)
-        rows.setdefault(plain, []).append((position, indices))
-    return rows
-
-
-def _index(digits, base):
-    """The index of the function whose key ``j`` takes codomain digit
-    ``digits[j]``, as ``enumerate_functions`` numbers them."""
-    return sum(d * base ** j for j, d in enumerate(digits))
-
-
-def _cube(indices, node, lazy):
-    """The assignments that agree with ``indices``, one index per quantifier
-    (None for each function quantifier), and with ``node``, the digit
-    vectors of the function quantifiers, in enumeration order (so the first
-    ones come first), as the ``(order, indices)`` pairs ``_keep`` takes: the
-    order of an exhaustive assignment is its index tuple."""
-    indices = list(indices)
-    # the free keys, most significant first: earlier quantifiers, then later keys
-    free = [(slot, j) for slot, digits in enumerate(node)
-            for j in reversed(range(len(digits))) if digits[j] is None]
-    ranges = [range(len(lazy[slot][1].codomain)) for slot, _j in free]
-    for picks in itertools.product(*ranges):
-        filled = [list(digits) for digits in node]
-        for (slot, j), d in zip(free, picks):
-            filled[slot][j] = d
-        for (i, form), digits in zip(lazy, filled):
-            indices[i] = _index(digits, len(form.codomain))
-        full = tuple(indices)
-        yield full, full
+        view, key, at = list.pop(self)
+        view.digits[at] = None
+        del view[key]
 
 
 def _keep(found, order, indices, limit):
@@ -605,28 +676,38 @@ def _keep(found, order, indices, limit):
 
 
 def _assignments(spaces, cap, sample, seed, pointwise):
-    """Yield (mode, iterator of index tuples, one index per space) over the
-    product of ``spaces``: every tuple in order when there are at most
-    ``cap`` of them, with None standing for each function space
-    (``run_laws`` assigns those point by point) and, for a ``pointwise``
-    law, without the last space, the states, which ``run_laws`` runs inside
-    each row; else ``sample`` seeded draws, each index drawn as
-    ``random.Random(seed).randrange(size)`` would draw it: ``getrandbits``
-    of the size's bit length, again while it is not below the size."""
+    """The mode of a law over ``spaces`` and the trail of its walk, whose
+    rows hold one index per space, None at each function space (the walk
+    assigns those point by point) and, for a ``pointwise`` law, at the last
+    space, the states, which a row runs inside itself.  When there are at
+    most ``cap`` assignments the trail is a ``_Trail`` over every row in
+    order, whose pointwise leaves run at every state; else it is a
+    ``_Draws`` over ``sample`` seeded draws, grouped into rows, whose
+    pointwise leaves run at the states drawn."""
+    lazy = [(i, d.functions) for i, d in enumerate(spaces[:-1] if pointwise else spaces)
+            if d.functions]
+    walked = [i for i, _form in lazy]
+    if pointwise:
+        walked.append(len(spaces) - 1)
     total = math.prod(d.size for d in spaces)
     if total == 0:  # vacuous quantification: build no other space
-        return "exhaustive", iter(())
+        return "exhaustive", _Trail(iter(()), lazy)
     if not spaces or total <= cap:
-        rows = spaces[:-1] if pointwise else spaces
-        return "exhaustive", itertools.product(
-            *((None,) if d.functions else range(d.size) for d in rows))
+        ranges = [range(d.size) for d in spaces]
+        for i in walked:
+            ranges[i] = (None,)
+        states = range(spaces[-1].size) if pointwise else range(0)
+        return "exhaustive", _Trail(itertools.product(*ranges), lazy, states)
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
-    return f"sampled(n={sample},seed={seed})", _draws(spaces, sample, seed)
+    draws = _draws(spaces, sample, seed)
+    return f"sampled(n={sample},seed={seed})", _Draws(draws, lazy, walked)
 
 
 def _draws(spaces, sample, seed):
-    """The ``sample`` seeded draws of ``_assignments``."""
+    """``sample`` seeded draws of one index per space, each drawn as
+    ``random.Random(seed).randrange(size)`` would draw it: ``getrandbits``
+    of the size's bit length, again while it is not below the size."""
     getrandbits = random.Random(seed).getrandbits
     sizes = [(d.size, d.size.bit_length()) for d in spaces]
     for _ in range(sample):
@@ -654,31 +735,32 @@ def run_laws(subject_name: str, laws, equal,
     get DomainTooLarge instead of sampling.  A negative ``cap``, a ``sample``
     below 1 and a ``max_witnesses`` below 1 raise ValueError.
 
-    Each row is one index per quantifier, with None for a function
-    quantifier (a ``Space`` with a ``functions`` form, as
-    ``enumerate_functions`` builds).  When exhaustive, the rows are the
-    tuples in enumeration order, for a ``pointwise`` law without the states,
-    which run inside the row in state order.  When sampled, a law has a row
-    per distinct tuple of plain indices among its draws, holding those
-    draws.  ``env`` decodes the plain indices that differ from the previous
-    row's.
+    Both modes share one walk, and only the trail that ``_assignments``
+    gives a law tells them apart.  Each row is one index per quantifier,
+    with None for a function quantifier (a ``Space`` with a ``functions``
+    form, as ``enumerate_functions`` builds) and, for a ``pointwise`` law,
+    for the states, which run inside the row.  When exhaustive, the rows
+    are the tuples in enumeration order, and a pointwise row runs at every
+    state in state order.  When sampled, a law has a row per distinct tuple
+    of plain indices among its draws, holding those draws, and a pointwise
+    row runs at each state drawn with it, in state order.  ``env`` decodes
+    the plain indices that differ from the previous row's.
 
     Every row takes the staged walk, starting with no point assigned (a row
     with no function quantifier is one leaf that reads nothing).  The
     first read of a point gives it the first value of the codomain (when
     sampled, the lowest digit that a draw of the current node takes there,
-    and those draws become the node) and records it on a trail, Korat's
-    access list.  The walk builds both sides (by
-    ``Law.evaluate`` when sampled, so a pointwise law runs them at its drawn
-    state), runs them at the row's first state (when pointwise) and observes
-    the runs by the first part of ``equal``; backtracking advances the
-    trail's last point to its next value (the next digit its node's draws
-    take), or undoes it and backtracks further, and resumes at the stage
-    that read the point: a part observes again, a run runs again and
-    observes from the first part, a build builds again and runs from the
-    first state.  A stage whose points are all undone passes to the next
+    and those draws become the node) and records it on the trail, Korat's
+    access list.  The walk builds both sides, runs them at the row's first
+    state (when pointwise; when sampled, that state's draws become the
+    node) and observes the runs by the first part of ``equal``; backtracking
+    advances the trail's last point to its next value (the next digit its
+    node's draws take), or undoes it and backtracks further, and resumes at
+    the stage that read the point: a part observes again, a run runs again
+    and observes from the first part, a build builds again and runs from
+    the first state.  A stage whose points are all undone passes to the next
     part, or to the next state.  A leaf of a part covers every assignment
-    (every draw of the row, when sampled) that agrees with the points read
+    (every draw of its node, when sampled) that agrees with the points read
     by the build, the run and that part, so the leaves of each part
     partition the row's assignments.  The points live in one digit vector
     per quantifier, which the law reads through a view built once per law, a
@@ -693,8 +775,9 @@ def run_laws(subject_name: str, laws, equal,
     draw order, each kept once.  The witnesses are the first
     ``max_witnesses`` failing index tuples, in enumeration order or by draw
     position, each evaluated again by ``Law.evaluate`` from freshly decoded
-    values.  Output ordering is deterministic: laws in given order,
-    witnesses in enumeration order (or in seeded sample order).
+    values; the walk itself never calls ``Law.evaluate``.  Output ordering
+    is deterministic: laws in given order, witnesses in enumeration order
+    (or in seeded sample order).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -711,76 +794,52 @@ def run_laws(subject_name: str, laws, equal,
     for law in laws:
         spaces = [_as_space(dom) for _name, dom in law.quantifiers]
         names = [name for name, _dom in law.quantifiers]
-        mode, assignments = _assignments(spaces, cap, sample, seed, law.pointwise)
+        mode, trail = _assignments(spaces, cap, sample, seed, law.pointwise)
         modes.add(mode)
-        # a sampled law walks its draws, a row per distinct plain indices
-        sampled = mode != "exhaustive"
-        # an exhaustive pointwise law runs its states inside each row
-        batched = law.pointwise and not sampled
-        states = tuple(spaces[-1]) if batched else (None,)
-        lazy = [(i, d.functions) for i, d in enumerate(spaces[:-1] if batched else spaces)
-                if d.functions]
+        runs, count, failing, advance, pop = (
+            trail.runs, trail.count, trail.failing, trail.advance, trail.pop)
+        lhs, rhs, pointwise = law.lhs, law.rhs, law.pointwise
+        state = spaces[-1].decode if pointwise else None
         checked = 0
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
         found = []
-        # one live digit vector per function quantifier, None where unassigned
-        digits = [[None] * len(form.keys) for _i, form in lazy]
-        # the assigned points as (view, key, digit index), in the order the
-        # law first read them
-        if sampled:
-            assignments = _draw_rows(assignments, lazy)
-            trail = _Draws({id(vector): i for (i, _form), vector in zip(lazy, digits)})
-        else:
-            trail = []
         # one env per law: a row decodes the plain indices that differ from
         # the previous row's, all of them on the first row
         env = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain, vector, trail))
-               for (i, form), vector in zip(lazy, digits)}
+               for (i, form), vector in zip(trail.lazy, trail.digits)}
         previous = (None,) * len(spaces)
-        # the assignments a node covers before any point is assigned
-        root_covered = math.prod(len(form.codomain) ** len(form.keys) for _i, form in lazy)
-        last_state = len(states) - 1
-        lhs, rhs, evaluate = law.lhs, law.rhs, law.evaluate
-        for indices in assignments:
-            for name, d, i, was in zip(names, spaces, indices, previous):
+        # the state index a pointwise leaf runs at, and the states left to run
+        s, states = None, iter(())
+        for row in trail.rows:
+            for name, d, i, was in zip(names, spaces, row, previous):
                 if i != was:
                     env[name] = d.decode(i)
-            previous = indices
-            if sampled:
-                trail.node = assignments[indices]
-            covered = root_covered
-            # trail[:counted] are the points already divided out of covered
-            counted = 0
-            # the stage to resume: 0 build, 1 run at states[j], 2 observe by
+            previous = row
+            # the stage to resume: 0 build, 1 run at state s, 2 observe by
             # parts[p], -1 none (the row is done); the build read
             # trail[:built], the run trail[built:ran] and the part the rest
             stage = 0
             while stage >= 0:
                 if stage == 0:
-                    if sampled:  # evaluate runs a pointwise law at its drawn state
-                        x, y = evaluate(env)
-                    else:
-                        x, y = lhs(env), rhs(env)
+                    x, y = lhs(env), rhs(env)
                     ran = built = len(trail)
-                    j = p = 0
-                    if batched:
+                    p = 0
+                    if pointwise:
                         left, right = x, y
+                        states = runs()
+                        s = next(states)
                         stage = 1
                 if stage == 1:
-                    s = states[j]
-                    x, y = left.run(s), right.run(s)
+                    at = state(s)
+                    x, y = left.run(at), right.run(at)
                     ran = len(trail)
                     p = 0
                 ok = parts[p](x, y)
-                while counted < len(trail):
-                    covered //= len(trail[counted][0].codomain)
-                    counted += 1
                 if not p:
-                    checked += len(trail.node) if sampled else covered
+                    checked += count()
                 if not ok:
-                    for order, full in (trail.node if sampled else _cube(
-                            (*indices, j) if batched else indices, digits, lazy)):
+                    for order, full in failing(row, s):
                         if not _keep(found, order, full, max_witnesses):
                             break
                 # backtrack: the next part once this one's points are undone,
@@ -797,8 +856,7 @@ def run_laws(subject_name: str, laws, equal,
                         break
                     elif depth > built:
                         stage = 1
-                    elif j < last_state:
-                        j += 1
+                    elif (s := next(states, None)) is not None:
                         stage = 1
                         break
                     elif depth:
@@ -806,18 +864,9 @@ def run_laws(subject_name: str, laws, equal,
                     else:
                         stage = -1
                         break
-                    view, key, at = trail[-1]
-                    vector, codomain = view.digits, view.codomain
-                    digit = trail.advance() if sampled else vector[at] + 1
-                    if digit < len(codomain):
-                        vector[at] = digit
-                        view[key] = codomain[digit]
+                    if advance():
                         break
-                    vector[at] = None
-                    del view[key]
-                    covered *= len(codomain)
-                    trail.pop()
-                    counted -= 1
+                    pop()
         failures = []
         for _order, indices in found:
             env = {name: d.decode(i) for name, d, i in zip(names, spaces, indices)}

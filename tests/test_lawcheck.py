@@ -42,7 +42,14 @@ from effectbx.corpus import (
     run_state_suite,
 )
 from effectbx import effects, lenses, stateful
-from effectbx.lawcheck import DEFAULT_CAP, Space, _as_space, _assignments, _PartialFunction
+from effectbx.lawcheck import (
+    DEFAULT_CAP,
+    Space,
+    _as_space,
+    _assignments,
+    _draws,
+    _PartialFunction,
+)
 
 
 def test_enumerate_functions_counts():
@@ -525,9 +532,8 @@ def test_a_full_section_is_its_decoded_value_while_others_are_unassigned():
 
 def _evaluations(monkeypatch, report):
     """The number of ``Law.evaluate`` calls per law while ``report()`` runs:
-    one per build of a sampled law's walk over its draws (per distinct
-    drawn row, with no function quantifier), plus one per witness (an
-    exhaustive row builds and runs its sides directly)."""
+    one per witness, since the walk of every row, exhaustive or sampled,
+    builds and runs its sides directly."""
     counts = {}
     evaluate = Law.evaluate
 
@@ -676,8 +682,9 @@ def test_a_failing_law_without_function_quantifiers_costs_its_rows_and_witnesses
 
 def test_a_sampled_law_without_function_quantifiers_builds_each_drawn_row_once():
     # 400 draws over 4 or 8 assignments, and over 100 for "commutes": each
-    # distinct row is built and run once however often it was drawn, every
-    # draw is checked, and each witness is built and run again
+    # distinct row of the indices other than the state is built once, and
+    # run once at each state drawn with it, however often it was drawn;
+    # every draw is checked, and each witness is built and run again
     bx = mutant_set_l_get_l()
     plain = Law("commutes", [("x", range(10)), ("y", range(10))],
                 lambda e: e["x"] + e["y"], lambda e: e["y"] + e["x"])
@@ -687,35 +694,43 @@ def test_a_sampled_law_without_function_quantifiers_builds_each_drawn_row_once()
                       bx.effect.equal_values, cap=3, seed=1, effect=bx.effect.name)
     assert report.mode == "sampled(n=400,seed=1)"
     assert report.laws[:-1] == check_suite(bx, "seven", cap=3, seed=1).laws
-    builds = {}
+    builds, runs = {}, {}
     for law, result in zip(laws, report.laws):
         spaces = [_as_space(dom) for _name, dom in law.quantifiers]
-        _mode, draws = _assignments(spaces, 3, 400, 1, law.pointwise)
-        drawn = len(set(draws))
+        drawn = set(_draws(spaces, 400, 1))
+        rows = {draw[:-1] for draw in drawn} if law.pointwise else drawn
+        witnesses = len(result.failures)
         assert result.checked == 400
         for side in ("lhs", "rhs"):
-            assert counts[law.name, side, "builds"] == drawn + len(result.failures)
-            assert counts[law.name, side, "runs"] == (counts[law.name, side, "builds"]
+            assert counts[law.name, side, "builds"] == len(rows) + witnesses
+            assert counts[law.name, side, "runs"] == (len(drawn) + witnesses
                                                       if law.pointwise else 0)
         builds[law.name] = counts[law.name, "lhs", "builds"]
+        runs[law.name] = counts[law.name, "lhs", "runs"]
     assert report.failing_laws == ("set_l-get_l",)
-    assert builds == {"get_l-get_l": 4, "set_l-get_l": 8 + 3, "get_l-set_l": 4,
+    assert builds == {"get_l-get_l": 1, "set_l-get_l": 2 + 3, "get_l-set_l": 1,
+                      "get_r-get_r": 1, "set_r-get_r": 2, "get_r-set_r": 1,
+                      "get_l-get_r": 1, "commutes": 98}
+    assert runs == {"get_l-get_l": 4, "set_l-get_l": 8 + 3, "get_l-set_l": 4,
                     "get_r-get_r": 4, "set_r-get_r": 8, "get_r-set_r": 4,
-                    "get_l-get_r": 4, "commutes": 98}
+                    "get_l-get_r": 4, "commutes": 0}
 
 
 def test_a_failing_sampled_law_costs_its_draws_and_witnesses(monkeypatch):
     space = enumerate_functions(DOM3, FiniteDomain("c", tuple(range(100))))
     law = Law("zero-at-x", [("f", space), ("x", DOM3)],
               lambda e: e["f"](e["x"]), lambda e: 0)
+    counts = collections.Counter()
     report, evaluations = _evaluations(
-        monkeypatch, lambda: run_laws("demo", [law], operator.eq, cap=1000))
+        monkeypatch, lambda: run_laws("demo", [_counting_sides(law, counts)], operator.eq,
+                                      cap=1000))
     result = report.law("zero-at-x")
     assert report.mode == "sampled(n=400,seed=0)"
     assert result.checked == 400 and len(result.failures) == 3
-    # one evaluation per leaf of the walk over the draws, where the draws
-    # that agree at f(x) share one, then one per witness
-    assert evaluations["zero-at-x"] == 226 + 3
+    # one build per leaf of the walk over the draws, where the draws that
+    # agree at f(x) share one, then one per witness, which alone evaluates
+    assert counts["zero-at-x", "lhs", "builds"] == 226 + 3
+    assert evaluations == {"zero-at-x": 3}
 
 
 SIZES = (1, 2, 3, 255, 256, 257, 300 ** 8)
@@ -726,11 +741,12 @@ def test_sampled_indices_are_drawn_as_randrange_draws_them(seed):
     # cap 0 samples every nonempty product
     for size in SIZES:
         rng = random.Random(seed)
-        mode, draws = _assignments([Space(size, None)], 0, 50, seed, False)
+        mode, _trail = _assignments([Space(size, None)], 0, 50, seed, False)
         assert mode == f"sampled(n=50,seed={seed})"
-        assert list(draws) == [(rng.randrange(size),) for _ in range(50)]
+        assert list(_draws([Space(size, None)], 50, seed)) == [
+            (rng.randrange(size),) for _ in range(50)]
     rng = random.Random(seed)
-    _mode, draws = _assignments([Space(size, None) for size in SIZES], 0, 50, seed, False)
+    draws = _draws([Space(size, None) for size in SIZES], 50, seed)
     assert list(draws) == [tuple(rng.randrange(size) for size in SIZES) for _ in range(50)]
 
 
