@@ -27,6 +27,7 @@ from .lawcheck import (
     enumerate_functions,
     pointwise,
     run_laws,
+    stable_repr,
     tuples_up_to,
 )
 
@@ -131,9 +132,11 @@ class _Tagged:
     injections ``Left`` and ``Right``.  A tagged value is immutable by
     convention (nothing assigns to ``value`` after construction).  The
     class has slots and a plain ``__init__``, since the failure family
-    builds one at every ``unit``; repr, equality and hash are those of a
-    frozen dataclass: ``==`` compares ``(value,)`` tuples, so it tests
-    identity before equality, and a value of another tag is unequal."""
+    builds one at every ``unit``; equality and hash are those of a frozen
+    dataclass: ``==`` compares ``(value,)`` tuples, so it tests identity
+    before equality, and a value of another tag is unequal.  It prints as
+    ``Tag(value)`` with ``stable_repr`` of the value, so a set inside it
+    prints in the same order in every process."""
 
     __slots__ = ("value",)
 
@@ -141,7 +144,7 @@ class _Tagged:
         self.value = value
 
     def __repr__(self):
-        return f"{self.__class__.__name__}({self.value!r})"
+        return f"{self.__class__.__name__}({stable_repr(self.value)})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -86,7 +86,9 @@ def stable_repr(value) -> str:
     or ``dict``, lists its elements in the order of their own stable repr,
     not in the order of their hashes (those of strings are salted per
     process, and None's is its address).  Everything else prints as
-    ``repr``."""
+    ``repr``; a ``FiniteFunction`` and the tagged values of ``effects``
+    print what they hold by ``stable_repr``, so a set inside them is
+    ordered too."""
     kind = type(value)
     if kind is tuple or kind is list or kind is set or kind is frozenset:
         items = list(map(stable_repr, value))
@@ -145,7 +147,8 @@ class FiniteFunction:
     which tests ``is`` before ``==`` (as ``in`` does), so a key that is not
     equal to itself is still found by identity.  The class has slots and a
     plain ``__init__``; equality and hash are those of a frozen dataclass
-    over ``(keys, values)``."""
+    over ``(keys, values)``, and it prints as ``{k->v, ...}`` in key order,
+    with ``stable_repr`` of each key and value."""
 
     __slots__ = ("keys", "values")
 
@@ -168,7 +171,8 @@ class FiniteFunction:
             raise KeyError(f"{x!r} outside function domain") from None
 
     def __repr__(self):
-        entries = ", ".join(f"{k!r}->{v!r}" for k, v in zip(self.keys, self.values))
+        entries = ", ".join(f"{stable_repr(k)}->{stable_repr(v)}"
+                            for k, v in zip(self.keys, self.values))
         return "{" + entries + "}"
 
 
@@ -787,7 +791,8 @@ def run_laws(subject_name: str, laws, equal,
         raise ValueError(f"sample must be at least 1 or None, not {sample}")
     if max_witnesses < 1:
         raise ValueError(f"max_witnesses must be at least 1, not {max_witnesses}")
-    parts = equal.parts if isinstance(equal, Conjunction) else (equal,)
+    # an equality with no parts holds everywhere: it is walked as one part
+    parts = (isinstance(equal, Conjunction) and equal.parts) or (equal,)
     last_part = len(parts) - 1
     results = []
     modes = set()

@@ -28,6 +28,7 @@ from effectbx import (
     check_equivalence,
     check_theta_morphism,
     compose,
+    console_family,
     composers_bx,
     composers_symlens,
     dual,
@@ -43,7 +44,7 @@ from effectbx import (
     state_law_suite,
     symlens_to_bx,
 )
-from effectbx import bx as bx_module, effects, lenses, stateful
+from effectbx import bx as bx_module, effects, lawcheck, lenses, stateful
 from effectbx.compose import assoc_bijection
 from effectbx.corpus import (
     _entry_suites,
@@ -160,6 +161,29 @@ def test_every_corpus_suite_against_hand_rolled_evaluation():
     assert total >= 8000
 
 
+def _three_stage_law():
+    """A pointwise law over ``BIT`` that reads its function quantifier
+    ``k`` while building (``k(2)``), while running (``k(s)``) and while each
+    reader environment observes the run (``k(env)``), and fails at leaves
+    of each stage, with the reader family's equality."""
+    fam = reader_family((0, 1))
+
+    def lhs(e):
+        k = e["k"]
+        c = k(2)
+
+        def run(s):
+            t = k(s)
+            return lambda env: (c ^ t ^ k(env), s)
+
+        return stateful.Stateful(fam, run)
+
+    law = pointwise("three-stages",
+                    [("k", enumerate_functions(FiniteDomain("k3", (0, 1, 2)), (0, 1)))],
+                    BIT, lhs, lambda e: stateful.st_unit(fam, 0))
+    return law, fam.equal
+
+
 def _function_quantifier_cases():
     # two reader contexts, not three: reader/d2 associativity would spend
     # over a second in plain enumeration alone
@@ -176,6 +200,17 @@ def _function_quantifier_cases():
                                ("non-overwrite", non_overwrite_lens(), PAIRS)):
         yield (f"theta/{name}", lenses, check_theta_morphism,
                (lens, ident, source, BIT, BIT))
+    # through the module, so that the patched runner is the one called
+    yield ("three-stages", lawcheck,
+           lambda law, equal: lawcheck.run_laws("three-stages", [law], equal),
+           _three_stage_law())
+
+
+def test_the_three_stage_law_counts_every_assignment_and_draw():
+    law, equal = _three_stage_law()
+    exhaustive = run_laws("three-stages", [law], equal).law("three-stages")
+    assert (exhaustive.checked, len(exhaustive.failures)) == (16, 3)
+    assert run_laws("three-stages", [law], equal, cap=1).law("three-stages").checked == 400
 
 
 def test_function_quantified_suites_against_plain_enumeration(monkeypatch):
@@ -196,7 +231,8 @@ def test_function_quantified_suites_against_plain_enumeration(monkeypatch):
         assert report.mode == "exhaustive", where
         assert report.to_dict()["laws"] == _plain_enumeration(laws, equal), where
         failing.update(f"{where}:{name}" for name in report.failing_laws)
-    assert failing == {"theta/non-overwrite:theta-preserves-bind"}
+    assert failing == {"theta/non-overwrite:theta-preserves-bind",
+                       "three-stages:three-stages"}
 
 
 # an exhaustive pointwise law with no function quantifier is checked by
@@ -301,15 +337,23 @@ def _conjunction_cases():
             yield f"theta/{name}/{fam.name}", fam, (
                 lambda fam, lens=lens, **kw: check_theta_morphism(lens, fam, PAIRS, BIT, BIT,
                                                                   **kw))
+    # equalities with no parts, which hold everywhere
+    for fam in (reader_family(()), console_family(scripts=())):
+        yield f"monad/{fam.name}/no-contexts/d1", fam, (
+            lambda fam, **kw: check_monad_laws(fam, D1, **kw))
 
 
 @pytest.mark.parametrize("cap, seed", [(None, 0), (100, 3)])
 def test_conjunctions_report_as_their_joint_walk(cap, seed):
-    failing = set()
+    failing, checked = set(), {}
     for where, fam, check in _conjunction_cases():
         report = check(fam, cap=cap, seed=seed)
         assert report.to_json() == check(_jointly(fam), cap=cap, seed=seed).to_json(), where
         failing.update(f"{where}:{name}" for name in report.failing_laws)
+        if where.endswith("/no-contexts/d1"):
+            checked[where] = [law.checked for law in report.laws]
+    assert checked == {"monad/reader/no-contexts/d1": [1, 1, 1],
+                       "monad/console/no-contexts/d1": [3, 3, 27]}
     # native state does not commute, and its failing assignments are walked
     # state by state (exhaustively at the default cap), some failing at both
     assert "commute/native-state:commute" in failing
@@ -391,6 +435,10 @@ def _sampled_cases():
         if fam.name in ("reader", "choice"):
             yield (f"lift/{fam.name}/cap10", stateful,
                    lambda fam=fam: check_lift_morphism(fam, BIT, BIT, cap=10, seed=1))
+    # a function quantifier read while building, running and observing
+    law, equal = _three_stage_law()
+    yield ("three-stages/cap1", lawcheck,
+           lambda: lawcheck.run_laws("three-stages", [law], equal, cap=1, seed=0))
 
 
 def test_sampled_laws_report_as_their_draws_evaluated_one_by_one(monkeypatch):
@@ -405,7 +453,8 @@ def test_sampled_laws_report_as_their_draws_evaluated_one_by_one(monkeypatch):
     assert failing == {"commute/console:commute", "constant/cap2:constant",
                        "same-at-zero/cap100:same-at-zero",
                        "seven/mutant-set_l-get_l/cap3:set_l-get_l",
-                       "theta/non-overwrite/reader/cap100:theta-preserves-bind"}
+                       "theta/non-overwrite/reader/cap100:theta-preserves-bind",
+                       "three-stages/cap1:three-stages"}
 
 
 def test_a_sampled_side_that_raises_raises_as_its_draw_does():

@@ -195,6 +195,41 @@ def test_a_conjunction_is_walked_part_by_part_as_its_joint_walk_reports():
         repr(space.decode(i)) for i in (1, 2, 3, 4, 5)]
 
 
+def test_stable_repr_orders_the_sets_inside_tagged_values_and_functions():
+    # string hashes are salted per process, so each value prints in a
+    # process of its own at two hash seeds
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import effectbx
+
+    src = str(Path(effectbx.__file__).resolve().parents[1])
+    code = ("from effectbx import FiniteFunction, Just\n"
+            "from effectbx.lawcheck import stable_repr\n"
+            "words = frozenset({'ab', 'cd', 'ef'})\n"
+            "print(stable_repr(Just(words)))\n"
+            "print(stable_repr(FiniteFunction((0,), (words,))))\n")
+    outputs = []
+    for seed in ("1", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] == (
+        "Just(frozenset({'ab', 'cd', 'ef'}))\n{0->frozenset({'ab', 'cd', 'ef'})}\n")
+
+
+def test_an_empty_conjunction_is_walked_as_one_part_that_always_holds():
+    law = Law("any", [("f", enumerate_functions(DOM3, COD3)), ("x", DOM3)],
+              lambda e: e["f"](e["x"]), lambda e: e["x"])
+    for cap in (None, 10):
+        walked = run_laws("demo", [law], Conjunction(()), cap=cap)
+        joint = run_laws("demo", [law], lambda x, y: True, cap=cap)
+        assert walked.ok and walked.to_json() == joint.to_json()
+    assert run_laws("demo", [law], Conjunction(())).law("any").checked == 81
+
+
 def test_run_laws_sampling_above_cap_is_reported_and_reproducible():
     big = tuple(range(50))
     law = Law(
