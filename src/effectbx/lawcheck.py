@@ -509,20 +509,23 @@ class _Trail(list):
     """The trail of an exhaustive walk, Korat's access list: the points
     assigned so far as ``(view, key, digit index)``, in the order the law
     first read them.  ``rows`` are the law's rows, ``lazy`` its function
-    quantifiers as ``(position, form)`` and ``digits`` one live digit vector
-    per function quantifier, None where unassigned.
+    quantifiers as ``(position, form)``, ``digits`` one live digit vector
+    per function quantifier, None where unassigned, and ``states`` the
+    state indices of a pointwise law, ``(None,)`` for any other.
 
-    The walk asks a trail five things, and a ``_Draws`` trail answers them
-    for sampled draws: ``runs()``, the state indices a pointwise leaf runs
-    at (all of them); ``count()``, the assignments the current leaf covers
-    (those that agree with every point assigned); ``failing(row, s)``, those
-    assignments at state ``s`` as the ``(order, indices)`` pairs ``_keep``
-    takes; ``advance()``, which gives the last point its next codomain value
-    (False when it has none); and ``pop()``, which undoes the last point."""
+    The walk asks a trail four things, and a ``_Draws`` trail answers them
+    for sampled draws: ``runs()``, the state indices a leaf of the build
+    runs at (all of them); ``count()``, the assignments the current leaf
+    covers (those that agree with every point assigned); ``failing(row,
+    s)``, those assignments at state ``s`` as the ``(order, indices)`` pairs
+    ``_keep`` takes; and ``backtrack(mark)``, which gives the deepest point
+    above depth ``mark`` that has a value left its next codomain value,
+    undoing the points after it, and is False when it has undone every
+    point above ``mark``."""
 
     __slots__ = ("rows", "lazy", "digits", "states", "covered", "counted")
 
-    def __init__(self, rows, lazy, states=range(0)):
+    def __init__(self, rows, lazy, states=(None,)):
         self.rows = rows
         self.lazy = lazy
         self.digits = [[None] * len(form.keys) for _i, form in lazy]
@@ -533,7 +536,7 @@ class _Trail(list):
         self.counted = 0
 
     def runs(self):
-        return iter(self.states)
+        return self.states
 
     def count(self):
         while self.counted < len(self):
@@ -564,22 +567,21 @@ class _Trail(list):
             full = tuple(indices)
             yield full, full
 
-    def advance(self):
-        view, key, at = self[-1]
-        digit = view.digits[at] + 1
-        if digit == len(view.codomain):
-            return False
-        view.digits[at] = digit
-        view[key] = view.codomain[digit]
-        return True
-
-    def pop(self):
-        view, key, at = list.pop(self)
-        view.digits[at] = None
-        del view[key]
-        if self.counted > len(self):
-            self.counted = len(self)
-            self.covered *= len(view.codomain)
+    def backtrack(self, mark):
+        while len(self) > mark:
+            view, key, at = self[-1]
+            digit = view.digits[at] + 1
+            if digit < len(view.codomain):
+                view.digits[at] = digit
+                view[key] = view.codomain[digit]
+                return True
+            list.pop(self)
+            view.digits[at] = None
+            del view[key]
+            if self.counted > len(self):
+                self.counted = len(self)
+                self.covered *= len(view.codomain)
+        return False
 
 
 class _Draws(_Trail):
@@ -594,14 +596,16 @@ class _Draws(_Trail):
     its flat position ``p`` is ``index // base**p % base``, as
     ``enumerate_functions`` numbers it.
 
-    ``append`` splits the node by that digit and enters the lowest one,
-    ``advance`` enters the next, and ``pop`` returns to the node the point
-    split.  ``runs`` splits the node by drawn state and enters each state's
-    draws in turn.  A leaf covers, and fails at, the draws of its node."""
+    ``append`` splits the node by that digit and enters the lowest one, and
+    ``backtrack`` enters the next digit of the deepest point that has one
+    left, returning to the node that each point it undoes split.  ``runs``
+    of a pointwise law splits the node by drawn state and enters each
+    state's draws in turn.  A leaf covers, and fails at, the draws of its
+    node."""
 
-    __slots__ = ("slots", "node", "branches")
+    __slots__ = ("slots", "node", "branches", "pointwise")
 
-    def __init__(self, draws, lazy, walked):
+    def __init__(self, draws, lazy, walked, pointwise):
         groups = {}
         for position, indices in enumerate(draws):
             row = list(indices)
@@ -614,6 +618,7 @@ class _Draws(_Trail):
         # per point: an iterator over its remaining (digit, draws), and the
         # node it split
         self.branches = []
+        self.pointwise = pointwise
 
     def _enter(self, groups):
         for row, self.node in groups.items():
@@ -638,6 +643,9 @@ class _Draws(_Trail):
         list.append(self, point)
 
     def runs(self):
+        if not self.pointwise:
+            yield None
+            return
         split = {}
         for draw in self.node:
             split.setdefault(draw[1][-1], []).append(draw)
@@ -650,20 +658,19 @@ class _Draws(_Trail):
     def failing(self, row, s):
         return self.node
 
-    def advance(self):
-        following = next(self.branches[-1][0], None)
-        if following is None:
-            return False
-        view, key, at = self[-1]
-        view.digits[at], self.node = following
-        view[key] = view.codomain[view.digits[at]]
-        return True
-
-    def pop(self):
-        _alternatives, self.node = self.branches.pop()
-        view, key, at = list.pop(self)
-        view.digits[at] = None
-        del view[key]
+    def backtrack(self, mark):
+        while len(self) > mark:
+            following = next(self.branches[-1][0], None)
+            if following is not None:
+                view, key, at = self[-1]
+                view.digits[at], self.node = following
+                view[key] = view.codomain[view.digits[at]]
+                return True
+            _alternatives, self.node = self.branches.pop()
+            view, key, at = list.pop(self)
+            view.digits[at] = None
+            del view[key]
+        return False
 
 
 def _keep(found, order, indices, limit):
@@ -700,12 +707,12 @@ def _assignments(spaces, cap, sample, seed, pointwise):
         ranges = [range(d.size) for d in spaces]
         for i in walked:
             ranges[i] = (None,)
-        states = range(spaces[-1].size) if pointwise else range(0)
+        states = range(spaces[-1].size) if pointwise else (None,)
         return "exhaustive", _Trail(itertools.product(*ranges), lazy, states)
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     draws = _draws(spaces, sample, seed)
-    return f"sampled(n={sample},seed={seed})", _Draws(draws, lazy, walked)
+    return f"sampled(n={sample},seed={seed})", _Draws(draws, lazy, walked, pointwise)
 
 
 def _draws(spaces, sample, seed):
@@ -801,8 +808,8 @@ def run_laws(subject_name: str, laws, equal,
         names = [name for name, _dom in law.quantifiers]
         mode, trail = _assignments(spaces, cap, sample, seed, law.pointwise)
         modes.add(mode)
-        runs, count, failing, advance, pop = (
-            trail.runs, trail.count, trail.failing, trail.advance, trail.pop)
+        runs, count, failing, backtrack = (
+            trail.runs, trail.count, trail.failing, trail.backtrack)
         lhs, rhs, pointwise = law.lhs, law.rhs, law.pointwise
         state = spaces[-1].decode if pointwise else None
         checked = 0
@@ -814,64 +821,37 @@ def run_laws(subject_name: str, laws, equal,
         env = {names[i]: form.wrap(_PartialFunction(form.keys, form.codomain, vector, trail))
                for (i, form), vector in zip(trail.lazy, trail.digits)}
         previous = (None,) * len(spaces)
-        # the state index a pointwise leaf runs at, and the states left to run
-        s, states = None, iter(())
         for row in trail.rows:
             for name, d, i, was in zip(names, spaces, row, previous):
                 if i != was:
                     env[name] = d.decode(i)
             previous = row
-            # the stage to resume: 0 build, 1 run at state s, 2 observe by
-            # parts[p], -1 none (the row is done); the build read
-            # trail[:built], the run trail[built:ran] and the part the rest
-            stage = 0
-            while stage >= 0:
-                if stage == 0:
-                    x, y = lhs(env), rhs(env)
-                    ran = built = len(trail)
-                    p = 0
-                    if pointwise:
-                        left, right = x, y
-                        states = runs()
-                        s = next(states)
-                        stage = 1
-                if stage == 1:
-                    at = state(s)
-                    x, y = left.run(at), right.run(at)
-                    ran = len(trail)
-                    p = 0
-                ok = parts[p](x, y)
-                if not p:
-                    checked += count()
-                if not ok:
-                    for order, full in failing(row, s):
-                        if not _keep(found, order, full, max_witnesses):
+            # one loop per stage, over the leaves of the points it reads: those
+            # the trail holds above the depth at which the stage began
+            while True:
+                x, y = left, right = lhs(env), rhs(env)
+                built = len(trail)
+                for s in runs():
+                    while True:
+                        if pointwise:
+                            at = state(s)
+                            x, y = left.run(at), right.run(at)
+                        ran = len(trail)
+                        for p, part in enumerate(parts):
+                            while True:
+                                ok = part(x, y)
+                                if not p:
+                                    checked += count()
+                                if not ok:
+                                    for order, full in failing(row, s):
+                                        if not _keep(found, order, full, max_witnesses):
+                                            break
+                                if len(trail) == ran or not backtrack(ran):
+                                    break
+                        if len(trail) == built or not backtrack(built):
                             break
-                # backtrack: the next part once this one's points are undone,
-                # the next state once the run's are, else the deepest point
-                # with a value left takes it, in its digit and in its view,
-                # and its stage resumes
-                while True:
-                    depth = len(trail)
-                    if depth > ran:
-                        stage = 2
-                    elif p < last_part:
-                        p += 1
-                        stage = 2
-                        break
-                    elif depth > built:
-                        stage = 1
-                    elif (s := next(states, None)) is not None:
-                        stage = 1
-                        break
-                    elif depth:
-                        stage = 0
-                    else:
-                        stage = -1
-                        break
-                    if advance():
-                        break
-                    pop()
+                if not trail or not backtrack(0):
+                    break
         failures = []
         for _order, indices in found:
             env = {name: d.decode(i) for name, d, i in zip(names, spaces, indices)}
