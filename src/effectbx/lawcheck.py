@@ -31,20 +31,23 @@ vector, a dict of the points assigned so far that it calls by
 ``dict.__getitem__``, so reading an assigned point runs no Python code; a
 first read of a point falls to ``__missing__``, which gives it the first
 codomain value in place and appends it to a trail shared by the law's views,
-and backtracking advances or undoes the trail's last point, in the digits
-and the dict together.  No build, run or observation is interrupted, so
-each one completes and covers a leaf; no node is copied, and a function is
-decoded only to be compared, hashed or printed.
+and backtracking to a depth of the trail gives the deepest point above it
+that has a value left its next value, undoing the points after it, in the
+digits and the dict together.  No build, run or observation is interrupted,
+so each one completes and covers a leaf; no node is copied, and a function
+is decoded only to be compared, hashed or printed.
 
 The walk is staged, as the checks it replaces are nested: a law holds at an
 assignment when its sides, built once, agree when run at every state (for a
 ``pointwise`` law) and when observed by every part of the equality (a
 ``Conjunction`` over contexts, such as a reader's environments).  So the
-sides are built once per leaf of the points read while building, run once
-per state per leaf of that run's reads, and each part observes them on its
-own branch of the points it reads; backtracking resumes at the stage that
-read the point it advanced.  Checking every context of every assignment as
-every assignment of every context is sound for a conjunction.
+walk is three nested loops, one per stage: the sides are built once per
+leaf of the points read while building, run once per state per leaf of that
+run's reads, and each part observes them on its own branch of the points it
+reads.  Each loop repeats its stage until backtracking to the depth at which
+the stage began finds no point above it with a value left, so a stage that
+read nothing runs once.  Checking every context of every assignment as every
+assignment of every context is sound for a conjunction.
 
 A sampled law takes the same walk over its draws: only the trail tells the
 two modes apart.  The draws are grouped by their plain indices, those of
@@ -737,7 +740,8 @@ def run_laws(subject_name: str, laws, equal,
     """Run a list of laws and collect a LawReport named ``subject_name``.
 
     ``equal`` compares both sides; a ``Conjunction`` (a family's equality
-    over its ``enumerate_contexts``) is walked part by part.  Each
+    over its ``enumerate_contexts``) is walked part by part, and one with
+    no parts, which always holds, as one part.  Each
     quantifier's domain is taken as a ``Space`` (a tuple of its elements
     unless it is one already).  A law with at most ``cap`` assignments (the
     product of the domain sizes) is checked exhaustively; one with more is
@@ -762,25 +766,25 @@ def run_laws(subject_name: str, laws, equal,
     first read of a point gives it the first value of the codomain (when
     sampled, the lowest digit that a draw of the current node takes there,
     and those draws become the node) and records it on the trail, Korat's
-    access list.  The walk builds both sides, runs them at the row's first
-    state (when pointwise; when sampled, that state's draws become the
-    node) and observes the runs by the first part of ``equal``; backtracking
-    advances the trail's last point to its next value (the next digit its
-    node's draws take), or undoes it and backtracks further, and resumes at
-    the stage that read the point: a part observes again, a run runs again
-    and observes from the first part, a build builds again and runs from
-    the first state.  A stage whose points are all undone passes to the next
-    part, or to the next state.  A leaf of a part covers every assignment
-    (every draw of its node, when sampled) that agrees with the points read
-    by the build, the run and that part, so the leaves of each part
-    partition the row's assignments.  The points live in one digit vector
-    per quantifier, which the law reads through a view built once per law, a
-    dict of the assigned points that backtracking updates with the digits,
-    so the nodes are visited depth first with no copies, every build, run
-    and observation completes, and a function is decoded only to compare,
-    hash or print it.  ``checked`` counts the assignments (the draws,
-    duplicates included) covered by the leaves of the first part, exactly as
-    many as plain enumeration (or evaluating every draw) would evaluate.
+    access list.  The walk is three nested loops: build both sides; for each
+    state that the trail's ``runs()`` gives (``(None,)`` for a law that is
+    not pointwise; when sampled, each state's draws become the node in
+    turn), run both sides; for each part of ``equal``, observe the runs.
+    Each loop notes the trail's depth when its stage begins and repeats the
+    stage while ``backtrack`` to that mark gives the deepest point above it
+    a next value (the next digit its node's draws take), undoing the points
+    after it; it stops when the trail is back at its mark.  A leaf of a
+    part covers every assignment (every draw of its node, when sampled)
+    that agrees with the points read by the build, the run and that part,
+    so the leaves of each part partition the row's assignments.  The points
+    live in one digit vector per quantifier, which the law reads through a
+    view built once per law, a dict of the assigned points that
+    backtracking updates with the digits, so the nodes are visited depth
+    first with no copies, every build, run and observation completes, and a
+    function is decoded only to compare, hash or print it.  ``checked``
+    counts the assignments (the draws, duplicates included) covered by the
+    leaves of the first part, exactly as many as plain enumeration (or
+    evaluating every draw) would evaluate.
 
     A failing leaf of any part contributes its assignments, or its draws in
     draw order, each kept once.  The witnesses are the first
@@ -800,7 +804,6 @@ def run_laws(subject_name: str, laws, equal,
         raise ValueError(f"max_witnesses must be at least 1, not {max_witnesses}")
     # an equality with no parts holds everywhere: it is walked as one part
     parts = (isinstance(equal, Conjunction) and equal.parts) or (equal,)
-    last_part = len(parts) - 1
     results = []
     modes = set()
     for law in laws:
