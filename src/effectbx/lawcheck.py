@@ -514,11 +514,11 @@ class _Trail(list):
     first read them.  ``rows`` are the law's rows, ``lazy`` its function
     quantifiers as ``(position, form)``, ``digits`` one live digit vector
     per function quantifier, None where unassigned, and ``states`` the
-    state indices of a pointwise law, ``(None,)`` for any other.
+    state indices of a pointwise law.
 
     The walk asks a trail four things, and a ``_Draws`` trail answers them
-    for sampled draws: ``runs()``, the state indices a leaf of the build
-    runs at (all of them); ``count()``, the assignments the current leaf
+    for sampled draws: ``runs()``, the state indices a pointwise leaf of the
+    build runs at (all of them); ``count()``, the assignments the current leaf
     covers (those that agree with every point assigned); ``failing(row,
     s)``, those assignments at state ``s`` as the ``(order, indices)`` pairs
     ``_keep`` takes; and ``backtrack(mark)``, which gives the deepest point
@@ -528,7 +528,7 @@ class _Trail(list):
 
     __slots__ = ("rows", "lazy", "digits", "states", "covered", "counted")
 
-    def __init__(self, rows, lazy, states=(None,)):
+    def __init__(self, rows, lazy, states=range(0)):
         self.rows = rows
         self.lazy = lazy
         self.digits = [[None] * len(form.keys) for _i, form in lazy]
@@ -602,13 +602,12 @@ class _Draws(_Trail):
     ``append`` splits the node by that digit and enters the lowest one, and
     ``backtrack`` enters the next digit of the deepest point that has one
     left, returning to the node that each point it undoes split.  ``runs``
-    of a pointwise law splits the node by drawn state and enters each
-    state's draws in turn.  A leaf covers, and fails at, the draws of its
-    node."""
+    splits the node by drawn state and enters each state's draws in turn.
+    A leaf covers, and fails at, the draws of its node."""
 
-    __slots__ = ("slots", "node", "branches", "pointwise")
+    __slots__ = ("slots", "node", "branches")
 
-    def __init__(self, draws, lazy, walked, pointwise):
+    def __init__(self, draws, lazy, walked):
         groups = {}
         for position, indices in enumerate(draws):
             row = list(indices)
@@ -621,7 +620,6 @@ class _Draws(_Trail):
         # per point: an iterator over its remaining (digit, draws), and the
         # node it split
         self.branches = []
-        self.pointwise = pointwise
 
     def _enter(self, groups):
         for row, self.node in groups.items():
@@ -646,9 +644,6 @@ class _Draws(_Trail):
         list.append(self, point)
 
     def runs(self):
-        if not self.pointwise:
-            yield None
-            return
         split = {}
         for draw in self.node:
             split.setdefault(draw[1][-1], []).append(draw)
@@ -710,12 +705,12 @@ def _assignments(spaces, cap, sample, seed, pointwise):
         ranges = [range(d.size) for d in spaces]
         for i in walked:
             ranges[i] = (None,)
-        states = range(spaces[-1].size) if pointwise else (None,)
+        states = range(spaces[-1].size) if pointwise else range(0)
         return "exhaustive", _Trail(itertools.product(*ranges), lazy, states)
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     draws = _draws(spaces, sample, seed)
-    return f"sampled(n={sample},seed={seed})", _Draws(draws, lazy, walked, pointwise)
+    return f"sampled(n={sample},seed={seed})", _Draws(draws, lazy, walked)
 
 
 def _draws(spaces, sample, seed):
@@ -766,10 +761,11 @@ def run_laws(subject_name: str, laws, equal,
     first read of a point gives it the first value of the codomain (when
     sampled, the lowest digit that a draw of the current node takes there,
     and those draws become the node) and records it on the trail, Korat's
-    access list.  The walk is three nested loops: build both sides; for each
-    state that the trail's ``runs()`` gives (``(None,)`` for a law that is
-    not pointwise; when sampled, each state's draws become the node in
-    turn), run both sides; for each part of ``equal``, observe the runs.
+    access list.  The walk is three nested loops: build both sides; run
+    them at each state that the trail's ``runs()`` gives (when sampled,
+    each state's draws become the node in turn), or, for a law that is not
+    pointwise, once at no state (``s`` is None), where a run is the sides
+    as built; observe the runs by each part of ``equal``.
     Each loop notes the trail's depth when its stage begins and repeats the
     stage while ``backtrack`` to that mark gives the deepest point above it
     a next value (the next digit its node's draws take), undoing the points
@@ -834,16 +830,17 @@ def run_laws(subject_name: str, laws, equal,
             while True:
                 x, y = left, right = lhs(env), rhs(env)
                 built = len(trail)
-                for s in runs():
+                for s in runs() if pointwise else (None,):
                     while True:
                         if pointwise:
                             at = state(s)
                             x, y = left.run(at), right.run(at)
                         ran = len(trail)
-                        for p, part in enumerate(parts):
+                        first = True
+                        for part in parts:
                             while True:
                                 ok = part(x, y)
-                                if not p:
+                                if first:
                                     checked += count()
                                 if not ok:
                                     for order, full in failing(row, s):
@@ -851,6 +848,7 @@ def run_laws(subject_name: str, laws, equal,
                                             break
                                 if len(trail) == ran or not backtrack(ran):
                                     break
+                            first = False
                         if len(trail) == built or not backtrack(built):
                             break
                 if not trail or not backtrack(0):
