@@ -159,9 +159,18 @@ def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
 
 def _read_map(fam, getter, dom, states, views):
     """The read map of a transparent side: the view at each of ``states``,
-    found by ``tuple.index`` (so by ``==``, never by repr)."""
+    found in a table built once when the states hash, else (or when the
+    table misses) by ``tuple.index``, so by ``==``, never by repr."""
+    try:
+        table = dict(zip(states, views))
+    except TypeError:  # unhashable states: every read scans
+        table = {}
 
     def read(s):
+        try:
+            return table[s]
+        except (KeyError, TypeError):
+            pass
         try:
             return views[states.index(s)]
         except ValueError:

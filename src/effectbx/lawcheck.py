@@ -16,9 +16,11 @@ Exhaustive checking evaluates only the points of a function a law reads, as
 in Lazy SmallCheck (Runciman, Naylor & Lindblad, 2008): a function-valued
 quantifier starts with no point assigned, and the runner branches on each
 point the law reads.  An evaluation decides every total function that agrees
-with the points it read, so a report's ``checked`` counts the assignments
-covered, not the evaluations made, and reads as if every assignment had been
-evaluated.  A function into a space of functions (a continuation whose
+with the points it read, so the leaves of the walk partition the assignments,
+and a report's ``checked`` is their number, the product of the quantifiers'
+sizes (when sampled, the number of draws), not the evaluations made: it reads
+as if every assignment had been evaluated.  A function into a space of
+functions (a continuation whose
 values are reader or state-transformer values) is curried: its points are
 pairs of an outer and an inner argument, so the runner branches on one inner
 point at a time, and a law sees it as a live view whose every point is fixed
@@ -516,36 +518,25 @@ class _Trail(list):
     per function quantifier, None where unassigned, and ``states`` the
     state indices of a pointwise law.
 
-    The walk asks a trail four things, and a ``_Draws`` trail answers them
+    The walk asks a trail three things, and a ``_Draws`` trail answers them
     for sampled draws: ``runs()``, the state indices a pointwise leaf of the
-    build runs at (all of them); ``count()``, the assignments the current leaf
-    covers (those that agree with every point assigned); ``failing(row,
-    s)``, those assignments at state ``s`` as the ``(order, indices)`` pairs
-    ``_keep`` takes; and ``backtrack(mark)``, which gives the deepest point
-    above depth ``mark`` that has a value left its next codomain value,
-    undoing the points after it, and is False when it has undone every
-    point above ``mark``."""
+    build runs at (all of them); ``failing(row, s)``, the assignments the
+    current leaf covers at state ``s`` (those that agree with every point
+    assigned), as the ``(order, indices)`` pairs ``_keep`` takes; and
+    ``backtrack(mark)``, which gives the deepest point above depth ``mark``
+    that has a value left its next codomain value, undoing the points after
+    it, and is False when it has undone every point above ``mark``."""
 
-    __slots__ = ("rows", "lazy", "digits", "states", "covered", "counted")
+    __slots__ = ("rows", "lazy", "digits", "states")
 
     def __init__(self, rows, lazy, states=range(0)):
         self.rows = rows
         self.lazy = lazy
         self.digits = [[None] * len(form.keys) for _i, form in lazy]
         self.states = states
-        # the assignments a node covers, with the points trail[:counted]
-        # divided out of it
-        self.covered = math.prod(len(form.codomain) ** len(form.keys) for _i, form in lazy)
-        self.counted = 0
 
     def runs(self):
         return self.states
-
-    def count(self):
-        while self.counted < len(self):
-            self.covered //= len(self[self.counted][0].codomain)
-            self.counted += 1
-        return self.covered
 
     def failing(self, row, s):
         """The assignments of the current leaf, those that agree with
@@ -581,9 +572,6 @@ class _Trail(list):
             list.pop(self)
             view.digits[at] = None
             del view[key]
-            if self.counted > len(self):
-                self.counted = len(self)
-                self.covered *= len(view.codomain)
         return False
 
 
@@ -649,9 +637,6 @@ class _Draws(_Trail):
             split.setdefault(draw[1][-1], []).append(draw)
         for s, self.node in sorted(split.items()):
             yield s
-
-    def count(self):
-        return len(self.node)
 
     def failing(self, row, s):
         return self.node
@@ -777,9 +762,11 @@ def run_laws(subject_name: str, laws, equal,
     view built once per law, a dict of the assigned points that
     backtracking updates with the digits, so the nodes are visited depth
     first with no copies, every build, run and observation completes, and a
-    function is decoded only to compare, hash or print it.  ``checked``
-    counts the assignments (the draws, duplicates included) covered by the
-    leaves of the first part, exactly as many as plain enumeration (or
+    function is decoded only to compare, hash or print it.  Since the leaves
+    of a part partition the assignments, ``checked`` is known before the
+    walk: the product of the domain sizes when exhaustive (0 for a vacuous
+    law, 1 for a law with no quantifier), ``sample`` when sampled (the
+    draws, duplicates included), exactly as many as plain enumeration (or
     evaluating every draw) would evaluate.
 
     A failing leaf of any part contributes its assignments, or its draws in
@@ -807,11 +794,11 @@ def run_laws(subject_name: str, laws, equal,
         names = [name for name, _dom in law.quantifiers]
         mode, trail = _assignments(spaces, cap, sample, seed, law.pointwise)
         modes.add(mode)
-        runs, count, failing, backtrack = (
-            trail.runs, trail.count, trail.failing, trail.backtrack)
+        # the leaves of each part partition the assignments (the draws)
+        checked = math.prod(d.size for d in spaces) if mode == "exhaustive" else sample
+        runs, failing, backtrack = trail.runs, trail.failing, trail.backtrack
         lhs, rhs, pointwise = law.lhs, law.rhs, law.pointwise
         state = spaces[-1].decode if pointwise else None
-        checked = 0
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
         found = []
@@ -836,19 +823,14 @@ def run_laws(subject_name: str, laws, equal,
                             at = state(s)
                             x, y = left.run(at), right.run(at)
                         ran = len(trail)
-                        first = True
                         for part in parts:
                             while True:
-                                ok = part(x, y)
-                                if first:
-                                    checked += count()
-                                if not ok:
+                                if not part(x, y):
                                     for order, full in failing(row, s):
                                         if not _keep(found, order, full, max_witnesses):
                                             break
                                 if len(trail) == ran or not backtrack(ran):
                                     break
-                            first = False
                         if len(trail) == built or not backtrack(built):
                             break
                 if not trail or not backtrack(0):

@@ -27,6 +27,7 @@ from effectbx import (
     fst_lens,
     identity_bx,
     identity_family,
+    identity_lens,
     inv_bx,
     join_states,
     join_states_general,
@@ -86,6 +87,17 @@ def test_join_states_filters_by_middle_view():
     at_failure = identity_bx(failure_family(), BIT)
     with pytest.raises(EffectbxError, match="requires the identity effect"):
         join_states_general(at_failure, at_failure)
+
+
+def test_join_states_over_unhashable_states_matches_the_general_join():
+    # list states do not hash, so the read maps find a state's view by scan
+    lists = FiniteDomain("lists", ([], [0], [1], [0, 1]))
+    fam = identity_family()
+    bx1 = lens_to_bx(identity_lens(), lists, lists, fam, name="lists")
+    bx2 = identity_bx(fam, lists)
+    composed = compose(bx1, bx2)
+    assert composed.state_domain == join_states_general(bx1, bx2)
+    assert composed.state_domain.elements == tuple((s, s) for s in lists)
 
 
 def test_compose_seven_laws_and_transparency():

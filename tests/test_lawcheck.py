@@ -311,15 +311,20 @@ def test_finite_domain_checks_unhashable_elements_pairwise():
     assert len(FiniteDomain("lists", ([0], [1], []))) == 3
 
 
-def test_vacuous_quantification_passes_with_zero_checks():
+@pytest.mark.parametrize("limits", [{}, {"cap": 0}, {"sample": None}],
+                         ids=["default", "cap0", "no-sample"])
+def test_vacuous_quantification_passes_with_zero_checks(limits):
+    # an empty space makes the product 0, which no cap is below: the law is
+    # exhaustive, checks nothing and never needs a sample
     law = Law(
         "vacuous",
         [("x", ())],
         lambda e: 1 / 0,  # never evaluated
         lambda e: 0,
     )
-    report = run_laws("demo", [law], lambda a, b: a == b)
-    assert report.ok and report.law("vacuous").checked == 0
+    report = run_laws("demo", [law], lambda a, b: a == b, **limits)
+    assert report.ok and report.mode == "exhaustive"
+    assert report.law("vacuous").checked == 0
 
 
 # demand-driven exhaustive checking: a function quantifier is assigned only
@@ -808,23 +813,27 @@ def test_sampled_d3_associativity_walks_its_draws_in_pinned_evaluations(
         assert max(builds, runs, *observations) <= 400
 
 
+@pytest.mark.parametrize("options", [{}, {"cap": 0, "seed": 4}], ids=["default", "cap0-seed4"])
 def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks(
-        monkeypatch):
+        monkeypatch, options):
     # each evaluation of the walk covers at least one assignment, and an
     # exhaustive pointwise law with no function quantifier builds its lhs
     # once per assignment of the other quantifiers and runs it once per
     # assignment; the witnesses, evaluated again from their indices, are
-    # not part of either
-    walks, at_every_state = [], []
+    # not part of either.  The leaves partition the space walked, so
+    # ``checked`` is its size: the product of the domain sizes when
+    # exhaustive, the 400 draws when sampled
+    walks, at_every_state, sizes = [], [], []
 
     def counting_run_laws(subject, laws, equal, cap=None, **kwargs):
         laws, counts = list(laws), collections.Counter()
         report = run_laws(subject, [_counting_sides(law, counts) for law in laws],
                           equal, cap=cap, **kwargs)
-        limit = DEFAULT_CAP if cap is None else cap
         for law, result in zip(laws, report.laws):
             spaces = [_as_space(dom) for _name, dom in law.quantifiers]
-            if math.prod(d.size for d in spaces) > limit:
+            size = math.prod(d.size for d in spaces)
+            sizes.append((subject, law.name, result.mode, size, result.checked))
+            if result.mode != "exhaustive":
                 continue
             witnesses = len(result.failures)
             builds = counts[law.name, "lhs", "builds"] - witnesses
@@ -839,10 +848,19 @@ def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks
     for name, module in list(sys.modules.items()):
         if name.startswith("effectbx.") and getattr(module, "run_laws", None) is run_laws:
             monkeypatch.setattr(module, "run_laws", counting_run_laws)
-    assert run_monad_suite()["ok"] and run_state_suite()["ok"] and run_corpus()["ok"]
-    assert len(walks) > 100 and len(at_every_state) > 100
+    assert (run_monad_suite(**options)["ok"] and run_state_suite(**options)["ok"]
+            and run_corpus(**options)["ok"])
     assert [w for w in walks if w[2] > w[3]] == []
     assert [w for w in at_every_state if not w[2] == w[3] == w[4]] == []
+    exhaustive = [size for size in sizes if size[2] == "exhaustive"]
+    sampled = [size for size in sizes if size[2] != "exhaustive"]
+    assert [size for size in exhaustive if size[3] != size[4]] == []
+    assert [size for size in sampled if size[4] != 400] == []
+    if options:
+        # every law with a nonempty space of at least one quantifier is sampled
+        assert len(sampled) > 100 and {size[4] for size in exhaustive} <= {0, 1}
+    else:
+        assert len(walks) > 100 and len(at_every_state) > 100
 
 
 # the live view itself: a dict of the points assigned so far, read by
