@@ -20,11 +20,10 @@ with the points it read, so the leaves of the walk partition the assignments,
 and a report's ``checked`` is their number, the product of the quantifiers'
 sizes (when sampled, the number of draws), not the evaluations made: it reads
 as if every assignment had been evaluated.  A function into a space of
-functions (a continuation whose
-values are reader or state-transformer values) is curried: its points are
-pairs of an outer and an inner argument, so the runner branches on one inner
-point at a time, and a law sees it as a live view whose every point is fixed
-to the live view of its section.
+functions (a continuation whose values are reader or state-transformer
+values) is curried: its points are pairs of an outer and an inner argument,
+so the runner branches on one inner point at a time, and a law sees it as a
+live view whose every point is fixed to the live view of its section.
 
 The branching is a depth-first walk over one digit vector per function
 quantifier, the candidate vector of Korat (Boyapati, Khurshid & Marinov,
