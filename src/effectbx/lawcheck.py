@@ -62,11 +62,23 @@ takes every codomain digit and every state, and a leaf covers the cube of
 assignments that agree with it.  Every row walks, a row with no function
 quantifier as one leaf that reads nothing.  A failing row is kept as its
 indices and evaluated again from their decoded values to become a witness.
+
+A failing law stops at its last witness, as QuickCheck (Claessen & Hughes,
+2000) stops at its first counterexample.  A report keeps the first
+``max_witnesses`` failures in enumeration order (by draw position, when
+sampled), and every order in a row is at least the row's lowest: its
+indices with 0 at each walked position, or the position of its first draw.
+That bound grows from row to row, so once as many failures are kept and
+the next row's bound is not below the last of them, no later assignment
+can be a witness, and the walk stops before that row.  ``checked`` is still
+the size of the space the verdict covers, and the witnesses are those that
+walking all of it would give; a law that passes walks all of it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -141,6 +153,12 @@ class FiniteDomain:
     def __repr__(self):
         return f"FiniteDomain({self.name}, {list(self.elements)!r})"
 
+    @functools.cached_property
+    def _space(self):
+        """The domain as a ``Space``, built once per domain, not once per
+        law that quantifies over it."""
+        return Space(len(self.elements), self.elements.__getitem__)
+
 
 class FiniteFunction:
     """A function given by its finite graph; hashable and printable so it can
@@ -199,17 +217,35 @@ class FunctionForm:
     wrap: Callable[[Any], Any]
 
 
-@dataclass(frozen=True)
 class Space:
     """A finite domain addressed by index: ``decode(i)`` builds element
     ``i < size`` on demand, so a space may exceed memory (or ``sys.maxsize``:
     use ``size``, not ``len``).  Iteration is in index order.  A space of
     functions also carries its ``functions`` form, which lets ``run_laws``
-    assign a function one point at a time."""
+    assign a function one point at a time.  A space is immutable by
+    convention; the class has slots and a plain ``__init__``, and repr,
+    equality and hash are those of a frozen dataclass over ``(size, decode,
+    functions)``."""
 
-    size: int
-    decode: Callable[[int], Any]
-    functions: Optional[FunctionForm] = None
+    __slots__ = ("size", "decode", "functions")
+
+    def __init__(self, size: int, decode: Callable[[int], Any],
+                 functions: Optional[FunctionForm] = None):
+        self.size = size
+        self.decode = decode
+        self.functions = functions
+
+    def __repr__(self):
+        return f"Space(size={self.size!r}, decode={self.decode!r}, functions={self.functions!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.decode, self.functions) == (other.size, other.decode,
+                                                            other.functions)
+
+    def __hash__(self):
+        return hash((self.size, self.decode, self.functions))
 
     def __len__(self):
         return self.size
@@ -366,16 +402,34 @@ class Witness:
         return {"inputs": self.inputs, "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
 class LawResult:
     """One law's verdict: ``mode`` is how this law was checked, as a
     report's ``mode`` reads for a report of this law alone; only the
-    report's ``mode`` is serialised."""
+    report's ``mode`` is serialised.  A result is immutable by convention;
+    the class has slots and a plain ``__init__``, and repr, equality and
+    hash are those of a frozen dataclass over ``(name, checked, failures,
+    mode)``."""
 
-    name: str
-    checked: int
-    failures: tuple
-    mode: str = "exhaustive"
+    __slots__ = ("name", "checked", "failures", "mode")
+
+    def __init__(self, name: str, checked: int, failures: tuple, mode: str = "exhaustive"):
+        self.name = name
+        self.checked = checked
+        self.failures = failures
+        self.mode = mode
+
+    def __repr__(self):
+        return (f"LawResult(name={self.name!r}, checked={self.checked!r}, "
+                f"failures={self.failures!r}, mode={self.mode!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.checked, self.failures, self.mode)
+                == (other.name, other.checked, other.failures, other.mode))
+
+    def __hash__(self):
+        return hash((self.name, self.checked, self.failures, self.mode))
 
     @property
     def ok(self):
@@ -439,6 +493,8 @@ class LawReport:
 def _as_space(values) -> Space:
     if isinstance(values, Space):
         return values
+    if isinstance(values, FiniteDomain):
+        return values._space
     values = tuple(values)
     return Space(len(values), values.__getitem__)
 
@@ -517,14 +573,16 @@ class _Trail(list):
     per function quantifier, None where unassigned, and ``states`` the
     state indices of a pointwise law.
 
-    The walk asks a trail three things, and a ``_Draws`` trail answers them
+    The walk asks a trail four things, and a ``_Draws`` trail answers them
     for sampled draws: ``runs()``, the state indices a pointwise leaf of the
     build runs at (all of them); ``failing(row, s)``, the assignments the
     current leaf covers at state ``s`` (those that agree with every point
-    assigned), as the ``(order, indices)`` pairs ``_keep`` takes; and
+    assigned), as the ``(order, indices)`` pairs ``_keep`` takes;
     ``backtrack(mark)``, which gives the deepest point above depth ``mark``
     that has a value left its next codomain value, undoing the points after
-    it, and is False when it has undone every point above ``mark``."""
+    it, and is False when it has undone every point above ``mark``; and
+    ``lowest(row)``, the lowest order of the row's assignments, which grows
+    from row to row."""
 
     __slots__ = ("rows", "lazy", "digits", "states")
 
@@ -536,6 +594,11 @@ class _Trail(list):
 
     def runs(self):
         return self.states
+
+    def lowest(self, row):
+        """The lowest order of the assignments of ``row``: its indices with
+        0 at each walked position."""
+        return tuple(0 if i is None else i for i in row)
 
     def failing(self, row, s):
         """The assignments of the current leaf, those that agree with
@@ -640,6 +703,10 @@ class _Draws(_Trail):
     def failing(self, row, s):
         return self.node
 
+    def lowest(self, row):
+        """The position of the row's first draw, once the row is entered."""
+        return self.node[0][0]
+
     def backtrack(self, mark):
         while len(self) > mark:
             following = next(self.branches[-1][0], None)
@@ -669,7 +736,9 @@ def _keep(found, order, indices, limit):
 
 
 def _assignments(spaces, cap, sample, seed, pointwise):
-    """The mode of a law over ``spaces`` and the trail of its walk, whose
+    """The mode of a law over ``spaces``, the size of the space its verdict
+    covers (the product of the sizes, or ``sample``: the leaves of each part
+    of the equality partition it) and the trail of its walk, whose
     rows hold one index per space, None at each function space (the walk
     assigns those point by point) and, for a ``pointwise`` law, at the last
     space, the states, which a row runs inside itself.  When there are at
@@ -682,19 +751,20 @@ def _assignments(spaces, cap, sample, seed, pointwise):
     walked = [i for i, _form in lazy]
     if pointwise:
         walked.append(len(spaces) - 1)
-    total = math.prod(d.size for d in spaces)
+    sizes = [d.size for d in spaces]
+    total = math.prod(sizes)
     if total == 0:  # vacuous quantification: build no other space
-        return "exhaustive", _Trail(iter(()), lazy)
+        return "exhaustive", 0, _Trail(iter(()), lazy)
     if not spaces or total <= cap:
-        ranges = [range(d.size) for d in spaces]
+        ranges = list(map(range, sizes))
         for i in walked:
             ranges[i] = (None,)
-        states = range(spaces[-1].size) if pointwise else range(0)
-        return "exhaustive", _Trail(itertools.product(*ranges), lazy, states)
+        states = range(sizes[-1]) if pointwise else range(0)
+        return "exhaustive", total, _Trail(itertools.product(*ranges), lazy, states)
     if sample is None:
         raise DomainTooLarge(f"{total} assignments exceeds cap {cap}")
     draws = _draws(spaces, sample, seed)
-    return f"sampled(n={sample},seed={seed})", _Draws(draws, lazy, walked)
+    return f"sampled(n={sample},seed={seed})", sample, _Draws(draws, lazy, walked)
 
 
 def _draws(spaces, sample, seed):
@@ -775,6 +845,17 @@ def run_laws(subject_name: str, laws, equal,
     values; the walk itself never calls ``Law.evaluate``.  Output ordering
     is deterministic: laws in given order, witnesses in enumeration order
     (or in seeded sample order).
+
+    A law stops before a row once ``max_witnesses`` failures are kept and
+    the row's lowest order, which the trail's ``lowest(row)`` gives (the
+    row's indices with 0 at each walked position when exhaustive, the
+    position of its first draw when sampled), is not below the last one
+    kept: no assignment of that row or of a later one can come before it.
+    The report is the one that walking every row would give, ``checked``
+    included, which is the size of the space the verdict covers, not the
+    assignments evaluated.  An assignment past the stop is never evaluated,
+    so an exception its sides would raise is not raised; one raised before
+    the stop propagates.
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -791,11 +872,10 @@ def run_laws(subject_name: str, laws, equal,
     for law in laws:
         spaces = [_as_space(dom) for _name, dom in law.quantifiers]
         names = [name for name, _dom in law.quantifiers]
-        mode, trail = _assignments(spaces, cap, sample, seed, law.pointwise)
+        mode, checked, trail = _assignments(spaces, cap, sample, seed, law.pointwise)
         modes.add(mode)
-        # the leaves of each part partition the assignments (the draws)
-        checked = math.prod(d.size for d in spaces) if mode == "exhaustive" else sample
-        runs, failing, backtrack = trail.runs, trail.failing, trail.backtrack
+        runs, failing, backtrack, lowest = (trail.runs, trail.failing, trail.backtrack,
+                                             trail.lowest)
         lhs, rhs, pointwise = law.lhs, law.rhs, law.pointwise
         state = spaces[-1].decode if pointwise else None
         # the first failing assignments as (order, indices): the order is the
@@ -807,6 +887,10 @@ def run_laws(subject_name: str, laws, equal,
                for (i, form), vector in zip(trail.lazy, trail.digits)}
         previous = (None,) * len(spaces)
         for row in trail.rows:
+            # the witnesses are settled once no assignment of this row, nor
+            # of a later row, can come before the last failure kept
+            if len(found) >= max_witnesses and lowest(row) >= found[-1][0]:
+                break
             for name, d, i, was in zip(names, spaces, row, previous):
                 if i != was:
                     env[name] = d.decode(i)
@@ -814,13 +898,15 @@ def run_laws(subject_name: str, laws, equal,
             # one loop per stage, over the leaves of the points it reads: those
             # the trail holds above the depth at which the stage began
             while True:
-                x, y = left, right = lhs(env), rhs(env)
+                x, y = lhs(env), rhs(env)
+                if pointwise:
+                    left, right = x.run, y.run
                 built = len(trail)
                 for s in runs() if pointwise else (None,):
                     while True:
                         if pointwise:
                             at = state(s)
-                            x, y = left.run(at), right.run(at)
+                            x, y = left(at), right(at)
                         ran = len(trail)
                         for part in parts:
                             while True:

@@ -3,8 +3,9 @@ many scripts, the flattened composers bx, a hand-rolled re-evaluation of
 every per-bx suite of the corpus and of the suites with function-valued
 quantifiers, the runner's per-state loop for pointwise laws against its
 row-by-row walk, its part-by-part walk of a conjunction against the
-joint walk of the same equality as one part, and its walk over sampled
-draws against evaluating each draw."""
+joint walk of the same equality as one part, its walk over sampled
+draws against evaluating each draw, and a failing law's stop at its last
+witness against walking it to the end."""
 
 import dataclasses
 import itertools
@@ -19,7 +20,9 @@ import pytest
 from effectbx import (
     NOTHING,
     SUITES,
+    Conjunction,
     FiniteDomain,
+    FiniteFunction,
     bx_to_symlens,
     check_lift_morphism,
     check_monad_laws,
@@ -459,3 +462,53 @@ def test_a_sampled_side_that_raises_raises_as_its_draw_does():
     for runner in (run_laws, _per_draw):
         with pytest.raises(ZeroDivisionError):
             runner("divides", [law], operator.eq, cap=3)
+
+
+# a failing law stops before a row whose lowest order cannot come before its
+# last witness; the same law walked to the end, with room for every failure
+# and its report cut to the first ones, is the reference
+
+D3 = FiniteDomain("d3", (0, 1, 2))
+
+
+def _stopping_cases():
+    """Failing laws by name, each with its equality and ``run_laws``
+    options, and at least four failures."""
+    ident = identity_family()
+    functions = [("f", enumerate_functions(D3, BIT)), ("x", D3)]
+    constant = [FiniteFunction(D3.elements, (x % 2,) * 3) for x in D3]
+    return {
+        "plain": (Law("plain", [("x", D3), ("y", D3)],
+                      lambda e: e["x"] + e["y"], lambda e: e["x"] * e["y"]), operator.eq, {}),
+        "pointwise": (pointwise(
+            "pointwise", [("x", D3)], D3,
+            lambda e: stateful.Stateful(ident, lambda s, x=e["x"]: ((x + s) % 2, s)),
+            lambda e: stateful.st_unit(ident, 0)), operator.eq, {}),
+        # the rows of x = 1 and 2 hold lower orders than the third failure
+        # at x = 0
+        "function-first": (Law("function-first", functions,
+                               lambda e: e["f"](e["x"]), lambda e: 0), operator.eq, {}),
+        # the first part holds everywhere; the second fails where f(2) != x % 2
+        "conjunction": (Law("conjunction", functions, lambda e: e["f"],
+                            lambda e: constant[e["x"]]),
+                        Conjunction([lambda a, b: a(0) == a(0), lambda a, b: a(2) == b(2)]),
+                        {}),
+        # 81 assignments and 400 draws, so some are drawn twice; a draw fails
+        # one time in three, so a later row's failures come before the first
+        # row's third
+        "sampled": (Law("sampled", [("f", enumerate_functions(D3, D3)), ("x", D3)],
+                        lambda e: min(e["f"](e["x"]), 1), lambda e: 1), operator.eq,
+                    {"cap": 5}),
+    }
+
+
+@pytest.mark.parametrize("limit", [1, 3])
+@pytest.mark.parametrize("case", list(_stopping_cases()))
+def test_a_failing_law_reports_the_first_failures_of_its_whole_walk(case, limit):
+    law, equal, options = _stopping_cases()[case]
+    every, = run_laws(case, [law], equal, max_witnesses=10 ** 9, **options).laws
+    result, = run_laws(case, [law], equal, max_witnesses=limit, **options).laws
+    assert len(every.failures) > 3
+    assert (result.checked, result.mode) == (every.checked, every.mode)
+    assert ([w.to_dict() for w in result.failures]
+            == [w.to_dict() for w in every.failures[:limit]])

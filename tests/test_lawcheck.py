@@ -768,9 +768,27 @@ def test_a_failing_sampled_law_costs_its_draws_and_witnesses(monkeypatch):
     assert report.mode == "sampled(n=400,seed=0)"
     assert result.checked == 400 and len(result.failures) == 3
     # one build per leaf of the walk over the draws, where the draws that
-    # agree at f(x) share one, then one per witness, which alone evaluates
-    assert counts["zero-at-x", "lhs", "builds"] == 226 + 3
+    # agree at f(x) share one, up to the first row whose first draw comes
+    # after the third witness, then one per witness, which alone evaluates
+    assert counts["zero-at-x", "lhs", "builds"] == 76 + 3
     assert evaluations == {"zero-at-x": 3}
+
+
+def test_a_side_that_raises_past_the_last_witness_is_never_evaluated():
+    # rows 0 to 3 fail and row 4 divides by zero: the third failure settles
+    # the witnesses, so the walk stops before row 3
+    law = Law("late", [("x", range(5))], lambda e: 1 // (e["x"] - 4), lambda e: 0)
+    result = run_laws("demo", [law], operator.eq).law("late")
+    assert result.checked == 5
+    assert [w.inputs for w in result.failures] == [{"x": "0"}, {"x": "1"}, {"x": "2"}]
+    with pytest.raises(ZeroDivisionError):
+        run_laws("demo", [law], operator.eq, max_witnesses=5)
+
+
+def test_a_side_that_raises_before_the_last_witness_raises():
+    law = Law("early", [("x", range(5))], lambda e: 1 // (e["x"] - 2), lambda e: 0)
+    with pytest.raises(ZeroDivisionError):
+        run_laws("demo", [law], operator.eq)
 
 
 SIZES = (1, 2, 3, 255, 256, 257, 300 ** 8)
@@ -781,7 +799,7 @@ def test_sampled_indices_are_drawn_as_randrange_draws_them(seed):
     # cap 0 samples every nonempty product
     for size in SIZES:
         rng = random.Random(seed)
-        mode, _trail = _assignments([Space(size, None)], 0, 50, seed, False)
+        mode, _checked, _trail = _assignments([Space(size, None)], 0, 50, seed, False)
         assert mode == f"sampled(n=50,seed={seed})"
         assert list(_draws([Space(size, None)], 50, seed)) == [
             (rng.randrange(size),) for _ in range(50)]
@@ -816,13 +834,13 @@ def test_sampled_d3_associativity_walks_its_draws_in_pinned_evaluations(
 @pytest.mark.parametrize("options", [{}, {"cap": 0, "seed": 4}], ids=["default", "cap0-seed4"])
 def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks(
         monkeypatch, options):
-    # each evaluation of the walk covers at least one assignment, and an
-    # exhaustive pointwise law with no function quantifier builds its lhs
-    # once per assignment of the other quantifiers and runs it once per
-    # assignment; the witnesses, evaluated again from their indices, are
-    # not part of either.  The leaves partition the space walked, so
-    # ``checked`` is its size: the product of the domain sizes when
-    # exhaustive, the 400 draws when sampled
+    # each evaluation of the walk covers at least one assignment, and a
+    # passing exhaustive pointwise law with no function quantifier builds
+    # its lhs once per assignment of the other quantifiers and runs it once
+    # per assignment; the witnesses, evaluated again from their indices, are
+    # not part of either.  ``checked`` is the size of the space the verdict
+    # covers: the product of the domain sizes when exhaustive, the 400 draws
+    # when sampled, also for a failing law that stops at its last witness
     walks, at_every_state, sizes = [], [], []
 
     def counting_run_laws(subject, laws, equal, cap=None, **kwargs):
@@ -842,7 +860,7 @@ def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks
             walks.append((subject, law.name, evaluations, result.checked))
             if law.pointwise and not any(d.functions for d in spaces):
                 at_every_state.append((subject, law.name, builds * spaces[-1].size,
-                                       evaluations, result.checked))
+                                       evaluations, result.checked, result.ok))
         return report
 
     for name, module in list(sys.modules.items()):
@@ -851,7 +869,26 @@ def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks
     assert (run_monad_suite(**options)["ok"] and run_state_suite(**options)["ok"]
             and run_corpus(**options)["ok"])
     assert [w for w in walks if w[2] > w[3]] == []
-    assert [w for w in at_every_state if not w[2] == w[3] == w[4]] == []
+    assert [w for w in at_every_state if w[5] and not w[2] == w[3] == w[4]] == []
+    # a failing law stops before the first row that cannot come before its
+    # last witness: (builds times states, runs, checked) per failing law
+    failing = {w[:2]: w[2:5] for w in at_every_state if not w[5]}
+    if not options:
+        assert failing == {
+            ("log(identity):overwritable", "set_l-set_l"): (8, 8, 8),
+            ("log(identity):overwritable", "set_r-set_r"): (8, 8, 8),
+            ("mutant-get_l-get_l", "get_l-get_l"): (4, 4, 4),
+            ("mutant-get_l-get_r", "get_l-get_r"): (4, 4, 4),
+            ("mutant-get_l-set_l", "get_l-set_l"): (8, 8, 8),
+            ("mutant-get_r-get_r", "get_r-get_r"): (4, 4, 4),
+            ("mutant-get_r-set_r", "get_r-set_r"): (8, 8, 8),
+            ("mutant-lens-vu", "get_r-set_r"): (4, 4, 4),
+            ("mutant-set_l-get_l", "set_l-get_l"): (8, 8, 8),
+            ("mutant-set_r-get_r", "set_r-get_r"): (8, 8, 8),
+            ("mutant-unstable:stability", "stable-set_l-first"): (16, 16, 16),
+            ("pair(log(identity),log(identity)):overwritable", "set_l-set_l"): (12, 12, 64),
+            ("pair(log(identity),log(identity)):overwritable", "set_r-set_r"): (12, 12, 64),
+        }
     exhaustive = [size for size in sizes if size[2] == "exhaustive"]
     sampled = [size for size in sizes if size[2] != "exhaustive"]
     assert [size for size in exhaustive if size[3] != size[4]] == []
