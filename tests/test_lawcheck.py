@@ -786,6 +786,7 @@ def test_a_side_that_raises_past_the_last_witness_is_never_evaluated():
 
 
 def test_a_side_that_raises_before_the_last_witness_raises():
+    # rows 0 and 1 fail, and row 2 divides by zero before a third failure
     law = Law("early", [("x", range(5))], lambda e: 1 // (e["x"] - 2), lambda e: 0)
     with pytest.raises(ZeroDivisionError):
         run_laws("demo", [law], operator.eq)
