@@ -11,7 +11,7 @@ from .effects import EffectFamily, identity_family, require_identity
 from .errors import NoInitializers, UnobservableEffect
 from .lawcheck import FiniteDomain, Law, LawReport, pointwise, run_laws
 from .lenses import Lens
-from .stateful import Stateful, get_set_laws, st_get, st_gets, st_set, st_unit
+from .stateful import Stateful, get_set_laws, st_get, st_gets, st_set, then_cont, unit_cont
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -160,7 +160,9 @@ def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
 def _read_map(fam, getter, dom, states, views):
     """The read map of a transparent side: the view at each of ``states``,
     found in a table built once when the states hash, else (or when the
-    table misses) by ``tuple.index``, so by ``==``, never by repr."""
+    table misses) by ``tuple.index``, so by ``==``, never by repr.  A view
+    found on a miss is stored in the table when the state hashes, so each
+    state is looked up once."""
     try:
         table = dict(zip(states, views))
     except TypeError:  # unhashable states: every read scans
@@ -169,18 +171,22 @@ def _read_map(fam, getter, dom, states, views):
     def read(s):
         try:
             return table[s]
-        except (KeyError, TypeError):
-            pass
+        except KeyError:
+            hashes = True
+        except TypeError:
+            hashes = False
         try:
-            return views[states.index(s)]
+            view = views[states.index(s)]
         except ValueError:
-            pass
-        # states reached outside the declared domain still resolve, as long
-        # as the get stays a pure query there
-        fresh = _extract_pure(fam, getter, s, dom)
-        if fresh is None:
-            raise UnobservableEffect(f"get is not a pure query at state {s!r}")
-        return fresh[0]
+            # states reached outside the declared domain still resolve, as
+            # long as the get stays a pure query there
+            fresh = _extract_pure(fam, getter, s, dom)
+            if fresh is None:
+                raise UnobservableEffect(f"get is not a pure query at state {s!r}") from None
+            view = fresh[0]
+        if hashes:
+            table[s] = view
+        return view
 
     return read
 
@@ -222,20 +228,23 @@ def consistent_pairs(bx: Bx):
 
 
 def stability_laws(bx: Bx):
-    """Every consistent pair survives its two sets, in either order."""
+    """Every consistent pair survives its two sets, in either order: both
+    sides begin with the two sets, then get a view or return it."""
     pairs = consistent_pairs(bx)
+    fam = bx.effect
+    get_l_after, get_r_after = then_cont(bx.get_l), then_cont(bx.get_r)
     return [
         pointwise(
             "stable-set_l-first", [("p", pairs)], bx.state_domain,
-            lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1])).then(bx.get_l),
-            lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1]))
-            .then(st_unit(bx.effect, e["p"][0])),
+            lambda e: get_l_after,
+            lambda e: unit_cont(fam, e["p"][0]),
+            first=lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1])),
         ),
         pointwise(
             "stable-set_r-first", [("p", pairs)], bx.state_domain,
-            lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0])).then(bx.get_r),
-            lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0]))
-            .then(st_unit(bx.effect, e["p"][1])),
+            lambda e: get_r_after,
+            lambda e: unit_cont(fam, e["p"][1]),
+            first=lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0])),
         ),
     ]
 

@@ -28,8 +28,9 @@ live view whose every point is fixed to the live view of its section.
 The branching is a depth-first walk over one digit vector per function
 quantifier, the candidate vector of Korat (Boyapati, Khurshid & Marinov,
 2002), which also supplies its access list: a law sees a live view of the
-vector, a dict of the points assigned so far that it calls by
-``dict.__getitem__``, so reading an assigned point runs no Python code; a
+vector, built once per law, a dict of the points assigned so far that it
+calls by ``dict.__getitem__``, so reading an assigned point runs no Python
+code (any other read answers as the decoded function does); a
 first read of a point falls to ``__missing__``, which gives it the first
 codomain value in place and appends it to a trail shared by the law's views,
 and backtracking to a depth of the trail gives the deepest point above it
@@ -49,6 +50,17 @@ reads.  Each loop repeats its stage until backtracking to the depth at which
 the stage began finds no point above it with a value left, so a stage that
 read nothing runs once.  Checking every context of every assignment as every
 assignment of every context is sound for a conjunction.
+
+A pointwise law whose sides begin with the same computation, as most of
+the paper's laws do (``set a >> get`` against ``set a >> return a``), names
+it ``first`` (see ``pointwise``), and its sides build the continuations
+that follow it.  The build stage builds ``first`` and both continuations,
+and the run stage runs ``first`` once at the state and binds both
+continuations on that one result with ``first``'s family's ``bind``.  The
+sides are compared as effect values and a run is a function of its state,
+so both sides see what each would have computed alone; nothing is shared
+across states or rows.  ``Law.evaluate`` does the same at ``env["s"]``, so
+the walk and a witness read one statement of the law.
 
 A sampled law takes the same walk over its draws: only the trail tells the
 two modes apart.  The draws are grouped by their plain indices, those of
@@ -73,6 +85,10 @@ the next row's bound is not below the last of them, no later assignment
 can be a witness, and the walk stops before that row.  ``checked`` is still
 the size of the space the verdict covers, and the witnesses are those that
 walking all of it would give; a law that passes walks all of it.
+
+The walk assumes what plain enumeration does not: that a side is a
+function of the points it reads, that a run is a function of its state,
+and that each part of the equality is a function of its arguments.
 """
 
 from __future__ import annotations
@@ -298,7 +314,7 @@ def enumerate_functions(dom: FiniteDomain, cod) -> Space:
                                         g.start + j * width))
             for j in range(len(keys)))
         outer = _PartialFunction(keys, sections, list(range(len(keys))), g.trail)
-        outer.update(zip(keys, sections))
+        dict.update(outer, zip(keys, sections))
         return outer
 
     pairs = tuple((k, x) for k in keys for x in inner.keys)
@@ -326,7 +342,8 @@ class Law:
     compare (usually effect values); the law's subject is whatever they
     close over.  A ``pointwise`` law (see ``pointwise``) has a last
     quantifier ``s``, and its sides return computations that ``evaluate``
-    runs at ``env["s"]``.
+    runs at ``env["s"]``, or, when it has a ``first``, continuations that
+    ``evaluate`` binds on the run of ``first(env)`` at ``env["s"]``.
     """
 
     name: str
@@ -334,35 +351,46 @@ class Law:
     lhs: Callable[[dict], Any]
     rhs: Callable[[dict], Any]
     pointwise: bool = False
+    first: Optional[Callable[[dict], Any]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "quantifiers", tuple(self.quantifiers))
+        if self.first is not None and not self.pointwise:
+            raise ValueError(f"law {self.name!r} has a first computation but is not pointwise")
 
     def evaluate(self, env):
         """Both sides at the one assignment ``env``, run at ``env["s"]`` when
-        the law is pointwise: the reference that a witness, ``run_corpus``'s
-        recheck and the tests' oracles evaluate.  ``run_laws`` walks its rows
-        without it."""
-        if self.pointwise:
-            s = env["s"]
+        the law is pointwise, each bound on the one run of ``first(env)``
+        when it has a ``first``: the reference that a witness,
+        ``run_corpus``'s recheck and the tests' oracles evaluate.
+        ``run_laws`` walks its rows without it."""
+        if not self.pointwise:
+            return self.lhs(env), self.rhs(env)
+        s = env["s"]
+        if self.first is None:
             return self.lhs(env).run(s), self.rhs(env).run(s)
-        return self.lhs(env), self.rhs(env)
+        start = self.first(env)
+        left, right = self.lhs(env), self.rhs(env)
+        ran = start.run(s)
+        bind = start.effect.bind
+        return bind(ran, left), bind(ran, right)
 
 
-def pointwise(name, quantifiers, states, lhs, rhs) -> Law:
+def pointwise(name, quantifiers, states, lhs, rhs, first=None) -> Law:
     """A law between two computations observed at every state: it compares
     ``lhs(e).run(s)`` with ``rhs(e).run(s)`` over ``[*quantifiers, ("s",
     states)]``, where ``lhs`` and ``rhs`` build the computations (``Stateful``
     values) from the other quantifiers alone, reading them while they build.
-    Each side is built from an env without ``s`` once per row, an assignment
-    of ``quantifiers`` (once per leaf of the points read while building,
-    when one is a function), and run inside the row, and each part of the
-    equality (see ``Conjunction``) observes each run.  Checked exhaustively,
-    a row runs at every state; sampled, ``s`` is drawn with the others, the
-    draws are grouped into rows by the other quantifiers, and a row runs at
-    each state drawn with it.  Only a witness builds and runs both sides
-    with ``Law.evaluate``."""
-    return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True)
+
+    When both sides begin with the same computation, ``first`` builds it
+    (a ``Stateful``), and ``lhs`` and ``rhs`` build each side's
+    continuation instead: a function of ``first``'s ``(value, state)``
+    pair, as ``Stateful.bind``'s continuation is, that returns an effect
+    value.  The law then compares ``bind(m.run(s), lhs(e))`` with
+    ``bind(m.run(s), rhs(e))``, where ``m = first(e)`` and ``bind`` is
+    ``m.effect.bind``, so ``first`` runs once per state for both sides.
+    The walk is described in the module docstring."""
+    return Law(name, (*quantifiers, ("s", states)), lhs, rhs, pointwise=True, first=first)
 
 
 class Conjunction:
@@ -499,6 +527,15 @@ def _as_space(values) -> Space:
     return Space(len(values), values.__getitem__)
 
 
+def _absent(name):
+    """A class attribute that reads as the attribute ``name``, which a
+    ``FiniteFunction`` lacks, reads on one: it raises ``AttributeError``."""
+    def absent(_view):
+        raise AttributeError(f"'FiniteFunction' object has no attribute {name!r}")
+
+    return property(absent)
+
+
 class _PartialFunction(dict):
     """The live view of a function quantifier that ``run_laws`` assigns
     point by point: a dict of the points assigned so far, so that a call,
@@ -518,11 +555,44 @@ class _PartialFunction(dict):
     decoded ``FiniteFunction``, so a view compares, hashes and prints as the
     element ``decode`` picks, and a view is true even with no point
     assigned.  A key outside the domain raises ``KeyError`` as
-    ``FiniteFunction`` does."""
+    ``FiniteFunction`` does.
+
+    Every other read answers as on the decoded function: ``keys`` and
+    ``values`` are its tuples (``values`` reads every point), ``dict``'s
+    other methods raise ``AttributeError``, and iteration, ``in``, ``len``,
+    ``reversed`` and subscription raise ``TypeError``, so a law that
+    reads a function another way than by calling it fails as it would on
+    the decoded value, not silently on the points read so far.  Item
+    assignment and deletion stay ``dict``'s, which the walk writes
+    through; it reads and fills a view by ``dict``'s own methods."""
 
     __slots__ = ("domain", "codomain", "digits", "trail", "start")
 
     __call__ = dict.__getitem__
+    (get, items, copy, pop, popitem, setdefault, update, clear,
+     fromkeys) = map(_absent, ("get", "items", "copy", "pop", "popitem", "setdefault",
+                               "update", "clear", "fromkeys"))
+    __reversed__ = None
+
+    @property
+    def keys(self):
+        return self.domain
+
+    @property
+    def values(self):
+        return tuple(map(self, self.domain))
+
+    def __iter__(self):
+        raise TypeError("'FiniteFunction' object is not iterable")
+
+    def __contains__(self, _x):
+        raise TypeError("argument of type 'FiniteFunction' is not iterable")
+
+    def __len__(self):
+        raise TypeError("object of type 'FiniteFunction' has no len()")
+
+    def __getitem__(self, _x):
+        raise TypeError("'FiniteFunction' object is not subscriptable")
 
     def __init__(self, domain, codomain, digits, trail, start=0):
         self.domain = domain
@@ -547,7 +617,7 @@ class _PartialFunction(dict):
         return value
 
     def _decoded(self):
-        return FiniteFunction(self.domain, tuple(map(self, self.domain)))
+        return FiniteFunction(self.domain, self.values)
 
     def __eq__(self, other):
         return self._decoded() == other
@@ -790,72 +860,30 @@ def run_laws(subject_name: str, laws, equal,
 
     ``equal`` compares both sides; a ``Conjunction`` (a family's equality
     over its ``enumerate_contexts``) is walked part by part, and one with
-    no parts, which always holds, as one part.  Each
+    no parts always holds.  Each
     quantifier's domain is taken as a ``Space`` (a tuple of its elements
     unless it is one already).  A law with at most ``cap`` assignments (the
     product of the domain sizes) is checked exhaustively; one with more is
     checked on ``sample`` seeded draws instead, function-valued quantifiers
-    included.  ``cap=None`` means the default cap; pass ``sample=None`` to
-    get DomainTooLarge instead of sampling.  A negative ``cap``, a ``sample``
+    included, each index drawn as ``random.Random(seed).randrange`` draws
+    it.  ``cap=None`` means the default cap; pass ``sample=None`` to get
+    DomainTooLarge instead of sampling.  A negative ``cap``, a ``sample``
     below 1 and a ``max_witnesses`` below 1 raise ValueError.
 
-    Both modes share one walk, and only the trail that ``_assignments``
-    gives a law tells them apart.  Each row is one index per quantifier,
-    with None for a function quantifier (a ``Space`` with a ``functions``
-    form, as ``enumerate_functions`` builds) and, for a ``pointwise`` law,
-    for the states, which run inside the row.  When exhaustive, the rows
-    are the tuples in enumeration order, and a pointwise row runs at every
-    state in state order.  When sampled, a law has a row per distinct tuple
-    of plain indices among its draws, holding those draws, and a pointwise
-    row runs at each state drawn with it, in state order.  ``env`` decodes
-    the plain indices that differ from the previous row's.
-
-    Every row takes the staged walk, starting with no point assigned (a row
-    with no function quantifier is one leaf that reads nothing).  The
-    first read of a point gives it the first value of the codomain (when
-    sampled, the lowest digit that a draw of the current node takes there,
-    and those draws become the node) and records it on the trail, Korat's
-    access list.  The walk is three nested loops: build both sides; run
-    them at each state that the trail's ``runs()`` gives (when sampled,
-    each state's draws become the node in turn), or, for a law that is not
-    pointwise, once at no state (``s`` is None), where a run is the sides
-    as built; observe the runs by each part of ``equal``.
-    Each loop notes the trail's depth when its stage begins and repeats the
-    stage while ``backtrack`` to that mark gives the deepest point above it
-    a next value (the next digit its node's draws take), undoing the points
-    after it; it stops when the trail is back at its mark.  A leaf of a
-    part covers every assignment (every draw of its node, when sampled)
-    that agrees with the points read by the build, the run and that part,
-    so the leaves of each part partition the row's assignments.  The points
-    live in one digit vector per quantifier, which the law reads through a
-    view built once per law, a dict of the assigned points that
-    backtracking updates with the digits, so the nodes are visited depth
-    first with no copies, every build, run and observation completes, and a
-    function is decoded only to compare, hash or print it.  Since the leaves
-    of a part partition the assignments, ``checked`` is known before the
-    walk: the product of the domain sizes when exhaustive (0 for a vacuous
-    law, 1 for a law with no quantifier), ``sample`` when sampled (the
-    draws, duplicates included), exactly as many as plain enumeration (or
-    evaluating every draw) would evaluate.
-
-    A failing leaf of any part contributes its assignments, or its draws in
-    draw order, each kept once.  The witnesses are the first
-    ``max_witnesses`` failing index tuples, in enumeration order or by draw
-    position, each evaluated again by ``Law.evaluate`` from freshly decoded
-    values; the walk itself never calls ``Law.evaluate``.  Output ordering
-    is deterministic: laws in given order, witnesses in enumeration order
-    (or in seeded sample order).
-
-    A law stops before a row once ``max_witnesses`` failures are kept and
-    the row's lowest order, which the trail's ``lowest(row)`` gives (the
-    row's indices with 0 at each walked position when exhaustive, the
-    position of its first draw when sampled), is not below the last one
-    kept: no assignment of that row or of a later one can come before it.
-    The report is the one that walking every row would give, ``checked``
-    included, which is the size of the space the verdict covers, not the
-    assignments evaluated.  An assignment past the stop is never evaluated,
-    so an exception its sides would raise is not raised; one raised before
-    the stop propagates.
+    The report is the one that evaluating every assignment (or every draw)
+    with ``Law.evaluate`` and comparing by the whole of ``equal`` would
+    give.  ``checked`` is the size of the space the verdict covers: the
+    product of the domain sizes when exhaustive (0 for a vacuous law, 1 for
+    a law with no quantifier), ``sample`` when sampled, duplicates included.
+    The witnesses are the first ``max_witnesses`` failing assignments in
+    enumeration order (by draw position, when sampled), each evaluated again
+    by ``Law.evaluate`` from freshly decoded values.  Laws keep their order,
+    and the report is deterministic.  A failing law stops once no later
+    assignment can be a witness, so an exception that a side would raise
+    past that point is not raised; one raised before it propagates.  The
+    walk that gives this report without evaluating every assignment, and
+    what it assumes of a law's sides, are described in the module
+    docstring.
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -876,7 +904,7 @@ def run_laws(subject_name: str, laws, equal,
         modes.add(mode)
         runs, failing, backtrack, lowest = (trail.runs, trail.failing, trail.backtrack,
                                              trail.lowest)
-        lhs, rhs, pointwise = law.lhs, law.rhs, law.pointwise
+        lhs, rhs, pointwise, first = law.lhs, law.rhs, law.pointwise, law.first
         state = spaces[-1].decode if pointwise else None
         # the first failing assignments as (order, indices): the order is the
         # index tuple itself when exhaustive, the draw's position when sampled
@@ -898,15 +926,22 @@ def run_laws(subject_name: str, laws, equal,
             # one loop per stage, over the leaves of the points it reads: those
             # the trail holds above the depth at which the stage began
             while True:
+                if first is not None:
+                    start = first(env)
+                    begin, bind = start.run, start.effect.bind
                 x, y = lhs(env), rhs(env)
                 if pointwise:
-                    left, right = x.run, y.run
+                    left, right = (x.run, y.run) if first is None else (x, y)
                 built = len(trail)
                 for s in runs() if pointwise else (None,):
                     while True:
                         if pointwise:
                             at = state(s)
-                            x, y = left(at), right(at)
+                            if first is None:
+                                x, y = left(at), right(at)
+                            else:
+                                ran = begin(at)
+                                x, y = bind(ran, left), bind(ran, right)
                         ran = len(trail)
                         for part in parts:
                             while True:

@@ -103,6 +103,28 @@ def st_gets(fam: EffectFamily, f) -> Stateful:
     return Stateful(fam, lambda s: unit((f(s), s)))
 
 
+def then_cont(m: Stateful):
+    """The continuation of ``then(m)`` over a ``(value, state)`` pair: ``m``
+    run at the pair's state, for a ``pointwise`` law's side."""
+    run = m.run
+
+    def cont(pair):
+        return run(pair[1])
+
+    return cont
+
+
+def unit_cont(fam: EffectFamily, a):
+    """The continuation of ``then(st_unit(fam, a))`` over a ``(value,
+    state)`` pair: ``a`` returned at the pair's state."""
+    unit = fam.unit
+
+    def cont(pair):
+        return unit((a, pair[1]))
+
+    return cont
+
+
 def st_eval(m: Stateful, s):
     """Project the result: ``do {(a, s') <- m s; return a}``."""
     return m.effect.bind(m.run(s), lambda pair: m.effect.unit(pair[0]))
@@ -159,23 +181,33 @@ def get_set_laws(get: Stateful, set_, views, states, names=("get", "set"),
     get_name, set_name = names
     x, y = variables
     fam = get.effect
-    # inner lambdas on lines of their own, as in Stateful.bind
+    bind, unit, run_get = fam.bind, fam.unit, get.run
+
+    # get-get and set-get begin both sides with the same computation, so
+    # their sides are continuations over its (value, state) pair, which
+    # build no Stateful when they run; inner lambdas on lines of their own,
+    # as in Stateful.bind
+    def get_again(pair):
+        return bind(run_get(pair[1]), (
+            lambda again, a=pair[0]: unit(((a, again[0]), again[1]))
+        ))
+
+    def got_twice(pair):
+        return unit(((pair[0], pair[0]), pair[1]))
+
+    get_after = then_cont(get)
     return [
         pointwise(
             f"{get_name}-{get_name}", [], states,
-            lambda e: get.bind(
-                lambda a: get.map(
-                    lambda a2: (a, a2)
-                )
-            ),
-            lambda e: get.map(
-                lambda a: (a, a)
-            ),
+            lambda e: get_again,
+            lambda e: got_twice,
+            first=lambda e: get,
         ),
         pointwise(
             f"{set_name}-{get_name}", [(x, views)], states,
-            lambda e: set_(e[x]).then(get),
-            lambda e: set_(e[x]).then(st_unit(fam, e[x])),
+            lambda e: get_after,
+            lambda e: unit_cont(fam, e[x]),
+            first=lambda e: set_(e[x]),
         ),
         pointwise(
             f"{get_name}-{set_name}", [], states,

@@ -35,6 +35,8 @@ from effectbx import (
     seven_laws,
     writer_family,
 )
+from effectbx import bx as bx_module
+from effectbx.bx import _extract_pure
 from effectbx.corpus import (
     MUTANT_LAW_TARGETS,
     broken_view_update_lens,
@@ -124,6 +126,36 @@ def test_transparency_resolves_a_state_outside_the_domain_through_a_pure_get():
         analysis.read_l(2)
 
 
+def test_a_read_outside_the_domain_extracts_the_view_once(monkeypatch):
+    # dynamic-identity's memos grow past the one entry its declared states
+    # hold; the first read of such a state extracts its view, and later
+    # reads find it in the table
+    bx = _entry("dynamic-identity").build()
+    analysis = analyze_transparency(bx)
+    outside = ((0, 1), (((1, 0), 0), ((1, 1), 1)), ())
+    assert outside not in bx.state_domain.elements
+    extracted = []
+
+    def counting(fam, getter, s, dom):
+        extracted.append(s)
+        return _extract_pure(fam, getter, s, dom)
+
+    monkeypatch.setattr(bx_module, "_extract_pure", counting)
+    assert [analysis.read_l(outside) for _ in range(3)] == [0, 0, 0]
+    assert [analysis.read_r(outside) for _ in range(3)] == [1, 1, 1]
+    assert extracted == [outside, outside]
+    # a state where the get is not a pure query is extracted at every read
+    fam = identity_family()
+    escaping = replace(identity_bx(fam, BIT),
+                       get_l=Stateful(fam, lambda s: (s, 0 if s == 2 else s)))
+    read_l = analyze_transparency(escaping).read_l
+    extracted.clear()
+    for _ in range(2):
+        with pytest.raises(UnobservableEffect, match="not a pure query at state 2"):
+            read_l(2)
+    assert extracted == [2, 2]
+
+
 def test_transparency_needs_a_state_domain():
     with pytest.raises(UnobservableEffect, match="needs a state domain"):
         analyze_transparency(composers_bx())
@@ -200,36 +232,46 @@ def test_init_laws():
 
 @pytest.mark.parametrize("name, states", [("identity", 2), ("dynamic-identity", 324)])
 def test_seven_builds_each_set_once_per_view_at_any_number_of_states(name, states):
-    # set_l-get_l builds set_l(a) once per view for each side, however many
-    # states it runs at; get_l-set_l applies set_l to the view each run reads
+    # set_l-get_l builds set_l(a) once per view, for both sides, however
+    # many states it runs at, and runs it once per view and state;
+    # get_l-set_l applies set_l to the view each run reads
     bx = next(entry.build() for entry in corpus_entries() if entry.name == name)
     assert (len(bx.dom_a), len(bx.state_domain)) == (2, states)
-    calls = []
+    calls, runs = [], []
 
     def set_l(a):
         calls.append(a)
-        return bx.set_l(a)
+        built = bx.set_l(a)
+
+        def run(s):
+            runs.append((a, s))
+            return built.run(s)
+
+        return Stateful(built.effect, run)
 
     counted = replace(bx, set_l=set_l)
     counts = {}
     for law in seven_laws(counted):  # one law per run, so each call is its law's
         calls.clear()
+        runs.clear()
         assert run_laws(bx.name, [law], bx.effect.equal_values).ok
         if calls:
-            counts[law.name] = len(calls)
-    assert counts == {"set_l-get_l": 4, "get_l-set_l": states}
+            counts[law.name] = (len(calls), len(runs))
+    assert counts == {"set_l-get_l": (2, 2 * states), "get_l-set_l": (states, states)}
 
 
 def test_a_pointwise_side_called_alone_builds_from_its_own_env():
-    # a side builds a computation from the other quantifiers alone, and
-    # ``evaluate`` runs both at the env's state
+    # the first computation and each side's continuation are built from the
+    # other quantifiers alone, and ``evaluate`` binds both continuations on
+    # the one run of the first computation at the env's state
     law = seven_laws(identity_bx(identity_family(), BIT))[1]
     assert law.name == "set_l-get_l" and law.pointwise
     fresh = {"a": 1, "s": 0}
-    assert law.rhs(fresh).run(0) == law.evaluate(fresh)[1] == (1, 1)
+    assert law.first(fresh).run(0) == ((), 1)
+    assert law.rhs(fresh)(law.first(fresh).run(0)) == law.evaluate(fresh)[1] == (1, 1)
     assert law.evaluate({"a": 0, "s": 1}) == ((0, 0), (0, 0))
-    assert law.rhs({"a": 1}).run(1) == (1, 1)
-    assert law.lhs({"a": 1}).run(0) == (1, 1)
+    assert law.rhs({"a": 1})(law.first({"a": 1}).run(1)) == (1, 1)
+    assert law.lhs({"a": 1})(law.first({"a": 1}).run(0)) == (1, 1)
 
 
 def test_check_suite_names_the_subject_per_suite():

@@ -238,13 +238,13 @@ def test_function_quantified_suites_against_plain_enumeration(monkeypatch):
 
 
 def _per_row(law):
-    """``law`` with the pointwise flag cleared, its sides running what
-    ``law``'s sides build at ``env["s"]``, as ``run_laws`` walks a plain law."""
+    """``law`` as a plain law over the same quantifiers, ``s`` included,
+    whose sides are those that ``Law.evaluate`` gives at each assignment,
+    as ``run_laws`` walks a plain law."""
     if not law.pointwise:
         return law
-    return dataclasses.replace(law, pointwise=False,
-                               lhs=lambda e: law.lhs(e).run(e["s"]),
-                               rhs=lambda e: law.rhs(e).run(e["s"]))
+    return Law(law.name, law.quantifiers,
+               lambda e: law.evaluate(e)[0], lambda e: law.evaluate(e)[1])
 
 
 def _pointwise_reports(cap, seed):
@@ -286,6 +286,80 @@ def test_pointwise_laws_report_as_their_row_by_row_walk(monkeypatch, cap, seed):
     assert _pointwise_reports(cap, seed) == batched
     assert len(pointwise_laws) > 200
     assert any('"failures": [{' in report for report in batched)
+
+
+# get-get, set-get and the stability laws begin both sides with one
+# computation, which the walk runs once per state for both; the same laws
+# stated as two computations each, as the paper writes them, are the
+# reference
+
+SHIPPED_GET_SET_LAWS = stateful.get_set_laws
+
+
+def _two_computation_get_set_laws(get, set_, views, states, names=("get", "set"),
+                                  variables=("x", "y")):
+    """``stateful.get_set_laws`` with get-get and set-get stated as two
+    computations each."""
+    get_name, set_name = names
+    x, _y = variables
+    fam = get.effect
+    return [
+        pointwise(f"{get_name}-{get_name}", [], states,
+                  lambda e: get.bind(lambda a: get.map(lambda a2: (a, a2))),
+                  lambda e: get.map(lambda a: (a, a))),
+        pointwise(f"{set_name}-{get_name}", [(x, views)], states,
+                  lambda e: set_(e[x]).then(get),
+                  lambda e: set_(e[x]).then(stateful.st_unit(fam, e[x]))),
+        *SHIPPED_GET_SET_LAWS(get, set_, views, states, names, variables)[2:],
+    ]
+
+
+def _two_computation_stability_laws(bx):
+    """``bx.stability_laws`` with each law stated as two computations."""
+    pairs = bx_module.consistent_pairs(bx)
+    unit = stateful.st_unit
+    return [
+        pointwise("stable-set_l-first", [("p", pairs)], bx.state_domain,
+                  lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1])).then(bx.get_l),
+                  lambda e: bx.set_l(e["p"][0]).then(bx.set_r(e["p"][1]))
+                  .then(unit(bx.effect, e["p"][0]))),
+        pointwise("stable-set_r-first", [("p", pairs)], bx.state_domain,
+                  lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0])).then(bx.get_r),
+                  lambda e: bx.set_r(e["p"][1]).then(bx.set_l(e["p"][0]))
+                  .then(unit(bx.effect, e["p"][1]))),
+    ]
+
+
+def _first_computation_reports(cap, seed):
+    """The JSON of every corpus entry's seven, overwritable and stability
+    suites, and of ``run_state_suite``, with the laws that share a first
+    computation."""
+    reports = []
+    for entry in corpus_entries():
+        bx = entry.build()
+        for suite in ("seven", "overwritable", "stability"):
+            reports.append(check_suite(bx, suite, cap=cap, seed=seed).to_json())
+    reports.append(json.dumps(run_state_suite(cap=cap, seed=seed), sort_keys=True))
+    return reports
+
+
+@pytest.mark.parametrize("cap, seed", [(None, 0), (3, 1)])
+def test_laws_with_a_first_computation_report_as_their_two_computation_form(
+        monkeypatch, cap, seed):
+    shared = _first_computation_reports(cap, seed)
+    bit = identity_bx(identity_family(), BIT)
+    assert [law.first is not None for law in bx_module.seven_laws(bit)] == [
+        True, True, False, True, True, False, False]
+    assert [law.first is not None for law in bx_module.overwritable_laws(bit)] == [False, False]
+    assert all(law.first is not None for law in bx_module.stability_laws(bit))
+    monkeypatch.setattr(stateful, "get_set_laws", _two_computation_get_set_laws)
+    monkeypatch.setattr(bx_module, "get_set_laws", _two_computation_get_set_laws)
+    monkeypatch.setattr(bx_module, "stability_laws", _two_computation_stability_laws)
+    monkeypatch.setitem(SUITES, "stability", _two_computation_stability_laws)
+    assert not any(law.first for suite in ("seven", "stability")
+                   for law in SUITES[suite](bit))
+    assert _first_computation_reports(cap, seed) == shared
+    assert any('"failures": [{' in report for report in shared)
 
 
 @pytest.mark.parametrize("outer, states", [([("a", BIT)], ()), ([("a", ())], BIT),

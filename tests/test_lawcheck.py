@@ -45,6 +45,7 @@ from effectbx import effects, lenses, stateful
 from effectbx.lawcheck import (
     DEFAULT_CAP,
     Space,
+    stable_repr,
     _as_space,
     _assignments,
     _draws,
@@ -268,6 +269,11 @@ def test_run_laws_refuses_arguments_it_cannot_honour(kwargs, message):
     law = Law("is-zero", [("x", (0, 1))], lambda e: e["x"], lambda e: 0)
     with pytest.raises(ValueError, match=message):
         run_laws("demo", [law], operator.eq, **kwargs)
+
+
+def test_a_first_computation_needs_a_pointwise_law():
+    with pytest.raises(ValueError, match="has a first computation but is not pointwise"):
+        Law("unrun", [("x", BIT)], lambda e: 0, lambda e: 0, first=lambda e: 0)
 
 
 def test_report_json_round_trip():
@@ -679,13 +685,24 @@ def _costs(monkeypatch, module, check, name):
 def _counting_sides(law, counts):
     """``law`` with sides that count their calls in ``counts``, keyed by
     (law, side, "builds"), and when ``law`` is pointwise the runs of the
-    computations they build, keyed by (law, side, "runs")."""
+    computations they build, keyed by (law, side, "runs").  When ``law``
+    has a ``first``, the sides build continuations, and the builds and runs
+    of ``first`` are counted as those of a side named "first", apart from
+    the calls of each side's continuation, keyed by (law, side, "calls"):
+    a family's ``bind`` may call a continuation more than once per run (a
+    reader's, once per environment observed), or not at all."""
     def counted(build, side):
         def counted_build(env):
             counts[law.name, side, "builds"] += 1
             built = build(env)
             if not law.pointwise:
                 return built
+            if side != "first" and law.first is not None:
+                def call(pair):
+                    counts[law.name, side, "calls"] += 1
+                    return built(pair)
+
+                return call
 
             def run(s):
                 counts[law.name, side, "runs"] += 1
@@ -695,13 +712,18 @@ def _counting_sides(law, counts):
 
         return counted_build
 
-    return dataclasses.replace(law, lhs=counted(law.lhs, "lhs"), rhs=counted(law.rhs, "rhs"))
+    first = law.first and counted(law.first, "first")
+    return dataclasses.replace(law, lhs=counted(law.lhs, "lhs"), rhs=counted(law.rhs, "rhs"),
+                               first=first)
 
 
 def test_a_failing_law_without_function_quantifiers_costs_its_rows_and_witnesses(
         monkeypatch):
-    # each side is built once per view and run at each of the 4 states; each
-    # witness is evaluated again from its indices, one build and run per side
+    # the set that both sides of set_l-get_l begin with is built once per
+    # view and run once at each of the 4 states, and each side's
+    # continuation is built once per view and called once per run (the
+    # identity's bind calls it once); each witness is evaluated again from
+    # its indices, one build and run of the set and one build and call per side
     bx = mutant_set_l_get_l()
     reference = check_suite(bx, "seven").to_json()
     counts = collections.Counter()
@@ -713,18 +735,26 @@ def test_a_failing_law_without_function_quantifiers_costs_its_rows_and_witnesses
     result = report.law("set_l-get_l")
     assert result.checked == 8 and len(result.failures) == 3
     assert evaluations == {"set_l-get_l": 3}
+    assert counts["set_l-get_l", "first", "builds"] == 2 + 3
+    assert counts["set_l-get_l", "first", "runs"] == 8 + 3
+    assert counts["get_l-get_l", "first", "builds"] == 1
+    assert counts["get_l-get_l", "first", "runs"] == report.law("get_l-get_l").checked == 4
     for side in ("lhs", "rhs"):
         assert counts["set_l-get_l", side, "builds"] == 2 + 3
-        assert counts["set_l-get_l", side, "runs"] == 8 + 3
+        assert counts["set_l-get_l", side, "calls"] == 8 + 3
         assert counts["get_l-get_l", side, "builds"] == 1
-        assert counts["get_l-get_l", side, "runs"] == report.law("get_l-get_l").checked == 4
+        assert counts["get_l-get_l", side, "calls"] == 4
+        assert counts["get_l-set_l", side, "builds"] == 1
+        assert counts["get_l-set_l", side, "runs"] == 4
 
 
 def test_a_sampled_law_without_function_quantifiers_builds_each_drawn_row_once():
     # 400 draws over 4 or 8 assignments, and over 100 for "commutes": each
     # distinct row of the indices other than the state is built once, and
-    # run once at each state drawn with it, however often it was drawn;
-    # every draw is checked, and each witness is built and run again
+    # run once at each state drawn with it, however often it was drawn (a
+    # law with a first computation runs it, and calls each continuation
+    # once, since the identity's bind does); every draw is checked, and
+    # each witness is built and run again
     bx = mutant_set_l_get_l()
     plain = Law("commutes", [("x", range(10)), ("y", range(10))],
                 lambda e: e["x"] + e["y"], lambda e: e["y"] + e["x"])
@@ -741,13 +771,16 @@ def test_a_sampled_law_without_function_quantifiers_builds_each_drawn_row_once()
         rows = {draw[:-1] for draw in drawn} if law.pointwise else drawn
         witnesses = len(result.failures)
         assert result.checked == 400
-        for side in ("lhs", "rhs"):
+        ran = "first" if law.first else "lhs"
+        for side in ("lhs", "rhs", "first") if law.first else ("lhs", "rhs"):
             assert counts[law.name, side, "builds"] == len(rows) + witnesses
-            assert counts[law.name, side, "runs"] == (len(drawn) + witnesses
-                                                      if law.pointwise else 0)
-        builds[law.name] = counts[law.name, "lhs", "builds"]
-        runs[law.name] = counts[law.name, "lhs", "runs"]
+            assert counts[law.name, side, "calls" if law.first and side != "first"
+                          else "runs"] == (len(drawn) + witnesses if law.pointwise else 0)
+        builds[law.name] = counts[law.name, ran, "builds"]
+        runs[law.name] = counts[law.name, ran, "runs"]
     assert report.failing_laws == ("set_l-get_l",)
+    assert {law.name for law in laws if law.first} == {"get_l-get_l", "set_l-get_l",
+                                                        "get_r-get_r", "set_r-get_r"}
     assert builds == {"get_l-get_l": 1, "set_l-get_l": 2 + 3, "get_l-set_l": 1,
                       "get_r-get_r": 1, "set_r-get_r": 2, "get_r-set_r": 1,
                       "get_l-get_r": 1, "commutes": 98}
@@ -855,9 +888,14 @@ def test_no_exhaustive_law_of_the_aggregate_suites_evaluates_more_than_it_checks
             if result.mode != "exhaustive":
                 continue
             witnesses = len(result.failures)
-            builds = counts[law.name, "lhs", "builds"] - witnesses
-            # an evaluation of the lhs is a run when pointwise, else a call
-            evaluations = counts[law.name, "lhs", "runs"] - witnesses if law.pointwise else builds
+            # a law with a first computation builds and runs it once for
+            # both sides, and builds each side's continuation as often
+            ran = "first" if law.first else "lhs"
+            builds = counts[law.name, ran, "builds"] - witnesses
+            if law.first:
+                assert counts[law.name, "lhs", "builds"] - witnesses == builds
+            # an evaluation is a run when pointwise, else a call of the lhs
+            evaluations = counts[law.name, ran, "runs"] - witnesses if law.pointwise else builds
             walks.append((subject, law.name, evaluations, result.checked))
             if law.pointwise and not any(d.functions for d in spaces):
                 at_every_state.append((subject, law.name, builds * spaces[-1].size,
@@ -917,7 +955,7 @@ def _advance(view, key, index):
 
 def test_a_view_with_no_point_assigned_is_truthy():
     view, trail = _view()
-    assert len(view) == 0 and bool(view) is True
+    assert dict.__len__(view) == 0 and bool(view) is True
     assert trail == []
 
 
@@ -956,7 +994,7 @@ def test_a_key_equal_to_an_assigned_point_but_hashed_unlike_it_reads_that_point(
     assert view(_Alias(1)) == "x"
     _advance(view, 1, 1)
     assert view(_Alias(1)) == "y"
-    assert trail == [(view, 1, 1)] and dict(view) == {1: "y"}
+    assert trail == [(view, 1, 1)] and dict(dict.items(view)) == {1: "y"}
     # an alias of an unassigned point assigns the domain's own key
     assert view(_Alias(2)) == "x"
     assert trail == [(view, 1, 1), (view, 2, 2)] and view(2) == "x"
@@ -970,7 +1008,7 @@ def test_an_out_of_domain_read_of_a_view_raises_key_error():
     with pytest.raises(KeyError) as decoded:
         FiniteFunction((0, 1, 2), ("x", "x", "x"))(7)
     assert decoded.value.args == raised.value.args
-    assert trail == [] and len(view) == 0
+    assert trail == [] and dict.__len__(view) == 0
 
 
 def test_an_out_of_domain_read_of_a_curried_view_raises_key_error():
@@ -982,6 +1020,93 @@ def test_an_out_of_domain_read_of_a_curried_view_raises_key_error():
     )
     with pytest.raises(KeyError, match="7 outside function domain"):
         run_laws("demo", [law], operator.eq)
+
+
+def _answer(read, f):
+    """What ``read(f)`` gives: its value, or the type of what it raises."""
+    try:
+        return "value", read(f)
+    except Exception as exc:  # noqa: BLE001 - the type is the answer
+        return "raises", type(exc)
+
+
+_READS = {
+    **{f"attribute {name}": (lambda f, name=name: getattr(f, name))
+       for name in sorted({n for n in (*dir(FiniteFunction), *dir(dict))
+                           if not n.startswith("_")})},
+    "call in domain": lambda f: f(0),
+    "call outside": lambda f: f(7),
+    "==": lambda f: f == FiniteFunction((0, 1, 2), ("x", "y", "x")),
+    "!=": lambda f: f != FiniteFunction((0, 1, 2), ("x", "x", "x")),
+    "hash": hash,
+    "repr": repr,
+    "str": str,
+    "stable_repr": stable_repr,
+    "bool": bool,
+    "callable": callable,
+    "iter": iter,
+    "list": list,
+    "in": lambda f: 0 in f,
+    "len": len,
+    "reversed": reversed,
+    "subscript": lambda f: f[0],
+    "dict": dict,
+    "|": lambda f: f | {},
+    "reflected |": lambda f: {} | f,
+    "<": lambda f: f < f,
+    "get, by hasattr": lambda f: hasattr(f, "get"),
+}
+
+
+@pytest.mark.parametrize("read", list(_READS))
+def test_a_view_answers_every_read_as_its_decoded_function(read):
+    # every public attribute of a FiniteFunction and of a dict, and every
+    # protocol, gives the same value or raises the same type through a view
+    # as on the function it decodes to; item assignment and deletion stay
+    # the dict's, which the walk writes through
+    view, _ = _view()
+    assert view(1) == "x"
+    _advance(view, 1, 1)
+    decoded = FiniteFunction((0, 1, 2), ("x", "y", "x"))
+    assert _answer(_READS[read], view) == _answer(_READS[read], decoded)
+
+
+FUNCTIONS = enumerate_functions(DOM3, BIT)
+
+
+@pytest.mark.parametrize("side, raised", [
+    (lambda e: e["f"].get(0, 0), AttributeError),
+    (lambda e: sum(e["f"](x) for x in e["f"]), TypeError),
+    (lambda e: len(e["f"]) * 0, TypeError),
+    (lambda e: 0 * (1 in e["f"]), TypeError),
+    (lambda e: e["f"][0] * 0, TypeError),
+    (lambda e: len(e["f"].items()), AttributeError),
+], ids=["get", "iterate", "len", "in", "subscript", "items"])
+def test_a_law_that_reads_a_function_other_than_by_calling_it_raises_as_decoded(side, raised):
+    # on a dict of the points assigned so far each of these sides reads 0,
+    # so the law would hold, where plain decoding raises
+    law = Law("other-read", [("f", FUNCTIONS)], side, lambda e: 0)
+    with pytest.raises(raised):
+        law.evaluate({"f": FUNCTIONS.decode(1)})
+    with pytest.raises(raised):
+        run_laws("demo", [law], operator.eq)
+    curried = Law("other-read", [("k", enumerate_functions(D2, FUNCTIONS))],
+                  lambda e: side({"f": e["k"]}), lambda e: 0)
+    with pytest.raises(raised):
+        run_laws("demo", [curried], operator.eq)
+
+
+def test_a_curried_view_reads_its_keys_and_sections_as_decoded():
+    # the sections are views too, and compare as the functions they decode to
+    curried = enumerate_functions(D2, FUNCTIONS)
+    law = Law("keys-values", [("k", curried)],
+              lambda e: (e["k"].keys, e["k"].values),
+              lambda e: ((0, 1), (FUNCTIONS.decode(0),) * 2))
+    report = run_laws("demo", [law], operator.eq)
+    assert report.law("keys-values").checked == 64
+    assert len(report.law("keys-values").failures) == 3
+    plain = dataclasses.replace(law, quantifiers=[("k", tuple(curried))])
+    assert report.to_json() == run_laws("demo", [plain], operator.eq).to_json()
 
 
 def test_functions_over_unhashable_keys_are_enumerated_plainly():
