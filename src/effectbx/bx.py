@@ -9,7 +9,7 @@ from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family, require_identity
 from .errors import NoInitializers, UnobservableEffect
-from .lawcheck import FiniteDomain, Law, LawReport, pointwise, run_laws
+from .lawcheck import FiniteDomain, Law, pointwise
 from .lenses import Lens
 from .stateful import Stateful, get_set_laws, st_get, st_gets, st_set, then_cont, unit_cont
 
@@ -66,9 +66,18 @@ def require_initialisable(bx: Bx):
         raise NoInitializers(f"{bx.name} has no initializers")
 
 
+def _require_domains(bx: Bx):
+    """Refuse a bx without the state and view domains its laws quantify
+    over."""
+    missing = [f for f in ("state_domain", "dom_a", "dom_b") if getattr(bx, f) is None]
+    if missing:
+        raise UnobservableEffect(f"{bx.name} declares no {', '.join(missing)}")
+
+
 def _side_laws(bx: Bx):
     """The get/set laws of each side (``stateful.get_set_laws``): left over
     ``a``, ``a2``, right over ``b``, ``b2``."""
+    _require_domains(bx)
     return (
         get_set_laws(bx.get_l, bx.set_l, bx.dom_a, bx.state_domain,
                      ("get_l", "set_l"), ("a", "a2")),
@@ -230,6 +239,7 @@ def consistent_pairs(bx: Bx):
 def stability_laws(bx: Bx):
     """Every consistent pair survives its two sets, in either order: both
     sides begin with the two sets, then get a view or return it."""
+    _require_domains(bx)
     pairs = consistent_pairs(bx)
     fam = bx.effect
     get_l_after, get_r_after = then_cont(bx.get_l), then_cont(bx.get_r)
@@ -270,45 +280,11 @@ def _init_law(bx: Bx, side, var):
 
 
 def init_laws(bx: Bx):
-    """The left initializer law, and the right one as the dual's left."""
+    """The left initializer law, and the right one as the dual's left; an
+    ``initialisable`` bx has them."""
+    require_initialisable(bx)
+    _require_domains(bx)
     return [_init_law(bx, "l", "a"), _init_law(dual(bx), "r", "b")]
-
-
-# ---------------------------------------------------------------------------
-# the per-bx suites
-
-
-SUITES = {
-    "seven": seven_laws,
-    "overwritable": overwritable_laws,
-    "stability": stability_laws,
-    "init": init_laws,
-}
-
-
-def check_suite(bx: Bx, suite: str, cap=None, seed=0) -> LawReport:
-    """Run the laws of ``SUITES[suite]`` on ``bx``: well-behavedness
-    ("seven"), a later set fully overwriting an earlier one ("overwritable"),
-    every consistent pair surviving its sets in either order ("stability"),
-    or initialising then getting the initialised value ("init", which
-    needs an ``initialisable`` bx)."""
-    if suite == "init":
-        require_initialisable(bx)
-    missing = [f for f in ("state_domain", "dom_a", "dom_b") if getattr(bx, f) is None]
-    if missing:
-        raise UnobservableEffect(f"{bx.name} declares no {', '.join(missing)}")
-    return run_laws(
-        bx.name if suite == "seven" else f"{bx.name}:{suite}", SUITES[suite](bx),
-        bx.effect.equal_values, cap=cap, seed=seed, effect=bx.effect.name,
-    )
-
-
-def check_seven_laws(bx: Bx, cap=None, seed=0) -> LawReport:
-    return check_suite(bx, "seven", cap, seed)
-
-
-def check_init_laws(bx: Bx, cap=None, seed=0) -> LawReport:
-    return check_suite(bx, "init", cap, seed)
 
 
 # ---------------------------------------------------------------------------

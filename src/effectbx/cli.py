@@ -2,7 +2,7 @@
 and the memoizing synchronization session (scripted or interactive).
 
 ``laws --suite`` takes "all", an aggregate of ``corpus.AGGREGATES`` or a
-per-bx suite of ``bx.SUITES`` (run on the corpus entry named by ``--bx``).
+per-bx suite of ``checks.BX_SUITES`` (run on the corpus entry named by ``--bx``).
 
 Exit codes: 0 all verdicts as expected, 1 unexpected law verdict, 2 usage or
 script parse error, 3 console script exhausted.  ``--bx`` with an aggregate
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .bx import SUITES, check_suite
+from .checks import BX_SUITES, check
 from .corpus import AGGREGATES, select_entries
 from .effects import (
     ConsoleWorld,
@@ -44,7 +44,7 @@ def _build_parser():
     laws.add_argument(
         "--suite",
         default="all",
-        choices=["all", *AGGREGATES, *SUITES],
+        choices=["all", *AGGREGATES, *BX_SUITES],
     )
     laws.add_argument("--bx", default=None,
                       help="corpus entry name for a per-bx suite (default: identity)")
@@ -106,14 +106,10 @@ def main(argv=None) -> int:
 # laws
 
 
-def _single_suite(args):
-    (entry,) = select_entries({args.bx or "identity"})
-    return check_suite(entry.build(), args.suite, cap=args.cap, seed=args.seed)
-
-
 def _cmd_laws(args) -> int:
-    if args.suite in SUITES:
-        report = _single_suite(args)
+    if args.suite in BX_SUITES:
+        (entry,) = select_entries({args.bx or "identity"})
+        report = check(entry.build(), args.suite, cap=args.cap, seed=args.seed)
         if args.format == "json":
             print(report.to_json(indent=2))
         else:

@@ -16,7 +16,7 @@ from .bx import (
 )
 from .effects import EffectFamily
 from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
-from .lawcheck import FiniteDomain, Law, LawReport, pointwise, run_laws
+from .lawcheck import FiniteDomain, Law, pointwise
 from .lenses import Lens, identity_lens, theta
 from .stateful import Stateful, st_eval, st_exec
 
@@ -247,18 +247,41 @@ class StateBijection:
     backward: Callable
 
 
+class _States:
+    """States to test membership in as a scan by ``==`` would: in a set, but
+    for the states that do not hash, which are compared one by one, as
+    ``FiniteDomain`` finds duplicates."""
+
+    def __init__(self, states=()):
+        self.hashed, self.unhashed = set(), []
+        for t in states:
+            self.add(t)
+
+    def add(self, t):
+        try:
+            self.hashed.add(t)
+        except TypeError:
+            self.unhashed.append(t)
+
+    def __contains__(self, t):
+        try:
+            return t in self.hashed or any(t == u for u in self.unhashed)
+        except TypeError:  # t does not hash
+            return any(t == u for u in (*self.hashed, *self.unhashed))
+
+
 def _check_bijection(h: StateBijection, dom1: FiniteDomain, dom2: FiniteDomain):
-    images = []
+    codomain, images = _States(dom2.elements), _States()
     for s in dom1:
         t = h.forward(s)
-        if not any(t == u for u in dom2.elements):
+        if t not in codomain:
             raise NotBijective(f"forward image {t!r} outside codomain")
-        if any(t == u for u in images):
+        if t in images:
             raise NotBijective(f"forward not injective at {s!r}")
-        images.append(t)
+        images.add(t)
         if not h.backward(t) == s:
             raise NotBijective(f"backward(forward({s!r})) != {s!r}")
-    if len(images) != len(dom2.elements):
+    if len(dom1) != len(dom2):
         raise NotBijective("forward not onto the codomain")
 
 
@@ -296,22 +319,19 @@ def _iota_laws(bx1: Bx, bx2: Bx, h: StateBijection, side, var):
     )
 
 
-def check_equivalence(bx1: Bx, bx2: Bx, h: StateBijection, cap=None, seed=0) -> LawReport:
-    """Verify that transporting bx1's operations along ``h`` yields bx2's (at
-    one effect), including the initializers when both are initialisable.
-    The right-side laws are the left-side laws of the two duals."""
-    _require_same_effect(bx1, bx2)
-    _check_bijection(h, bx1.state_domain, bx2.state_domain)
-    get_l, set_l, init_l = _iota_laws(bx1, bx2, h, "l", "a")
-    get_r, set_r, init_r = _iota_laws(dual(bx1), dual(bx2), h, "r", "b")
+def equivalence_laws(bx1: Bx, other: Bx, h: StateBijection):
+    """Transporting bx1's operations along ``h`` yields those of ``other``
+    (at one effect), including the initializers when both are
+    initialisable.  The right-side laws are the left-side laws of the two
+    duals."""
+    _require_same_effect(bx1, other)
+    _check_bijection(h, bx1.state_domain, other.state_domain)
+    get_l, set_l, init_l = _iota_laws(bx1, other, h, "l", "a")
+    get_r, set_r, init_r = _iota_laws(dual(bx1), dual(other), h, "r", "b")
     laws = [get_l, set_l, get_r, set_r]
-    if bx1.initialisable and bx2.initialisable:
+    if bx1.initialisable and other.initialisable:
         laws += [init_l, init_r]
-    fam = bx1.effect
-    return run_laws(
-        f"{bx1.name}=={bx2.name}", laws, fam.equal_values, cap=cap, seed=seed,
-        effect=fam.name,
-    )
+    return laws
 
 
 def left_identity_bijection(bx: Bx) -> StateBijection:

@@ -1,7 +1,7 @@
 """Registry of checkable bx instances with expected verdicts, and the
 aggregate suites (``AGGREGATES``) that the command line runs.
 
-Each entry names the per-bx suites of ``bx.SUITES`` it runs.  Positive
+Each entry names the per-bx suites of ``checks.BX_SUITES`` it runs.  Positive
 entries cover every constructor in the library across the shipped effect
 families; negative entries are deliberately broken mutants, each carrying its
 expected failing laws and a stored counterexample.  The seven law-targeted
@@ -17,7 +17,8 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .bx import SUITES, Bx, analyze_transparency, check_suite, lens_to_bx
+from .bx import Bx, analyze_transparency, lens_to_bx
+from .checks import BX_SUITES, CHECKS, check
 from .combinators import (
     const_bx,
     fst_ibx,
@@ -34,9 +35,6 @@ from .effects import (
     NOTHING,
     EffectFamily,
     Just,
-    check_commutative,
-    check_monad_laws,
-    check_monad_morphism,
     choice_family,
     console_family,
     failure_family,
@@ -59,7 +57,7 @@ from .examples import (
 )
 from .lawcheck import FiniteDomain
 from .lenses import Lens, fst_lens
-from .stateful import Stateful, check_lift_morphism, state_law_suite
+from .stateful import Stateful
 
 
 BIT = FiniteDomain("bit", (0, 1))
@@ -80,11 +78,11 @@ class CorpusEntry:
 
     def __post_init__(self):
         # a misspelled suite would otherwise go unchecked and the entry pass
-        unknown = sorted(set(self.suites).union(self.expected_failing) - set(SUITES))
+        unknown = sorted(set(self.suites).union(self.expected_failing) - set(BX_SUITES))
         if unknown:
             raise ValueError(
                 f"corpus entry {self.name!r}: unknown suite "
-                f"{', '.join(map(repr, unknown))}; known: {', '.join(SUITES)}"
+                f"{', '.join(map(repr, unknown))}; known: {', '.join(BX_SUITES)}"
             )
 
 
@@ -472,7 +470,7 @@ def select_entries(names=None) -> tuple:
 def recheck_witness(bx: Bx, suite: str, law_name: str, env: dict) -> bool:
     """Re-evaluate a recorded counterexample standalone; True when the
     inequality reproduces."""
-    for law in SUITES[suite](bx):
+    for law in CHECKS[Bx, suite].laws(bx):
         if law.name == law_name:
             lhs, rhs = law.evaluate(env)
             return not bx.effect.equal_values(lhs, rhs)
@@ -482,7 +480,7 @@ def recheck_witness(bx: Bx, suite: str, law_name: str, env: dict) -> bool:
 def _entry_suites(entry: CorpusEntry):
     suites = set(entry.suites)
     suites.update(entry.expected_failing.keys())
-    return tuple(s for s in SUITES if s in suites)
+    return tuple(s for s in BX_SUITES if s in suites)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +521,12 @@ def run_monad_suite(cap=None, seed=0) -> dict:
     ]
     for fam in _families((0, 1, 2)):
         for dom in doms:
-            report = check_monad_laws(fam, dom, cap=cap, seed=seed)
+            report = check(fam, "monad", cap=cap, seed=seed, dom=dom)
             ok = ok and report.ok
             results.append(report.to_dict())
         dom_a = FiniteDomain("ca", (0, 1))
         dom_b = FiniteDomain("cb", (2, 3))
-        commute = check_commutative(fam, dom_a, dom_b, cap=cap, seed=seed)
+        commute = check(fam, "commutative", cap=cap, seed=seed, dom_a=dom_a, dom_b=dom_b)
         expected = EXPECTED_COMMUTATIVE[fam.name]
         verdict_ok = commute.ok == expected
         if not expected:
@@ -548,7 +546,7 @@ def run_monad_suite(cap=None, seed=0) -> dict:
         ("const-nothing", lambda _m: NOTHING, ident, fail, False),
     ]
     for name, phi, src, dst, expected in morphisms:
-        report = check_monad_morphism(phi, src, dst, dom, cap=cap, seed=seed)
+        report = check(src, "morphism", cap=cap, seed=seed, phi=phi, dst=dst, dom=dom)
         verdict_ok = report.ok == expected
         ok = ok and verdict_ok
         entry = report.to_dict()
@@ -571,10 +569,12 @@ def run_state_suite(cap=None, seed=0) -> dict:
     ]
     for fam in _families((0, 1)):
         for dom in doms:
-            report = state_law_suite(fam, dom, value_domain=BIT, cap=cap, seed=seed)
+            report = check(fam, "state", cap=cap, seed=seed, state_domain=dom,
+                           value_domain=BIT)
             ok = ok and report.ok
             results.append(report.to_dict())
-        morphism = check_lift_morphism(fam, BIT, BIT, cap=cap, seed=seed)
+        morphism = check(fam, "lift-morphism", cap=cap, seed=seed, state_domain=BIT,
+                         value_domain=BIT)
         ok = ok and morphism.ok
         results.append(morphism.to_dict())
     return {"reports": results, "ok": ok}
@@ -593,7 +593,7 @@ def run_corpus(cap=None, seed=0, names=None) -> dict:
         suite_reports = {}
         for suite in _entry_suites(entry):
             try:
-                report = check_suite(bx, suite, cap=cap, seed=seed)
+                report = check(bx, suite, cap=cap, seed=seed)
             except NoInitializers as exc:
                 problems.append(f"{suite}: {exc}")
                 continue

@@ -23,10 +23,8 @@ from .lawcheck import (
     Conjunction,
     FiniteDomain,
     Law,
-    LawReport,
     enumerate_functions,
     pointwise,
-    run_laws,
     stable_repr,
     tuples_up_to,
 )
@@ -565,9 +563,9 @@ def _continuations(fam: EffectFamily, dom: FiniteDomain):
     return values, enumerate_functions(dom, values)
 
 
-def check_monad_laws(fam: EffectFamily, dom: FiniteDomain, cap=None, seed=0) -> LawReport:
-    """Verify left unit, right unit and associativity (plus zero absorption
-    when the family declares a zero) over all enumerated effect values and
+def monad_laws(fam: EffectFamily, dom: FiniteDomain):
+    """Left unit, right unit and associativity (plus zero absorption when
+    the family declares a zero) over all enumerated effect values and
     continuations built from ``dom``."""
     if fam.equal is None:
         raise UnobservableEffect(f"{fam.name}: cannot check laws without equality")
@@ -616,15 +614,11 @@ def check_monad_laws(fam: EffectFamily, dom: FiniteDomain, cap=None, seed=0) -> 
                 lambda e: fam.zero,
             )
         )
-    return run_laws(
-        f"monad-laws[{fam.name}/{dom.name}]", laws, fam.equal_values,
-        cap=cap, seed=seed, effect=fam.name,
-    )
+    return laws
 
 
-def check_commutative(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                      cap=None, seed=0) -> LawReport:
-    """Check the swap law for every pair of enumerated effect values."""
+def commutative_laws(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain):
+    """The swap law for every pair of enumerated effect values."""
     if fam.equal is None:
         raise UnobservableEffect(f"{fam.name}: cannot check laws without equality")
     law = Law(
@@ -641,10 +635,7 @@ def check_commutative(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomai
             ))
         )),
     )
-    return run_laws(
-        f"commutativity[{fam.name}]", [law], fam.equal_values,
-        cap=cap, seed=seed, effect=fam.name,
-    )
+    return [law]
 
 
 def morphism_laws(prefix, phi, src: EffectFamily, dst: EffectFamily,
@@ -681,14 +672,10 @@ def morphism_laws(prefix, phi, src: EffectFamily, dst: EffectFamily,
     ]
 
 
-def check_monad_morphism(phi, src: EffectFamily, dst: EffectFamily,
-                         dom: FiniteDomain, cap=None, seed=0) -> LawReport:
-    """Verify that ``phi`` preserves unit and distributes over bind."""
+def monad_morphism_laws(src: EffectFamily, phi, dst: EffectFamily, dom: FiniteDomain):
+    """``phi`` from ``src`` to ``dst`` preserves unit and distributes over
+    bind."""
     if dst.equal is None:
         raise UnobservableEffect(f"{dst.name}: cannot check laws without equality")
     values, conts = _continuations(src, dom)
-    return run_laws(
-        f"monad-morphism[{src.name}->{dst.name}]",
-        morphism_laws("", phi, src, dst, dom, ("m", values), conts, None),
-        dst.equal_values, cap=cap, seed=seed, effect=dst.name,
-    )
+    return morphism_laws("", phi, src, dst, dom, ("m", values), conts, None)

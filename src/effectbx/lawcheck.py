@@ -550,11 +550,11 @@ class _PartialFunction(dict):
     the point digit 0, appends ``(view, key, index)`` to ``trail``, the
     access list that the views of one law share (a ``_Draws`` trail then
     gives the point the lowest digit its draws take there), and stores the
-    point's value.  ``==``, ``!=``, ``hash`` and ``repr`` read the whole
-    function in key order, assigning each unassigned point, and act on the
-    decoded ``FiniteFunction``, so a view compares, hashes and prints as the
-    element ``decode`` picks, and a view is true even with no point
-    assigned.  A key outside the domain raises ``KeyError`` as
+    point's value.  ``==``, ``!=``, ``hash``, ``repr`` and the copy and
+    pickle protocols read the whole function in key order, assigning each
+    unassigned point, and act on the decoded ``FiniteFunction``, so a view
+    compares, hashes, prints and copies as the element ``decode`` picks,
+    and a view is true even with no point assigned.  A key outside the domain raises ``KeyError`` as
     ``FiniteFunction`` does.
 
     Every other read answers as on the decoded function: ``keys`` and
@@ -563,8 +563,8 @@ class _PartialFunction(dict):
     ``reversed`` and subscription raise ``TypeError``, so a law that
     reads a function another way than by calling it fails as it would on
     the decoded value, not silently on the points read so far.  Item
-    assignment and deletion stay ``dict``'s, which the walk writes
-    through; it reads and fills a view by ``dict``'s own methods."""
+    assignment, item deletion and ``|=`` raise ``TypeError`` too; the walk
+    reads and fills a view by ``dict``'s own methods."""
 
     __slots__ = ("domain", "codomain", "digits", "trail", "start")
 
@@ -594,6 +594,16 @@ class _PartialFunction(dict):
     def __getitem__(self, _x):
         raise TypeError("'FiniteFunction' object is not subscriptable")
 
+    def __setitem__(self, _x, _value):
+        raise TypeError("'FiniteFunction' object does not support item assignment")
+
+    def __delitem__(self, _x):
+        raise TypeError("'FiniteFunction' object doesn't support item deletion")
+
+    def __ior__(self, other):
+        raise TypeError("unsupported operand type(s) for |=: 'FiniteFunction' and "
+                        f"{type(other).__name__!r}")
+
     def __init__(self, domain, codomain, digits, trail, start=0):
         self.domain = domain
         self.codomain = codomain
@@ -613,8 +623,7 @@ class _PartialFunction(dict):
         digits[index] = 0
         key = self.domain[j]
         self.trail.append((self, key, index))  # a _Draws trail may pick another digit
-        value = self[key] = self.codomain[digits[index]]
-        return value
+        return _add(self, key, self.codomain[digits[index]])
 
     def _decoded(self):
         return FiniteFunction(self.domain, self.values)
@@ -633,6 +642,14 @@ class _PartialFunction(dict):
 
     def __repr__(self):
         return repr(self._decoded())
+
+    def __reduce_ex__(self, _protocol):
+        return FiniteFunction, (self.domain, self.values)
+
+
+# the walk writes a view's points through dict's own methods: a point's
+# first value (it is unassigned), its next value, and its removal
+_add, _assign, _unassign = dict.setdefault, dict.__setitem__, dict.pop
 
 
 class _Trail(list):
@@ -699,11 +716,11 @@ class _Trail(list):
             digit = view.digits[at] + 1
             if digit < len(view.codomain):
                 view.digits[at] = digit
-                view[key] = view.codomain[digit]
+                _assign(view, key, view.codomain[digit])
                 return True
             list.pop(self)
             view.digits[at] = None
-            del view[key]
+            _unassign(view, key)
         return False
 
 
@@ -783,12 +800,12 @@ class _Draws(_Trail):
             if following is not None:
                 view, key, at = self[-1]
                 view.digits[at], self.node = following
-                view[key] = view.codomain[view.digits[at]]
+                _assign(view, key, view.codomain[view.digits[at]])
                 return True
             _alternatives, self.node = self.branches.pop()
             view, key, at = list.pop(self)
             view.digits[at] = None
-            del view[key]
+            _unassign(view, key)
         return False
 
 

@@ -9,7 +9,7 @@ from functools import partial
 from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family, morphism_laws, require_identity
-from .lawcheck import FiniteDomain, Law, LawReport, enumerate_functions, run_laws
+from .lawcheck import FiniteDomain, Law, enumerate_functions
 from .stateful import Stateful, enumerate_stateful, state_family
 
 
@@ -134,14 +134,13 @@ def right(m: Stateful) -> Stateful:
 # law suites
 
 
-def check_lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain,
-                    cap=None, seed=0) -> LawReport:
+def lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain):
     """Round-tripping (update-view, view-update) plus the overwrite law, over
     the lens's effect family.  At the identity effect they are the pure laws
     view(update(s, v)) == v, update(s, view(s)) == s and
     update(update(s, v), v2) == update(s, v2)."""
     fam = l.effect
-    laws = [
+    return [
         Law(
             "update-view",
             [("s", dom_a), ("v", dom_b)],
@@ -163,18 +162,15 @@ def check_lens_laws(l: Lens, dom_a: FiniteDomain, dom_b: FiniteDomain,
             lambda e: l.update(e["s"], e["v2"]),
         ),
     ]
-    return run_laws("lens-laws", laws, fam.equal_values, cap=cap, seed=seed)
 
 
-def check_theta_morphism(l: Lens, fam: EffectFamily, source_domain: FiniteDomain,
-                         view_domain: FiniteDomain, value_domain: FiniteDomain,
-                         cap=None, seed=0) -> LawReport:
+def theta_morphism_laws(l: Lens, fam: EffectFamily, source_domain: FiniteDomain,
+                        view_domain: FiniteDomain, value_domain: FiniteDomain):
     """The widening is a monad morphism from ``state_family(fam)`` to itself
     when the lens is very well-behaved: it preserves unit and distributes
     over bind, pointwise over sources."""
     st = state_family(fam)
     computations = enumerate_stateful(fam, view_domain, value_domain)
-    laws = morphism_laws("theta-", partial(theta, l), st, st, value_domain,
+    return morphism_laws("theta-", partial(theta, l), st, st, value_domain,
                          ("m", computations),
                          enumerate_functions(value_domain, computations), source_domain)
-    return run_laws("theta-morphism", laws, fam.equal_values, cap=cap, seed=seed)

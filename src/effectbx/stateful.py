@@ -8,14 +8,7 @@ from typing import Any, Callable
 
 from .effects import EffectFamily, NativeStateOps, morphism_laws
 from .errors import BaseLawsViolated
-from .lawcheck import (
-    FiniteDomain,
-    LawReport,
-    Space,
-    enumerate_functions,
-    pointwise,
-    run_laws,
-)
+from .lawcheck import FiniteDomain, Space, enumerate_functions, pointwise
 
 
 class Stateful:
@@ -222,8 +215,7 @@ def get_set_laws(get: Stateful, set_, views, states, names=("get", "set"),
     ]
 
 
-def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
-                    value_domain: FiniteDomain, cap=None, seed=0) -> LawReport:
+def state_laws(fam: EffectFamily, state_domain: FiniteDomain, value_domain: FiniteDomain):
     """The four get/set laws, discardability of unused gets, and the two
     lifting-commutation equalities, exhaustively over the state domain."""
     get = st_get(fam)
@@ -245,7 +237,7 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
             lambda b: set_x.then(st_unit(fam, b))
         )
 
-    laws = [
+    return [
         *get_set_laws(get, lambda x: st_set(fam, x), state_domain, state_domain),
         pointwise(
             "unused-get-discardable",
@@ -270,10 +262,6 @@ def state_law_suite(fam: EffectFamily, state_domain: FiniteDomain,
             set_after_lift,
         ),
     ]
-    return run_laws(
-        f"state-laws[{fam.name}/{state_domain.name}]", laws, fam.equal_values,
-        cap=cap, seed=seed, effect=fam.name,
-    )
 
 
 def state_family(fam: EffectFamily) -> EffectFamily:
@@ -283,18 +271,14 @@ def state_family(fam: EffectFamily) -> EffectFamily:
     return EffectFamily(f"state[{fam.name}]", partial(st_unit, fam), Stateful.bind)
 
 
-def check_lift_morphism(fam: EffectFamily, state_domain: FiniteDomain,
-                        value_domain: FiniteDomain, cap=None, seed=0) -> LawReport:
+def lift_morphism_laws(fam: EffectFamily, state_domain: FiniteDomain,
+                       value_domain: FiniteDomain):
     """st_lift is a monad morphism from ``fam`` to ``state_family(fam)``: it
     preserves unit and bind, pointwise over states."""
     tvs = fam.values_over(value_domain)
-    laws = morphism_laws("lift-", partial(st_lift, fam), fam, state_family(fam),
+    return morphism_laws("lift-", partial(st_lift, fam), fam, state_family(fam),
                          value_domain, ("tv", tvs),
                          enumerate_functions(value_domain, tvs), state_domain)
-    return run_laws(
-        f"lift-morphism[{fam.name}]", laws, fam.equal_values,
-        cap=cap, seed=seed, effect=fam.name,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +295,10 @@ def data_refinement(base: NativeStateOps):
     must satisfy the get-get, get-set and set-get laws; BaseLawsViolated
     identifies the failing law otherwise.
     """
+    from .checks import check  # checks imports this module
+
     fam = base.family
-    report = _base_state_laws(base)
+    report = check(fam, "base-state", ops=base)
     for result in report.laws:
         if not result.ok:
             raise BaseLawsViolated(result.name, result.failures[0])
@@ -342,14 +328,13 @@ def data_refinement(base: NativeStateOps):
     return conc, abs_
 
 
-def _base_state_laws(base: NativeStateOps) -> LawReport:
-    """get-get, set-get and get-set of the native operations, lifted to
-    computations over a one-element outer state."""
-    fam = base.family
+def base_state_laws(fam: EffectFamily, ops: NativeStateOps):
+    """get-get, set-get and get-set of the native operations ``ops`` of
+    ``fam``, lifted to computations over a one-element outer state."""
     laws = get_set_laws(
-        st_lift(fam, base.get_value),
-        lambda x: st_lift(fam, base.set_value(x)),
-        base.state_domain,
+        st_lift(fam, ops.get_value),
+        lambda x: st_lift(fam, ops.set_value(x)),
+        ops.state_domain,
         FiniteDomain("unit", ((),)),
     )
-    return run_laws(f"base-state-laws[{fam.name}]", laws[:3], fam.equal_values)
+    return laws[:3]

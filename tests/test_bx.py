@@ -12,9 +12,9 @@ from effectbx import (
     UnobservableEffect,
     analyze_transparency,
     bx_to_symlens,
+    check,
     check_init_laws,
     check_seven_laws,
-    check_suite,
     compose_init,
     composers_bx,
     console_family,
@@ -90,11 +90,11 @@ def test_each_mutant_fails_exactly_its_law(name, target):
 
 
 def test_overwritable_verdicts():
-    assert check_suite(identity_bx(identity_family(), BIT), "overwritable").ok
+    assert check(identity_bx(identity_family(), BIT), "overwritable").ok
     fstbx = lens_to_bx(fst_lens(), PAIRS, BIT)
-    assert check_suite(fstbx, "overwritable").ok
+    assert check(fstbx, "overwritable").ok
     wrapped = log_bx(identity_bx(writer_family(), BIT))
-    report = check_suite(wrapped, "overwritable")
+    report = check(wrapped, "overwritable")
     assert set(report.failing_laws) == {"set_l-set_l", "set_r-set_r"}
 
 
@@ -212,11 +212,11 @@ def test_consistent_pairs_const():
 
 
 def test_stability_verdicts():
-    assert check_suite(identity_bx(identity_family(), BIT), "stability").ok
-    assert check_suite(inv_bx(), "stability").ok
+    assert check(identity_bx(identity_family(), BIT), "stability").ok
+    assert check(inv_bx(), "stability").ok
     bad = mutant_unstable()
     assert check_seven_laws(bad).ok  # well-behaved...
-    report = check_suite(bad, "stability")   # ...but unstable
+    report = check(bad, "stability")   # ...but unstable
     assert report.failing_laws == ("stable-set_l-first",)
     assert report.law("stable-set_l-first").failures
 
@@ -276,14 +276,14 @@ def test_a_pointwise_side_called_alone_builds_from_its_own_env():
 
 def test_check_suite_names_the_subject_per_suite():
     bx = identity_bx(identity_family(), BIT)
-    assert check_suite(bx, "seven").subject == "identity"
+    assert check(bx, "seven").subject == "identity"
     for suite in ("overwritable", "stability", "init"):
-        assert check_suite(bx, suite).subject == f"identity:{suite}"
+        assert check(bx, suite).subject == f"identity:{suite}"
 
 
 def test_check_suite_refuses_init_without_initializers():
     with pytest.raises(ValueError, match="mutant-unstable has no initializers"):
-        check_suite(mutant_unstable(), "init")
+        check(mutant_unstable(), "init")
 
 
 @pytest.mark.parametrize("build", [
@@ -305,7 +305,7 @@ def test_check_suite_refuses_a_bx_without_finite_domains():
             else:
                 error, message = UnobservableEffect, "declares no state_domain, dom_a, dom_b"
             with pytest.raises(error, match=f"^{bx.name} {message}$"):
-                check_suite(bx, suite)
+                check(bx, suite)
 
 
 def test_run_corpus_refuses_unknown_entry_names():

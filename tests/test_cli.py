@@ -6,16 +6,18 @@ import json
 import pytest
 
 from effectbx import (
+    BX_SUITES,
+    CHECKS,
+    Bx,
     FiniteDomain,
     Lens,
     SymLens,
-    check_lens_laws,
-    check_symlens_laws,
+    check,
     identity_bx,
     identity_family,
 )
 from effectbx.cli import main
-from effectbx.corpus import non_overwrite_lens
+from effectbx.corpus import AGGREGATES, _entry_suites, corpus_entries, non_overwrite_lens
 
 
 def test_laws_seven_identity(capsys):
@@ -40,9 +42,25 @@ def test_laws_mutant_exits_nonzero(capsys):
 
 
 def test_laws_unknown_suite_usage_error(capsys):
+    # the choices are "all", the aggregates and the suites of the checker
+    # table that a bx is checked by alone
     with pytest.raises(SystemExit) as err:
         main(["laws", "--suite", "nonsense"])
     assert err.value.code == 2
+    choices = ["all", *AGGREGATES,
+               *(suite for (kind, suite), entry in CHECKS.items()
+                 if kind is Bx and not entry.domains)]
+    assert choices == ["all", "corpus", "monad", "state",
+                       "seven", "overwritable", "stability", "init"]
+    listed = ", ".join(map(repr, choices))
+    assert f"invalid choice: 'nonsense' (choose from {listed})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", BX_SUITES)
+def test_a_per_bx_suite_prints_the_report_of_check(suite, capsys):
+    entry = next(entry for entry in corpus_entries() if suite in _entry_suites(entry))
+    main(["laws", "--suite", suite, "--bx", entry.name, "--format", "json"])
+    assert capsys.readouterr().out == check(entry.build(), suite).to_json(indent=2) + "\n"
 
 
 def test_laws_unknown_bx(capsys):
@@ -424,8 +442,8 @@ def _cli(*args):
     return output
 
 
-def _report(check, subject, *domains):
-    return lambda _capsys: check(subject, *domains).to_json()
+def _report(subject, suite, **domains):
+    return lambda _capsys: check(subject, suite, **domains).to_json()
 
 
 BIT = FiniteDomain("bit", (0, 1))
@@ -456,16 +474,15 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
      "d297d60e88c754b3f89dfb85fa50ac8a8ee37a7d6d0f6d89b4a878f586264b7f"),
     (_cli("laws", "--suite", "corpus", "--format", "json"),
      "63c81650bd008f477d2e40c467bd6237a8df1851a03e2d2234a2f8240be645cf"),
-    (_report(check_lens_laws, non_overwrite_lens(), PAIRS, BIT),
+    (_report(non_overwrite_lens(), "lens", dom_a=PAIRS, dom_b=BIT),
      "7ec938f00f38c388de724a8e7c602b7239e7f8c358e7069bdf6a8e782166550e"),
     # update ignores the view: witnesses for update-view
-    (_report(check_lens_laws, Lens(lambda s: s[0], lambda s, _v: s, lambda v: (v, 0)),
-             PAIRS, BIT),
+    (_report(Lens(lambda s: s[0], lambda s, _v: s, lambda v: (v, 0)), "lens",
+             dom_a=PAIRS, dom_b=BIT),
      "e0e77808885b26742cf7f378977bf84a3afa92b4ed7b2a4472bb08d2827f27e7"),
     # put_r keeps a stale complement: witnesses for put_r-put_l
-    (_report(check_symlens_laws,
-             SymLens(put_r=lambda a, c: (a, c), put_l=lambda b, _c: (b, b), missing=0),
-             BIT, BIT, BIT),
+    (_report(SymLens(put_r=lambda a, c: (a, c), put_l=lambda b, _c: (b, b), missing=0),
+             "symlens", dom_a=BIT, dom_b=BIT, dom_c=BIT),
      "dee1964f96460c67e53ace6be2c0729efa66c6aebe0cd62b66cc1624366f6b73"),
     # both composers implementations, step by step
     (_cli("composers", "--format", "json"),

@@ -13,10 +13,10 @@ from effectbx import (
     UNINIT,
     analyze_transparency,
     assoc_bx,
+    check,
     check_equivalence,
     check_init_laws,
     check_seven_laws,
-    check_suite,
     choice_family,
     compose,
     console_family,
@@ -142,10 +142,10 @@ def test_pair_does_not_preserve_overwritability():
     fam = writer_family(bound=1)
     c1 = _logging_component(fam)
     c2 = _logging_component(fam)
-    assert check_suite(c1, "overwritable").ok
+    assert check(c1, "overwritable").ok
     paired = pair_bx(c1, c2)
     assert check_seven_laws(paired).ok
-    report = check_suite(paired, "overwritable")
+    report = check(paired, "overwritable")
     assert "set_l-set_l" in report.failing_laws
     w = report.law("set_l-set_l").failures[0]
     # the failing shape: the second pair-set's right half is silent while a
@@ -263,7 +263,7 @@ def test_swap_iso():
     fam = identity_family()
     bx = swap_bx(fam, BIT, BIT)
     assert bx.get_r.run((0, 1))[0] == (1, 0)
-    assert check_seven_laws(bx).ok and check_suite(bx, "overwritable").ok
+    assert check_seven_laws(bx).ok and check(bx, "overwritable").ok
     # swap ; swap is the identity on pairs up to the canonical bijection
     composed = compose(bx, swap_bx(fam, BIT, BIT))
     flat = identity_bx(fam, FiniteDomain("p", tuple((x, y) for x in BIT for y in BIT)))

@@ -15,10 +15,10 @@ from effectbx import (
     StateBijection,
     analyze_transparency,
     assoc_bijection,
+    check,
     check_equivalence,
     check_init_laws,
     check_seven_laws,
-    check_suite,
     compose,
     compose_init,
     dual,
@@ -40,6 +40,7 @@ from effectbx import (
     st_exec,
     sum_bx,
 )
+from effectbx.compose import _check_bijection
 from effectbx.corpus import _switch_reader
 
 BIT = FiniteDomain("bit", (0, 1))
@@ -53,7 +54,7 @@ def _fst():
 def test_identity_bx_is_well_behaved_transparent_overwritable():
     bx = identity_bx(identity_family(), BIT)
     assert check_seven_laws(bx).ok
-    assert check_suite(bx, "overwritable").ok
+    assert check(bx, "overwritable").ok
     analysis = analyze_transparency(bx)
     assert analysis.transparent
     assert analysis.read_l(1) == 1 and analysis.read_r(0) == 0
@@ -66,7 +67,7 @@ def test_dual_swaps_operations():
     assert d.get_l.run((0, 1)) == bx.get_r.run((0, 1))
     assert check_seven_laws(d).ok
     dd = dual(identity_bx(identity_family(), BIT))
-    assert check_seven_laws(dd).ok and check_suite(dd, "overwritable").ok
+    assert check_seven_laws(dd).ok and check(dd, "overwritable").ok
 
 
 def test_dual_mirrors_law_verdicts():
@@ -241,6 +242,60 @@ def test_not_bijective_detection():
         check_equivalence(one, bx, StateBijection(lambda s: s, lambda s: s))
 
 
+def _unwrap(state):
+    return state[0] if isinstance(state, list) else state
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda i: i,
+    lambda i: [i],
+    lambda i: [i] if i == 1 else i,
+], ids=["hashable", "unhashable", "mixed"])
+def test_each_bijection_error_is_raised_for_states_that_hash_or_do_not(wrap):
+    # states that hash are looked up in a set, the others compared by ==
+    states = FiniteDomain("states", tuple(map(wrap, range(3))))
+    first_two = FiniteDomain("first-two", tuple(map(wrap, range(2))))
+    same = StateBijection(lambda s: s, lambda t: t)
+    cases = [
+        (StateBijection(lambda s: wrap(_unwrap(s) + 3), lambda t: t), states,
+         f"forward image {wrap(3)!r} outside codomain"),
+        (StateBijection(lambda s: wrap(0), lambda t: t), states,
+         f"forward not injective at {wrap(1)!r}"),
+        (StateBijection(lambda s: s, lambda t: wrap(0)), states,
+         f"backward(forward({wrap(1)!r})) != {wrap(1)!r}"),
+        (same, first_two, "forward not onto the codomain"),
+    ]
+    for h, domain, message in cases:
+        with pytest.raises(NotBijective) as raised:
+            _check_bijection(h, domain, states)
+        assert str(raised.value) == message
+    _check_bijection(same, states, states)
+
+
+class _Counted:
+    """A hashable state that counts the comparisons made with it."""
+
+    comparisons = 0
+
+    def __init__(self, i):
+        self.i = i
+
+    def __eq__(self, other):
+        _Counted.comparisons += 1
+        return isinstance(other, _Counted) and self.i == other.i
+
+    def __hash__(self):
+        return hash(self.i)
+
+
+def test_a_bijection_of_hashable_states_is_checked_in_linear_comparisons():
+    states = FiniteDomain("counted", tuple(map(_Counted, range(200))))
+    _Counted.comparisons = 0
+    _check_bijection(StateBijection(lambda s: _Counted(s.i), lambda t: _Counted(t.i)),
+                     states, states)
+    assert _Counted.comparisons <= 2 * len(states)
+
+
 def test_compose_init_lands_in_join_and_satisfies_laws():
     fam = identity_family()
     bx1 = identity_bx(fam, PAIRS, name="idp")
@@ -320,6 +375,6 @@ def test_initialisers_survive_exactly_when_every_component_has_them(combine, ope
     combined = combine(*(bxs[name] for name in operands))
     if "plain" in operands:
         with pytest.raises(NoInitializers, match="has no initializers"):
-            check_suite(combined, "init")
+            check(combined, "init")
     else:
-        assert check_suite(combined, "init").ok
+        assert check(combined, "init").ok

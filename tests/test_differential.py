@@ -18,15 +18,16 @@ import sys
 import pytest
 
 from effectbx import (
+    CHECKS,
     NOTHING,
-    SUITES,
+    Bx,
     Conjunction,
     FiniteDomain,
     FiniteFunction,
     bx_to_symlens,
+    check,
     check_lift_morphism,
     check_monad_laws,
-    check_suite,
     check_commutative,
     check_equivalence,
     check_theta_morphism,
@@ -47,7 +48,7 @@ from effectbx import (
     state_law_suite,
     symlens_to_bx,
 )
-from effectbx import bx as bx_module, effects, lawcheck, lenses, stateful
+from effectbx import bx as bx_module, checks, lawcheck, stateful
 from effectbx.compose import assoc_bijection
 from effectbx.corpus import (
     _entry_suites,
@@ -156,9 +157,9 @@ def test_every_corpus_suite_against_hand_rolled_evaluation():
         bx = entry.build()
         for suite in _entry_suites(entry):
             where = f"{entry.name}/{suite}"
-            report = check_suite(bx, suite)
+            report = check(bx, suite)
             assert report.mode == "exhaustive", where
-            entries = _plain_enumeration(SUITES[suite](bx), bx.effect.equal_values)
+            entries = _plain_enumeration(CHECKS[Bx, suite].laws(bx), bx.effect.equal_values)
             assert report.to_dict()["laws"] == entries, where
             total += sum(e["checked"] for e in entries)
     assert total >= 8000
@@ -191,17 +192,17 @@ def _function_quantifier_cases():
     # two reader contexts, not three: reader/d2 associativity would spend
     # over a second in plain enumeration alone
     fams = _families((0, 1))
-    yield from ((f"monad/{fam.name}/{dom.name}", effects, check_monad_laws, (fam, dom))
+    yield from ((f"monad/{fam.name}/{dom.name}", checks, check_monad_laws, (fam, dom))
                 for fam in fams for dom in (D1, D2))
-    yield from ((f"state/{fam.name}/{dom.name}", stateful, state_law_suite,
+    yield from ((f"state/{fam.name}/{dom.name}", checks, state_law_suite,
                  (fam, dom, BIT)) for fam in fams for dom in (S1, S2))
-    yield from ((f"lift/{fam.name}", stateful, check_lift_morphism, (fam, BIT, BIT))
+    yield from ((f"lift/{fam.name}", checks, check_lift_morphism, (fam, BIT, BIT))
                 for fam in fams)
     ident = identity_family()
     for name, lens, source in (("fst", fst_lens(), PAIRS), ("snd", snd_lens(), PAIRS),
                                ("identity", identity_lens(), BIT),
                                ("non-overwrite", non_overwrite_lens(), PAIRS)):
-        yield (f"theta/{name}", lenses, check_theta_morphism,
+        yield (f"theta/{name}", checks, check_theta_morphism,
                (lens, ident, source, BIT, BIT))
     # through the module, so that the patched runner is the one called
     yield ("three-stages", lawcheck,
@@ -255,7 +256,7 @@ def _pointwise_reports(cap, seed):
         bx = entry.build()
         for suite in _entry_suites(entry):
             if suite != "init" or bx.initialisable:
-                reports.append(check_suite(bx, suite, cap=cap, seed=seed).to_json())
+                reports.append(check(bx, suite, cap=cap, seed=seed).to_json())
     reports.append(json.dumps(run_state_suite(cap=cap, seed=seed), sort_keys=True))
     fam = identity_family()
     fstbx = lens_to_bx(fst_lens(), PAIRS, BIT, name="fst")
@@ -338,7 +339,7 @@ def _first_computation_reports(cap, seed):
     for entry in corpus_entries():
         bx = entry.build()
         for suite in ("seven", "overwritable", "stability"):
-            reports.append(check_suite(bx, suite, cap=cap, seed=seed).to_json())
+            reports.append(check(bx, suite, cap=cap, seed=seed).to_json())
     reports.append(json.dumps(run_state_suite(cap=cap, seed=seed), sort_keys=True))
     return reports
 
@@ -355,9 +356,10 @@ def test_laws_with_a_first_computation_report_as_their_two_computation_form(
     monkeypatch.setattr(stateful, "get_set_laws", _two_computation_get_set_laws)
     monkeypatch.setattr(bx_module, "get_set_laws", _two_computation_get_set_laws)
     monkeypatch.setattr(bx_module, "stability_laws", _two_computation_stability_laws)
-    monkeypatch.setitem(SUITES, "stability", _two_computation_stability_laws)
+    monkeypatch.setitem(CHECKS, (Bx, "stability"), dataclasses.replace(
+        CHECKS[Bx, "stability"], laws=_two_computation_stability_laws))
     assert not any(law.first for suite in ("seven", "stability")
-                   for law in SUITES[suite](bit))
+                   for law in CHECKS[Bx, suite].laws(bit))
     assert _first_computation_reports(cap, seed) == shared
     assert any('"failures": [{' in report for report in shared)
 
@@ -473,12 +475,12 @@ def _sampled_cases():
     d3 = FiniteDomain("d3", (0, 1, 2))
     for seed in range(4):
         for name in ("choice", "reader", "writer", "console"):
-            yield (f"monad/{name}/d3/seed{seed}", effects,
+            yield (f"monad/{name}/d3/seed{seed}", checks,
                    lambda fam=families[name], seed=seed: check_monad_laws(fam, d3, seed=seed))
-    yield ("state/choice/s4", stateful,
+    yield ("state/choice/s4", checks,
            lambda: state_law_suite(families["choice"], FiniteDomain("s4", (0, 1, 2, 3)),
                                    BIT, cap=1000))
-    yield ("commute/console", effects,
+    yield ("commute/console", checks,
            lambda: check_commutative(families["console"], FiniteDomain("ca", (0, 1)),
                                      FiniteDomain("cb", (2, 3)), cap=10))
     # four functions and 400 draws: every draw has duplicates
@@ -494,16 +496,16 @@ def _sampled_cases():
            lambda: run_laws("same-at-zero", [same], operator.eq, cap=100))
     # pointwise laws with no function quantifier, one failing: 400 draws over
     # 4 or 8 assignments, so every row is drawn many times
-    yield ("seven/mutant-set_l-get_l/cap3", bx_module,
-           lambda: check_suite(mutant_set_l_get_l(), "seven", cap=3, seed=1))
+    yield ("seven/mutant-set_l-get_l/cap3", checks,
+           lambda: check(mutant_set_l_get_l(), "seven", cap=3, seed=1))
     # pointwise laws whose curried continuations are read while the sides
     # run at each drawn state, one failing
-    yield ("theta/non-overwrite/reader/cap100", lenses,
+    yield ("theta/non-overwrite/reader/cap100", checks,
            lambda: check_theta_morphism(non_overwrite_lens(), reader_family((0, 1)), PAIRS,
                                         BIT, BIT, cap=100, seed=3))
     for fam in _families((0, 1)):
         if fam.name in ("reader", "choice"):
-            yield (f"lift/{fam.name}/cap10", stateful,
+            yield (f"lift/{fam.name}/cap10", checks,
                    lambda fam=fam: check_lift_morphism(fam, BIT, BIT, cap=10, seed=1))
     # a function quantifier read while building, running and observing
     law, equal = _three_stage_law()

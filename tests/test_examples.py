@@ -11,8 +11,8 @@ from effectbx import (
     KeyViolation,
     NOTHING,
     alert_bx,
+    check,
     check_seven_laws,
-    check_suite,
     choice_family,
     console_family,
     console_run,
@@ -263,7 +263,7 @@ def test_switch_builds_each_member_once():
         return lens_to_bx(lens, PAIRS, BIT, fam=fam)
 
     switched = switch_bx(fam, pick)
-    verdicts = [check_suite(switched, suite).ok
+    verdicts = [check(switched, suite).ok
                 for suite in ("seven", "overwritable", "stability")]
     assert verdicts == [True, True, False]
     assert built == [False, True]

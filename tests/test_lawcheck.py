@@ -1,10 +1,12 @@
 """The generic law runner: enumeration, sampling, reports, determinism."""
 
 import collections
+import copy
 import dataclasses
 import json
 import math
 import operator
+import pickle
 import random
 import sys
 
@@ -17,9 +19,9 @@ from effectbx import (
     FiniteFunction,
     Law,
     Stateful,
+    check,
     check_lift_morphism,
     check_monad_laws,
-    check_suite,
     check_theta_morphism,
     choice_family,
     enumerate_functions,
@@ -41,7 +43,7 @@ from effectbx.corpus import (
     run_monad_suite,
     run_state_suite,
 )
-from effectbx import effects, lenses, stateful
+from effectbx import checks
 from effectbx.lawcheck import (
     DEFAULT_CAP,
     Space,
@@ -596,13 +598,11 @@ def test_curried_reader_continuations_cost_pinned_evaluations(monkeypatch):
     # once, and each environment's part reads m, k1 and k2 there alone: 8
     # leaves per part where the joint walk had 512 over all three
     fam = reader_family((0, 1, 2))
-    d2, costs = _costs(monkeypatch, effects, lambda: check_monad_laws(fam, D2),
-                       "associativity")
+    d2, costs = _costs(monkeypatch, lambda: check_monad_laws(fam, D2), "associativity")
     assert d2.mode == "exhaustive" and d2.ok
     assert d2.law("associativity").checked == 32_768
     assert costs == (1, 0, (8, 8, 8))
-    d3, costs = _costs(monkeypatch, effects, lambda: check_monad_laws(fam, DOM3),
-                       "left-unit")
+    d3, costs = _costs(monkeypatch, lambda: check_monad_laws(fam, DOM3), "left-unit")
     assert d3.law("left-unit").checked == 59_049
     assert costs == (3, 0, (9, 9, 9))
 
@@ -610,21 +610,21 @@ def test_curried_reader_continuations_cost_pinned_evaluations(monkeypatch):
 PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
-@pytest.mark.parametrize("module, check, law, checked, costs, failing", [
-    (stateful, lambda: check_lift_morphism(reader_family((0, 1)), BIT, BIT),
+@pytest.mark.parametrize("check, law, checked, costs, failing", [
+    (lambda: check_lift_morphism(reader_family((0, 1)), BIT, BIT),
      "lift-preserves-bind", 128, (1, 2, (8, 8)), ()),
-    (lenses, lambda: check_theta_morphism(fst_lens(), identity_family(), PAIRS, BIT, BIT),
+    (lambda: check_theta_morphism(fst_lens(), identity_family(), PAIRS, BIT, BIT),
      "theta-preserves-bind", 16_384, (1, 64, (64,)), ()),
     # one build and 64 runs in the walk, then one of each per witness
-    (lenses, lambda: check_theta_morphism(non_overwrite_lens(), identity_family(),
-                                          PAIRS, BIT, BIT),
+    (lambda: check_theta_morphism(non_overwrite_lens(), identity_family(),
+                                  PAIRS, BIT, BIT),
      "theta-preserves-bind", 16_384, (1 + 3, 64 + 3, (64,)), ("theta-preserves-bind",)),
 ], ids=["lift-reader", "theta-fst", "theta-non-overwrite"])
 def test_curried_continuations_into_state_transformers_cost_pinned_evaluations(
-        monkeypatch, module, check, law, checked, costs, failing):
+        monkeypatch, check, law, checked, costs, failing):
     # the sides are built before the continuations are read, once per row,
     # and the runs at each state read them
-    report, spent = _costs(monkeypatch, module, check, law)
+    report, spent = _costs(monkeypatch, check, law)
     assert report.mode == "exhaustive" and report.failing_laws == failing
     assert report.law(law).checked == checked
     assert spent == costs
@@ -634,19 +634,19 @@ def test_choice_continuations_cost_pinned_evaluations(monkeypatch):
     # choice's bind runs its continuations while it builds, so a law with
     # one part costs one build and one observation per leaf, as it did in
     # the joint walk
-    d2, costs = _costs(monkeypatch, effects,
-                       lambda: check_monad_laws(choice_family(), D2), "associativity")
+    d2, costs = _costs(monkeypatch, lambda: check_monad_laws(choice_family(), D2),
+                       "associativity")
     assert d2.mode == "exhaustive" and d2.ok
     assert d2.law("associativity").checked == 16_807
     assert costs == (3_871, 0, (3_871,))
-    d2, costs = _costs(monkeypatch, effects,
-                       lambda: check_monad_laws(choice_family(), D2), "left-unit")
+    d2, costs = _costs(monkeypatch, lambda: check_monad_laws(choice_family(), D2),
+                       "left-unit")
     assert d2.law("left-unit").checked == 98
     assert costs == (14, 0, (14,))
 
 
-def _costs(monkeypatch, module, check, name):
-    """The report of ``check()``, which calls ``module.run_laws`` once, and
+def _costs(monkeypatch, check, name):
+    """The report of ``check()``, which calls ``checks.run_laws`` once, and
     what its law ``name`` costs when run again alone with the same keyword
     arguments (so a sampled law walks the same draws): the builds and the
     runs of one side, as ``_counting_sides`` counts them (the other side
@@ -659,7 +659,7 @@ def _costs(monkeypatch, module, check, name):
         given.append((list(laws), equal, kwargs))
         return run_laws(subject, laws, equal, **kwargs)
 
-    monkeypatch.setattr(module, "run_laws", recording)
+    monkeypatch.setattr(checks, "run_laws", recording)
     report = check()
     (laws, equal, kwargs), = given
     law, = [law for law in laws if law.name == name]
@@ -725,7 +725,7 @@ def test_a_failing_law_without_function_quantifiers_costs_its_rows_and_witnesses
     # identity's bind calls it once); each witness is evaluated again from
     # its indices, one build and run of the set and one build and call per side
     bx = mutant_set_l_get_l()
-    reference = check_suite(bx, "seven").to_json()
+    reference = check(bx, "seven").to_json()
     counts = collections.Counter()
     laws = [_counting_sides(law, counts) for law in seven_laws(bx)]
     report, evaluations = _evaluations(
@@ -763,7 +763,7 @@ def test_a_sampled_law_without_function_quantifiers_builds_each_drawn_row_once()
     report = run_laws(bx.name, [_counting_sides(law, counts) for law in laws],
                       bx.effect.equal_values, cap=3, seed=1, effect=bx.effect.name)
     assert report.mode == "sampled(n=400,seed=1)"
-    assert report.laws[:-1] == check_suite(bx, "seven", cap=3, seed=1).laws
+    assert report.laws[:-1] == check(bx, "seven", cap=3, seed=1).laws
     builds, runs = {}, {}
     for law, result in zip(laws, report.laws):
         spaces = [_as_space(dom) for _name, dom in law.quantifiers]
@@ -856,8 +856,8 @@ def test_sampled_d3_associativity_walks_its_draws_in_pinned_evaluations(
     families = {fam.name: fam for fam in _families((0, 1, 2))}
     for name, costs in spent.items():
         report, walked = _costs(
-            monkeypatch, effects,
-            lambda: check_monad_laws(families[name], DOM3, seed=seed), "associativity")
+            monkeypatch, lambda: check_monad_laws(families[name], DOM3, seed=seed),
+            "associativity")
         assert report.mode == f"sampled(n=400,seed={seed})" and report.ok, name
         assert report.law("associativity").checked == 400
         assert walked == costs, name
@@ -950,7 +950,7 @@ def _view(domain=(0, 1, 2), codomain=("x", "y")):
 def _advance(view, key, index):
     """Give ``key`` its next codomain value, as ``run_laws`` backtracks."""
     view.digits[index] += 1
-    view[key] = view.codomain[view.digits[index]]
+    dict.__setitem__(view, key, view.codomain[view.digits[index]])
 
 
 def test_a_view_with_no_point_assigned_is_truthy():
@@ -1055,6 +1055,12 @@ _READS = {
     "reflected |": lambda f: {} | f,
     "<": lambda f: f < f,
     "get, by hasattr": lambda f: hasattr(f, "get"),
+    "item assignment": lambda f: operator.setitem(f, 0, "y"),
+    "item deletion": lambda f: operator.delitem(f, 0),
+    "|=": lambda f: operator.ior(f, {0: "y"}),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda f: pickle.loads(pickle.dumps(f)),
 }
 
 
@@ -1062,13 +1068,14 @@ _READS = {
 def test_a_view_answers_every_read_as_its_decoded_function(read):
     # every public attribute of a FiniteFunction and of a dict, and every
     # protocol, gives the same value or raises the same type through a view
-    # as on the function it decodes to; item assignment and deletion stay
-    # the dict's, which the walk writes through
+    # as on the function it decodes to, writes and copies included; a write
+    # leaves the view as it was
     view, _ = _view()
     assert view(1) == "x"
     _advance(view, 1, 1)
     decoded = FiniteFunction((0, 1, 2), ("x", "y", "x"))
     assert _answer(_READS[read], view) == _answer(_READS[read], decoded)
+    assert view == decoded
 
 
 FUNCTIONS = enumerate_functions(DOM3, BIT)
@@ -1081,7 +1088,9 @@ FUNCTIONS = enumerate_functions(DOM3, BIT)
     (lambda e: 0 * (1 in e["f"]), TypeError),
     (lambda e: e["f"][0] * 0, TypeError),
     (lambda e: len(e["f"].items()), AttributeError),
-], ids=["get", "iterate", "len", "in", "subscript", "items"])
+    (lambda e: operator.setitem(e["f"], 0, 0) or e["f"](0), TypeError),
+    (lambda e: operator.delitem(e["f"], 0) or e["f"](0), TypeError),
+], ids=["get", "iterate", "len", "in", "subscript", "items", "assign", "delete"])
 def test_a_law_that_reads_a_function_other_than_by_calling_it_raises_as_decoded(side, raised):
     # on a dict of the points assigned so far each of these sides reads 0,
     # so the law would hold, where plain decoding raises

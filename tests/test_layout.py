@@ -35,3 +35,18 @@ def test_imports_only_the_standard_library(path):
             continue
         outside += [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_run_laws_is_called_only_by_check():
+    # one checker table decides how a report is named and how cap and seed
+    # reach the runner, so ``checks.check`` is the runner's one caller
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.Module, ast.FunctionDef, ast.Lambda)):
+                calls += [(path.name, getattr(scope, "name", None)) for node in ast.walk(scope)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "run_laws"]
+    # each call is listed once for the module and once per function around it
+    assert calls == [("checks.py", None), ("checks.py", "check")]

@@ -3,7 +3,7 @@
 from effectbx import (
     FiniteDomain,
     Lens,
-    check_lens_laws,
+    check,
     check_theta_morphism,
     failure_family,
     fst_lens,
@@ -29,7 +29,7 @@ PAIRS = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def test_fst_lens_laws():
-    report = check_lens_laws(fst_lens(), PAIRS, BIT)
+    report = check(fst_lens(), "lens", dom_a=PAIRS, dom_b=BIT)
     assert report.ok
     assert {r.name for r in report.laws} == {
         "update-view", "view-update", "update-update",
@@ -37,12 +37,12 @@ def test_fst_lens_laws():
 
 
 def test_identity_lens_laws():
-    assert check_lens_laws(identity_lens(), BIT, BIT).ok
+    assert check(identity_lens(), "lens", dom_a=BIT, dom_b=BIT).ok
 
 
 def test_update_ignoring_view_fails_with_witness():
     l = Lens(lambda s: s[0], lambda s, _v: s, lambda v: (v, 0))
-    report = check_lens_laws(l, PAIRS, BIT)
+    report = check(l, "lens", dom_a=PAIRS, dom_b=BIT)
     assert "update-view" in report.failing_laws
     w = report.law("update-view").failures[0]
     # the witness reproduces: view(update(s, v)) really is not v
@@ -51,7 +51,7 @@ def test_update_ignoring_view_fails_with_witness():
 
 
 def test_non_overwrite_lens_fails_only_update_update():
-    report = check_lens_laws(non_overwrite_lens(), PAIRS, BIT)
+    report = check(non_overwrite_lens(), "lens", dom_a=PAIRS, dom_b=BIT)
     assert report.failing_laws == ("update-update",)
 
 
@@ -103,18 +103,18 @@ def test_left_right_are_monad_morphisms():
 def test_mlens_identity_passes():
     fam = identity_family()
     ml = lift_lens(fam, identity_lens())
-    assert check_lens_laws(ml, BIT, BIT).ok
+    assert check(ml, "lens", dom_a=BIT, dom_b=BIT).ok
 
 
 def test_lifted_lens_passes_iff_lens_does():
     fam = failure_family()
     good = lift_lens(fam, fst_lens())
-    assert check_lens_laws(good, PAIRS, BIT).ok
+    assert check(good, "lens", dom_a=PAIRS, dom_b=BIT).ok
     bad = lift_lens(fam, Lens(lambda s: s[0], lambda s, _v: s, None))
-    report = check_lens_laws(bad, PAIRS, BIT)
+    report = check(bad, "lens", dom_a=PAIRS, dom_b=BIT)
     assert not report.ok
-    assert check_lens_laws(
-        Lens(lambda s: s[0], lambda s, _v: s, None), PAIRS, BIT
+    assert check(
+        Lens(lambda s: s[0], lambda s, _v: s, None), "lens", dom_a=PAIRS, dom_b=BIT
     ).failing_laws != ()
 
 
@@ -127,7 +127,7 @@ def test_mlens_with_logging_create_keeps_view_update():
         create=lambda v: fam.bind(((), ("created",)), lambda _u: fam.unit((v, 0))),
         effect=fam,
     )
-    report = check_lens_laws(ml, PAIRS, BIT)
+    report = check(ml, "lens", dom_a=PAIRS, dom_b=BIT)
     assert report.law("view-update").ok
     assert report.ok
 
@@ -137,7 +137,7 @@ def test_mlens_composition_rechecked():
     inner = lift_lens(fam, fst_lens())
     outer = lift_lens(fam, identity_lens())
     composed = lens_compose(inner, outer)
-    assert check_lens_laws(composed, PAIRS, BIT).ok
+    assert check(composed, "lens", dom_a=PAIRS, dom_b=BIT).ok
     assert composed.view((3, 4)) == 3
 
 

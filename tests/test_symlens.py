@@ -9,8 +9,8 @@ from effectbx import (
     NOTHING,
     SymLens,
     bx_to_symlens,
+    check,
     check_seven_laws,
-    check_symlens_laws,
     consistent_triples,
     dual_symlens,
     failure_family,
@@ -25,7 +25,6 @@ from effectbx import (
     symlens_compose,
     symlens_to_bx,
     symlens_to_lens_span,
-    check_lens_laws,
     writer_family,
 )
 from effectbx.examples import composers_symlens, composers_universe
@@ -36,12 +35,12 @@ OPT = FiniteDomain("opt", (NOTHING, Just(0), Just(1)))
 
 def test_identity_symlens_laws():
     dom_c = FiniteDomain("c", (None, 0, 1))
-    assert check_symlens_laws(identity_symlens(), BIT, BIT, dom_c).ok
+    assert check(identity_symlens(), "symlens", dom_a=BIT, dom_b=BIT, dom_c=dom_c).ok
 
 
 def test_composers_symlens_laws_small_universe():
     dom_a, dom_b, dom_c = composers_universe()
-    report = check_symlens_laws(composers_symlens(), dom_a, dom_b, dom_c)
+    report = check(composers_symlens(), "symlens", dom_a=dom_a, dom_b=dom_b, dom_c=dom_c)
     assert report.ok, report.failing_laws
 
 
@@ -52,7 +51,7 @@ def test_stale_complement_symlens_fails_put_r_put_l():
         put_l=lambda b, _c: (b, b),
         missing=0,
     )
-    report = check_symlens_laws(sl, BIT, BIT, BIT)
+    report = check(sl, "symlens", dom_a=BIT, dom_b=BIT, dom_c=BIT)
     assert "put_r-put_l" in report.failing_laws
     w = report.law("put_r-put_l").failures[0]
     a, c = eval(w.inputs["a"]), eval(w.inputs["c"])
@@ -149,7 +148,7 @@ def test_bx_to_symlens_absent_complement_uses_init():
 def test_bx_to_symlens_satisfies_laws():
     bx = identity_bx(identity_family(), BIT)
     back = bx_to_symlens(bx)
-    assert check_symlens_laws(back, BIT, BIT, OPT).ok
+    assert check(back, "symlens", dom_a=BIT, dom_b=BIT, dom_c=OPT).ok
 
 
 def test_lens_span_round_trips():
@@ -157,7 +156,7 @@ def test_lens_span_round_trips():
     from effectbx import identity_lens
 
     sl = lens_span_to_symlens(identity_lens(), identity_lens())
-    assert check_symlens_laws(sl, BIT, BIT, OPT).ok
+    assert check(sl, "symlens", dom_a=BIT, dom_b=BIT, dom_c=OPT).ok
     b, c = sl.put_r(1, NOTHING)
     assert b == 1 and c == Just(1)
 
@@ -166,7 +165,7 @@ def test_span_of_projections():
     pairs = FiniteDomain("pairs", ((0, 0), (0, 1), (1, 0), (1, 1)))
     comp_dom = FiniteDomain("c", (NOTHING,) + tuple(Just(p) for p in pairs))
     sl = lens_span_to_symlens(fst_lens(0), snd_lens(0))
-    assert check_symlens_laws(sl, BIT, BIT, comp_dom).ok
+    assert check(sl, "symlens", dom_a=BIT, dom_b=BIT, dom_c=comp_dom).ok
     # relates the two components through the shared pair
     b, c = sl.put_r(1, Just((0, 1)))
     assert b == 1 and c == Just((1, 1))
@@ -178,10 +177,10 @@ def test_span_extracted_from_composers_satisfies_lens_laws():
     l1, l2 = symlens_to_lens_span(sl)
     triples = consistent_triples(sl, dom_a, dom_b)
     states = FiniteDomain("triples", triples.elements)
-    assert check_lens_laws(l1, states, dom_a).law("update-view").ok
-    assert check_lens_laws(l1, states, dom_a).law("view-update").ok
-    assert check_lens_laws(l2, states, dom_b).law("update-view").ok
-    assert check_lens_laws(l2, states, dom_b).law("view-update").ok
+    assert check(l1, "lens", dom_a=states, dom_b=dom_a).law("update-view").ok
+    assert check(l1, "lens", dom_a=states, dom_b=dom_a).law("view-update").ok
+    assert check(l2, "lens", dom_a=states, dom_b=dom_b).law("update-view").ok
+    assert check(l2, "lens", dom_a=states, dom_b=dom_b).law("view-update").ok
 
 
 def test_consistent_triples_refuses_a_closure_that_never_converges():
@@ -233,7 +232,7 @@ def test_lawful_symlenses_convert_to_lawful_bx():
         (span, BIT, BIT, comp_dom),
     ]
     for sl, dom_a, dom_b, dom_c in cases:
-        assert check_symlens_laws(sl, dom_a, dom_b, dom_c).ok
+        assert check(sl, "symlens", dom_a=dom_a, dom_b=dom_b, dom_c=dom_c).ok
         bx = symlens_to_bx(sl, dom_a, dom_b)
         assert check_seven_laws(bx).ok
         assert check_init_laws(bx).ok
@@ -263,7 +262,7 @@ def test_symmlens_composition_preserves_monadic_laws():
     sl2 = lift_symlens(fam, identity_symlens())
     composed = symlens_compose(sl1, sl2)
     dom_c = FiniteDomain("cc", ((None, None), (0, 0), (0, 1), (1, 0), (1, 1)))
-    assert check_symlens_laws(composed, BIT, BIT, dom_c).ok
+    assert check(composed, "symlens", dom_a=BIT, dom_b=BIT, dom_c=dom_c).ok
     assert composed.missing == (None, None)
 
 
@@ -276,15 +275,16 @@ def test_effectful_symmlens_with_failure():
     sl = SymLens(put_r=guarded_put, put_l=guarded_put, missing=None, effect=fam)
     dom = FiniteDomain("v", (0, 99))
     dom_c = FiniteDomain("c", (None, 0, 99))
-    assert check_symlens_laws(sl, dom, dom, dom_c).ok
+    assert check(sl, "symlens", dom_a=dom, dom_b=dom, dom_c=dom_c).ok
 
 
 def test_lifted_symlens_fails_the_laws_its_pure_form_fails():
     # the pure laws are the effectful ones at the identity effect, under the
     # same names, so a lifted lens fails the same laws at the same inputs
     stale = SymLens(put_r=lambda a, c: (a, c), put_l=lambda b, _c: (b, b), missing=0)
-    pure = check_symlens_laws(stale, BIT, BIT, BIT)
-    lifted = check_symlens_laws(lift_symlens(failure_family(), stale), BIT, BIT, BIT)
+    pure = check(stale, "symlens", dom_a=BIT, dom_b=BIT, dom_c=BIT)
+    lifted = check(lift_symlens(failure_family(), stale), "symlens", dom_a=BIT, dom_b=BIT,
+                   dom_c=BIT)
     assert lifted.failing_laws == pure.failing_laws == ("put_r-put_l",)
     assert ([w.inputs for w in lifted.law("put_r-put_l").failures]
             == [w.inputs for w in pure.law("put_r-put_l").failures])
