@@ -1,6 +1,7 @@
 """The bidirectional interface: two entangled views over a hidden state, with
-get/set per side, and the law suites that decide well-behavedness,
-overwritability, stability, transparency and initialization."""
+get/set per side, the law suites that decide well-behavedness,
+overwritability, stability, transparency and initialization, and the bx of a
+span of two lenses."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from typing import Any, Callable, Optional
 from .effects import EffectFamily, identity_family, require_identity
 from .errors import NoInitializers, UnobservableEffect
 from .lawcheck import FiniteDomain, Law, pointwise
-from .lenses import Lens
-from .stateful import Stateful, get_set_laws, st_get, st_gets, st_set, then_cont, unit_cont
+from .lenses import Lens, identity_lens
+from .stateful import Stateful, get_set_laws, st_gets, then_cont, unit_cont
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -288,32 +289,73 @@ def init_laws(bx: Bx):
 
 
 # ---------------------------------------------------------------------------
-# lens subsumption
+# spans of lenses
+
+
+def span_bx(left: Lens, right: Lens, state_domain: Optional[FiniteDomain],
+            dom_a: Optional[FiniteDomain], dom_b: Optional[FiniteDomain],
+            fam: EffectFamily, name: str) -> Bx:
+    """The bx at ``fam`` of a span of two lenses out of the hidden state: each
+    get is its leg's ``view`` and each set its leg's ``update``.  The bx is
+    initialisable when both legs have a ``create``.
+
+    A leg at the identity effect is pure: its new state is returned at once.
+    A leg at ``fam`` is monadic: a set binds the effect value of its update,
+    and its ``create`` is the initialiser as it is.  A leg at any other
+    effect raises ``ValueError``."""
+    set_l, init_l = _leg(left, fam, name)
+    set_r, init_r = _leg(right, fam, name)
+    both = left.create is not None and right.create is not None
+    return Bx(
+        name=name,
+        effect=fam,
+        get_l=st_gets(fam, left.view),
+        set_l=set_l,
+        get_r=st_gets(fam, right.view),
+        set_r=set_r,
+        state_domain=state_domain,
+        dom_a=dom_a,
+        dom_b=dom_b,
+        init_l=init_l if both else None,
+        init_r=init_r if both else None,
+    )
+
+
+def _leg(leg: Lens, fam: EffectFamily, name: str):
+    """The set and the initialiser of one leg of ``span_bx``; each set is a
+    single closure, and the inner lambdas are on lines of their own, as in
+    ``Stateful.bind``."""
+    bind, unit, update, create = fam.bind, fam.unit, leg.update, leg.create
+    if leg.effect.name == "identity":
+        def set_(v):
+            return Stateful(fam, (
+                lambda s: unit(((), update(s, v)))
+            ))
+
+        return set_, lambda v: unit(create(v))
+    if (leg.effect.name, leg.effect.enumerate_contexts) != (fam.name, fam.enumerate_contexts):
+        raise ValueError(f"{name}: a leg at effect {leg.effect.name} is neither pure "
+                         f"nor at the bx's effect {fam.name}")
+
+    def done(s1):
+        return unit(((), s1))
+
+    def set_(v):
+        return Stateful(fam, (
+            lambda s: bind(update(s, v), done)
+        ))
+
+    return set_, create
 
 
 def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,
                fam: Optional[EffectFamily] = None, name: str = "lens") -> Bx:
     """Simulate a lens at the identity effect as a bx at ``fam`` (the identity
-    by default): the hidden state is the source itself, the left view is the
-    whole source, the right view is the lens view.  The bx is initialisable
-    exactly when the lens has a ``create``.  ``identity_bx``, ``iso_bx`` and
-    ``const_bx`` are such bx, each of a one-line lens."""
+    by default): the span of the identity lens and ``l``, so the hidden state
+    is the source itself, the left view is the whole source and the right
+    view is the lens view.  The bx is initialisable exactly when the lens has
+    a ``create``.  ``identity_bx``, ``iso_bx`` and ``const_bx`` are such bx,
+    each of a one-line lens."""
     require_identity(l.effect, "lens_to_bx")
-    fam = fam or identity_family()
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_get(fam),
-        set_l=lambda a: st_set(fam, a),
-        get_r=st_gets(fam, l.view),
-        # a single closure, cheaper than binding st_get into st_set; the
-        # inner lambda on a line of its own, as in Stateful.bind
-        set_r=lambda b: Stateful(fam, (
-            lambda s: fam.unit(((), l.update(s, b)))
-        )),
-        state_domain=source_domain,
-        dom_a=source_domain,
-        dom_b=view_domain,
-        init_l=None if l.create is None else lambda a: fam.unit(a),
-        init_r=None if l.create is None else lambda b: fam.unit(l.create(b)),
-    )
+    return span_bx(identity_lens(), l, source_domain, source_domain, view_domain,
+                   fam or identity_family(), name)

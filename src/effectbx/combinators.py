@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .bx import Bx, dual, lens_to_bx, require_initialisable
+from .bx import Bx, dual, lens_to_bx, require_initialisable, span_bx
 from .compose import _require_same_effect, _require_transparent
 from .effects import EffectFamily, Just, NOTHING, _Tagged
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
 from .lenses import Lens, fst_lens, snd_lens
-from .stateful import Stateful, st_eval, st_exec, st_get, st_gets, st_set
+from .stateful import Stateful, st_eval, st_exec
 
 
 
@@ -170,43 +170,34 @@ def _injection_bx(fam, dom_x, dom_y, default_x, tag_x, tag_y, views, name):
     """Inject ``dom_x`` into the sum ``views`` of ``tag_x``- and
     ``tag_y``-tagged values; the old x value is retained while the sum side
     holds a ``tag_y`` value, and ``default_x`` fills it when initializing
-    from one."""
+    from one.  The state is (x, optional y), and the bx is the span of its
+    two lenses."""
     states = FiniteDomain(
         f"{name}-states",
         tuple((x, NOTHING) for x in dom_x)
         + tuple((x, Just(y)) for x in dom_x for y in dom_y),
     )
 
-    def get_r_run(s):
+    def view(s):
         x, my = s
-        view = tag_y(my.value) if isinstance(my, Just) else tag_x(x)
-        return fam.unit((view, s))
+        return tag_y(my.value) if isinstance(my, Just) else tag_x(x)
 
-    def set_r(v):
+    def update(s, v):
         if isinstance(v, tag_x):
-            return st_set(fam, (v.value, NOTHING))
-        return st_get(fam).bind(lambda s: st_set(fam, (s[0], Just(v.value))))
+            return (v.value, NOTHING)
+        return (s[0], Just(v.value))
 
-    def init_r(v):
-        if isinstance(v, tag_x):
-            return fam.unit((v.value, NOTHING))
-        return fam.unit((default_x, Just(v.value)))
-
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_gets(fam, lambda s: s[0]),
-        set_l=lambda x: st_get(fam).bind(
-            lambda s: st_set(fam, (x, s[1]))
-        ),
-        get_r=Stateful(fam, get_r_run),
-        set_r=set_r,
-        state_domain=states,
-        dom_a=dom_x,
-        dom_b=views,
-        init_l=lambda x: fam.unit((x, NOTHING)),
-        init_r=init_r,
+    to_x = Lens(
+        view=lambda s: s[0],
+        update=lambda s, x: (x, s[1]),
+        create=lambda x: (x, NOTHING),
     )
+    to_sum = Lens(
+        view=view,
+        update=update,
+        create=lambda v: update((default_x, NOTHING), v),
+    )
+    return span_bx(to_x, to_sum, states, dom_x, views, fam, name)
 
 
 def inl_bx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,

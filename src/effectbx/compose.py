@@ -59,13 +59,10 @@ def _check_middle(bx1: Bx, bx2: Bx):
         )
 
 
-def join_states(bx1: Bx, bx2: Bx) -> FiniteDomain:
-    """The pairs of component states whose shared middle views agree,
-    materialized by filtering the product with the transparent predicate."""
-    return _join_states(bx1, bx2, _require_transparent(bx1), _require_transparent(bx2))
-
-
 def _join_states(bx1, bx2, a1, a2) -> FiniteDomain:
+    """The pairs of component states whose shared middle views agree,
+    materialized by filtering the product with the read maps ``a1.read_r``
+    and ``a2.read_l``."""
     pairs = tuple(
         (s1, s2)
         for s1 in bx1.state_domain

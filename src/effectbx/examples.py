@@ -8,9 +8,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from .bx import Bx, dual
+from .bx import Bx, dual, span_bx
 from .combinators import Left, Right
 from .effects import (
     EffectFamily,
@@ -24,7 +25,8 @@ from .effects import (
 )
 from .errors import EffectbxError, KeyViolation
 from .lawcheck import FiniteDomain
-from .stateful import Stateful, st_gets, st_lift, st_set, st_unit
+from .lenses import Lens
+from .stateful import st_lift
 from .symlens import SymLens, symlens_to_bx
 
 
@@ -44,41 +46,20 @@ def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
     _check_zero(fam, err, dom_a)
     _check_partial_inverses(f, g, dom_a, dom_b)
 
-    fail = st_lift(fam, err).then(st_unit(fam, ()))
-
-    def set_l(a1):
-        b1 = f(a1)
-        if b1 is None:
-            return fail
-        return st_set(fam, (a1, b1))
-
-    def set_r(b1):
-        a1 = g(b1)
-        if a1 is None:
-            return fail
-        return st_set(fam, (a1, b1))
-
-    def init_l(a):
+    # each update ignores the old state, so it is also the create
+    def update_l(_s, a):
         b = f(a)
         return err if b is None else fam.unit((a, b))
 
-    def init_r(b):
+    def update_r(_s, b):
         a = g(b)
         return err if a is None else fam.unit((a, b))
 
     states = tuple((a, f(a)) for a in dom_a if f(a) is not None)
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_gets(fam, lambda s: s[0]),
-        set_l=set_l,
-        get_r=st_gets(fam, lambda s: s[1]),
-        set_r=set_r,
-        state_domain=FiniteDomain(f"{name}-states", states),
-        dom_a=dom_a,
-        dom_b=dom_b,
-        init_l=init_l,
-        init_r=init_r,
+    return span_bx(
+        Lens(lambda s: s[0], update_l, partial(update_l, None), effect=fam),
+        Lens(lambda s: s[1], update_r, partial(update_r, None), effect=fam),
+        FiniteDomain(f"{name}-states", states), dom_a, dom_b, fam, name,
     )
 
 
@@ -132,37 +113,24 @@ def read_some_bx() -> Bx:
         except ValueError:
             return None
 
-    def set_r(b1):
-        def run(s):
-            _a, b = s
-            if b == b1:
-                return fam.unit(((), s))
-            a1 = parse(b1)
-            if a1 is None:
-                return NOTHING
-            return fam.unit(((), (a1, b1)))
+    def printed(a):
+        return (a, str(a))
 
-        return Stateful(fam, run)
+    def update_r(s, b1):
+        return fam.unit(s) if s[1] == b1 else create_r(b1)
 
-    def init_r(b):
+    def create_r(b):
         a = parse(b)
         return NOTHING if a is None else fam.unit((a, b))
 
     # Laws are quantified over the printed graph only; setting the right side
     # can leave it (e.g. alternative renderings), which the laws tolerate.
-    states = tuple((a, str(a)) for a in dom_a)
-    return Bx(
-        name="read-some",
-        effect=fam,
-        get_l=st_gets(fam, lambda s: s[0]),
-        set_l=lambda a1: st_set(fam, (a1, str(a1))),
-        get_r=st_gets(fam, lambda s: s[1]),
-        set_r=set_r,
-        state_domain=FiniteDomain("read-some-states", states),
-        dom_a=dom_a,
-        dom_b=dom_b,
-        init_l=lambda a: fam.unit((a, str(a))),
-        init_r=init_r,
+    states = tuple(printed(a) for a in dom_a)
+    return span_bx(
+        Lens(view=lambda s: s[0],
+             update=lambda _s, a: printed(a), create=printed),
+        Lens(lambda s: s[1], update_r, create_r, effect=fam),
+        FiniteDomain("read-some-states", states), dom_a, dom_b, fam, "read-some",
     )
 
 
@@ -190,45 +158,27 @@ def nondet_bx(fam: EffectFamily, ok, bs, as_, dom_a: FiniteDomain,
             if not ok(a, b):
                 raise EffectbxError(f"as({b!r}) offers inconsistent {a!r}")
 
-    def set_l(a1):
-        def run(s):
-            a, b = s
-            if ok(a1, b):
-                return fam.unit(((), (a1, b)))
-            return fam.bind(
-                tuple(bs(a1)), lambda b1: fam.unit(((), (a1, b1)))
-            )
+    def create_l(a):
+        return fam.bind(tuple(bs(a)), (
+            lambda b: fam.unit((a, b))
+        ))
 
-        return Stateful(fam, run)
+    def create_r(b):
+        return fam.bind(tuple(as_(b)), (
+            lambda a: fam.unit((a, b))
+        ))
 
-    def set_r(b1):
-        def run(s):
-            a, b = s
-            if ok(a, b1):
-                return fam.unit(((), (a, b1)))
-            return fam.bind(
-                tuple(as_(b1)), lambda a1: fam.unit(((), (a1, b1)))
-            )
+    def update_l(s, a1):
+        return fam.unit((a1, s[1])) if ok(a1, s[1]) else create_l(a1)
 
-        return Stateful(fam, run)
+    def update_r(s, b1):
+        return fam.unit((s[0], b1)) if ok(s[0], b1) else create_r(b1)
 
     states = tuple((a, b) for a in dom_a for b in dom_b if ok(a, b))
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_gets(fam, lambda s: s[0]),
-        set_l=set_l,
-        get_r=st_gets(fam, lambda s: s[1]),
-        set_r=set_r,
-        state_domain=FiniteDomain(f"{name}-states", states),
-        dom_a=dom_a,
-        dom_b=dom_b,
-        init_l=lambda a: fam.bind(tuple(bs(a)), (
-            lambda b: fam.unit((a, b))
-        )),
-        init_r=lambda b: fam.bind(tuple(as_(b)), (
-            lambda a: fam.unit((a, b))
-        )),
+    return span_bx(
+        Lens(lambda s: s[0], update_l, create_l, effect=fam),
+        Lens(lambda s: s[1], update_r, create_r, effect=fam),
+        FiniteDomain(f"{name}-states", states), dom_a, dom_b, fam, name,
     )
 
 
@@ -331,50 +281,32 @@ def dynamic_bx(fam: EffectFamily, f, g, dom_a: Optional[FiniteDomain] = None,
     consulting ``f``/``g``; a miss asks and records.
     """
 
-    def set_l(a1):
-        def run(state):
-            (a, b), fs, bs = state
-            if a == a1:
-                return fam.unit(((), state))
-            hit = _assoc_lookup(fs, (a1, b))
-            if hit is not None:
-                return fam.unit(((), ((a1, hit), fs, bs)))
-            return fam.bind(
-                f(a1, b),
-                lambda b1: fam.unit(
-                    ((), ((a1, b1), (((a1, b), b1),) + fs, bs))
-                ),
-            )
+    def update_l(state, a1):
+        (a, b), fs, bs = state
+        if a == a1:
+            return fam.unit(state)
+        hit = _assoc_lookup(fs, (a1, b))
+        if hit is not None:
+            return fam.unit(((a1, hit), fs, bs))
+        return fam.bind(f(a1, b), (
+            lambda b1: fam.unit(((a1, b1), (((a1, b), b1),) + fs, bs))
+        ))
 
-        return Stateful(fam, run)
+    def update_r(state, b1):
+        (a, b), fs, bs = state
+        if b == b1:
+            return fam.unit(state)
+        hit = _assoc_lookup(bs, (a, b1))
+        if hit is not None:
+            return fam.unit(((hit, b1), fs, bs))
+        return fam.bind(g(a, b1), (
+            lambda a1: fam.unit(((a1, b1), fs, (((a, b1), a1),) + bs))
+        ))
 
-    def set_r(b1):
-        def run(state):
-            (a, b), fs, bs = state
-            if b == b1:
-                return fam.unit(((), state))
-            hit = _assoc_lookup(bs, (a, b1))
-            if hit is not None:
-                return fam.unit(((), ((hit, b1), fs, bs)))
-            return fam.bind(
-                g(a, b1),
-                lambda a1: fam.unit(
-                    ((), ((a1, b1), fs, (((a, b1), a1),) + bs))
-                ),
-            )
-
-        return Stateful(fam, run)
-
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_gets(fam, lambda st: st[0][0]),
-        set_l=set_l,
-        get_r=st_gets(fam, lambda st: st[0][1]),
-        set_r=set_r,
-        state_domain=state_domain,
-        dom_a=dom_a,
-        dom_b=dom_b,
+    return span_bx(
+        Lens(lambda st: st[0][0], update_l, effect=fam),
+        Lens(lambda st: st[0][1], update_r, effect=fam),
+        state_domain, dom_a, dom_b, fam, name,
     )
 
 
@@ -529,64 +461,34 @@ def composers_symlens() -> SymLens:
 
 
 def composers_bx() -> Bx:
-    """The same synchronization as a bx over the identity effect; the hidden
-    state is the ordered triple list."""
-    fam = identity_family()
+    """The same synchronization as a bx over the identity effect: the span of
+    two lenses out of the ordered triple list."""
 
-    def get_l(l):
-        return fam.unit((frozenset(l), l))
-
-    def set_l(m):
+    def update_l(l, m):
         _require_unique_names(m, "left view")
+        leftover = sorted(m, key=_triple_key)
+        acc = []
+        for name, _nation, _dates in l:
+            hits, leftover = _partition_by_name(leftover, name)
+            acc = hits + acc
+        return tuple(reversed(acc)) + tuple(sorted(leftover, key=_triple_key))
 
-        def run(l):
-            leftover = sorted(m, key=_triple_key)
-            acc = []
-            for name, _nation, _dates in l:
-                hits, leftover = _partition_by_name(leftover, name)
-                acc = hits + acc
-            out = tuple(reversed(acc)) + tuple(sorted(leftover, key=_triple_key))
-            return fam.unit(((), out))
-
-        return Stateful(fam, run)
-
-    def get_r(l):
-        return fam.unit((tuple((name, nation) for name, nation, _d in l), l))
-
-    def set_r(rows):
+    def update_r(l, rows):
         _require_unique_names(rows, "right view")
+        remaining = list(l)
+        acc = []
+        for name, nation in rows:
+            hits, remaining = _partition_by_name(remaining, name)
+            dates = hits[0][2] if hits else None
+            acc = [(name, nation, dates)] + acc
+        return tuple(reversed(acc))
 
-        def run(l):
-            remaining = list(l)
-            acc = []
-            for name, nation in rows:
-                hits, remaining = _partition_by_name(remaining, name)
-                dates = hits[0][2] if hits else None
-                acc = [(name, nation, dates)] + acc
-            return fam.unit(((), tuple(reversed(acc))))
-
-        return Stateful(fam, run)
-
-    def init_l(m):
-        _require_unique_names(m, "left view")
-        return tuple(sorted(m, key=_triple_key))
-
-    def init_r(rows):
-        _require_unique_names(rows, "right view")
-        return tuple((name, nation, None) for name, nation in rows)
-
-    return Bx(
-        name="composers",
-        effect=fam,
-        get_l=Stateful(fam, get_l),
-        set_l=set_l,
-        get_r=Stateful(fam, get_r),
-        set_r=set_r,
-        state_domain=None,
-        dom_a=None,
-        dom_b=None,
-        init_l=init_l,
-        init_r=init_r,
+    # from no triples, an update is the initialiser
+    return span_bx(
+        Lens(frozenset, update_l, partial(update_l, ())),
+        Lens(lambda l: tuple((name, nation) for name, nation, _d in l), update_r,
+             partial(update_r, ())),
+        None, None, None, identity_family(), "composers",
     )
 
 

@@ -239,9 +239,7 @@ class Space:
     use ``size``, not ``len``).  Iteration is in index order.  A space of
     functions also carries its ``functions`` form, which lets ``run_laws``
     assign a function one point at a time.  A space is immutable by
-    convention; the class has slots and a plain ``__init__``, and repr,
-    equality and hash are those of a frozen dataclass over ``(size, decode,
-    functions)``."""
+    convention, and the class has slots and a plain ``__init__``."""
 
     __slots__ = ("size", "decode", "functions")
 
@@ -250,18 +248,6 @@ class Space:
         self.size = size
         self.decode = decode
         self.functions = functions
-
-    def __repr__(self):
-        return f"Space(size={self.size!r}, decode={self.decode!r}, functions={self.functions!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.size, self.decode, self.functions) == (other.size, other.decode,
-                                                            other.functions)
-
-    def __hash__(self):
-        return hash((self.size, self.decode, self.functions))
 
     def __len__(self):
         return self.size

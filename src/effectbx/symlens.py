@@ -6,14 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from .bx import Bx, dual, require_initialisable
+from .bx import Bx, dual, require_initialisable, span_bx
 from .effects import EffectFamily, Just, NOTHING, identity_family, require_identity
 from .errors import DomainTooLarge
-from .lawcheck import DEFAULT_CAP, FiniteDomain, Law
+from .lawcheck import FiniteDomain, Law
 from .lenses import Lens
-from .stateful import Stateful, st_gets
 
 _CLOSURE_ROUNDS = 64
+_MAX_TRIPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
     found, until a round finds none, keeping the triples in the order found.
     A triple is looked up in a set, or by an ``==`` scan when it does not
     hash, as ``FiniteDomain`` does.  Raises DomainTooLarge as soon as more
-    than ``DEFAULT_CAP`` triples are found (e.g. a complement that records
+    than ``_MAX_TRIPLES`` triples are found (e.g. a complement that records
     history and so doubles the frontier every round), or if the closure has
     not converged after 64 rounds (a complement that grows without
     bound)."""
@@ -144,9 +144,9 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
                     continue
                 loose.append(t)
             triples.append(t)
-            if len(triples) > DEFAULT_CAP:
+            if len(triples) > _MAX_TRIPLES:
                 raise DomainTooLarge(f"consistent triples exceed the bound of "
-                                     f"{DEFAULT_CAP} triples")
+                                     f"{_MAX_TRIPLES} triples")
         if len(triples) == known:
             return FiniteDomain("consistent-triples", tuple(triples))
         complements = [c for _a, _b, c in triples[known:]]
@@ -165,55 +165,19 @@ def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,
                   dom_b: Optional[FiniteDomain] = None,
                   name: str = "symlens") -> Bx:
     """Simulate a symmetric lens at the identity effect as an identity-effect
-    bx whose state is a consistent triple.
+    bx whose state is a consistent triple: the span of the two lenses of
+    ``symlens_to_lens_span``.
 
     The declared state domain is the closure of the puts from the missing
     complement when the view domains are supplied; otherwise it is left
     undeclared and the bx is usable but not law-checkable.
     """
     require_identity(sl.effect, "symlens_to_bx")
-    fam = identity_family()
-
-    def set_l(a1):
-        def run(t):
-            _a, _b, c = t
-            b1, c1 = sl.put_r(a1, c)
-            return fam.unit(((), (a1, b1, c1)))
-
-        return Stateful(fam, run)
-
-    def set_r(b1):
-        def run(t):
-            _a, _b, c = t
-            a1, c1 = sl.put_l(b1, c)
-            return fam.unit(((), (a1, b1, c1)))
-
-        return Stateful(fam, run)
-
-    def init_l(a):
-        b, c = sl.put_r(a, sl.missing)
-        return fam.unit((a, b, c))
-
-    def init_r(b):
-        a, c = sl.put_l(b, sl.missing)
-        return fam.unit((a, b, c))
-
     states = None
     if dom_a is not None and dom_b is not None:
         states = consistent_triples(sl, dom_a, dom_b)
-    return Bx(
-        name=name,
-        effect=fam,
-        get_l=st_gets(fam, lambda t: t[0]),
-        set_l=set_l,
-        get_r=st_gets(fam, lambda t: t[1]),
-        set_r=set_r,
-        state_domain=states,
-        dom_a=dom_a,
-        dom_b=dom_b,
-        init_l=init_l,
-        init_r=init_r,
-    )
+    return span_bx(*symlens_to_lens_span(sl), states, dom_a, dom_b,
+                   identity_family(), name)
 
 
 def bx_to_symlens(bx: Bx) -> SymLens:

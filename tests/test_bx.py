@@ -1,6 +1,7 @@
 """The bx interface: seven laws, overwritability, transparency, consistency,
 stability, initialization, lens subsumption."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from effectbx import (
     consistent_pairs,
     const_bx,
     dynamic_console_bx,
+    failure_family,
     fst_lens,
     identity_bx,
     identity_family,
@@ -30,9 +32,12 @@ from effectbx import (
     Lens,
     NoInitializers,
     lens_to_bx,
+    lift_lens,
     log_bx,
     run_laws,
     seven_laws,
+    snd_lens,
+    span_bx,
     writer_family,
 )
 from effectbx import bx as bx_module
@@ -43,6 +48,7 @@ from effectbx.corpus import (
     corpus_entries,
     mutant_bad_init,
     mutant_unstable,
+    non_overwrite_lens,
     recheck_witness,
     run_corpus,
     _switch_reader,
@@ -376,6 +382,58 @@ def test_lens_to_bx_refuses_a_lens_at_another_effect():
     l = Lens(lambda s: s[0], lambda s, v: fam.unit((v, s[1])), effect=fam)
     with pytest.raises(ValueError, match="lens_to_bx requires the identity effect"):
         lens_to_bx(l, PAIRS, BIT)
+
+
+# the lenses PAIRS -> BIT whose spans are checked: lawful, lawful, failing
+# update-update, failing view-update and update-update (the update flips the
+# hidden bit), failing update-view (the update ignores the view)
+SPAN_LEGS = {
+    "fst": fst_lens(0),
+    "snd": snd_lens(0),
+    "non-overwrite": non_overwrite_lens(),
+    "flip": Lens(lambda s: s[0], lambda s, v: (v, 1 - s[1]), lambda v: (v, 0)),
+    "ignore": Lens(lambda s: s[0], lambda s, _v: s, lambda v: (v, 0)),
+}
+
+# each lens law and the bx law of a leg it becomes, by side
+SPAN_LAWS = {
+    "seven": {"update-view": "set_{x}-get_{x}", "view-update": "get_{x}-set_{x}"},
+    "overwritable": {"update-update": "set_{x}-set_{x}"},
+}
+
+
+@pytest.mark.parametrize("fam", [identity_family(), failure_family()],
+                         ids=["pure-legs", "monadic-legs"])
+@pytest.mark.parametrize("suite", SPAN_LAWS)
+def test_a_span_fails_exactly_the_laws_its_legs_fail_as_lenses(fam, suite):
+    # a span's gets are views, so get-get and get_l-get_r hold, and each
+    # set law of a side is a lens law of that side's leg; at a family other
+    # than the identity, the legs are the same lenses lifted to it
+    failing = {name: check(l, "lens", dom_a=PAIRS, dom_b=BIT).failing_laws
+               for name, l in SPAN_LEGS.items()}
+    seen = set()
+    for left_name, right_name in itertools.product(SPAN_LEGS, repeat=2):
+        legs = [SPAN_LEGS[left_name], SPAN_LEGS[right_name]]
+        if fam.name != "identity":
+            legs = [lift_lens(fam, l) for l in legs]
+        span = span_bx(*legs, PAIRS, BIT, BIT, fam, "span")
+        expected = {law.format(x=x)
+                    for x, leg in (("l", left_name), ("r", right_name))
+                    for lens_law, law in SPAN_LAWS[suite].items()
+                    if lens_law in failing[leg]}
+        assert set(check(span, suite).failing_laws) == expected, (left_name, right_name)
+        seen |= expected
+    # every law of the suite that a leg can fail is failed by some span
+    assert seen == {law.format(x=x) for x in "lr" for law in SPAN_LAWS[suite].values()}
+
+
+def test_a_span_refuses_a_leg_at_a_third_family():
+    leg = lift_lens(writer_family(), fst_lens(0))
+    with pytest.raises(ValueError, match="a leg at effect writer is neither pure "
+                                         "nor at the bx's effect failure"):
+        span_bx(fst_lens(0), leg, PAIRS, BIT, BIT, failure_family(), "span")
+    with pytest.raises(ValueError, match="neither pure"):
+        span_bx(leg, fst_lens(0), PAIRS, BIT, BIT, failure_family(), "span")
 
 
 def test_report_json_shape():

@@ -29,7 +29,6 @@ from effectbx import (
     identity_family,
     identity_lens,
     inv_bx,
-    join_states,
     join_states_general,
     left_identity_bijection,
     lens_to_bx,
@@ -81,7 +80,7 @@ def test_dual_mirrors_law_verdicts():
 def test_join_states_filters_by_middle_view():
     bx1 = _fst()
     bx2 = identity_bx(identity_family(), BIT)
-    join = join_states(bx1, bx2)
+    join = compose(bx1, bx2).state_domain
     assert set(join.elements) == {((a, b), a) for a in (0, 1) for b in (0, 1)}
     general = join_states_general(bx1, bx2)
     assert set(general.elements) == set(join.elements)

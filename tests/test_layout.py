@@ -50,3 +50,26 @@ def test_run_laws_is_called_only_by_check():
                           and getattr(node.func, "id", None) == "run_laws"]
     # each call is listed once for the module and once per function around it
     assert calls == [("checks.py", None), ("checks.py", "check")]
+
+
+def test_bx_is_built_by_hand_only_where_a_get_is_not_a_view():
+    # a bx whose gets are views of its state is the span of two lenses, built
+    # by ``span_bx``; the other constructors of ``Bx`` combine bx, or have
+    # gets that leave the state domain (``_mk``) or read the environment
+    # (``switch_bx``)
+    builders = set()
+    for path in SOURCES:
+        for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(scope, ast.FunctionDef):
+                builders |= {(path.name, scope.name) for node in ast.walk(scope)
+                             if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", None) == "Bx"}
+    assert builders == {
+        ("bx.py", "span_bx"),
+        ("combinators.py", "pair_bx"),
+        ("combinators.py", "sum_bx"),
+        ("combinators.py", "list_ibx"),
+        ("compose.py", "compose"),
+        ("corpus.py", "_mk"),
+        ("examples.py", "switch_bx"),
+    }

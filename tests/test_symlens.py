@@ -197,7 +197,7 @@ def test_consistent_triples_refuse_more_triples_than_the_cap(monkeypatch):
     # rounds run out (14 rounds would find 65,534 triples)
     from effectbx import symlens
 
-    monkeypatch.setattr(symlens, "DEFAULT_CAP", 1_000, raising=False)
+    monkeypatch.setattr(symlens, "_MAX_TRIPLES", 1_000)
     monkeypatch.setattr(symlens, "_CLOSURE_ROUNDS", 14)
     sl = SymLens(put_r=lambda a, c: (a, c + (a,)), put_l=lambda b, c: (b, c + (b,)),
                  missing=())
