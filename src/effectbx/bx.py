@@ -301,8 +301,11 @@ def span_bx(left: Lens, right: Lens, state_domain: Optional[FiniteDomain],
 
     A leg at the identity effect is pure: its new state is returned at once.
     A leg at ``fam`` is monadic: a set binds the effect value of its update,
-    and its ``create`` is the initialiser as it is.  A leg at any other
-    effect raises ``ValueError``."""
+    and its ``create`` is the initialiser as it is.  The combinators of
+    transparent bx (``pair_bx``, ``sum_bx``, ``list_ibx``, ``compose``)
+    have monadic legs, whose views read the components' read maps and whose
+    updates run the components' sets.  A leg at any other effect raises
+    ``ValueError``."""
     set_l, init_l = _leg(left, fam, name)
     set_r, init_r = _leg(right, fam, name)
     both = left.create is not None and right.create is not None

@@ -11,7 +11,7 @@ from .effects import EffectFamily, Just, NOTHING, _Tagged
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
 from .lenses import Lens, fst_lens, snd_lens
-from .stateful import Stateful, st_eval, st_exec
+from .stateful import st_exec
 
 
 
@@ -78,81 +78,61 @@ def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
     return lens_to_bx(snd_lens(default_a), pairs, dom_b, fam, name="snd")
 
 
-def _both(v1, v2):
-    return (v1, v2)
-
-
-def _second(_v1, v2):
-    return v2
-
-
 def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
-    """Componentwise pairing over the product state space.
+    """Componentwise pairing over the product state space: the span of two
+    monadic lenses out of the pair of component states.
 
-    Both components must be transparent and at one effect.  Effect ordering
-    is fixed: the left component's operation always runs before the right
-    component's, and this ordering is part of the combinator's contract for
-    non-commutative effect families.  The pair is initialisable when both
-    components are.
-
-    Each operation runs the components directly on the tuple state: the
-    first at ``s[0]``, then the second at ``s[1]``, through the family's
-    ``bind``.  A get returns the pair of the two views, a set what the
-    second set returns.  This is the widening of each component through
-    ``left`` and ``right`` (``left(g1).bind(v1 -> right(g2).map(v2 -> (v1,
-    v2)))`` and ``left(s1).then(right(s2))``) without building the
-    widenings; tests keep that form as the reference.
+    Both components must be transparent and at one effect.  A get returns
+    the pair of the components' views, found by their read maps, so at a
+    state outside the declared domain it raises ``UnobservableEffect`` where
+    a component's get is not a pure query.  A set runs the left component's
+    set at ``s[0]`` before the right component's at ``s[1]``, through the
+    family's ``bind``, and returns the pair of the new states; this ordering
+    of the sets' effects is part of the combinator's contract for
+    non-commutative effect families.  It is the widening of each component
+    through ``left`` and ``right`` (``left(s1).then(right(s2))``) without
+    building the widenings; tests keep that form as the reference.  The
+    pair is initialisable when both components are.
     """
-    _require_transparent(bx1)
-    _require_transparent(bx2)
+    a1, a2 = _require_transparent(bx1), _require_transparent(bx2)
     _require_same_effect(bx1, bx2)
     fam = bx1.effect
     bind, unit = fam.bind, fam.unit
 
+    # the left leg of components c1, c2 (their duals give the right leg);
     # each continuation is a def of its own, as in Stateful.bind
-    def paired(m1, m2, result):
-        run1, run2 = m1.run, m2.run
+    def leg(c1, c2, read1, read2):
+        set1, set2, init1, init2 = c1.set_l, c2.set_l, c1.init_l, c2.init_l
 
-        def run(s):
+        def update(s, v):
             s2 = s[1]
 
             def after_first(p1):
-                v1, t1 = p1
+                t1 = p1[1]
 
                 def after_second(p2):
-                    return unit((result(v1, p2[0]), (t1, p2[1])))
+                    return unit((t1, p2[1]))
 
-                return bind(run2(s2), after_second)
+                return bind(set2(v[1]).run(s2), after_second)
 
-            return bind(run1(s[0]), after_first)
+            return bind(set1(v[0]).run(s[0]), after_first)
 
-        return Stateful(fam, run)
+        def create(v):
+            return bind(init1(v[0]), lambda s1: fam.map(init2(v[1]), (
+                lambda s2: (s1, s2)
+            )))
 
-    paired_bx = Bx(
-        name=f"pair({bx1.name},{bx2.name})",
-        effect=fam,
-        get_l=paired(bx1.get_l, bx2.get_l, _both),
-        set_l=lambda a: paired(bx1.set_l(a[0]), bx2.set_l(a[1]), _second),
-        get_r=paired(bx1.get_r, bx2.get_r, _both),
-        set_r=lambda b: paired(bx1.set_r(b[0]), bx2.set_r(b[1]), _second),
-        state_domain=_product_domain(
-            f"{bx1.name}x{bx2.name}", bx1.state_domain, bx2.state_domain
-        ),
-        dom_a=_product_domain("a1xa2", bx1.dom_a, bx2.dom_a),
-        dom_b=_product_domain("b1xb2", bx1.dom_b, bx2.dom_b),
+        return Lens(view=lambda s: (read1(s[0]), read2(s[1])), update=update,
+                    create=None if init1 is None or init2 is None else create, effect=fam)
+
+    return span_bx(
+        leg(bx1, bx2, a1.read_l, a2.read_l),
+        leg(dual(bx1), dual(bx2), a1.read_r, a2.read_r),
+        _product_domain(f"{bx1.name}x{bx2.name}", bx1.state_domain, bx2.state_domain),
+        _product_domain("a1xa2", bx1.dom_a, bx2.dom_a),
+        _product_domain("b1xb2", bx1.dom_b, bx2.dom_b),
+        fam, f"pair({bx1.name},{bx2.name})",
     )
-    if bx1.initialisable and bx2.initialisable:
-        def init_pair(init1, init2):
-            return lambda v: fam.bind(
-                init1(v[0]),
-                lambda s1: fam.map(init2(v[1]), (
-                    lambda s2: (s1, s2)
-                )),
-            )
-
-        return replace(paired_bx, init_l=init_pair(bx1.init_l, bx2.init_l),
-                       init_r=init_pair(bx1.init_r, bx2.init_r))
-    return paired_bx
 
 
 # ---------------------------------------------------------------------------
@@ -220,51 +200,40 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
     retained across switches so it can be restored.
 
     State is (flag, s1, s2) with flag picking the live component.  Both
-    components must be transparent and at one effect.  The sum is
-    initialisable when both components are; initialization populates only
-    the active slot, and the other holds an explicit uninitialized marker
-    whose observation is an error.
+    components must be transparent and at one effect, and the sum is the
+    span of two monadic lenses out of that state: a get reads the live
+    component's read map (outside the declared states it raises
+    ``UnobservableEffect`` where that component's get is not a pure query),
+    and a set runs the set of the component its value is tagged for.  The
+    sum is initialisable when both components are; initialization populates
+    only the active slot, and the other holds an explicit uninitialized
+    marker whose observation is an error.
     """
-    _require_transparent(bx1)
-    _require_transparent(bx2)
+    a1, a2 = _require_transparent(bx1), _require_transparent(bx2)
     _require_same_effect(bx1, bx2)
     fam = bx1.effect
 
-    def active(side_get, s):
-        if s is UNINIT:
-            raise EffectbxError("sum: reading an uninitialized component slot")
-        return side_get.run(s)
-
-    def get_side(get1, get2):
-        def run(state):
+    # the left leg of components c1, c2 (their duals give the right leg)
+    def leg(c1, c2, read1, read2):
+        def view(state):
             flag, s1, s2 = state
-            if flag:
-                return fam.bind(
-                    active(get1, s1), lambda p: fam.unit((Left(p[0]), state))
-                )
-            return fam.bind(
-                active(get2, s2), lambda p: fam.unit((Right(p[0]), state))
-            )
+            if (s1 if flag else s2) is UNINIT:
+                raise EffectbxError("sum: reading an uninitialized component slot")
+            return Left(read1(s1)) if flag else Right(read2(s2))
 
-        return Stateful(fam, run)
+        def update(state, v):
+            _flag, s1, s2 = state
+            if isinstance(v, Left):
+                return fam.bind(c1.set_l(v.value).run(s1), lambda p: fam.unit((True, p[1], s2)))
+            return fam.bind(c2.set_l(v.value).run(s2), lambda p: fam.unit((False, s1, p[1])))
 
-    def set_side(setter1, setter2):
-        def set_op(v):
-            def run(state):
-                _flag, s1, s2 = state
-                if isinstance(v, Left):
-                    return fam.bind(
-                        setter1(v.value).run(s1),
-                        lambda p: fam.unit(((), (True, p[1], s2))),
-                    )
-                return fam.bind(
-                    setter2(v.value).run(s2),
-                    lambda p: fam.unit(((), (False, s1, p[1]))),
-                )
+        def create(v):
+            if isinstance(v, Left):
+                return fam.map(c1.init_l(v.value), lambda s1: (True, s1, UNINIT))
+            return fam.map(c2.init_l(v.value), lambda s2: (False, UNINIT, s2))
 
-            return Stateful(fam, run)
-
-        return set_op
+        return Lens(view=view, update=update, effect=fam,
+                    create=None if c1.init_l is None or c2.init_l is None else create)
 
     states = FiniteDomain(
         f"sum-{bx1.name}-{bx2.name}",
@@ -275,29 +244,14 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
             for s2 in bx2.state_domain
         ),
     )
-    summed = Bx(
-        name=f"sum({bx1.name},{bx2.name})",
-        effect=fam,
-        get_l=get_side(bx1.get_l, bx2.get_l),
-        set_l=set_side(bx1.set_l, bx2.set_l),
-        get_r=get_side(bx1.get_r, bx2.get_r),
-        set_r=set_side(bx1.set_r, bx2.set_r),
-        state_domain=states,
-        dom_a=either_domain(bx1.dom_a, bx2.dom_a),
-        dom_b=either_domain(bx1.dom_b, bx2.dom_b),
+    return span_bx(
+        leg(bx1, bx2, a1.read_l, a2.read_l),
+        leg(dual(bx1), dual(bx2), a1.read_r, a2.read_r),
+        states,
+        either_domain(bx1.dom_a, bx2.dom_a),
+        either_domain(bx1.dom_b, bx2.dom_b),
+        fam, f"sum({bx1.name},{bx2.name})",
     )
-    if bx1.initialisable and bx2.initialisable:
-        def init_side(init1, init2):
-            def init(v):
-                if isinstance(v, Left):
-                    return fam.map(init1(v.value), lambda s1: (True, s1, UNINIT))
-                return fam.map(init2(v.value), lambda s2: (False, UNINIT, s2))
-
-            return init
-
-        return replace(summed, init_l=init_side(bx1.init_l, bx2.init_l),
-                       init_r=init_side(bx1.init_r, bx2.init_r))
-    return summed
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +266,17 @@ def list_ibx(bx: Bx, max_len: int = 2) -> Bx:
     later lengthening restores them; lengthening past the stored states calls
     the element initializer for the new elements.  The state is (count,
     states) with 0 <= count <= len(states); a negative count is rejected at
-    construction, and declared domains cover lists up to ``max_len``.
+    construction, and declared domains cover lists up to ``max_len``.  The
+    bx is the span of two monadic lenses out of that state: a get reads the
+    element's read map at each counted state (outside the declared states
+    it raises ``UnobservableEffect`` where the element's get is not a pure
+    query), and a set runs the element's set on each stored state in turn.
     """
     if max_len < 0:
         raise ValueError("list_ibx: max_len must be non-negative")
     require_initialisable(bx)
-    _require_transparent(bx)
+    analysis = _require_transparent(bx)
     fam = bx.effect
-
-    def gets_list(side_get):
-        def run(state):
-            n, cs = state
-            if n < 0 or n > len(cs):
-                raise EffectbxError(f"list state count {n} out of range")
-            return fam.map(
-                fam.mapm(lambda c: st_eval(side_get, c), cs[:n]),
-                lambda vs: (tuple(vs), state),
-            )
-
-        return Stateful(fam, run)
 
     def sets(set_op, init_op, xs, cs):
         if not xs:
@@ -338,53 +284,45 @@ def list_ibx(bx: Bx, max_len: int = 2) -> Bx:
         if not cs:
             return fam.mapm(init_op, xs)
         return fam.bind(
-            set_op(xs[0], cs[0]),
+            st_exec(set_op(xs[0]), cs[0]),
             lambda c1: fam.map(
                 sets(set_op, init_op, xs[1:], cs[1:]),
                 lambda rest: (c1,) + tuple(rest),
             ),
         )
 
-    def set_list(side_set, side_init):
-        def set_op(xs):
-            def run(state):
-                _n, cs = state
-                return fam.map(
-                    sets(
-                        lambda x, c: st_exec(side_set(x), c),
-                        side_init,
-                        tuple(xs),
-                        cs,
-                    ),
-                    lambda cs1: ((), (len(xs), tuple(cs1))),
-                )
+    # the left leg of element ``c`` (its dual gives the right leg)
+    def leg(c, read):
+        def view(state):
+            n, cs = state
+            if n < 0 or n > len(cs):
+                raise EffectbxError(f"list state count {n} out of range")
+            return tuple(map(read, cs[:n]))
 
-            return Stateful(fam, run)
+        def update(state, xs):
+            return fam.map(sets(c.set_l, c.init_l, tuple(xs), state[1]), (
+                lambda cs1: (len(xs), tuple(cs1))
+            ))
 
-        return set_op
+        def create(xs):
+            return fam.map(fam.mapm(c.init_l, tuple(xs)), (
+                lambda cs: (len(xs), tuple(cs))
+            ))
 
-    def init_list(side_init):
-        return lambda xs: fam.map(
-            fam.mapm(side_init, tuple(xs)), lambda cs: (len(xs), tuple(cs))
-        )
+        return Lens(view=view, update=update, create=create, effect=fam)
 
     element_states = tuples_up_to(bx.state_domain, max_len)
     states = FiniteDomain(
         f"list-{bx.name}",
         tuple((n, cs) for cs in element_states for n in range(len(cs) + 1)),
     )
-    return Bx(
-        name=f"list({bx.name})",
-        effect=fam,
-        get_l=gets_list(bx.get_l),
-        set_l=set_list(bx.set_l, bx.init_l),
-        get_r=gets_list(bx.get_r),
-        set_r=set_list(bx.set_r, bx.init_r),
-        state_domain=states,
-        dom_a=FiniteDomain("lists-a", tuples_up_to(bx.dom_a, max_len)),
-        dom_b=FiniteDomain("lists-b", tuples_up_to(bx.dom_b, max_len)),
-        init_l=init_list(bx.init_l),
-        init_r=init_list(bx.init_r),
+    return span_bx(
+        leg(bx, analysis.read_l),
+        leg(dual(bx), analysis.read_r),
+        states,
+        FiniteDomain("lists-a", tuples_up_to(bx.dom_a, max_len)),
+        FiniteDomain("lists-b", tuples_up_to(bx.dom_b, max_len)),
+        fam, f"list({bx.name})",
     )
 
 

@@ -13,6 +13,7 @@ from .bx import (
     dual,
     lens_to_bx,
     require_initialisable,
+    span_bx,
 )
 from .effects import EffectFamily
 from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
@@ -88,77 +89,66 @@ def join_states_general(bx1: Bx, bx2: Bx) -> FiniteDomain:
 
 
 def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
-    """Sequential composition over the join state space.
+    """Sequential composition over the join state space: the span of two
+    monadic lenses out of the pairs of component states.
 
-    Both arguments must be transparent and at one effect; setting one end
-    sets the matching component, reads the updated middle view, and pushes it
-    into the other component.  ``via_theta`` switches to the equivalent
-    formulation that widens component computations with ``theta`` through
-    lenses at the bx's effect onto the pair state; the two routes agree
-    pointwise on join states.  The composite is initialisable when both
-    components are: it initialises the first and feeds its middle view to
-    the second's initializer.
+    Both arguments must be transparent and at one effect.  A get reads its
+    end's component through that component's read map, so at a state
+    outside the join it raises ``UnobservableEffect`` where the component's
+    get is not a pure query.  Setting one end sets the matching component,
+    reads the updated middle view, and pushes it into the other component.
+    ``via_theta`` switches to the equivalent formulation that widens
+    component computations with ``theta`` through lenses at the bx's effect
+    onto the pair state; the two routes agree pointwise on join states.  The
+    composite is initialisable when both components are: it initialises the
+    first and feeds its middle view to the second's initializer.
     """
     _check_middle(bx1, bx2)
     a1 = _require_transparent(bx1)
     a2 = _require_transparent(bx2)
     _require_same_effect(bx1, bx2)
-    ops = _compose_theta(bx1, bx2) if via_theta else _compose_direct(bx1, bx2, a1, a2)
-    composed = Bx(
-        name=f"{bx1.name};{bx2.name}",
-        effect=bx1.effect,
-        **ops,
-        state_domain=_join_states(bx1, bx2, a1, a2),
-        dom_a=bx1.dom_a,
-        dom_b=bx2.dom_b,
+    fam = bx1.effect
+    bind, unit = fam.bind, fam.unit
+    both = bx1.initialisable and bx2.initialisable
+
+    def update_l(state, a):
+        s1, s2 = state
+        return bind(bx1.set_l(a).run(s1), lambda p1: bind(
+            bx2.set_l(a1.read_r(p1[1])).run(s2), lambda p2: unit((p1[1], p2[1]))
+        ))
+
+    def update_r(state, c):
+        s1, s2 = state
+        return bind(bx2.set_r(c).run(s2), lambda p2: bind(
+            bx1.set_r(a2.read_l(p2[1])).run(s1), lambda p1: unit((p1[1], p2[1]))
+        ))
+
+    def init_l(a):
+        return bind(bx1.init_l(a), lambda s1: bind(st_eval(bx1.get_r, s1), (
+            lambda b: fam.map(bx2.init_l(b), (
+                lambda s2: (s1, s2)
+            ))
+        )))
+
+    def init_r(c):
+        return bind(bx2.init_r(c), lambda s2: bind(st_eval(bx2.get_l, s2), (
+            lambda b: fam.map(bx1.init_r(b), (
+                lambda s1: (s1, s2)
+            ))
+        )))
+
+    composed = span_bx(
+        Lens(lambda st: a1.read_l(st[0]), update_l, init_l if both else None, effect=fam),
+        Lens(lambda st: a2.read_r(st[1]), update_r, init_r if both else None, effect=fam),
+        _join_states(bx1, bx2, a1, a2), bx1.dom_a, bx2.dom_b, fam, f"{bx1.name};{bx2.name}",
     )
-    if bx1.initialisable and bx2.initialisable:
-        return _attach_init(composed, bx1, bx2)
-    return composed
+    return replace(composed, **_compose_theta(bx1, bx2)) if via_theta else composed
 
 
 def compose_init(bx1: Bx, bx2: Bx) -> Bx:
     require_initialisable(bx1)
     require_initialisable(bx2)
     return compose(bx1, bx2)
-
-
-def _compose_direct(bx1, bx2, a1, a2) -> dict:
-    """The four operations of the composite, through the read maps."""
-    fam = bx1.effect
-
-    def set_l(a):
-        def run(state):
-            s1, s2 = state
-            return fam.bind(
-                bx1.set_l(a).run(s1),
-                lambda p1: fam.bind(
-                    bx2.set_l(a1.read_r(p1[1])).run(s2),
-                    lambda p2: fam.unit(((), (p1[1], p2[1]))),
-                ),
-            )
-
-        return Stateful(fam, run)
-
-    def set_r(c):
-        def run(state):
-            s1, s2 = state
-            return fam.bind(
-                bx2.set_r(c).run(s2),
-                lambda p2: fam.bind(
-                    bx1.set_r(a2.read_l(p2[1])).run(s1),
-                    lambda p1: fam.unit(((), (p1[1], p2[1]))),
-                ),
-            )
-
-        return Stateful(fam, run)
-
-    return dict(
-        get_l=Stateful(fam, lambda st: fam.unit((a1.read_l(st[0]), st))),
-        set_l=set_l,
-        get_r=Stateful(fam, lambda st: fam.unit((a2.read_r(st[1]), st))),
-        set_r=set_r,
-    )
 
 
 def _lens_left(bx1: Bx, bx2: Bx) -> Lens:
@@ -204,34 +194,6 @@ def _compose_theta(bx1, bx2) -> dict:
         get_r=psi(bx2.get_r),
         set_r=lambda c: psi(bx2.set_r(c)),
     )
-
-
-def _attach_init(composed: Bx, bx1: Bx, bx2: Bx) -> Bx:
-    fam = composed.effect
-
-    def init_l(a):
-        return fam.bind(
-            bx1.init_l(a),
-            lambda s1: fam.bind(
-                st_eval(bx1.get_r, s1),
-                lambda b: fam.map(bx2.init_l(b), (
-                    lambda s2: (s1, s2)
-                )),
-            ),
-        )
-
-    def init_r(c):
-        return fam.bind(
-            bx2.init_r(c),
-            lambda s2: fam.bind(
-                st_eval(bx2.get_l, s2),
-                lambda b: fam.map(bx1.init_r(b), (
-                    lambda s1: (s1, s2)
-                )),
-            ),
-        )
-
-    return replace(composed, init_l=init_l, init_r=init_r)
 
 
 # ---------------------------------------------------------------------------

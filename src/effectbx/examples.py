@@ -45,22 +45,41 @@ def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
     """
     _check_zero(fam, err, dom_a)
     _check_partial_inverses(f, g, dom_a, dom_b)
+    f_at, g_at = _tabulate(f, dom_a), _tabulate(g, dom_b)
 
     # each update ignores the old state, so it is also the create
     def update_l(_s, a):
-        b = f(a)
+        b = f_at(a)
         return err if b is None else fam.unit((a, b))
 
     def update_r(_s, b):
-        a = g(b)
+        a = g_at(b)
         return err if a is None else fam.unit((a, b))
 
-    states = tuple((a, f(a)) for a in dom_a if f(a) is not None)
+    states = tuple((a, b) for a, b in zip(dom_a, map(f_at, dom_a)) if b is not None)
     return span_bx(
         Lens(lambda s: s[0], update_l, partial(update_l, None), effect=fam),
         Lens(lambda s: s[1], update_r, partial(update_r, None), effect=fam),
         FiniteDomain(f"{name}-states", states), dom_a, dom_b, fam, name,
     )
+
+
+def _tabulate(h, dom):
+    """``h`` over ``dom``, computed once: a lookup in a table of its values
+    at the domain's elements, calling ``h`` only for a value outside the
+    table (or for every value, when the elements do not hash)."""
+    try:
+        table = {x: h(x) for x in dom}
+    except TypeError:  # unhashable elements
+        return h
+
+    def at(x):
+        try:
+            return table[x]
+        except (KeyError, TypeError):
+            return h(x)
+
+    return at
 
 
 def _check_zero(fam, err, dom):

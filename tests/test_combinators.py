@@ -1,5 +1,7 @@
 """Constants, projections, pairing, sums, retentive lists, isomorphisms."""
 
+import hashlib
+
 import pytest
 
 from effectbx import (
@@ -21,18 +23,22 @@ from effectbx import (
     compose,
     console_family,
     const_bx,
+    dual,
     failure_family,
     fst_ibx,
     identity_bx,
     identity_family,
     inl_bx,
     inr_bx,
+    inv_bx,
     left,
     list_ibx,
+    log_bx,
     pair_bx,
     reader_family,
     right,
     snd_ibx,
+    st_eval,
     st_exec,
     sum_bx,
     swap_bx,
@@ -214,8 +220,10 @@ def test_sum_bx_init_marks_inactive_slot():
 def test_sum_bx_reading_uninitialized_slot_is_an_error():
     fam = identity_family()
     bx = sum_bx(identity_bx(fam, BIT, name="x"), identity_bx(fam, BIT, name="y"))
-    with pytest.raises(EffectbxError):
-        bx.get_l.run((True, UNINIT, 0))
+    for get in (bx.get_l, bx.get_r):
+        for state in ((True, UNINIT, 0), (False, 1, UNINIT)):
+            with pytest.raises(EffectbxError, match="uninitialized component slot"):
+                get.run(state)
 
 
 def test_list_ibx_views_and_retention():
@@ -257,6 +265,99 @@ def test_list_ibx_rejects_negative_length():
     bx = list_ibx(identity_bx(fam, BIT))
     with pytest.raises(EffectbxError, match="list state count 2 out of range"):
         bx.get_l.run((2, (0,)))
+
+
+def _sum_reference(bx1, bx2):
+    # the sum's gets and sets as chains of the components' own gets and sets
+    fam = bx1.effect
+
+    def get(get1, get2):
+        def run(state):
+            flag, s1, s2 = state
+            if flag:
+                return fam.bind(get1.run(s1), lambda p: fam.unit((Left(p[0]), state)))
+            return fam.bind(get2.run(s2), lambda p: fam.unit((Right(p[0]), state)))
+
+        return run
+
+    def set_(set1, set2):
+        def run(v, state):
+            _flag, s1, s2 = state
+            if isinstance(v, Left):
+                return fam.bind(set1(v.value).run(s1),
+                                lambda p: fam.unit(((), (True, p[1], s2))))
+            return fam.bind(set2(v.value).run(s2),
+                            lambda p: fam.unit(((), (False, s1, p[1]))))
+
+        return run
+
+    return (get(bx1.get_l, bx2.get_l), set_(bx1.set_l, bx2.set_l),
+            get(bx1.get_r, bx2.get_r), set_(bx1.set_r, bx2.set_r))
+
+
+def _list_reference(bx):
+    # the list's gets and sets as chains of the element's own gets, sets and
+    # initialisers, run one stored state after another
+    fam = bx.effect
+
+    def get(get1):
+        def run(state):
+            n, cs = state
+            return fam.map(fam.mapm(lambda c: st_eval(get1, c), cs[:n]),
+                           lambda vs: (tuple(vs), state))
+
+        return run
+
+    def sets(set1, init1, xs, cs):
+        if not xs:
+            return fam.unit(tuple(cs))
+        if not cs:
+            return fam.mapm(init1, xs)
+        return fam.bind(st_exec(set1(xs[0]), cs[0]),
+                        lambda c1: fam.map(sets(set1, init1, xs[1:], cs[1:]),
+                                           lambda rest: (c1,) + tuple(rest)))
+
+    def set_(set1, init1):
+        def run(xs, state):
+            return fam.map(sets(set1, init1, tuple(xs), state[1]),
+                           lambda cs1: ((), (len(xs), tuple(cs1))))
+
+        return run
+
+    return (get(bx.get_l), set_(bx.set_l, bx.init_l),
+            get(bx.get_r), set_(bx.set_r, bx.init_r))
+
+
+def _differential_cases():
+    cases = []
+    for fam in (identity_family(), failure_family(), writer_family(), reader_family((0, 1))):
+        # the identity's views are equal, a projection's differ, so a side
+        # that reads the other side's view shows
+        ident = identity_bx(fam, BIT, name="id")
+        proj = fst_ibx(fam, BIT, BIT, default_b=0)
+        cases += [
+            pytest.param(sum_bx(ident, proj), _sum_reference(ident, proj), id=f"sum-{fam.name}"),
+            pytest.param(sum_bx(proj, ident), _sum_reference(proj, ident),
+                         id=f"sum-swapped-{fam.name}"),
+            pytest.param(list_ibx(ident), _list_reference(ident), id=f"list-id-{fam.name}"),
+            pytest.param(list_ibx(proj), _list_reference(proj), id=f"list-fst-{fam.name}"),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("combined, reference", _differential_cases())
+def test_sum_and_list_run_as_chains_of_their_components(combined, reference):
+    # the reference runs the components' own gets and sets; the combinator
+    # reads their read maps and runs their sets inside its lenses' updates
+    get_l, set_l, get_r, set_r = reference
+    equal = combined.effect.equal
+    for s in combined.state_domain:
+        assert equal(combined.get_l.run(s), get_l(s)), s
+        assert equal(combined.get_r.run(s), get_r(s)), s
+        for a in combined.dom_a:
+            assert equal(combined.set_l(a).run(s), set_l(a, s)), (a, s)
+        for b in combined.dom_b:
+            assert equal(combined.set_r(b).run(s), set_r(b, s)), (b, s)
 
 
 def test_swap_iso():
@@ -320,3 +421,55 @@ def test_combinators_preserve_laws_quantified_over_inputs():
         assert check_seven_laws(lifted).ok, lifted.name
         assert check_init_laws(lifted).ok, lifted.name
         assert analyze_transparency(lifted).transparent, lifted.name
+
+
+
+W = writer_family(bound=1)
+SUITES = ("seven", "overwritable", "init", "stability")
+# subjects that each fail ``overwritable`` with 4 to 6 witnesses, and the
+# digests of their reports, one per suite of SUITES
+FAILING = {
+    "compose-log": (
+        lambda: compose(log_bx(identity_bx(W, BIT)), identity_bx(W, BIT)),
+        ("8dc3bb3bd43f21903cc81dc912032ccc1b0fedf1689f300822ad008502f0bd8e",
+         "60213cda65f2d5f208f7a4ca64ee5849ae744ad047761d618d989043cf592d0c",
+         "af6c9567738119b2a1fbf8ddd382c3e5a5981320c57319990631e609f9ffe694",
+         "e3cc6528cbcdd4a0fcec595a4b32aff18443452a31919e6664dc31d45260465b")),
+    "sum-logging": (
+        lambda: sum_bx(_logging_component(), _logging_component()),
+        ("c5aebeb2f4573a9441fd37d7ccf29998fa8636b3cd99153646e90cd33605976a",
+         "8e1e017f52130b28954fb256b84616d374e0b2ecd11672210728bf4342828583",
+         "5b8f91f85c893782fa62403a83bf3a3b7815f57dd091cd56dd9b3f383e6f5af8",
+         "244f1c08c2327835be8b6cca3f06ac180c361688181d850b0f800040b4b4e451")),
+    "list-logging": (
+        lambda: list_ibx(_logging_component()),
+        ("6abf3fa5ac1319dcebc697ce275c06439754782f0c12bc0b58cae556e5a2c1ca",
+         "b330407fc53abc52c525288a8a32ddd81a8c04e691c3229a41eafee66f98c2bb",
+         "e4a7907d9d66d1f67b8ec481ebb293d1e79ba70899f5290ca098287ab5110627",
+         "c41ebafe9693529e68be7685794eb9baa2a3831260470d555ac2280ef927ee8a")),
+    "pair-logging": (
+        lambda: pair_bx(_logging_component(), _logging_component()),
+        ("d833eacac7bf634b0f256eb5a7a5fccd38847d1599c9682ad96dab84393fd174",
+         "0e3f248a0fd60061614c5ffde21d0ff74cf161f228b386f24b71dca55ffdf1e5",
+         "ec7d67b0e85d13c60f52f850a6d7fc4cf7d5a9472dec104a8f440cecfc25e181",
+         "36e22146c57435e328e6d8bbe0c23d24fdc48f6aba4dd7d6c716674fe8ebe038")),
+    "compose-inv-dual": (
+        lambda: compose(inv_bx(), dual(inv_bx())),
+        ("c31b0eda13332889a91dbe3912adc0fdeb9b4ab2aab91d076e929789e96316e0",
+         "2caba31f71ccb8ae46739f2ad6309e84651b76a110837451a34e7525569d19d2",
+         "555e65afa31f851fc5a6a225d09274f0daa5b35379c46f63466207f305d811c8",
+         "bdb17b160d80b519458f3cd589b3f86b2804f02743c410e42169a25590d3f957")),
+}
+
+
+@pytest.mark.parametrize("subject", FAILING)
+@pytest.mark.parametrize("suite", SUITES)
+def test_combinator_reports_are_byte_identical_to_the_golden_digest(subject, suite):
+    # every report of a failing combinator, witnesses included, must keep its
+    # bytes when the combinator is rebuilt
+    build, digests = FAILING[subject]
+    report = check(build(), suite)
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == \
+        digests[SUITES.index(suite)]
+    if suite == "overwritable":
+        assert 4 <= sum(len(law.failures) for law in report.laws) <= 6

@@ -86,6 +86,33 @@ def test_partial_bx_rejects_non_inverses():
         )
 
 
+def test_partial_bx_evaluates_f_and_g_at_construction_only_on_its_domains():
+    fam = failure_family()
+    calls = []
+
+    def negate(x):
+        calls.append(x)
+        return None if x == 2 else -x
+
+    bx = partial_bx(fam, NOTHING, negate, negate, FiniteDomain("a", (0, 1, 2)),
+                    FiniteDomain("b", (0, -1)))
+    calls.clear()
+    for s in bx.state_domain:
+        assert bx.set_l(1).run(s) == Just(((), (1, -1)))
+        assert bx.set_r(-1).run(s) == Just(((), (1, -1)))
+        assert bx.set_l(2).run(s) is NOTHING
+    assert calls == []
+    # a value outside the domain is evaluated when it is set
+    assert bx.set_l(5).run((0, 0)) == Just(((), (5, -5)))
+    assert calls == [5]
+    # list-valued views do not hash, so every set evaluates f or g
+    wrap = partial_bx(fam, NOTHING, lambda a: [a], lambda b: b[0],
+                      FiniteDomain("a", (0, 1)), FiniteDomain("b", ([0], [1])))
+    assert wrap.state_domain.elements == ((0, [0]), (1, [1]))
+    assert wrap.set_r([1]).run((0, [0])) == Just(((), (1, [1])))
+    assert check_seven_laws(wrap).ok
+
+
 def test_partial_bx_rejects_non_zero_err():
     fam = failure_family()
     with pytest.raises(EffectbxError):
