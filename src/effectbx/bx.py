@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-from .effects import EffectFamily, identity_family, require_identity
+from .effects import EffectFamily, identity_family, require_identity, same_family
 from .errors import NoInitializers, UnobservableEffect
-from .lawcheck import FiniteDomain, Law, pointwise
+from .lawcheck import FiniteDomain, Law, Positions, pointwise
 from .lenses import Lens, identity_lens
 from .stateful import Stateful, get_set_laws, st_gets, then_cont, unit_cont
 
@@ -158,7 +158,7 @@ def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
         read_r.append(b_hit[0])
     if opaque:
         return TransparencyAnalysis(False, None, None, tuple(opaque))
-    states = bx.state_domain.elements
+    states = bx.state_domain
     return TransparencyAnalysis(
         True,
         _read_map(fam, bx.get_l, bx.dom_a, states, tuple(read_l)),
@@ -167,36 +167,27 @@ def analyze_transparency(bx: Bx) -> TransparencyAnalysis:
     )
 
 
-def _read_map(fam, getter, dom, states, views):
-    """The read map of a transparent side: the view at each of ``states``,
-    found in a table built once when the states hash, else (or when the
-    table misses) by ``tuple.index``, so by ``==``, never by repr.  A view
-    found on a miss is stored in the table when the state hashes, so each
-    state is looked up once."""
-    try:
-        table = dict(zip(states, views))
-    except TypeError:  # unhashable states: every read scans
-        table = {}
+def _read_map(fam, getter, dom, states: FiniteDomain, views):
+    """The read map of a transparent side: the view at each state of the
+    domain ``states`` is the one at its position there, so a state is
+    found by ``==``, never by repr.  A state outside the domain still
+    resolves, as long as the get stays a pure query there; its view is
+    kept in a memo, so each such state is read from the get once."""
+    position = states.position
+    outside, memo = Positions(), []
 
     def read(s):
-        try:
-            return table[s]
-        except KeyError:
-            hashes = True
-        except TypeError:
-            hashes = False
-        try:
-            view = views[states.index(s)]
-        except ValueError:
-            # states reached outside the declared domain still resolve, as
-            # long as the get stays a pure query there
+        at = position(s)
+        if at is not None:
+            return views[at]
+        at = outside.find(s)
+        if at is None:
             fresh = _extract_pure(fam, getter, s, dom)
             if fresh is None:
-                raise UnobservableEffect(f"get is not a pure query at state {s!r}") from None
-            view = fresh[0]
-        if hashes:
-            table[s] = view
-        return view
+                raise UnobservableEffect(f"get is not a pure query at state {s!r}")
+            at = outside.add(s)
+            memo.append(fresh[0])
+        return memo[at]
 
     return read
 
@@ -223,7 +214,7 @@ def _extract_pure(fam, getter, s, dom):
 def consistent_pairs(bx: Bx):
     """All (a, b) pairs observable by reading both sides in sequence,
     collecting across nondeterministic outcomes; the consistency relation."""
-    pairs = []
+    pairs = Positions()
     probe = bx.get_l.bind(
         lambda a: bx.get_r.map(
             lambda b: (a, b)
@@ -231,10 +222,8 @@ def consistent_pairs(bx: Bx):
     )
     for s in bx.state_domain:
         for result in bx.effect.outcomes_of(probe.run(s)):
-            pair = result[0]
-            if pair not in pairs:
-                pairs.append(pair)
-    return tuple(pairs)
+            pairs.add(result[0])
+    return tuple(pairs.values)
 
 
 def stability_laws(bx: Bx):
@@ -336,7 +325,7 @@ def _leg(leg: Lens, fam: EffectFamily, name: str):
             ))
 
         return set_, lambda v: unit(create(v))
-    if (leg.effect.name, leg.effect.enumerate_contexts) != (fam.name, fam.enumerate_contexts):
+    if not same_family(leg.effect, fam):
         raise ValueError(f"{name}: a leg at effect {leg.effect.name} is neither pure "
                          f"nor at the bx's effect {fam.name}")
 

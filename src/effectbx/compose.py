@@ -15,9 +15,9 @@ from .bx import (
     require_initialisable,
     span_bx,
 )
-from .effects import EffectFamily
+from .effects import EffectFamily, same_family
 from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
-from .lawcheck import FiniteDomain, Law, pointwise
+from .lawcheck import FiniteDomain, Law, Positions, pointwise
 from .lenses import Lens, identity_lens, theta
 from .stateful import Stateful, st_eval, st_exec
 
@@ -36,25 +36,22 @@ def _require_transparent(bx: Bx) -> TransparencyAnalysis:
 
 
 def _require_same_effect(bx1: Bx, bx2: Bx):
-    """Refuse bx at different families: a family is its name and the
-    contexts its equality observes, so two reader families over different
-    environments differ."""
+    """Refuse bx at different families (see ``same_family``)."""
     e1, e2 = bx1.effect, bx2.effect
-    if (e1.name, e1.enumerate_contexts) != (e2.name, e2.enumerate_contexts):
+    if not same_family(e1, e2):
         raise ValueError(f"{bx1.name} is at effect {e1.name} over contexts "
                          f"{e1.enumerate_contexts!r} but {bx2.name} at {e2.name} over "
                          f"contexts {e2.enumerate_contexts!r}; bx combine only at one effect")
 
 
 def _check_middle(bx1: Bx, bx2: Bx):
+    """Refuse middle domains that do not hold the same elements: two carriers
+    without duplicates do when the elements of both together are no more
+    than either's."""
     if bx1.dom_b is None or bx2.dom_a is None:
         raise MiddleTypeMismatch("composition needs declared middle domains")
-    left_elems = list(bx1.dom_b.elements)
-    right_elems = list(bx2.dom_a.elements)
-    if not (
-        all(any(x == y for y in right_elems) for x in left_elems)
-        and all(any(x == y for y in left_elems) for x in right_elems)
-    ):
+    left, right = bx1.dom_b.elements, bx2.dom_a.elements
+    if len(Positions(left + right)) > min(len(left), len(right)):
         raise MiddleTypeMismatch(
             f"middle domains disagree: {bx1.name} right vs {bx2.name} left"
         )
@@ -63,13 +60,10 @@ def _check_middle(bx1: Bx, bx2: Bx):
 def _join_states(bx1, bx2, a1, a2) -> FiniteDomain:
     """The pairs of component states whose shared middle views agree,
     materialized by filtering the product with the read maps ``a1.read_r``
-    and ``a2.read_l``."""
-    pairs = tuple(
-        (s1, s2)
-        for s1 in bx1.state_domain
-        for s2 in bx2.state_domain
-        if a1.read_r(s1) == a2.read_l(s2)
-    )
+    and ``a2.read_l``, each read once per state."""
+    left = [(s1, a1.read_r(s1)) for s1 in bx1.state_domain]
+    right = [(s2, a2.read_l(s2)) for s2 in bx2.state_domain]
+    pairs = tuple((s1, s2) for s1, b1 in left for s2, b2 in right if b1 == b2)
     return FiniteDomain(f"{bx1.name};{bx2.name}-join", pairs)
 
 
@@ -206,38 +200,16 @@ class StateBijection:
     backward: Callable
 
 
-class _States:
-    """States to test membership in as a scan by ``==`` would: in a set, but
-    for the states that do not hash, which are compared one by one, as
-    ``FiniteDomain`` finds duplicates."""
-
-    def __init__(self, states=()):
-        self.hashed, self.unhashed = set(), []
-        for t in states:
-            self.add(t)
-
-    def add(self, t):
-        try:
-            self.hashed.add(t)
-        except TypeError:
-            self.unhashed.append(t)
-
-    def __contains__(self, t):
-        try:
-            return t in self.hashed or any(t == u for u in self.unhashed)
-        except TypeError:  # t does not hash
-            return any(t == u for u in (*self.hashed, *self.unhashed))
-
-
 def _check_bijection(h: StateBijection, dom1: FiniteDomain, dom2: FiniteDomain):
-    codomain, images = _States(dom2.elements), _States()
+    images = set()  # the positions in dom2 of the forward images so far
     for s in dom1:
         t = h.forward(s)
-        if t not in codomain:
+        at = dom2.position(t)
+        if at is None:
             raise NotBijective(f"forward image {t!r} outside codomain")
-        if t in images:
+        if at in images:
             raise NotBijective(f"forward not injective at {s!r}")
-        images.add(t)
+        images.add(at)
         if not h.backward(t) == s:
             raise NotBijective(f"backward(forward({s!r})) != {s!r}")
     if len(dom1) != len(dom2):

@@ -114,6 +114,12 @@ def identity_family() -> EffectFamily:
     )
 
 
+def same_family(f1: EffectFamily, f2: EffectFamily) -> bool:
+    """A family is its name and the contexts its equality observes, so two
+    reader families over different environments differ."""
+    return (f1.name, f1.enumerate_contexts) == (f2.name, f2.enumerate_contexts)
+
+
 def require_identity(fam: EffectFamily, what: str):
     """Refuse any family but the identity: ``what`` reads its effect values
     as plain values."""

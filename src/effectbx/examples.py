@@ -44,8 +44,8 @@ def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
     of ``err`` and the partial-inverse property of the pair.
     """
     _check_zero(fam, err, dom_a)
-    _check_partial_inverses(f, g, dom_a, dom_b)
     f_at, g_at = _tabulate(f, dom_a), _tabulate(g, dom_b)
+    _check_partial_inverses(f_at, g_at, dom_a, dom_b)
 
     # each update ignores the old state, so it is also the create
     def update_l(_s, a):
@@ -65,19 +65,14 @@ def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
 
 
 def _tabulate(h, dom):
-    """``h`` over ``dom``, computed once: a lookup in a table of its values
-    at the domain's elements, calling ``h`` only for a value outside the
-    table (or for every value, when the elements do not hash)."""
-    try:
-        table = {x: h(x) for x in dom}
-    except TypeError:  # unhashable elements
-        return h
+    """``h`` over ``dom``, computed once: the value at an element of the
+    domain is read at its position in a table, and ``h`` is called only for
+    a value outside the domain."""
+    values, position = tuple(map(h, dom)), dom.position
 
     def at(x):
-        try:
-            return table[x]
-        except (KeyError, TypeError):
-            return h(x)
+        i = position(x)
+        return h(x) if i is None else values[i]
 
     return at
 
@@ -436,10 +431,21 @@ def _require_unique_names(pairs_or_triples, what):
         seen.add(name)
 
 
-def _partition_by_name(items, name):
-    hits = [x for x in items if x[0] == name]
-    rest = [x for x in items if x[0] != name]
-    return hits, rest
+def _ordered_by_names(names, triples):
+    """The triples (of distinct names) whose names are among ``names``, in
+    that order, then the others in sorted order."""
+    by_name = {triple[0]: triple for triple in triples}
+    first = [by_name.pop(name) for name in names if name in by_name]
+    return first + sorted(by_name.values(), key=_triple_key)
+
+
+def _dated_rows(rows, dated):
+    """Each (name, nation) row as a triple with the first dates that
+    ``dated``, a list of (name, dates) pairs, gives its name, or None."""
+    first = {}
+    for name, dates in dated:
+        first.setdefault(name, dates)
+    return [(name, nation, first.pop(name, None)) for name, nation in rows]
 
 
 def composers_symlens() -> SymLens:
@@ -453,28 +459,16 @@ def composers_symlens() -> SymLens:
 
     def put_r(m, c):
         _require_unique_names(m, "left view")
-        leftover = sorted(m, key=_triple_key)
-        acc = []
-        for name, _dates in c:
-            hits, leftover = _partition_by_name(leftover, name)
-            acc = hits + acc
-        triples = list(reversed(acc)) + sorted(leftover, key=_triple_key)
+        triples = _ordered_by_names([name for name, _dates in c], m)
         rows = tuple((name, nation) for name, nation, _d in triples)
         c1 = tuple((name, dates) for name, _n, dates in triples)
         return rows, c1
 
     def put_l(rows, c):
         _require_unique_names(rows, "right view")
-        remaining = list(c)
-        acc = []
-        for name, nation in rows:
-            hits, remaining = _partition_by_name(remaining, name)
-            dates = hits[0][1] if hits else None
-            acc = [(name, nation, dates)] + acc
-        triples = list(reversed(acc))
-        m = frozenset(triples)
+        triples = _dated_rows(rows, c)
         c1 = tuple((name, dates) for name, _n, dates in triples)
-        return m, c1
+        return frozenset(triples), c1
 
     return SymLens(put_r=put_r, put_l=put_l, missing=())
 
@@ -485,22 +479,11 @@ def composers_bx() -> Bx:
 
     def update_l(l, m):
         _require_unique_names(m, "left view")
-        leftover = sorted(m, key=_triple_key)
-        acc = []
-        for name, _nation, _dates in l:
-            hits, leftover = _partition_by_name(leftover, name)
-            acc = hits + acc
-        return tuple(reversed(acc)) + tuple(sorted(leftover, key=_triple_key))
+        return tuple(_ordered_by_names([name for name, _n, _d in l], m))
 
     def update_r(l, rows):
         _require_unique_names(rows, "right view")
-        remaining = list(l)
-        acc = []
-        for name, nation in rows:
-            hits, remaining = _partition_by_name(remaining, name)
-            dates = hits[0][2] if hits else None
-            acc = [(name, nation, dates)] + acc
-        return tuple(reversed(acc))
+        return tuple(_dated_rows(rows, [(name, dates) for name, _n, dates in l]))
 
     # from no triples, an update is the initialiser
     return span_bx(

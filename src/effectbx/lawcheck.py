@@ -138,27 +138,79 @@ def stable_repr(value) -> str:
     return _ADDRESS.sub("0x..", repr(value))
 
 
+class Positions:
+    """Values kept at the position where each was first added, and found by
+    ``==`` with identity first, as ``in`` finds them in a tuple: a value
+    that hashes by its hash (and among the kept values that do not hash),
+    one that does not by comparing it with every kept value.  ``values``
+    lists the kept values in position order."""
+
+    __slots__ = ("values", "_hashed", "_loose")
+
+    def __init__(self, values=()):
+        values = list(values)
+        self._loose = []  # the positions of the kept values that do not hash
+        try:  # when every value hashes and none repeats, the table is built in C
+            self._hashed = dict(zip(values, range(len(values))))
+        except TypeError:
+            self._hashed = {}
+        if len(self._hashed) == len(values):
+            self.values = values
+            return
+        self.values, self._hashed = [], {}
+        for x in values:
+            self.add(x)
+
+    def __len__(self):
+        return len(self.values)
+
+    def find(self, x) -> Optional[int]:
+        """The position of the kept value equal to ``x``, or None."""
+        values = self.values
+        try:
+            return self._hashed[x]
+        except KeyError:  # x hashes, so it is none of the kept values that do not
+            return next((i for i in self._loose if values[i] == x), None)
+        except TypeError:  # x does not hash: compare it with every kept value
+            try:
+                return values.index(x)
+            except ValueError:
+                return None
+
+    def add(self, x) -> int:
+        """The position of ``x``, which is kept at the next one unless a value
+        equal to it is kept already."""
+        at = self.find(x)
+        if at is None:
+            at = len(self.values)
+            self.values.append(x)
+            try:
+                self._hashed[x] = at
+            except TypeError:
+                self._loose.append(at)
+        return at
+
+
 @dataclass(frozen=True)
 class FiniteDomain:
-    """A finite carrier for exhaustive checking: distinct elements, ==-equality."""
+    """A finite carrier for exhaustive checking: distinct elements, ==-equality.
+    ``position(x)`` is the index of the element equal to ``x``, or None
+    outside the domain; an element is found as ``in`` finds it in a tuple,
+    by identity and then ``==``, and by its hash when it hashes (see
+    ``Positions``)."""
 
     name: str
     elements: tuple
+    position: Callable[[Any], Optional[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
-        # a set finds no duplicate in linear time; the pairwise scan, which
-        # tests identity before equality, names the first duplicate and
-        # handles unhashable elements
-        try:
-            if len(set(elems)) == len(elems):
-                return
-        except TypeError:
-            pass
-        for i, e in enumerate(elems):
-            if e in elems[:i]:
-                raise ValueError(f"domain {self.name!r} has duplicate element {e!r}")
+        positions = Positions(elems)
+        if len(positions) < len(elems):
+            first = next(e for i, e in enumerate(elems) if positions.find(e) != i)
+            raise ValueError(f"domain {self.name!r} has duplicate element {first!r}")
+        object.__setattr__(self, "position", positions.find)
 
     def __len__(self):
         return len(self.elements)

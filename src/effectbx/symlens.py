@@ -9,7 +9,7 @@ from typing import Any, Callable, Optional
 from .bx import Bx, dual, require_initialisable, span_bx
 from .effects import EffectFamily, Just, NOTHING, identity_family, require_identity
 from .errors import DomainTooLarge
-from .lawcheck import FiniteDomain, Law
+from .lawcheck import FiniteDomain, Law, Positions
 from .lenses import Lens
 
 _CLOSURE_ROUNDS = 64
@@ -124,32 +124,24 @@ def consistent_triples(sl: SymLens, dom_a: FiniteDomain,
     the identity effect by closure: apply every put to the missing
     complement, then to the complement of each triple the previous round
     found, until a round finds none, keeping the triples in the order found.
-    A triple is looked up in a set, or by an ``==`` scan when it does not
-    hash, as ``FiniteDomain`` does.  Raises DomainTooLarge as soon as more
-    than ``_MAX_TRIPLES`` triples are found (e.g. a complement that records
+    A triple is looked up as ``FiniteDomain`` finds an element (see
+    ``Positions``).  Raises DomainTooLarge as soon as more than
+    ``_MAX_TRIPLES`` triples are found (e.g. a complement that records
     history and so doubles the frontier every round), or if the closure has
     not converged after 64 rounds (a complement that grows without
     bound)."""
-    triples, seen, loose = [], set(), []  # loose: the triples that do not hash
+    triples = Positions()
     complements = [sl.missing]
     for _ in range(_CLOSURE_ROUNDS + 1):
         known = len(triples)
         for t in (step for c in complements for step in _puts(sl, dom_a, dom_b, c)):
-            try:
-                if t in seen or any(t == u for u in loose):
-                    continue
-                seen.add(t)
-            except TypeError:
-                if any(t == u for u in triples):
-                    continue
-                loose.append(t)
-            triples.append(t)
+            triples.add(t)
             if len(triples) > _MAX_TRIPLES:
                 raise DomainTooLarge(f"consistent triples exceed the bound of "
                                      f"{_MAX_TRIPLES} triples")
         if len(triples) == known:
-            return FiniteDomain("consistent-triples", tuple(triples))
-        complements = [c for _a, _b, c in triples[known:]]
+            return FiniteDomain("consistent-triples", tuple(triples.values))
+        complements = [c for _a, _b, c in triples.values[known:]]
     raise DomainTooLarge(f"consistent triples not closed after {_CLOSURE_ROUNDS} "
                          f"rounds ({len(triples)} found)")
 

@@ -212,6 +212,14 @@ def test_consistent_pairs_inv():
     assert (Fraction(4), Fraction(1, 4)) in pairs
 
 
+def test_consistent_pairs_of_list_valued_views_are_kept_once_in_first_seen_order():
+    views = FiniteDomain("lists", ([0], [1]))
+    keep = lambda s, _v: s
+    bx = span_bx(Lens(lambda s: [s[0]], keep), Lens(lambda s: [max(s)], keep),
+                 PAIRS, views, views, identity_family(), "lists")
+    assert consistent_pairs(bx) == (([0], [0]), ([0], [1]), ([1], [1]))
+
+
 def test_consistent_pairs_const():
     bx = const_bx(identity_family(), 0, BIT)
     assert set(consistent_pairs(bx)) == {((), 0), ((), 1)}

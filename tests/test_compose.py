@@ -39,7 +39,7 @@ from effectbx import (
     st_exec,
     sum_bx,
 )
-from effectbx.compose import _check_bijection
+from effectbx.compose import _check_bijection, _check_middle
 from effectbx.corpus import _switch_reader
 
 BIT = FiniteDomain("bit", (0, 1))
@@ -245,11 +245,26 @@ def _unwrap(state):
     return state[0] if isinstance(state, list) else state
 
 
-@pytest.mark.parametrize("wrap", [
+WRAPS = pytest.mark.parametrize("wrap", [
     lambda i: i,
     lambda i: [i],
     lambda i: [i] if i == 1 else i,
 ], ids=["hashable", "unhashable", "mixed"])
+
+
+@WRAPS
+def test_middle_domains_agree_in_any_order_for_views_that_hash_or_do_not(wrap):
+    fam = identity_family()
+    middle = lambda *views: identity_bx(fam, FiniteDomain("m", tuple(map(wrap, views))))
+    _check_middle(middle(0, 1, 2), middle(2, 0, 1))
+    for other in (middle(0, 1), middle(0, 1, 2, 3), middle(0, 1, 3)):
+        with pytest.raises(MiddleTypeMismatch, match="middle domains disagree"):
+            _check_middle(middle(0, 1, 2), other)
+        with pytest.raises(MiddleTypeMismatch, match="middle domains disagree"):
+            _check_middle(other, middle(0, 1, 2))
+
+
+@WRAPS
 def test_each_bijection_error_is_raised_for_states_that_hash_or_do_not(wrap):
     # states that hash are looked up in a set, the others compared by ==
     states = FiniteDomain("states", tuple(map(wrap, range(3))))

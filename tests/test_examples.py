@@ -88,28 +88,39 @@ def test_partial_bx_rejects_non_inverses():
 
 def test_partial_bx_evaluates_f_and_g_at_construction_only_on_its_domains():
     fam = failure_family()
-    calls = []
+    f_calls, g_calls = [], []
 
-    def negate(x):
-        calls.append(x)
-        return None if x == 2 else -x
+    def counted(calls, h):
+        return lambda x: calls.append(x) or h(x)
 
-    bx = partial_bx(fam, NOTHING, negate, negate, FiniteDomain("a", (0, 1, 2)),
-                    FiniteDomain("b", (0, -1)))
-    calls.clear()
+    negate = lambda x: None if x == 2 else -x
+    bx = partial_bx(fam, NOTHING, counted(f_calls, negate), counted(g_calls, negate),
+                    FiniteDomain("a", (0, 1, 2)), FiniteDomain("b", (0, -1)))
+    # the inverse check reads the tables that construction fills
+    assert (f_calls, g_calls) == ([0, 1, 2], [0, -1])
+    f_calls.clear()
+    g_calls.clear()
     for s in bx.state_domain:
         assert bx.set_l(1).run(s) == Just(((), (1, -1)))
         assert bx.set_r(-1).run(s) == Just(((), (1, -1)))
         assert bx.set_l(2).run(s) is NOTHING
-    assert calls == []
+    assert f_calls == g_calls == []
     # a value outside the domain is evaluated when it is set
     assert bx.set_l(5).run((0, 0)) == Just(((), (5, -5)))
-    assert calls == [5]
-    # list-valued views do not hash, so every set evaluates f or g
-    wrap = partial_bx(fam, NOTHING, lambda a: [a], lambda b: b[0],
+    assert f_calls == [5]
+    # list-valued views do not hash, and are read from the tables too
+    f_calls.clear()
+    g_calls.clear()
+    wrap = partial_bx(fam, NOTHING, counted(f_calls, lambda a: [a]),
+                      counted(g_calls, lambda b: b[0]),
                       FiniteDomain("a", (0, 1)), FiniteDomain("b", ([0], [1])))
+    assert (f_calls, g_calls) == ([0, 1], [[0], [1]])
+    f_calls.clear()
+    g_calls.clear()
     assert wrap.state_domain.elements == ((0, [0]), (1, [1]))
     assert wrap.set_r([1]).run((0, [0])) == Just(((), (1, [1])))
+    assert wrap.set_l(0).run((1, [1])) == Just(((), (0, [0])))
+    assert f_calls == g_calls == []
     assert check_seven_laws(wrap).ok
 
 

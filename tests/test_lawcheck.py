@@ -317,6 +317,34 @@ def test_finite_domain_checks_unhashable_elements_pairwise():
     with pytest.raises(ValueError, match=r"duplicate element \[1\]"):
         FiniteDomain("lists", ([0], [1], [1]))
     assert len(FiniteDomain("lists", ([0], [1], []))) == 3
+    # the first element equal to an earlier one is named, whether it hashes
+    for elements, first in [((0, [1], 2, [1], 0), "[1]"), ((0, [1], 0, [1]), "0"),
+                            (([1], 0, 0), "0"), ((2, 1, 2, 1), "2"),
+                            (({1}, frozenset({1})), "frozenset({1})")]:
+        with pytest.raises(ValueError) as raised:
+            FiniteDomain("mixed", elements)
+        assert str(raised.value) == f"domain 'mixed' has duplicate element {first}"
+
+
+class _NeverEqual(list):
+    """A value that does not hash and is equal to nothing, itself included."""
+
+    def __eq__(self, other):
+        return False
+
+
+def test_a_domain_finds_an_element_at_its_position_by_identity_first():
+    lone = _NeverEqual()
+    dom = FiniteDomain("mixed", (0, [1], lone, (2,), float("inf"), {5}))
+    assert [dom.position(x) for x in dom] == [0, 1, 2, 3, 4, 5]
+    # equal values are found by == (and their hash, when they hash), a value
+    # that hashes among the elements that do not too
+    assert [dom.position(x) for x in (0.0, [1], (2,), False, frozenset({5}))] == [0, 1, 3, 0, 5]
+    # a value that does not hash is found by identity before ==
+    assert dom.position(_NeverEqual()) is None
+    assert [dom.position(x) for x in (1, [0], (1,), [lone], "0")] == [None] * 5
+    plain = FiniteDomain("ints", (3, 4))
+    assert (plain.position(4), plain.position([4]), plain.position(5)) == (1, None, None)
 
 
 @pytest.mark.parametrize("limits", [{}, {"cap": 0}, {"sample": None}],

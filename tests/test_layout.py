@@ -69,3 +69,17 @@ def test_bx_is_built_by_hand_only_where_a_get_is_not_a_view():
         ("corpus.py", "_mk"),
         ("examples.py", "switch_bx"),
     }
+
+
+def test_only_lawcheck_catches_a_value_that_does_not_hash():
+    # finding a value among a carrier's elements is written once, in
+    # ``lawcheck.Positions``: no other module falls back on a scan when
+    # hashing raises TypeError
+    catchers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(getattr(name, "id", None) == "TypeError" for name in caught):
+                    catchers.append(path.name)
+    assert set(catchers) <= {"lawcheck.py"}
