@@ -1,7 +1,7 @@
 """The bidirectional interface: two entangled views over a hidden state, with
 get/set per side, the law suites that decide well-behavedness,
-overwritability, stability, transparency and initialization, and the bx of a
-span of two lenses."""
+overwritability, stability, transparency and initialization, the bx of a
+span of two lenses, and the legs that the combinators of bx combine."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .effects import EffectFamily, identity_family, require_identity, same_family
-from .errors import NoInitializers, UnobservableEffect
+from .errors import NoInitializers, NotTransparent, UnobservableEffect
 from .lawcheck import FiniteDomain, Law, Positions, pointwise
-from .lenses import Lens, identity_lens
-from .stateful import Stateful, get_set_laws, st_gets, then_cont, unit_cont
+from .lenses import Lens, identity_lens, lift_lens
+from .stateful import Stateful, get_set_laws, st_exec, st_gets, then_cont, unit_cont
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -25,6 +25,8 @@ class Bx:
     declared larger than the reachable state set.  The initializers build a
     starting state (an effect value) from either view; like a lens's
     ``create`` they are optional, and a bx with both is ``initialisable``.
+    ``legs`` is set by ``span_bx`` only: each leg with the get, set and
+    initializer built from it (read them with ``legs_of``).
     """
 
     name: str
@@ -38,6 +40,7 @@ class Bx:
     dom_b: Optional[FiniteDomain] = None
     init_l: Optional[Callable[[Any], Any]] = None
     init_r: Optional[Callable[[Any], Any]] = None
+    legs: Optional[tuple] = None
 
     @property
     def initialisable(self) -> bool:
@@ -45,8 +48,8 @@ class Bx:
 
 
 def dual(bx: Bx) -> Bx:
-    """Exchange the two sides, their domains and their initializers;
-    preserves transparency, overwritability and initialisability.  A
+    """Exchange the two sides, their domains, their initializers and their
+    legs; preserves transparency, overwritability and initialisability.  A
     right-side law of ``bx`` is the matching left-side law of its dual."""
     return replace(
         bx,
@@ -59,6 +62,7 @@ def dual(bx: Bx) -> Bx:
         dom_b=bx.dom_a,
         init_l=bx.init_r,
         init_r=bx.init_l,
+        legs=None if bx.legs is None else bx.legs[::-1],
     )
 
 
@@ -67,10 +71,10 @@ def require_initialisable(bx: Bx):
         raise NoInitializers(f"{bx.name} has no initializers")
 
 
-def _require_domains(bx: Bx):
+def _require_domains(bx: Bx, fields=("state_domain", "dom_a", "dom_b")):
     """Refuse a bx without the state and view domains its laws quantify
-    over."""
-    missing = [f for f in ("state_domain", "dom_a", "dom_b") if getattr(bx, f) is None]
+    over (or without those of ``fields``)."""
+    missing = [f for f in fields if getattr(bx, f) is None]
     if missing:
         raise UnobservableEffect(f"{bx.name} declares no {', '.join(missing)}")
 
@@ -214,6 +218,7 @@ def _extract_pure(fam, getter, s, dom):
 def consistent_pairs(bx: Bx):
     """All (a, b) pairs observable by reading both sides in sequence,
     collecting across nondeterministic outcomes; the consistency relation."""
+    _require_domains(bx, ("state_domain",))
     pairs = Positions()
     probe = bx.get_l.bind(
         lambda a: bx.get_r.map(
@@ -286,30 +291,33 @@ def span_bx(left: Lens, right: Lens, state_domain: Optional[FiniteDomain],
             fam: EffectFamily, name: str) -> Bx:
     """The bx at ``fam`` of a span of two lenses out of the hidden state: each
     get is its leg's ``view`` and each set its leg's ``update``.  The bx is
-    initialisable when both legs have a ``create``.
+    initialisable when both legs have a ``create``, and it keeps its legs
+    (see ``legs_of``).
 
     A leg at the identity effect is pure: its new state is returned at once.
     A leg at ``fam`` is monadic: a set binds the effect value of its update,
     and its ``create`` is the initialiser as it is.  The combinators of
-    transparent bx (``pair_bx``, ``sum_bx``, ``list_ibx``, ``compose``)
-    have monadic legs, whose views read the components' read maps and whose
-    updates run the components' sets.  A leg at any other effect raises
-    ``ValueError``."""
+    transparent bx (``pair_bx``, ``sum_bx``, ``list_ibx``, ``compose``,
+    ``signal_bx``) are spans of monadic legs made from their components'
+    legs.  A leg at any other effect raises ``ValueError``."""
+    get_l, get_r = st_gets(fam, left.view), st_gets(fam, right.view)
     set_l, init_l = _leg(left, fam, name)
     set_r, init_r = _leg(right, fam, name)
-    both = left.create is not None and right.create is not None
+    if left.create is None or right.create is None:
+        init_l = init_r = None
     return Bx(
         name=name,
         effect=fam,
-        get_l=st_gets(fam, left.view),
+        get_l=get_l,
         set_l=set_l,
-        get_r=st_gets(fam, right.view),
+        get_r=get_r,
         set_r=set_r,
         state_domain=state_domain,
         dom_a=dom_a,
         dom_b=dom_b,
-        init_l=init_l if both else None,
-        init_r=init_r if both else None,
+        init_l=init_l,
+        init_r=init_r,
+        legs=((left, (get_l, set_l, init_l)), (right, (get_r, set_r, init_r))),
     )
 
 
@@ -338,6 +346,40 @@ def _leg(leg: Lens, fam: EffectFamily, name: str):
         ))
 
     return set_, create
+
+
+def legs_of(bx: Bx) -> tuple:
+    """The left and right legs of ``bx`` at its effect: lenses out of its
+    state whose views are its gets' views and whose updates and creates are
+    its sets and initializers.
+
+    A span's legs are those ``span_bx`` built it from (a pure leg lifted
+    with ``lift_lens``), as long as its six operations are still the ones
+    built from them; a ``replace`` of an operation leaves a bx without
+    legs (the six are compared as a tuple, so by identity first).  A bx
+    without legs gets legs whose views are the read maps of
+    ``analyze_transparency`` and whose updates run its sets, and an opaque
+    one is refused with ``NotTransparent``."""
+    fam = bx.effect
+    sides = ((bx.get_l, bx.set_l, bx.init_l), (bx.get_r, bx.set_r, bx.init_r))
+    if bx.legs is not None and tuple(ops for _leg, ops in bx.legs) == sides:
+        return tuple(leg if same_family(leg.effect, fam) else lift_lens(fam, leg)
+                     for leg, _ops in bx.legs)
+    analysis = analyze_transparency(bx)
+    if not analysis.transparent:
+        raise NotTransparent(bx.name)
+    return tuple(_set_leg(fam, read, set_, init) for read, (_get, set_, init)
+                 in zip((analysis.read_l, analysis.read_r), sides))
+
+
+def _set_leg(fam, read, set_, init) -> Lens:
+    """The leg at ``fam`` of one side of a bx without legs: its view is the
+    side's read map, its update runs the side's set."""
+
+    def update(s, v):
+        return st_exec(set_(v), s)
+
+    return Lens(view=read, update=update, create=init, effect=fam)
 
 
 def lens_to_bx(l: Lens, source_domain: FiniteDomain, view_domain: FiniteDomain,

@@ -1,18 +1,17 @@
 """Standard bx-building combinators: constants, projections, pairing, sums,
-retentive lists, and isomorphism-derived bx."""
+retentive lists, and isomorphism-derived bx.  Pairing, sums and lists are
+spans of lenses made from their components' legs."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .bx import Bx, dual, lens_to_bx, require_initialisable, span_bx
-from .compose import _require_same_effect, _require_transparent
+from .bx import Bx, _require_domains, dual, legs_of, lens_to_bx, require_initialisable, span_bx
+from .compose import _require_same_effect
 from .effects import EffectFamily, Just, NOTHING, _Tagged
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
 from .lenses import Lens, fst_lens, snd_lens
-from .stateful import st_exec
-
 
 
 class Left(_Tagged):
@@ -78,61 +77,67 @@ def snd_ibx(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain,
     return lens_to_bx(snd_lens(default_a), pairs, dom_b, fam, name="snd")
 
 
-def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
-    """Componentwise pairing over the product state space: the span of two
-    monadic lenses out of the pair of component states.
-
-    Both components must be transparent and at one effect.  A get returns
-    the pair of the components' views, found by their read maps, so at a
-    state outside the declared domain it raises ``UnobservableEffect`` where
-    a component's get is not a pure query.  A set runs the left component's
-    set at ``s[0]`` before the right component's at ``s[1]``, through the
-    family's ``bind``, and returns the pair of the new states; this ordering
-    of the sets' effects is part of the combinator's contract for
-    non-commutative effect families.  It is the widening of each component
-    through ``left`` and ``right`` (``left(s1).then(right(s2))``) without
-    building the widenings; tests keep that form as the reference.  The
-    pair is initialisable when both components are.
-    """
-    a1, a2 = _require_transparent(bx1), _require_transparent(bx2)
+def _legs_of_both(bx1: Bx, bx2: Bx):
+    """The legs ``l1, r1, l2, r2`` of two bx with declared domains at one
+    effect."""
+    _require_domains(bx1)
+    _require_domains(bx2)
+    legs = (*legs_of(bx1), *legs_of(bx2))
     _require_same_effect(bx1, bx2)
+    return legs
+
+
+def pair_bx(bx1: Bx, bx2: Bx) -> Bx:
+    """Componentwise pairing over the product state space: the span of the
+    products of the components' left legs and of their right legs (see
+    ``legs_of``).
+
+    Both components must be transparent, declare their domains and be at
+    one effect.  A get returns the pair of the components' views.  A set
+    runs the left component's update at ``s[0]`` before the right
+    component's at ``s[1]``, through the family's ``bind``, and returns the
+    pair of the new states; this ordering of the sets' effects is part of
+    the combinator's contract for non-commutative effect families.  It is
+    the widening of each component through ``left`` and ``right``
+    (``left(s1).then(right(s2))``) without building the widenings; tests
+    keep that form as the reference.  The pair is initialisable when both
+    components are.
+    """
+    l1, r1, l2, r2 = _legs_of_both(bx1, bx2)
     fam = bx1.effect
-    bind, unit = fam.bind, fam.unit
-
-    # the left leg of components c1, c2 (their duals give the right leg);
-    # each continuation is a def of its own, as in Stateful.bind
-    def leg(c1, c2, read1, read2):
-        set1, set2, init1, init2 = c1.set_l, c2.set_l, c1.init_l, c2.init_l
-
-        def update(s, v):
-            s2 = s[1]
-
-            def after_first(p1):
-                t1 = p1[1]
-
-                def after_second(p2):
-                    return unit((t1, p2[1]))
-
-                return bind(set2(v[1]).run(s2), after_second)
-
-            return bind(set1(v[0]).run(s[0]), after_first)
-
-        def create(v):
-            return bind(init1(v[0]), lambda s1: fam.map(init2(v[1]), (
-                lambda s2: (s1, s2)
-            )))
-
-        return Lens(view=lambda s: (read1(s[0]), read2(s[1])), update=update,
-                    create=None if init1 is None or init2 is None else create, effect=fam)
-
     return span_bx(
-        leg(bx1, bx2, a1.read_l, a2.read_l),
-        leg(dual(bx1), dual(bx2), a1.read_r, a2.read_r),
+        _pair_lens(fam, l1, l2),
+        _pair_lens(fam, r1, r2),
         _product_domain(f"{bx1.name}x{bx2.name}", bx1.state_domain, bx2.state_domain),
         _product_domain("a1xa2", bx1.dom_a, bx2.dom_a),
         _product_domain("b1xb2", bx1.dom_b, bx2.dom_b),
         fam, f"pair({bx1.name},{bx2.name})",
     )
+
+
+def _pair_lens(fam: EffectFamily, l1: Lens, l2: Lens) -> Lens:
+    """The product of two lenses at ``fam``: views, updates and creates
+    componentwise, the first lens's effect before the second's."""
+    view1, update1, create1 = l1.view, l1.update, l1.create
+    view2, update2, create2 = l2.view, l2.update, l2.create
+
+    def update(s, v):
+        s2, v2 = s[1], v[1]
+
+        def second(t1):
+            return fam.map(update2(s2, v2), (
+                lambda t2: (t1, t2)
+            ))
+
+        return fam.bind(update1(s[0], v[0]), second)
+
+    def create(v):
+        return fam.bind(create1(v[0]), lambda t1: fam.map(create2(v[1]), (
+            lambda t2: (t1, t2)
+        )))
+
+    return Lens(view=lambda s: (view1(s[0]), view2(s[1])), update=update,
+                create=None if create1 is None or create2 is None else create, effect=fam)
 
 
 # ---------------------------------------------------------------------------
@@ -200,41 +205,16 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
     retained across switches so it can be restored.
 
     State is (flag, s1, s2) with flag picking the live component.  Both
-    components must be transparent and at one effect, and the sum is the
-    span of two monadic lenses out of that state: a get reads the live
-    component's read map (outside the declared states it raises
-    ``UnobservableEffect`` where that component's get is not a pure query),
-    and a set runs the set of the component its value is tagged for.  The
-    sum is initialisable when both components are; initialization populates
-    only the active slot, and the other holds an explicit uninitialized
-    marker whose observation is an error.
+    components must be transparent, declare their domains and be at one
+    effect, and the sum is the span of the sums of their left legs and of
+    their right legs (see ``legs_of``): a get is the live component's view,
+    and a set runs the update of the component its value is tagged for.
+    The sum is initialisable when both components are; initialization
+    populates only the active slot, and the other holds an explicit
+    uninitialized marker whose observation is an error.
     """
-    a1, a2 = _require_transparent(bx1), _require_transparent(bx2)
-    _require_same_effect(bx1, bx2)
+    l1, r1, l2, r2 = _legs_of_both(bx1, bx2)
     fam = bx1.effect
-
-    # the left leg of components c1, c2 (their duals give the right leg)
-    def leg(c1, c2, read1, read2):
-        def view(state):
-            flag, s1, s2 = state
-            if (s1 if flag else s2) is UNINIT:
-                raise EffectbxError("sum: reading an uninitialized component slot")
-            return Left(read1(s1)) if flag else Right(read2(s2))
-
-        def update(state, v):
-            _flag, s1, s2 = state
-            if isinstance(v, Left):
-                return fam.bind(c1.set_l(v.value).run(s1), lambda p: fam.unit((True, p[1], s2)))
-            return fam.bind(c2.set_l(v.value).run(s2), lambda p: fam.unit((False, s1, p[1])))
-
-        def create(v):
-            if isinstance(v, Left):
-                return fam.map(c1.init_l(v.value), lambda s1: (True, s1, UNINIT))
-            return fam.map(c2.init_l(v.value), lambda s2: (False, UNINIT, s2))
-
-        return Lens(view=view, update=update, effect=fam,
-                    create=None if c1.init_l is None or c2.init_l is None else create)
-
     states = FiniteDomain(
         f"sum-{bx1.name}-{bx2.name}",
         tuple(
@@ -245,13 +225,38 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
         ),
     )
     return span_bx(
-        leg(bx1, bx2, a1.read_l, a2.read_l),
-        leg(dual(bx1), dual(bx2), a1.read_r, a2.read_r),
+        _sum_lens(fam, l1, l2),
+        _sum_lens(fam, r1, r2),
         states,
         either_domain(bx1.dom_a, bx2.dom_a),
         either_domain(bx1.dom_b, bx2.dom_b),
         fam, f"sum({bx1.name},{bx2.name})",
     )
+
+
+def _sum_lens(fam: EffectFamily, l1: Lens, l2: Lens) -> Lens:
+    """The sum of two lenses at ``fam`` out of (flag, s1, s2): a ``Left``
+    view is ``l1``'s at ``s1``, a ``Right`` one ``l2``'s at ``s2``."""
+
+    def view(state):
+        flag, s1, s2 = state
+        if (s1 if flag else s2) is UNINIT:
+            raise EffectbxError("sum: reading an uninitialized component slot")
+        return Left(l1.view(s1)) if flag else Right(l2.view(s2))
+
+    def update(state, v):
+        _flag, s1, s2 = state
+        if isinstance(v, Left):
+            return fam.map(l1.update(s1, v.value), lambda t1: (True, t1, s2))
+        return fam.map(l2.update(s2, v.value), lambda t2: (False, s1, t2))
+
+    def create(v):
+        if isinstance(v, Left):
+            return fam.map(l1.create(v.value), lambda s1: (True, s1, UNINIT))
+        return fam.map(l2.create(v.value), lambda s2: (False, UNINIT, s2))
+
+    return Lens(view=view, update=update, effect=fam,
+                create=None if l1.create is None or l2.create is None else create)
 
 
 # ---------------------------------------------------------------------------
@@ -260,70 +265,74 @@ def sum_bx(bx1: Bx, bx2: Bx) -> Bx:
 
 def list_ibx(bx: Bx, max_len: int = 2) -> Bx:
     """Lift an initialisable element bx to lists (represented as tuples);
-    a bx without initializers is refused with ``NoInitializers``.
+    a bx without initializers is refused with ``NoInitializers``, one
+    without declared domains with ``UnobservableEffect``.
 
     Retentive: shortening a list keeps the surplus element states around so a
     later lengthening restores them; lengthening past the stored states calls
     the element initializer for the new elements.  The state is (count,
     states) with 0 <= count <= len(states); a negative count is rejected at
     construction, and declared domains cover lists up to ``max_len``.  The
-    bx is the span of two monadic lenses out of that state: a get reads the
-    element's read map at each counted state (outside the declared states
-    it raises ``UnobservableEffect`` where the element's get is not a pure
-    query), and a set runs the element's set on each stored state in turn.
+    bx is the span of the list maps of the element's two legs (see
+    ``legs_of``): a get is the element's view at each counted state, and a
+    set runs the element's update on each stored state in turn.
     """
     if max_len < 0:
         raise ValueError("list_ibx: max_len must be non-negative")
     require_initialisable(bx)
-    analysis = _require_transparent(bx)
-    fam = bx.effect
-
-    def sets(set_op, init_op, xs, cs):
-        if not xs:
-            return fam.unit(tuple(cs))
-        if not cs:
-            return fam.mapm(init_op, xs)
-        return fam.bind(
-            st_exec(set_op(xs[0]), cs[0]),
-            lambda c1: fam.map(
-                sets(set_op, init_op, xs[1:], cs[1:]),
-                lambda rest: (c1,) + tuple(rest),
-            ),
-        )
-
-    # the left leg of element ``c`` (its dual gives the right leg)
-    def leg(c, read):
-        def view(state):
-            n, cs = state
-            if n < 0 or n > len(cs):
-                raise EffectbxError(f"list state count {n} out of range")
-            return tuple(map(read, cs[:n]))
-
-        def update(state, xs):
-            return fam.map(sets(c.set_l, c.init_l, tuple(xs), state[1]), (
-                lambda cs1: (len(xs), tuple(cs1))
-            ))
-
-        def create(xs):
-            return fam.map(fam.mapm(c.init_l, tuple(xs)), (
-                lambda cs: (len(xs), tuple(cs))
-            ))
-
-        return Lens(view=view, update=update, create=create, effect=fam)
-
+    _require_domains(bx)
+    left_leg, right_leg = legs_of(bx)
     element_states = tuples_up_to(bx.state_domain, max_len)
     states = FiniteDomain(
         f"list-{bx.name}",
         tuple((n, cs) for cs in element_states for n in range(len(cs) + 1)),
     )
     return span_bx(
-        leg(bx, analysis.read_l),
-        leg(dual(bx), analysis.read_r),
+        _list_lens(bx.effect, left_leg),
+        _list_lens(bx.effect, right_leg),
         states,
         FiniteDomain("lists-a", tuples_up_to(bx.dom_a, max_len)),
         FiniteDomain("lists-b", tuples_up_to(bx.dom_b, max_len)),
-        fam, f"list({bx.name})",
+        bx.effect, f"list({bx.name})",
     )
+
+
+def _list_lens(fam: EffectFamily, leg: Lens) -> Lens:
+    """The list map of ``leg`` at ``fam`` out of (count, states): the views
+    of the counted states; an update updates the stored states in turn and
+    creates the ones past them."""
+    view1, update1, create1 = leg.view, leg.update, leg.create
+
+    def updates(xs, cs):
+        if not xs:
+            return fam.unit(tuple(cs))
+        if not cs:
+            return fam.mapm(create1, xs)
+        return fam.bind(
+            update1(cs[0], xs[0]),
+            lambda c1: fam.map(
+                updates(xs[1:], cs[1:]),
+                lambda rest: (c1,) + tuple(rest),
+            ),
+        )
+
+    def view(state):
+        n, cs = state
+        if n < 0 or n > len(cs):
+            raise EffectbxError(f"list state count {n} out of range")
+        return tuple(map(view1, cs[:n]))
+
+    def update(state, xs):
+        return fam.map(updates(tuple(xs), state[1]), (
+            lambda cs1: (len(xs), tuple(cs1))
+        ))
+
+    def create(xs):
+        return fam.map(fam.mapm(create1, tuple(xs)), (
+            lambda cs: (len(xs), tuple(cs))
+        ))
+
+    return Lens(view=view, update=update, create=create, effect=fam)
 
 
 # ---------------------------------------------------------------------------

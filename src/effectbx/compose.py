@@ -4,19 +4,20 @@ and equivalence checking via state bijections."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .bx import (
     Bx,
-    TransparencyAnalysis,
-    analyze_transparency,
+    _require_domains,
     dual,
+    legs_of,
     lens_to_bx,
     require_initialisable,
     span_bx,
 )
 from .effects import EffectFamily, same_family
-from .errors import EffectbxError, MiddleTypeMismatch, NotBijective, NotTransparent
+from .errors import EffectbxError, MiddleTypeMismatch, NotBijective
 from .lawcheck import FiniteDomain, Law, Positions, pointwise
 from .lenses import Lens, identity_lens, theta
 from .stateful import Stateful, st_eval, st_exec
@@ -26,13 +27,6 @@ def identity_bx(fam: EffectFamily, dom: FiniteDomain, name: str = "identity") ->
     """Both views are the state itself: the bx of the identity lens;
     transparent, overwritable and initialisable."""
     return lens_to_bx(identity_lens(), dom, dom, fam, name=name)
-
-
-def _require_transparent(bx: Bx) -> TransparencyAnalysis:
-    analysis = analyze_transparency(bx)
-    if not analysis.transparent:
-        raise NotTransparent(bx.name)
-    return analysis
 
 
 def _require_same_effect(bx1: Bx, bx2: Bx):
@@ -57,12 +51,12 @@ def _check_middle(bx1: Bx, bx2: Bx):
         )
 
 
-def _join_states(bx1, bx2, a1, a2) -> FiniteDomain:
+def _join_states(bx1, bx2, r1: Lens, l2: Lens) -> FiniteDomain:
     """The pairs of component states whose shared middle views agree,
-    materialized by filtering the product with the read maps ``a1.read_r``
-    and ``a2.read_l``, each read once per state."""
-    left = [(s1, a1.read_r(s1)) for s1 in bx1.state_domain]
-    right = [(s2, a2.read_l(s2)) for s2 in bx2.state_domain]
+    materialized by filtering the product with the views of ``bx1``'s right
+    leg ``r1`` and ``bx2``'s left leg ``l2``, each read once per state."""
+    left = [(s1, r1.view(s1)) for s1 in bx1.state_domain]
+    right = [(s2, l2.view(s2)) for s2 in bx2.state_domain]
     pairs = tuple((s1, s2) for s1, b1 in left for s2, b2 in right if b1 == b2)
     return FiniteDomain(f"{bx1.name};{bx2.name}-join", pairs)
 
@@ -83,60 +77,60 @@ def join_states_general(bx1: Bx, bx2: Bx) -> FiniteDomain:
 
 
 def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
-    """Sequential composition over the join state space: the span of two
-    monadic lenses out of the pairs of component states.
+    """Sequential composition over the join state space: the pullback of
+    ``bx1``'s right leg and ``bx2``'s left leg (see ``legs_of``), a span of
+    two monadic lenses out of the pairs of component states.
 
-    Both arguments must be transparent and at one effect.  A get reads its
-    end's component through that component's read map, so at a state
-    outside the join it raises ``UnobservableEffect`` where the component's
-    get is not a pure query.  Setting one end sets the matching component,
-    reads the updated middle view, and pushes it into the other component.
-    ``via_theta`` switches to the equivalent formulation that widens
-    component computations with ``theta`` through lenses at the bx's effect
-    onto the pair state; the two routes agree pointwise on join states.  The
-    composite is initialisable when both components are: it initialises the
-    first and feeds its middle view to the second's initializer.
+    Both arguments must be transparent, have state domains and be at one
+    effect.  A get is the view of its end's leg.  Setting one end updates
+    the matching component's leg, reads the updated middle view through
+    that component's other leg, and pushes it into the other component's
+    leg; initialising is the same with the legs' creates.  ``via_theta``
+    switches to the equivalent formulation that widens component
+    computations with ``theta`` through lenses at the bx's effect onto the
+    pair state; the two routes agree pointwise on join states.  The
+    composite is initialisable when both components are.
     """
     _check_middle(bx1, bx2)
-    a1 = _require_transparent(bx1)
-    a2 = _require_transparent(bx2)
+    for bx in (bx1, bx2):
+        _require_domains(bx, ("state_domain",))
+    l1, r1 = legs_of(bx1)
+    l2, r2 = legs_of(bx2)
     _require_same_effect(bx1, bx2)
     fam = bx1.effect
-    bind, unit = fam.bind, fam.unit
-    both = bx1.initialisable and bx2.initialisable
-
-    def update_l(state, a):
-        s1, s2 = state
-        return bind(bx1.set_l(a).run(s1), lambda p1: bind(
-            bx2.set_l(a1.read_r(p1[1])).run(s2), lambda p2: unit((p1[1], p2[1]))
-        ))
-
-    def update_r(state, c):
-        s1, s2 = state
-        return bind(bx2.set_r(c).run(s2), lambda p2: bind(
-            bx1.set_r(a2.read_l(p2[1])).run(s1), lambda p1: unit((p1[1], p2[1]))
-        ))
-
-    def init_l(a):
-        return bind(bx1.init_l(a), lambda s1: bind(st_eval(bx1.get_r, s1), (
-            lambda b: fam.map(bx2.init_l(b), (
-                lambda s2: (s1, s2)
-            ))
-        )))
-
-    def init_r(c):
-        return bind(bx2.init_r(c), lambda s2: bind(st_eval(bx2.get_l, s2), (
-            lambda b: fam.map(bx1.init_r(b), (
-                lambda s1: (s1, s2)
-            ))
-        )))
-
     composed = span_bx(
-        Lens(lambda st: a1.read_l(st[0]), update_l, init_l if both else None, effect=fam),
-        Lens(lambda st: a2.read_r(st[1]), update_r, init_r if both else None, effect=fam),
-        _join_states(bx1, bx2, a1, a2), bx1.dom_a, bx2.dom_b, fam, f"{bx1.name};{bx2.name}",
+        _pushing_leg(fam, l1, r1, l2, 0), _pushing_leg(fam, r2, l2, r1, 1),
+        _join_states(bx1, bx2, r1, l2), bx1.dom_a, bx2.dom_b, fam, f"{bx1.name};{bx2.name}",
     )
     return replace(composed, **_compose_theta(bx1, bx2)) if via_theta else composed
+
+
+def _pushing_leg(fam: EffectFamily, lead: Lens, mid: Lens, follow: Lens, at: int) -> Lens:
+    """The composite's leg at ``lead``'s end, whose component state is at
+    index ``at`` of the pair state: its view is ``lead``'s.  An update or
+    create goes through ``lead``, reads the new middle view through
+    ``mid`` (the same component's other leg) and pushes it into ``follow``
+    (the other component's leg facing the middle)."""
+
+    def chained(first, push):
+        def after(t):
+            return fam.map(push(mid.view(t)), (
+                lambda u: (t, u) if at == 0 else (u, t)
+            ))
+
+        return fam.bind(first, after)
+
+    def update(state, v):
+        other = state[1 - at]
+        return chained(lead.update(state[at], v), (
+            lambda w: follow.update(other, w)
+        ))
+
+    def create(v):
+        return chained(lead.create(v), follow.create)
+
+    return Lens(view=lambda state: lead.view(state[at]), update=update, effect=fam,
+                create=None if lead.create is None or follow.create is None else create)
 
 
 def compose_init(bx1: Bx, bx2: Bx) -> Bx:
@@ -145,43 +139,24 @@ def compose_init(bx1: Bx, bx2: Bx) -> Bx:
     return compose(bx1, bx2)
 
 
-def _lens_left(bx1: Bx, bx2: Bx) -> Lens:
-    """Lens at the bx's effect focusing the first component of the pair
-    state; its update pushes the changed middle view into the second
-    component."""
-    fam = bx1.effect
+def _theta_lens(fam: EffectFamily, get: Stateful, set_, at: int) -> Lens:
+    """Lens at the bx's effect focusing component ``at`` of the pair state;
+    its update reads the changed middle view with ``get`` and pushes it
+    into the other component with ``set_``."""
 
-    def update(state, s1_new):
-        _s1, s2 = state
-        return fam.bind(
-            st_eval(bx1.get_r, s1_new),
-            lambda b: fam.map(st_exec(bx2.set_l(b), s2), (
-                lambda s2_new: (s1_new, s2_new)
-            )),
-        )
+    def update(state, new):
+        other = state[1 - at]
+        return fam.bind(st_eval(get, new), lambda b: fam.map(st_exec(set_(b), other), (
+            lambda other_new: (new, other_new) if at == 0 else (other_new, new)
+        )))
 
-    return Lens(view=lambda st: st[0], update=update, effect=fam)
-
-
-def _lens_right(bx1: Bx, bx2: Bx) -> Lens:
-    fam = bx1.effect
-
-    def update(state, s2_new):
-        s1, _s2 = state
-        return fam.bind(
-            st_eval(bx2.get_l, s2_new),
-            lambda b: fam.map(st_exec(bx1.set_r(b), s1), (
-                lambda s1_new: (s1_new, s2_new)
-            )),
-        )
-
-    return Lens(view=lambda st: st[1], update=update, effect=fam)
+    return Lens(view=lambda state: state[at], update=update, effect=fam)
 
 
 def _compose_theta(bx1, bx2) -> dict:
     """The four operations of the composite, widened with ``theta``."""
-    phi = lambda m: theta(_lens_left(bx1, bx2), m)
-    psi = lambda m: theta(_lens_right(bx1, bx2), m)
+    phi = partial(theta, _theta_lens(bx1.effect, bx1.get_r, bx2.set_l, 0))
+    psi = partial(theta, _theta_lens(bx1.effect, bx2.get_l, bx1.set_r, 1))
     return dict(
         get_l=phi(bx1.get_l),
         set_l=lambda a: phi(bx1.set_l(a)),
@@ -266,8 +241,8 @@ def equivalence_laws(bx1: Bx, other: Bx, h: StateBijection):
 
 
 def left_identity_bijection(bx: Bx) -> StateBijection:
-    """bx  ==>  identity ; bx, sending s to (read_l s, s)."""
-    read_l = _require_transparent(bx).read_l
+    """bx  ==>  identity ; bx, sending s to (view s, s) by its left leg."""
+    read_l = legs_of(bx)[0].view
     return StateBijection(
         forward=lambda s: (read_l(s), s),
         backward=lambda pair: pair[1],
@@ -275,8 +250,8 @@ def left_identity_bijection(bx: Bx) -> StateBijection:
 
 
 def right_identity_bijection(bx: Bx) -> StateBijection:
-    """bx  ==>  bx ; identity, sending s to (s, read_r s)."""
-    read_r = _require_transparent(bx).read_r
+    """bx  ==>  bx ; identity, sending s to (s, view s) by its right leg."""
+    read_r = legs_of(bx)[1].view
     return StateBijection(
         forward=lambda s: (s, read_r(s)),
         backward=lambda pair: pair[0],

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .bx import Bx, dual, span_bx
+from .bx import Bx, legs_of, span_bx
 from .combinators import Left, Right
 from .effects import (
     EffectFamily,
@@ -241,24 +241,28 @@ def switch_bx(fam: EffectFamily, family_of_bx, name: str = "switch") -> Bx:
 
 def signal_bx(sig_a, sig_b, bx: Bx) -> Bx:
     """Fire a signal whenever a set actually changes the view; unchanged sets
-    stay silent, which is what keeps the wrapper well-behaved."""
-    return replace(bx, name=f"signal({bx.name})", set_l=_signalled_set_l(sig_a, bx),
-                   set_r=_signalled_set_l(sig_b, dual(bx)))
+    stay silent, which is what keeps the wrapper well-behaved.  The paper
+    states this wrapper for any bx; here it is the span of ``bx``'s legs
+    (see ``legs_of``) with signalled updates, so an opaque ``bx`` is refused
+    with ``NotTransparent``."""
+    left, right = legs_of(bx)
+    return span_bx(_signalled(bx.effect, sig_a, left), _signalled(bx.effect, sig_b, right),
+                   bx.state_domain, bx.dom_a, bx.dom_b, bx.effect, f"signal({bx.name})")
 
 
-def _signalled_set_l(sig, bx: Bx):
-    """``bx.set_l`` followed by ``sig`` of the new view when it differs from
-    the old one; the right side of ``signal_bx`` is this on ``dual(bx)``."""
-    fam = bx.effect
+def _signalled(fam: EffectFamily, sig, leg: Lens) -> Lens:
+    """``leg`` at ``fam`` whose update is followed by ``sig`` of the new
+    view when it differs from the old one."""
+    view, update = leg.view, leg.update
 
-    def set_l(a1):
-        return bx.get_l.bind(
-            lambda a: bx.set_l(a1).then(
-                st_lift(fam, sig(a1) if a != a1 else fam.unit(()))
-            )
-        )
+    def signalled(s, v1):
+        if view(s) != v1:
+            return fam.bind(update(s, v1), lambda t: fam.map(sig(v1), (
+                lambda _u: t
+            )))
+        return update(s, v1)
 
-    return set_l
+    return Lens(view=view, update=signalled, create=leg.create, effect=fam)
 
 
 def log_bx(bx: Bx) -> Bx:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from .bx import Bx, dual, require_initialisable, span_bx
+from .bx import Bx, legs_of, require_initialisable, span_bx
 from .effects import EffectFamily, Just, NOTHING, identity_family, require_identity
 from .errors import DomainTooLarge
 from .lawcheck import FiniteDomain, Law, Positions
@@ -173,25 +173,14 @@ def symlens_to_bx(sl: SymLens, dom_a: Optional[FiniteDomain] = None,
 
 
 def bx_to_symlens(bx: Bx) -> SymLens:
-    """Flatten an identity-effect bx into a symmetric lens whose complement is
-    the optional hidden state; an absent complement routes through the bx's
+    """Flatten a transparent identity-effect bx into a symmetric lens whose
+    complement is the optional hidden state: ``lens_span_to_symlens`` of its
+    legs (see ``legs_of``), so an opaque bx is refused with
+    ``NotTransparent``.  An absent complement routes through the bx's
     initializer, so a bx without one is refused with ``NoInitializers``."""
     require_identity(bx.effect, "bx_to_symlens")
     require_initialisable(bx)
-    return SymLens(put_r=_bx_put_r(bx), put_l=_bx_put_r(dual(bx)), missing=NOTHING)
-
-
-def _bx_put_r(bx: Bx):
-    """Set the left view, then get the right one, from the optional
-    state."""
-
-    def put_r(a, mc):
-        m = bx.set_l(a).then(bx.get_r)
-        s = bx.init_l(a) if mc is NOTHING else mc.value
-        b, s1 = m.run(s)
-        return (b, Just(s1))
-
-    return put_r
+    return lens_span_to_symlens(*legs_of(bx))
 
 
 # ---------------------------------------------------------------------------

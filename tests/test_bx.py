@@ -16,6 +16,7 @@ from effectbx import (
     check,
     check_init_laws,
     check_seven_laws,
+    compose,
     compose_init,
     composers_bx,
     console_family,
@@ -31,17 +32,22 @@ from effectbx import (
     Bx,
     Lens,
     NoInitializers,
+    dual,
+    identity_symlens,
     lens_to_bx,
     lift_lens,
     log_bx,
+    pair_bx,
     run_laws,
     seven_laws,
     snd_lens,
     span_bx,
+    sum_bx,
+    symlens_to_bx,
     writer_family,
 )
 from effectbx import bx as bx_module
-from effectbx.bx import _extract_pure
+from effectbx.bx import _extract_pure, legs_of
 from effectbx.corpus import (
     MUTANT_LAW_TARGETS,
     broken_view_update_lens,
@@ -320,6 +326,42 @@ def test_check_suite_refuses_a_bx_without_finite_domains():
                 error, message = UnobservableEffect, "declares no state_domain, dom_a, dom_b"
             with pytest.raises(error, match=f"^{bx.name} {message}$"):
                 check(bx, suite)
+        # the combinators build their domains from the bx's, and the
+        # consistency relation reads both gets at every state
+        for build in (lambda b: pair_bx(b, b), lambda b: sum_bx(b, b), list_ibx):
+            if build is list_ibx and not bx.initialisable:
+                error, message = NoInitializers, "has no initializers"
+            else:
+                error, message = UnobservableEffect, "declares no state_domain, dom_a, dom_b"
+            with pytest.raises(error, match=f"^{bx.name} {message}$"):
+                build(bx)
+        with pytest.raises(UnobservableEffect, match=f"^{bx.name} declares no state_domain$"):
+            consistent_pairs(bx)
+    # a span with its middle domain but no state domain has no join states
+    half = symlens_to_bx(identity_symlens(), dom_b=BIT, name="half")
+    with pytest.raises(UnobservableEffect, match="^half declares no state_domain$"):
+        compose(half, identity_bx(identity_family(), BIT))
+
+
+def test_the_legs_of_the_dual_are_the_legs_reversed():
+    for bx in (lens_to_bx(fst_lens(), PAIRS, BIT), inv_bx()):
+        left, right = legs_of(bx)
+        assert legs_of(dual(bx)) == (right, left)
+        assert legs_of(dual(dual(bx))) == (left, right)
+
+
+def test_a_bx_whose_operations_were_replaced_has_no_legs():
+    # mutant-bad-init replaces identity_bx's init_l, so its legs are made
+    # from its read maps and operations, with the replaced initializer
+    mutant = mutant_bad_init()
+    assert mutant.legs is not None
+    left, right = legs_of(mutant)
+    assert left.create is mutant.init_l and right.create is mutant.init_r
+    assert [left.view(s) for s in BIT] == [0, 1]
+    assert [left.update(0, a) for a in BIT] == [0, 1]
+    # a pure leg is lifted to the span's family
+    (lifted, _right) = legs_of(identity_bx(writer_family(), BIT))
+    assert lifted.effect.name == "writer" and lifted.update(0, 1) == (1, ())
 
 
 def test_run_corpus_refuses_unknown_entry_names():

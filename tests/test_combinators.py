@@ -1,10 +1,12 @@
 """Constants, projections, pairing, sums, retentive lists, isomorphisms."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from effectbx import (
+    Bx,
     EffectbxError,
     FiniteDomain,
     Just,
@@ -31,23 +33,31 @@ from effectbx import (
     inl_bx,
     inr_bx,
     inv_bx,
+    Lens,
+    Stateful,
+    bx_to_symlens,
+    identity_lens,
     left,
+    lens_to_bx,
     list_ibx,
     log_bx,
     pair_bx,
     reader_family,
     right,
+    signal_bx,
     snd_ibx,
+    span_bx,
     st_eval,
     st_exec,
     sum_bx,
     swap_bx,
     unitl_bx,
     unitr_bx,
+    tell,
     writer_family,
     StateBijection,
 )
-from effectbx.corpus import _logging_component, _switch_reader
+from effectbx.corpus import _logging_component, _switch_reader, non_overwrite_lens
 
 BIT = FiniteDomain("bit", (0, 1))
 
@@ -473,3 +483,105 @@ def test_combinator_reports_are_byte_identical_to_the_golden_digest(subject, sui
         digests[SUITES.index(suite)]
     if suite == "overwritable":
         assert 4 <= sum(len(law.failures) for law in report.laws) <= 6
+
+
+# ---------------------------------------------------------------------------
+# legs
+
+
+def _by_hand(bx):
+    """A copy of ``bx``'s six operations and domains, built by hand, so it
+    has no legs: the combinators make them from its read maps and sets."""
+    return Bx(name=bx.name, effect=bx.effect, get_l=bx.get_l, set_l=bx.set_l,
+              get_r=bx.get_r, set_r=bx.set_r, state_domain=bx.state_domain,
+              dom_a=bx.dom_a, dom_b=bx.dom_b, init_l=bx.init_l, init_r=bx.init_r)
+
+
+PAIRS = FiniteDomain("pairs", tuple((x, y) for x in BIT for y in BIT))
+# a span with signalled monadic legs, one with monadic legs and one with pure
+# legs that fails overwritability
+SPANS = {
+    "logging": _logging_component,
+    "inv": inv_bx,
+    "non-overwrite": lambda: lens_to_bx(non_overwrite_lens(), PAIRS, BIT, name="nonover"),
+}
+COMBINATIONS = {
+    "pair": lambda bx: pair_bx(bx, bx),
+    "sum": lambda bx: sum_bx(bx, bx),
+    "list": list_ibx,
+    "compose": lambda bx: compose(bx, dual(bx)),
+}
+
+
+@pytest.mark.parametrize("span", SPANS)
+@pytest.mark.parametrize("combine", COMBINATIONS)
+def test_a_bx_built_by_hand_combines_as_the_span_of_its_operations(span, combine):
+    bx = SPANS[span]()
+    by_hand = _by_hand(bx)
+    assert bx.legs is not None and by_hand.legs is None
+    for suite in SUITES:
+        expected = check(COMBINATIONS[combine](bx), suite).to_json()
+        assert check(COMBINATIONS[combine](by_hand), suite).to_json() == expected, suite
+
+
+def test_a_span_with_a_replaced_set_combines_the_replaced_set():
+    # replacing an operation leaves the span's legs stale, so the
+    # combinators make legs from its operations and run the replacement
+    fam = identity_family()
+    span = identity_bx(fam, BIT, name="span")
+    ran = []
+
+    def set_l(a):
+        ran.append(a)
+        return span.set_l(a)
+
+    replaced = replace(span, set_l=set_l)
+
+    def quiet(_v):
+        return fam.unit(())
+
+    runs = [
+        (pair_bx(replaced, span).set_l((1, 0)), (0, 0)),
+        (sum_bx(replaced, span).set_l(Left(1)), (True, 0, 0)),
+        (list_ibx(replaced).set_l((1,)), (1, (0,))),
+        (compose(replaced, span).set_l(1), (0, 0)),
+        (signal_bx(quiet, quiet, replaced).set_l(1), 0),
+    ]
+    for computation, state in runs:
+        ran.clear()
+        computation.run(state)
+        assert ran == [1]
+    ran.clear()
+    assert bx_to_symlens(replaced).put_r(1, Just(0)) == (1, Just(1))
+    assert ran == [1]
+
+
+def test_a_pair_of_signalled_spans_runs_each_leg_update_once(monkeypatch):
+    # a set of the pair calls each component leg's update and builds no
+    # computation: no component set_l is built or run
+    fam = writer_family()
+    updates = []
+
+    def component(name):
+        def update(_s, v):
+            updates.append(name)
+            return v
+
+        span = span_bx(Lens(lambda s: s, update, lambda v: v), identity_lens(),
+                       BIT, BIT, BIT, fam, name)
+        return signal_bx(lambda a: tell(((name, a),)), lambda b: tell(((name, b),)), span)
+
+    paired = pair_bx(component("c1"), component("c2"))
+    computation = paired.set_l((1, 1))
+    built = []
+    original = Stateful.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Stateful, "__init__", counting)
+    (_, state), log = computation.run((0, 0))
+    assert (state, log) == ((1, 1), (("c1", 1), ("c2", 1)))
+    assert updates == ["c1", "c2"]
+    assert built == []

@@ -71,6 +71,19 @@ def test_bx_is_built_by_hand_only_where_a_get_is_not_a_view():
     }
 
 
+def test_transparency_is_analysed_only_for_a_bx_without_legs_and_by_the_corpus():
+    # the combinators read a bx through ``bx.legs_of``, which analyses only a
+    # bx without legs; the corpus checks each entry's declared transparency
+    callers = set()
+    for path in SOURCES:
+        for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(scope, ast.FunctionDef):
+                callers |= {(path.name, scope.name) for node in ast.walk(scope)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "analyze_transparency"}
+    assert callers == {("bx.py", "legs_of"), ("corpus.py", "run_corpus")}
+
+
 def test_only_lawcheck_catches_a_value_that_does_not_hash():
     # finding a value among a carrier's elements is written once, in
     # ``lawcheck.Positions``: no other module falls back on a scan when
