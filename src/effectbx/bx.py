@@ -199,7 +199,7 @@ def _read_map(fam, getter, dom, states: FiniteDomain, views):
 def _extract_pure(fam, getter, s, dom):
     eff = getter.run(s)
     candidates = []
-    if fam.outcomes is not None:
+    if fam.observe is not None:
         for result in fam.outcomes_of(eff):
             candidates.append(result[0])
             break

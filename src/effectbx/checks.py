@@ -79,12 +79,15 @@ def check(subject, suite: str, *, cap=None, seed=0, **domains) -> LawReport:
         known = ", ".join(name for kind, name in CHECKS if kind is type(subject))
         raise ValueError(f"no suite {suite!r} for a {type(subject).__name__}; "
                          f"known: {known or 'none'}")
-    laws = entry.laws(subject, **domains)
     if entry.family:
         fam = domains[entry.family]
     else:
         fam = subject if isinstance(subject, EffectFamily) else subject.effect
-    return run_laws(entry.report.format(subject, **domains), laws, fam.equal_values,
+    # a family without equality is refused here, before any law is built,
+    # so no law builder checks for one
+    equal = fam.equal_values
+    laws = entry.laws(subject, **domains)
+    return run_laws(entry.report.format(subject, **domains), laws, equal,
                     cap=cap, seed=seed, effect=fam.name if entry.names_effect else "")
 
 

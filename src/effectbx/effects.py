@@ -2,9 +2,11 @@
 
 An effect family packages one notion of effect as first-class data: how to
 inject a pure value (``unit``), how to sequence (``bind``), an optional zero
-that absorbs sequencing, and a decidable equality on effect values over finite
-carriers.  Families also know how to enumerate their own effect values over a
-finite domain, which is what makes exhaustive law checking possible.
+that absorbs sequencing, and what an observer sees of an effect value over
+finite carriers (``observe``).  A family states its observation once; its
+decidable equality and its outcomes are derived from it.  Families also know
+how to enumerate their own effect values over a finite domain, which is what
+makes exhaustive law checking possible.
 
 Shipped families: identity, failure, finite choice, reader, writer (unbounded
 or bounded drop-oldest log), scripted console, and a native-state family used
@@ -13,7 +15,6 @@ by the data-refinement construction.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable, Iterable, Optional
@@ -34,18 +35,27 @@ from .lawcheck import (
 class EffectFamily:
     """A named, pluggable notion of effect.
 
-    ``equal(x, y)`` compares two effect values structurally, their results
-    with ``==``, and is total only for families with finite observability.
-    ``enumerate_contexts`` lists the observation contexts equality
-    quantifies over (environments for reader, input scripts for console,
-    states for native state); such a family's ``equal`` is a
-    ``Conjunction`` of one comparison per context, in that order, which
-    ``run_laws`` walks context by context;
-    ``enumerate_values`` yields a deterministic finite listing (a tuple or a
-    lazy ``Space``) of effect values over a given carrier, used by the law
-    checker.  ``outcomes`` extracts the observable results of an effect
-    value (all branches for choice, zero or one for failure, one per context
-    for reader/console).
+    ``observe(x, ctx)`` is what an observer sees of the effect value ``x``
+    in the context ``ctx``: a pair ``(results, rest)`` of plain values
+    compared by ``==``.  ``results`` is the tuple of results seen (all
+    branches for choice, none for a failure or for a console read past its
+    script); ``rest`` is the rest of what is seen (a writer's log, the
+    console's world, the final native state).  ``enumerate_contexts`` lists
+    the contexts an observer may pick (environments for reader, input
+    scripts for console, states for native state); a family without them is
+    observed once, in the context ``None``.
+
+    The rest follows from ``observe``.  Unless ``equal`` is given, it is
+    derived: for a family with contexts, a ``Conjunction`` of one part per
+    context, in that order, which holds when both values are observed
+    alike there and which ``run_laws`` walks context by context; for a
+    family without, ``==`` on the values themselves, since such a value is
+    its own observation.  ``equal`` is given only where the observation has
+    no canonical form to compare (a multiset of values that may neither
+    hash nor sort).  ``outcomes_of(x)`` joins the results over the
+    contexts.  ``enumerate_values`` yields a deterministic finite listing
+    (a tuple or a lazy ``Space``) of effect values over a given carrier,
+    used by the law checker.
     """
 
     name: str
@@ -55,7 +65,17 @@ class EffectFamily:
     equal: Optional[Callable[[Any, Any], bool]] = None
     enumerate_contexts: Optional[tuple] = None
     enumerate_values: Optional[Callable[[FiniteDomain], Iterable]] = None
-    outcomes: Optional[Callable[[Any], tuple]] = None
+    observe: Optional[Callable[[Any, Any], tuple]] = None
+
+    def __post_init__(self):
+        observe, contexts = self.observe, self.enumerate_contexts
+        if self.equal is not None or observe is None:
+            return
+        if contexts is None:
+            equal = _same
+        else:
+            equal = Conjunction(_same_in(observe, ctx) for ctx in contexts)
+        object.__setattr__(self, "equal", equal)
 
     def __repr__(self):
         return f"EffectFamily({self.name})"
@@ -75,9 +95,11 @@ class EffectFamily:
         return self.equal
 
     def outcomes_of(self, x) -> tuple:
-        if self.outcomes is None:
+        if self.observe is None:
             raise UnobservableEffect(f"{self.name}: no outcome extractor")
-        return self.outcomes(x)
+        if self.enumerate_contexts is None:
+            return self.observe(x, None)[0]
+        return tuple(r for ctx in self.enumerate_contexts for r in self.observe(x, ctx)[0])
 
     def map(self, m, f):
         return self.bind(m, lambda a: self.unit(f(a)))
@@ -96,6 +118,18 @@ class EffectFamily:
         return acc
 
 
+def _same(x, y):
+    """The equality of a family without contexts, whose value is its own
+    observation."""
+    return x == y
+
+
+def _same_in(observe, ctx):
+    """The part of a family's equality at the context ``ctx``: ``x`` is
+    observed there, then ``y``, and the two observations compared."""
+    return lambda x, y: observe(x, ctx) == observe(y, ctx)
+
+
 # ---------------------------------------------------------------------------
 # identity
 
@@ -108,9 +142,8 @@ def identity_family() -> EffectFamily:
         name="identity",
         unit=lambda a: a,
         bind=lambda m, k: k(m),
-        equal=lambda x, y: x == y,
         enumerate_values=lambda dom: tuple(dom.elements),
-        outcomes=lambda x: (x,),
+        observe=lambda x, _ctx: ((x,), ()),
     )
 
 
@@ -186,19 +219,13 @@ def failure_family() -> EffectFamily:
     def bind(m, k):
         return k(m.value) if isinstance(m, Just) else NOTHING
 
-    def equal(x, y):
-        if isinstance(x, Just) and isinstance(y, Just):
-            return x.value == y.value
-        return x is NOTHING and y is NOTHING
-
     return EffectFamily(
         name="failure",
         unit=Just,
         bind=bind,
         zero=NOTHING,
-        equal=equal,
         enumerate_values=lambda dom: (NOTHING,) + tuple(Just(a) for a in dom.elements),
-        outcomes=lambda x: (x.value,) if isinstance(x, Just) else (),
+        observe=lambda x, _ctx: ((x.value,) if isinstance(x, Just) else (), ()),
     )
 
 
@@ -217,9 +244,6 @@ def choice_family(multiset: bool = False) -> EffectFamily:
             out = out + tuple(k(a))
         return out
 
-    def same_sequence(x, y):
-        return len(x) == len(y) and all(map(operator.eq, x, y))
-
     def same_multiset(x, y):
         remaining = list(y)
         for a in x:
@@ -236,9 +260,9 @@ def choice_family(multiset: bool = False) -> EffectFamily:
         unit=lambda a: (a,),
         bind=bind,
         zero=(),
-        equal=same_multiset if multiset else same_sequence,
+        equal=same_multiset if multiset else None,
         enumerate_values=lambda dom: tuples_up_to(dom, 2),
-        outcomes=lambda x: tuple(x),
+        observe=lambda x, _ctx: (tuple(x), ()),
     )
 
 
@@ -252,9 +276,6 @@ def reader_family(contexts, name: str = "reader") -> EffectFamily:
 
     ctxs = tuple(contexts)
 
-    def same_at(e):
-        return lambda x, y: x(e) == y(e)
-
     return EffectFamily(
         name=name,
         # each inner lambda on a line of its own, so that profilers, which
@@ -265,10 +286,9 @@ def reader_family(contexts, name: str = "reader") -> EffectFamily:
         bind=lambda m, k: (
             lambda env: k(m(env))(env)
         ),
-        equal=Conjunction(map(same_at, ctxs)),
         enumerate_contexts=ctxs,
         enumerate_values=lambda dom: enumerate_functions(FiniteDomain("env", ctxs), dom),
-        outcomes=lambda x: tuple(x(e) for e in ctxs),
+        observe=lambda x, env: ((x(env),), ()),
     )
 
 
@@ -306,9 +326,8 @@ def writer_family(bound: Optional[int] = None) -> EffectFamily:
         name="writer" if bound is None else f"writer<={bound}",
         unit=lambda a: (a, ()),
         bind=bind,
-        equal=lambda x, y: x[0] == y[0] and x[1] == y[1],
         enumerate_values=enumerate_values,
-        outcomes=lambda x: (x[0],),
+        observe=lambda x, _ctx: ((x[0],), x[1]),
     )
 
 
@@ -387,17 +406,15 @@ def console_read():
     return lambda world: world.read()
 
 
-# the result of a read past the end of a script; no computation can return it
-_EXHAUSTED = object()
-
-
 def console_family(scripts=((),)) -> EffectFamily:
     """Console effect: values are functions ConsoleWorld -> result.
 
-    Equality runs both values against every input script in ``scripts`` and
-    demands identical results, identical remaining input and identical
-    transcripts; a read past the end of a script is itself an observation that
-    both sides must share.
+    A value is observed by running it against each input script in
+    ``scripts``: its result, none for a read past the end of the script, and
+    the world's remaining input and transcript.  So equal values give
+    identical results, identical remaining input and identical transcripts,
+    and a read past the end of a script is itself an observation that both
+    sides must share.
     """
 
     scripts = tuple(tuple(s) for s in scripts)
@@ -405,31 +422,10 @@ def console_family(scripts=((),)) -> EffectFamily:
     def observe(m, script):
         world = ConsoleWorld(script)
         try:
-            result = m(world)
+            results = (m(world),)
         except ScriptExhausted:
-            return (_EXHAUSTED, world.snapshot())
-        return (result, world.snapshot())
-
-    def same_on(script):
-        # observe's comparison, on the worlds' lists rather than snapshots
-        def same(x, y):
-            wx = ConsoleWorld(script)
-            try:
-                rx = x(wx)
-            except ScriptExhausted:
-                rx = _EXHAUSTED
-            wy = ConsoleWorld(script)
-            try:
-                ry = y(wy)
-            except ScriptExhausted:
-                ry = _EXHAUSTED
-            if wx.pending != wy.pending or wx.transcript != wy.transcript:
-                return False
-            if rx is _EXHAUSTED or ry is _EXHAUSTED:
-                return rx is _EXHAUSTED and ry is _EXHAUSTED
-            return rx == ry
-
-        return same
+            results = ()
+        return results, world.snapshot()
 
     def enumerate_values(dom):
         values = []
@@ -447,14 +443,6 @@ def console_family(scripts=((),)) -> EffectFamily:
             )
         return tuple(values)
 
-    def outcomes(x):
-        out = []
-        for script in scripts:
-            r, _ = observe(x, script)
-            if r is not _EXHAUSTED:
-                out.append(r)
-        return tuple(out)
-
     return EffectFamily(
         name="console",
         # inner lambdas on lines of their own, as in reader_family
@@ -464,10 +452,9 @@ def console_family(scripts=((),)) -> EffectFamily:
         bind=lambda m, k: (
             lambda world: k(m(world))(world)
         ),
-        equal=Conjunction(map(same_on, scripts)),
         enumerate_contexts=scripts,
         enumerate_values=enumerate_values,
-        outcomes=outcomes,
+        observe=observe,
     )
 
 
@@ -523,12 +510,10 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
 
         return run
 
-    def same_at(s):
-        def same(x, y):
-            a, b = x(s), y(s)
-            return a[0] == b[0] and a[1] == b[1]
-
-        return same
+    def observe(x, s):
+        # one run per state: the result, then the final state
+        a, s1 = x(s)
+        return (a,), s1
 
     def enumerate_values(dom):
         return enumerate_functions(
@@ -541,10 +526,9 @@ def native_state_family(state_domain: FiniteDomain) -> NativeStateOps:
             lambda s: (a, s)
         ),
         bind=bind,
-        equal=Conjunction(map(same_at, states)),
         enumerate_contexts=states,
         enumerate_values=enumerate_values,
-        outcomes=lambda x: tuple(x(s)[0] for s in states),
+        observe=observe,
     )
     return NativeStateOps(
         family=fam,
@@ -573,8 +557,6 @@ def monad_laws(fam: EffectFamily, dom: FiniteDomain):
     """Left unit, right unit and associativity (plus zero absorption when
     the family declares a zero) over all enumerated effect values and
     continuations built from ``dom``."""
-    if fam.equal is None:
-        raise UnobservableEffect(f"{fam.name}: cannot check laws without equality")
     values, conts = _continuations(fam, dom)
     bind, unit = fam.bind, fam.unit
 
@@ -625,8 +607,6 @@ def monad_laws(fam: EffectFamily, dom: FiniteDomain):
 
 def commutative_laws(fam: EffectFamily, dom_a: FiniteDomain, dom_b: FiniteDomain):
     """The swap law for every pair of enumerated effect values."""
-    if fam.equal is None:
-        raise UnobservableEffect(f"{fam.name}: cannot check laws without equality")
     law = Law(
         "commute",
         [("m", fam.values_over(dom_a)), ("n", fam.values_over(dom_b))],
@@ -681,7 +661,5 @@ def morphism_laws(prefix, phi, src: EffectFamily, dst: EffectFamily,
 def monad_morphism_laws(src: EffectFamily, phi, dst: EffectFamily, dom: FiniteDomain):
     """``phi`` from ``src`` to ``dst`` preserves unit and distributes over
     bind."""
-    if dst.equal is None:
-        raise UnobservableEffect(f"{dst.name}: cannot check laws without equality")
     values, conts = _continuations(src, dom)
     return morphism_laws("", phi, src, dst, dom, ("m", values), conts, None)

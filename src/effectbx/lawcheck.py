@@ -432,11 +432,13 @@ def pointwise(name, quantifiers, states, lhs, rhs, first=None) -> Law:
 
 
 class Conjunction:
-    """An equality that holds when each of its ``parts`` holds, as a
-    family's equality over its observation contexts is the conjunction of
-    one comparison per context.  Called, it is ``all(part(x, y) for part in
-    parts)``, written as a loop; ``run_laws`` walks each part on its own
-    branch instead.  An equality that is not a ``Conjunction`` is one part.
+    """An equality that holds when each of its ``parts`` holds.  A family
+    with observation contexts derives its equality as one: one part per
+    context, in the order of ``enumerate_contexts``, which holds when both
+    values are observed alike there.  Called, it is ``all(part(x, y) for
+    part in parts)``, written as a loop; ``run_laws`` walks each part on its
+    own branch instead.  An equality that is not a ``Conjunction`` is one
+    part.
     ``__code__`` is that of the call, so tools that key a callable by its
     code object, as profilers do, find a family's ``equal`` as they find a
     function."""
@@ -913,9 +915,9 @@ def run_laws(subject_name: str, laws, equal,
              seed: int = 0, max_witnesses: int = 3, effect: str = "") -> LawReport:
     """Run a list of laws and collect a LawReport named ``subject_name``.
 
-    ``equal`` compares both sides; a ``Conjunction`` (a family's equality
-    over its ``enumerate_contexts``) is walked part by part, and one with
-    no parts always holds.  Each
+    ``equal`` compares both sides; a ``Conjunction`` (the equality a family
+    derives from its observation in each of its ``enumerate_contexts``) is
+    walked part by part, and one with no parts always holds.  Each
     quantifier's domain is taken as a ``Space`` (a tuple of its elements
     unless it is one already).  A law with at most ``cap`` assignments (the
     product of the domain sizes) is checked exhaustively; one with more is

@@ -326,3 +326,57 @@ def test_native_state_equality_runs_each_value_once_per_state_and_compares_both_
     # a result or a final state that differs at one state is told apart
     assert not fam.equal(lambda s: (s, s), lambda s: (s if s < 2 else 0, s))
     assert not fam.equal(lambda s: (s, s), lambda s: (s, s if s < 2 else 0))
+
+
+# a family states its observation once: its equality and its outcomes are
+# derived from ``observe``, in every context or, without contexts, in None
+
+def _observed_families():
+    return [
+        identity_family(),
+        failure_family(),
+        choice_family(),
+        choice_family(multiset=True),
+        reader_family((0, 1)),
+        writer_family(),
+        writer_family(bound=1),
+        console_family(scripts=((), ("a",))),
+        native_state_family(FiniteDomain("s2", (0, 1))).family,
+    ]
+
+
+@pytest.mark.parametrize("fam", _observed_families(), ids=lambda f: f.name)
+def test_a_family_equality_and_outcomes_follow_from_its_observation(fam):
+    contexts = fam.enumerate_contexts
+    if contexts is None:
+        contexts = (None,)
+    values = list(fam.values_over(BIT))
+    for x in values:
+        assert fam.outcomes_of(x) == tuple(
+            r for ctx in contexts for r in fam.observe(x, ctx)[0])
+    verdicts = []
+    for x, y in itertools.product(values, repeat=2):
+        agree = all(fam.observe(x, ctx) == fam.observe(y, ctx) for ctx in contexts)
+        verdict = fam.equal(x, y)
+        verdicts.append(verdict)
+        if fam.name == "choice-multiset":
+            # a multiset has no canonical observation: agreement implies
+            # equality, not the converse
+            assert verdict or not agree, (x, y)
+        else:
+            assert verdict == agree, (x, y)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_the_outcomes_of_failure_choice_writer_and_native_state():
+    assert failure_family().outcomes_of(NOTHING) == ()
+    assert failure_family().outcomes_of(Just(1)) == (1,)
+    # a choice keeps its branches in order, duplicates included
+    assert choice_family().outcomes_of((1, 0)) == (1, 0)
+    assert choice_family(multiset=True).outcomes_of((1, 1)) == (1, 1)
+    # a writer's log is observed, but is not an outcome
+    assert writer_family().outcomes_of((1, ("w0",))) == (1,)
+    # native state gives one result per state, in the states' order
+    ops = native_state_family(FiniteDomain("s3", (0, 1, 2)))
+    assert ops.family.outcomes_of(ops.get_value) == (0, 1, 2)
+    assert ops.family.outcomes_of(lambda s: (s % 2, 0)) == (0, 1, 0)

@@ -96,3 +96,28 @@ def test_only_lawcheck_catches_a_value_that_does_not_hash():
                 if any(getattr(name, "id", None) == "TypeError" for name in caught):
                     catchers.append(path.name)
     assert set(catchers) <= {"lawcheck.py"}
+
+
+def test_a_family_states_its_observation_once():
+    # a family's equality and outcomes are derived from its ``observe``, so a
+    # family passes ``observe``, or neither it nor ``equal`` (the state
+    # transformer has no observation of its own); only a multiset of choices,
+    # which has no canonical observation to compare, passes ``equal``
+    calls = []
+    for path in SOURCES:
+        for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(scope, ast.FunctionDef):
+                calls += [(path.name, scope.name, node) for node in ast.walk(scope)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "EffectFamily"]
+    assert calls
+    equal_by = set()
+    for module, builder, node in calls:
+        # with at most three positional arguments (name, unit, bind),
+        # ``equal`` and ``observe`` can be passed only by keyword
+        assert len(node.args) <= 3, (module, builder)
+        keywords = {keyword.arg for keyword in node.keywords}
+        assert "observe" in keywords or "equal" not in keywords, (module, builder)
+        if "equal" in keywords:
+            equal_by.add((module, builder))
+    assert equal_by == {("effects.py", "choice_family")}
