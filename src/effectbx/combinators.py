@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .bx import Bx, _require_domains, dual, legs_of, lens_to_bx, require_initialisable, span_bx
-from .compose import _require_same_effect
-from .effects import EffectFamily, Just, NOTHING, _Tagged
+from .effects import EffectFamily, Just, NOTHING, _Tagged, require_same_family
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
 from .lenses import Lens, fst_lens, snd_lens
@@ -83,7 +82,7 @@ def _legs_of_both(bx1: Bx, bx2: Bx):
     _require_domains(bx1)
     _require_domains(bx2)
     legs = (*legs_of(bx1), *legs_of(bx2))
-    _require_same_effect(bx1, bx2)
+    require_same_family(bx1.effect, bx2.effect, bx1.name, bx2.name, "bx combine")
     return legs
 
 

@@ -16,7 +16,7 @@ from .bx import (
     require_initialisable,
     span_bx,
 )
-from .effects import EffectFamily, same_family
+from .effects import EffectFamily, require_same_family
 from .errors import EffectbxError, MiddleTypeMismatch, NotBijective
 from .lawcheck import FiniteDomain, Law, Positions, pointwise
 from .lenses import Lens, identity_lens, theta
@@ -27,15 +27,6 @@ def identity_bx(fam: EffectFamily, dom: FiniteDomain, name: str = "identity") ->
     """Both views are the state itself: the bx of the identity lens;
     transparent, overwritable and initialisable."""
     return lens_to_bx(identity_lens(), dom, dom, fam, name=name)
-
-
-def _require_same_effect(bx1: Bx, bx2: Bx):
-    """Refuse bx at different families (see ``same_family``)."""
-    e1, e2 = bx1.effect, bx2.effect
-    if not same_family(e1, e2):
-        raise ValueError(f"{bx1.name} is at effect {e1.name} over contexts "
-                         f"{e1.enumerate_contexts!r} but {bx2.name} at {e2.name} over "
-                         f"contexts {e2.enumerate_contexts!r}; bx combine only at one effect")
 
 
 def _check_middle(bx1: Bx, bx2: Bx):
@@ -96,7 +87,7 @@ def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
         _require_domains(bx, ("state_domain",))
     l1, r1 = legs_of(bx1)
     l2, r2 = legs_of(bx2)
-    _require_same_effect(bx1, bx2)
+    require_same_family(bx1.effect, bx2.effect, bx1.name, bx2.name, "bx combine")
     fam = bx1.effect
     composed = span_bx(
         _pushing_leg(fam, l1, r1, l2, 0), _pushing_leg(fam, r2, l2, r1, 1),
@@ -230,7 +221,7 @@ def equivalence_laws(bx1: Bx, other: Bx, h: StateBijection):
     (at one effect), including the initializers when both are
     initialisable.  The right-side laws are the left-side laws of the two
     duals."""
-    _require_same_effect(bx1, other)
+    require_same_family(bx1.effect, other.effect, bx1.name, other.name, "bx combine")
     _check_bijection(h, bx1.state_domain, other.state_domain)
     get_l, set_l, init_l = _iota_laws(bx1, other, h, "l", "a")
     get_r, set_r, init_r = _iota_laws(dual(bx1), dual(other), h, "r", "b")

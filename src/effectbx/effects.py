@@ -153,6 +153,16 @@ def same_family(f1: EffectFamily, f2: EffectFamily) -> bool:
     return (f1.name, f1.enumerate_contexts) == (f2.name, f2.enumerate_contexts)
 
 
+def require_same_family(f1: EffectFamily, f2: EffectFamily, name1: str, name2: str,
+                         what: str):
+    """Refuse two families that are not the same (see ``same_family``):
+    ``what`` reads the values of both at one family."""
+    if not same_family(f1, f2):
+        raise ValueError(f"{name1} is at effect {f1.name} over contexts "
+                         f"{f1.enumerate_contexts!r} but {name2} at {f2.name} over "
+                         f"contexts {f2.enumerate_contexts!r}; {what} only at one effect")
+
+
 def require_identity(fam: EffectFamily, what: str):
     """Refuse any family but the identity: ``what`` reads its effect values
     as plain values."""
@@ -164,38 +174,25 @@ def require_identity(fam: EffectFamily, what: str):
 # failure
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class _Tagged:
     """A value under a one-field tag: the base of ``Just`` and of the sum
     injections ``Left`` and ``Right``.  A tagged value is immutable by
-    convention (nothing assigns to ``value`` after construction).  The
-    class has slots and a plain ``__init__``, since the failure family
-    builds one at every ``unit``; equality and hash are those of a frozen
-    dataclass: ``==`` compares ``(value,)`` tuples, so it tests identity
-    before equality, and a value of another tag is unequal.  It prints as
+    convention (nothing assigns to ``value`` after construction); the
+    dataclass is not frozen, so that ``__init__``, which the failure family
+    runs at every ``unit``, only stores the value.  It prints as
     ``Tag(value)`` with ``stable_repr`` of the value, so a set inside it
     prints in the same order in every process."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
+    value: Any
 
     def __repr__(self):
         return f"{self.__class__.__name__}({stable_repr(self.value)})"
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value,) == (other.value,)
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class Just(_Tagged):
-    """The success value of the failure family, built at every ``unit``: a
-    slotted one-field tag, printed ``Just(value)``, equal only to a ``Just``
-    of an equal value."""
+    """The success value of the failure family, built at every ``unit``,
+    printed ``Just(value)``."""
 
     __slots__ = ()
 

@@ -228,31 +228,21 @@ class FiniteDomain:
         return Space(len(self.elements), self.elements.__getitem__)
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class FiniteFunction:
     """A function given by its finite graph; hashable and printable so it can
     appear in witnesses.  It is the value that ``decode`` gives and a
     witness holds, immutable by convention (nothing assigns to ``keys`` or
-    ``values`` after construction); ``run_laws`` reads a quantifier it walks
+    ``values`` after construction; the dataclass is not frozen, so that
+    ``__init__`` only stores them); ``run_laws`` reads a quantifier it walks
     through a live view instead.  A key is looked up with ``tuple.index``,
     which tests ``is`` before ``==`` (as ``in`` does), so a key that is not
-    equal to itself is still found by identity.  The class has slots and a
-    plain ``__init__``; equality and hash are those of a frozen dataclass
-    over ``(keys, values)``, and it prints as ``{k->v, ...}`` in key order,
-    with ``stable_repr`` of each key and value."""
+    equal to itself is still found by identity.  It prints as
+    ``{k->v, ...}`` in key order, with ``stable_repr`` of each key and
+    value."""
 
-    __slots__ = ("keys", "values")
-
-    def __init__(self, keys: tuple, values: tuple):
-        self.keys = keys
-        self.values = values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.keys, self.values) == (other.keys, other.values)
-
-    def __hash__(self):
-        return hash((self.keys, self.values))
+    keys: tuple
+    values: tuple
 
     def __call__(self, x):
         try:
@@ -285,21 +275,19 @@ class FunctionForm:
     wrap: Callable[[Any], Any]
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Space:
     """A finite domain addressed by index: ``decode(i)`` builds element
     ``i < size`` on demand, so a space may exceed memory (or ``sys.maxsize``:
     use ``size``, not ``len``).  Iteration is in index order.  A space of
     functions also carries its ``functions`` form, which lets ``run_laws``
     assign a function one point at a time.  A space is immutable by
-    convention, and the class has slots and a plain ``__init__``."""
+    convention; the dataclass is not frozen, so that ``__init__`` only
+    stores its fields."""
 
-    __slots__ = ("size", "decode", "functions")
-
-    def __init__(self, size: int, decode: Callable[[int], Any],
-                 functions: Optional[FunctionForm] = None):
-        self.size = size
-        self.decode = decode
-        self.functions = functions
+    size: int
+    decode: Callable[[int], Any]
+    functions: Optional[FunctionForm] = None
 
     def __len__(self):
         return self.size
@@ -470,34 +458,18 @@ class Witness:
         return {"inputs": self.inputs, "lhs": self.lhs, "rhs": self.rhs}
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class LawResult:
     """One law's verdict: ``mode`` is how this law was checked, as a
     report's ``mode`` reads for a report of this law alone; only the
     report's ``mode`` is serialised.  A result is immutable by convention;
-    the class has slots and a plain ``__init__``, and repr, equality and
-    hash are those of a frozen dataclass over ``(name, checked, failures,
-    mode)``."""
+    the dataclass is not frozen, so that ``__init__`` only stores its
+    fields."""
 
-    __slots__ = ("name", "checked", "failures", "mode")
-
-    def __init__(self, name: str, checked: int, failures: tuple, mode: str = "exhaustive"):
-        self.name = name
-        self.checked = checked
-        self.failures = failures
-        self.mode = mode
-
-    def __repr__(self):
-        return (f"LawResult(name={self.name!r}, checked={self.checked!r}, "
-                f"failures={self.failures!r}, mode={self.mode!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.checked, self.failures, self.mode)
-                == (other.name, other.checked, other.failures, other.mode))
-
-    def __hash__(self):
-        return hash((self.name, self.checked, self.failures, self.mode))
+    name: str
+    checked: int
+    failures: tuple
+    mode: str = "exhaustive"
 
     @property
     def ok(self):
@@ -576,6 +548,7 @@ def _absent(name):
     return property(absent)
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class _PartialFunction(dict):
     """The live view of a function quantifier that ``run_laws`` assigns
     point by point: a dict of the points assigned so far, so that a call,
@@ -606,7 +579,11 @@ class _PartialFunction(dict):
     assignment, item deletion and ``|=`` raise ``TypeError`` too; the walk
     reads and fills a view by ``dict``'s own methods."""
 
-    __slots__ = ("domain", "codomain", "digits", "trail", "start")
+    domain: tuple
+    codomain: tuple
+    digits: list
+    trail: list
+    start: int = 0
 
     __call__ = dict.__getitem__
     (get, items, copy, pop, popitem, setdefault, update, clear,
@@ -643,13 +620,6 @@ class _PartialFunction(dict):
     def __ior__(self, other):
         raise TypeError("unsupported operand type(s) for |=: 'FiniteFunction' and "
                         f"{type(other).__name__!r}")
-
-    def __init__(self, domain, codomain, digits, trail, start=0):
-        self.domain = domain
-        self.codomain = codomain
-        self.digits = digits
-        self.trail = trail
-        self.start = start
 
     def __missing__(self, x):
         try:

@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional
 
-from .effects import EffectFamily, identity_family, morphism_laws, require_identity
+from .effects import (
+    EffectFamily,
+    identity_family,
+    morphism_laws,
+    require_identity,
+    require_same_family,
+    same_family,
+)
 from .lawcheck import FiniteDomain, Law, enumerate_functions
 from .stateful import Stateful, enumerate_stateful, state_family
 
@@ -75,7 +82,8 @@ def lift_lens(fam: EffectFamily, l: Lens) -> Lens:
 
 
 def lens_compose(l1: Lens, l2: Lens) -> Lens:
-    """Compose a source->mid lens with a mid->view lens, at ``l1``'s effect."""
+    """Compose a source->mid lens with a mid->view lens, both at one effect."""
+    require_same_family(l1.effect, l2.effect, "l1", "l2", "lenses compose")
     fam = l1.effect
 
     def update(s, v1):
@@ -101,11 +109,11 @@ def theta(l: Lens, m: Stateful) -> Stateful:
     read the source, take the view, run the computation on it, push the
     updated view back through the lens, store the new source.
 
-    A lens at another effect than the computation's is lifted into the
-    computation's family with ``lift_lens``, which takes only lenses at the
-    identity effect."""
+    A lens at another family than the computation's (see ``same_family``)
+    is lifted into the computation's family with ``lift_lens``, which takes
+    only lenses at the identity effect."""
     fam = m.effect
-    if l.effect.name != fam.name:
+    if not same_family(l.effect, fam):
         l = lift_lens(fam, l)
 
     def run(s):

@@ -3,6 +3,7 @@ over (result, state) pairs, interpreted in a pluggable effect family."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
@@ -11,37 +12,23 @@ from .errors import BaseLawsViolated
 from .lawcheck import FiniteDomain, Space, enumerate_functions, pointwise
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Stateful:
     """A computation ``run: S -> Eff((A, S))`` in a fixed effect family.
 
     Values are first-class and immutable by convention (nothing assigns to
     ``effect`` or ``run`` after construction); law checking compares them
-    extensionally, pointwise over declared finite state domains.  The class
-    has slots and a plain ``__init__``, since the checker builds tens of
-    thousands per pass; repr, equality and hash are those of a frozen
-    dataclass over ``(effect, run)``.
+    extensionally, pointwise over declared finite state domains.  The
+    dataclass is not frozen, so that ``__init__``, which the checker runs
+    tens of thousands of times per pass, only stores its fields.
 
     ``bind``, ``map`` and ``then`` build their continuation once, when the
     computation is composed: a run passes it to the family's ``bind`` and
     builds nothing else, and no continuation captures the state.
     """
 
-    __slots__ = ("effect", "run")
-
-    def __init__(self, effect: EffectFamily, run: Callable[[Any], Any]):
-        self.effect = effect
-        self.run = run
-
-    def __repr__(self):
-        return f"Stateful(effect={self.effect!r}, run={self.run!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.effect, self.run) == (other.effect, other.run)
-
-    def __hash__(self):
-        return hash((self.effect, self.run))
+    effect: EffectFamily
+    run: Callable[[Any], Any]
 
     # map and then build their continuations directly rather than through
     # bind, saving an st_unit computation on every run of the continuation;

@@ -7,7 +7,14 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from .bx import Bx, legs_of, require_initialisable, span_bx
-from .effects import EffectFamily, Just, NOTHING, identity_family, require_identity
+from .effects import (
+    EffectFamily,
+    Just,
+    NOTHING,
+    identity_family,
+    require_identity,
+    require_same_family,
+)
 from .errors import DomainTooLarge
 from .lawcheck import FiniteDomain, Law, Positions
 from .lenses import Lens
@@ -74,8 +81,9 @@ def _round_trip(sl: SymLens, name, var, dom, dom_c):
 
 
 def symlens_compose(sl1: SymLens, sl2: SymLens) -> SymLens:
-    """Sequential composition over paired complements, at ``sl1``'s
+    """Sequential composition over paired complements, both at one
     effect."""
+    require_same_family(sl1.effect, sl2.effect, "sl1", "sl2", "symmetric lenses compose")
     fam = sl1.effect
 
     def put_r(a, c):

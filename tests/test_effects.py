@@ -11,6 +11,7 @@ from effectbx import (
     FiniteDomain,
     FiniteFunction,
     Just,
+    LawResult,
     Left,
     NOTHING,
     Right,
@@ -249,6 +250,12 @@ def _slotted_values():
     def tag_payload(t):
         return (t.value,)
 
+    def result(checked):
+        return LawResult("get-put", checked, ())
+
+    def result_payload(r):
+        return (r.name, r.checked, r.failures, r.mode)
+
     return [
         # (make a value from a payload, a payload, its repr, its field tuple,
         #  a value of another tag with the same payload)
@@ -256,11 +263,13 @@ def _slotted_values():
         (Left, "x", "Left('x')", tag_payload, Right("x")),
         (Right, (0,), "Right((0,))", tag_payload, Just((0,))),
         (ff, "b", "{0->'a', 1->'b'}", ff_payload, ((0, 1), ("a", "b"))),
+        (result, 4, "LawResult(name='get-put', checked=4, failures=(), mode='exhaustive')",
+         result_payload, ("get-put", 4, (), "exhaustive")),
     ]
 
 
 @pytest.mark.parametrize("make, payload, text, fields, other", _slotted_values(),
-                         ids=["Just", "Left", "Right", "FiniteFunction"])
+                         ids=["Just", "Left", "Right", "FiniteFunction", "LawResult"])
 def test_slotted_values_keep_the_dataclass_repr_equality_and_hash(
         make, payload, text, fields, other):
     value, twin = make(payload), make(payload)

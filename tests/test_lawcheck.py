@@ -135,6 +135,15 @@ def test_lazy_space_and_its_tuple_give_identical_reports(cap, mode, cod):
     assert lazy.to_json() == eager.to_json() == finite.to_json()
 
 
+def test_a_space_has_no_dict_and_is_equal_only_to_itself():
+    dom = FiniteDomain("d", (0, 1))
+    space, twin = enumerate_functions(dom, dom), enumerate_functions(dom, dom)
+    assert not hasattr(space, "__dict__")
+    assert list(space) == list(twin)
+    assert space == space and space != twin and not space == twin
+    assert hash(space) == object.__hash__(space)
+
+
 def test_run_laws_exhaustive_and_witness():
     law = Law(
         "xy-symmetric",

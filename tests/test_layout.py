@@ -121,3 +121,40 @@ def test_a_family_states_its_observation_once():
         if "equal" in keywords:
             equal_by.add((module, builder))
     assert equal_by == {("effects.py", "choice_family")}
+
+
+def test_no_init_only_stores_its_parameters():
+    # a value type is declared by its fields, as a dataclass: an ``__init__``
+    # is written by hand only when it converts or computes a field
+    storers = []
+    for path in SOURCES:
+        for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(scope, ast.ClassDef):
+                continue
+            for init in scope.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                params = [arg.arg for arg in init.args.args[1:] + init.args.kwonlyargs]
+                stored = [(target.attr, statement.value.id) for statement in init.body
+                          if isinstance(statement, ast.Assign)
+                          and isinstance(statement.value, ast.Name)
+                          for target in statement.targets
+                          if isinstance(target, ast.Attribute)
+                          and getattr(target.value, "id", None) == "self"]
+                if len(stored) == len(init.body) and stored == [(p, p) for p in params]:
+                    storers.append((path.name, scope.name))
+    assert storers == []
+
+
+def test_only_the_live_view_writes_its_equality_and_hash():
+    # dataclasses generate ``__eq__`` and ``__hash__`` over their fields; the
+    # live view of a function quantifier answers as the decoded function does
+    writers = set()
+    for path in SOURCES:
+        for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(scope, ast.ClassDef):
+                writers |= {(path.name, scope.name, node.name) for node in scope.body
+                            if isinstance(node, ast.FunctionDef)
+                            and node.name in ("__eq__", "__hash__")}
+    assert writers == {("lawcheck.py", "_PartialFunction", "__eq__"),
+                       ("lawcheck.py", "_PartialFunction", "__hash__")}

@@ -1,5 +1,7 @@
 """Lenses, the widening embedding, and the product-state liftings."""
 
+import pytest
+
 from effectbx import (
     FiniteDomain,
     Lens,
@@ -12,6 +14,7 @@ from effectbx import (
     left,
     lens_compose,
     lift_lens,
+    reader_family,
     right,
     snd_lens,
     st_get,
@@ -149,3 +152,20 @@ def test_mlens_composition_creates_through_both_lenses():
     without_create = lift_lens(fam, fst_lens())
     assert lens_compose(with_create, without_create).create is None
     assert lens_compose(without_create, with_create).create is None
+
+
+def test_lenses_at_different_families_do_not_compose():
+    # the composite reads both lenses' updates at one family: a writer value
+    # bound in the failure family would be taken for a failure
+    l1 = lift_lens(failure_family(), fst_lens())
+    l2 = lift_lens(writer_family(), fst_lens())
+    with pytest.raises(ValueError, match="l1 is at effect failure .* but l2 at writer"):
+        lens_compose(l1, l2)
+
+
+def test_theta_lifts_a_lens_at_another_family_even_under_one_name():
+    # a reader family is its name and its environments: the lens is not at
+    # the computation's family, and only a lens at the identity effect lifts
+    lens = lift_lens(reader_family((0, 1)), fst_lens())
+    with pytest.raises(ValueError, match="lift_lens requires the identity effect, not reader"):
+        theta(lens, st_get(reader_family((0, 1, 2))))

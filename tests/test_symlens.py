@@ -266,6 +266,13 @@ def test_symmlens_composition_preserves_monadic_laws():
     assert composed.missing == (None, None)
 
 
+def test_symmlens_at_different_families_do_not_compose():
+    sl1 = lift_symlens(failure_family(), identity_symlens())
+    sl2 = lift_symlens(writer_family(), identity_symlens())
+    with pytest.raises(ValueError, match="sl1 is at effect failure .* but sl2 at writer"):
+        symlens_compose(sl1, sl2)
+
+
 def test_effectful_symmlens_with_failure():
     fam = failure_family()
 
