@@ -176,24 +176,15 @@ def _read_map(fam, getter, dom, states: FiniteDomain, views):
     domain ``states`` is the one at its position there, so a state is
     found by ``==``, never by repr.  A state outside the domain still
     resolves, as long as the get stays a pure query there; its view is
-    kept in a memo, so each such state is read from the get once."""
-    position = states.position
-    outside, memo = Positions(), []
+    extracted from the get at each read."""
 
     def read(s):
-        at = position(s)
-        if at is not None:
-            return views[at]
-        at = outside.find(s)
-        if at is None:
-            fresh = _extract_pure(fam, getter, s, dom)
-            if fresh is None:
-                raise UnobservableEffect(f"get is not a pure query at state {s!r}")
-            at = outside.add(s)
-            memo.append(fresh[0])
-        return memo[at]
+        fresh = _extract_pure(fam, getter, s, dom)
+        if fresh is None:
+            raise UnobservableEffect(f"get is not a pure query at state {s!r}")
+        return fresh[0]
 
-    return read
+    return states.table(views, read)
 
 
 def _extract_pure(fam, getter, s, dom):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .bx import Bx, _require_domains, dual, legs_of, lens_to_bx, require_initialisable, span_bx
-from .effects import EffectFamily, Just, NOTHING, _Tagged, require_same_family
+from .effects import EffectFamily, Just, NOTHING, _Singleton, _Tagged, require_same_family
 from .errors import EffectbxError
 from .lawcheck import FiniteDomain, tuples_up_to
 from .lenses import Lens, fst_lens, snd_lens
@@ -25,14 +25,7 @@ class Right(_Tagged):
     __slots__ = ()
 
 
-class _Uninit:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
+class _Uninit(_Singleton):
     def __repr__(self):
         return "UNINIT"
 

@@ -67,7 +67,7 @@ def join_states_general(bx1: Bx, bx2: Bx) -> FiniteDomain:
     return FiniteDomain(f"{bx1.name};{bx2.name}-join", pairs)
 
 
-def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
+def compose(bx1: Bx, bx2: Bx) -> Bx:
     """Sequential composition over the join state space: the pullback of
     ``bx1``'s right leg and ``bx2``'s left leg (see ``legs_of``), a span of
     two monadic lenses out of the pairs of component states.
@@ -76,11 +76,9 @@ def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
     effect.  A get is the view of its end's leg.  Setting one end updates
     the matching component's leg, reads the updated middle view through
     that component's other leg, and pushes it into the other component's
-    leg; initialising is the same with the legs' creates.  ``via_theta``
-    switches to the equivalent formulation that widens component
-    computations with ``theta`` through lenses at the bx's effect onto the
-    pair state; the two routes agree pointwise on join states.  The
-    composite is initialisable when both components are.
+    leg; initialising is the same with the legs' creates.  The composite
+    is initialisable when both components are.  ``_compose_by_theta`` is
+    the reference formulation it agrees with pointwise on join states.
     """
     _check_middle(bx1, bx2)
     for bx in (bx1, bx2):
@@ -89,11 +87,10 @@ def compose(bx1: Bx, bx2: Bx, via_theta: bool = False) -> Bx:
     l2, r2 = legs_of(bx2)
     require_same_family(bx1.effect, bx2.effect, bx1.name, bx2.name, "bx combine")
     fam = bx1.effect
-    composed = span_bx(
+    return span_bx(
         _pushing_leg(fam, l1, r1, l2, 0), _pushing_leg(fam, r2, l2, r1, 1),
         _join_states(bx1, bx2, r1, l2), bx1.dom_a, bx2.dom_b, fam, f"{bx1.name};{bx2.name}",
     )
-    return replace(composed, **_compose_theta(bx1, bx2)) if via_theta else composed
 
 
 def _pushing_leg(fam: EffectFamily, lead: Lens, mid: Lens, follow: Lens, at: int) -> Lens:
@@ -144,11 +141,14 @@ def _theta_lens(fam: EffectFamily, get: Stateful, set_, at: int) -> Lens:
     return Lens(view=lambda state: state[at], update=update, effect=fam)
 
 
-def _compose_theta(bx1, bx2) -> dict:
-    """The four operations of the composite, widened with ``theta``."""
+def _compose_by_theta(bx1: Bx, bx2: Bx) -> Bx:
+    """The reference formulation of ``compose``: the composite's four
+    operations widen the components' with ``theta`` through lenses at the
+    bx's effect onto the pair state."""
     phi = partial(theta, _theta_lens(bx1.effect, bx1.get_r, bx2.set_l, 0))
     psi = partial(theta, _theta_lens(bx1.effect, bx2.get_l, bx1.set_r, 1))
-    return dict(
+    return replace(
+        compose(bx1, bx2),
         get_l=phi(bx1.get_l),
         set_l=lambda a: phi(bx1.set_l(a)),
         get_r=psi(bx2.get_r),

@@ -529,8 +529,6 @@ def run_monad_suite(cap=None, seed=0) -> dict:
         commute = check(fam, "commutative", cap=cap, seed=seed, dom_a=dom_a, dom_b=dom_b)
         expected = EXPECTED_COMMUTATIVE[fam.name]
         verdict_ok = commute.ok == expected
-        if not expected:
-            verdict_ok = verdict_ok and bool(commute.law("commute").failures)
         ok = ok and verdict_ok
         entry = commute.to_dict()
         entry["expected_commutative"] = expected

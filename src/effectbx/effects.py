@@ -197,7 +197,10 @@ class Just(_Tagged):
     __slots__ = ()
 
 
-class _Nothing:
+class _Singleton:
+    """A class with one instance: constructing, copying or unpickling it
+    gives that instance."""
+
     _instance = None
 
     def __new__(cls):
@@ -205,6 +208,8 @@ class _Nothing:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+
+class _Nothing(_Singleton):
     def __repr__(self):
         return "Nothing"
 

@@ -44,7 +44,8 @@ def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
     of ``err`` and the partial-inverse property of the pair.
     """
     _check_zero(fam, err, dom_a)
-    f_at, g_at = _tabulate(f, dom_a), _tabulate(g, dom_b)
+    f_at = dom_a.table(tuple(map(f, dom_a)), f)
+    g_at = dom_b.table(tuple(map(g, dom_b)), g)
     _check_partial_inverses(f_at, g_at, dom_a, dom_b)
 
     # each update ignores the old state, so it is also the create
@@ -62,19 +63,6 @@ def partial_bx(fam: EffectFamily, err, f, g, dom_a: FiniteDomain,
         Lens(lambda s: s[1], update_r, partial(update_r, None), effect=fam),
         FiniteDomain(f"{name}-states", states), dom_a, dom_b, fam, name,
     )
-
-
-def _tabulate(h, dom):
-    """``h`` over ``dom``, computed once: the value at an element of the
-    domain is read at its position in a table, and ``h`` is called only for
-    a value outside the domain."""
-    values, position = tuple(map(h, dom)), dom.position
-
-    def at(x):
-        i = position(x)
-        return h(x) if i is None else values[i]
-
-    return at
 
 
 def _check_zero(fam, err, dom):

@@ -221,6 +221,18 @@ class FiniteDomain:
     def __repr__(self):
         return f"FiniteDomain({self.name}, {list(self.elements)!r})"
 
+    def table(self, values, otherwise):
+        """The function that reads ``values[i]`` at the domain's ``i``-th
+        element, found as ``position`` finds it, and calls ``otherwise(x)``
+        at any other value ``x``."""
+        position = self.position
+
+        def at(x):
+            i = position(x)
+            return otherwise(x) if i is None else values[i]
+
+        return at
+
     @functools.cached_property
     def _space(self):
         """The domain as a ``Space``, built once per domain, not once per

@@ -54,13 +54,8 @@ class Stateful:
         return Stateful(fam, lambda s: bind(run(s), cont))
 
     def then(self, m: "Stateful") -> "Stateful":
-        fam = self.effect
-        bind, run = fam.bind, self.run
-
-        def cont(pair):
-            return m.run(pair[1])
-
-        return Stateful(fam, lambda s: bind(run(s), cont))
+        bind, run, cont = self.effect.bind, self.run, then_cont(m)
+        return Stateful(self.effect, lambda s: bind(run(s), cont))
 
 
 def st_unit(fam: EffectFamily, a) -> Stateful:
@@ -85,7 +80,7 @@ def st_gets(fam: EffectFamily, f) -> Stateful:
 
 def then_cont(m: Stateful):
     """The continuation of ``then(m)`` over a ``(value, state)`` pair: ``m``
-    run at the pair's state, for a ``pointwise`` law's side."""
+    run at the pair's state, for ``then`` and a ``pointwise`` law's side."""
     run = m.run
 
     def cont(pair):

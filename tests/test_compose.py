@@ -39,7 +39,7 @@ from effectbx import (
     st_exec,
     sum_bx,
 )
-from effectbx.compose import _check_bijection, _check_middle
+from effectbx.compose import _check_bijection, _check_middle, _compose_by_theta
 from effectbx.corpus import _switch_reader
 
 BIT = FiniteDomain("bit", (0, 1))
@@ -346,7 +346,7 @@ def test_mlens_route_agrees_pointwise():
     ]
     for bx1, bx2 in cases:
         direct = compose(bx1, bx2)
-        alt = compose(bx1, bx2, via_theta=True)
+        alt = _compose_by_theta(bx1, bx2)
         for s in direct.state_domain:
             assert fam.equal_values(direct.get_l.run(s), alt.get_l.run(s))
             assert fam.equal_values(direct.get_r.run(s), alt.get_r.run(s))

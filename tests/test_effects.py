@@ -1,7 +1,9 @@
 """Effect families: monad laws, zeros, commutativity, morphisms, console."""
 
 import collections
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -16,6 +18,7 @@ from effectbx import (
     NOTHING,
     Right,
     ScriptExhausted,
+    UNINIT,
     UnobservableEffect,
     check_commutative,
     check_monad_laws,
@@ -375,6 +378,15 @@ def test_a_family_equality_and_outcomes_follow_from_its_observation(fam):
         else:
             assert verdict == agree, (x, y)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("marker, printed", [(NOTHING, "Nothing"), (UNINIT, "UNINIT")])
+def test_a_marker_is_its_class_s_only_instance(marker, printed):
+    assert repr(marker) == printed
+    assert type(marker)() is marker
+    assert copy.copy(marker) is marker
+    assert copy.deepcopy(marker) is marker
+    assert pickle.loads(pickle.dumps(marker)) is marker
 
 
 def test_the_outcomes_of_failure_choice_writer_and_native_state():

@@ -356,6 +356,31 @@ def test_a_domain_finds_an_element_at_its_position_by_identity_first():
     assert (plain.position(4), plain.position([4]), plain.position(5)) == (1, None, None)
 
 
+def test_a_table_reads_an_element_at_its_position_and_computes_any_other_value():
+    calls = []
+
+    def otherwise(x):
+        calls.append(x)
+        return ("computed", x)
+
+    lone = _NeverEqual()
+    dom = FiniteDomain("unhashable", ([0], lone, [2]))
+    at = dom.table(("zero", "lone", "two"), otherwise)
+    # an element is found by identity and then ==, though none hashes
+    assert [at(x) for x in dom] == ["zero", "lone", "two"]
+    assert [at([0]), at([2])] == ["zero", "two"]
+    assert calls == []
+    # any other value is computed at every read, one equal to nothing too
+    stranger = _NeverEqual()
+    assert [at([1]), at([1])] == [("computed", [1])] * 2
+    assert at(stranger)[1] is stranger
+    assert calls == [[1], [1], stranger]
+    plain = FiniteDomain("ints", (3, 4)).table(("three", "four"), otherwise)
+    assert [plain(4), plain(3.0), plain(5), plain(5)] == [
+        "four", "three", ("computed", 5), ("computed", 5)]
+    assert calls[3:] == [5, 5]
+
+
 @pytest.mark.parametrize("limits", [{}, {"cap": 0}, {"sample": None}],
                          ids=["default", "cap0", "no-sample"])
 def test_vacuous_quantification_passes_with_zero_checks(limits):

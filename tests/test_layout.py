@@ -55,8 +55,10 @@ def test_run_laws_is_called_only_by_check():
 def test_bx_is_built_by_hand_only_where_a_get_is_not_a_view():
     # a bx whose gets are views of its state is the span of two lenses, built
     # by ``span_bx``, the combinators of transparent bx among them; the other
-    # constructors of ``Bx`` have gets that leave the state domain (``_mk``)
-    # or read the environment (``switch_bx``)
+    # constructors of ``Bx`` are ``_mk``, which builds the corpus mutants
+    # (the gets of mutant-get_l-get_l, its dual and mutant-get_l-get_r leave
+    # the state domain; the other five have view gets), and ``switch_bx``,
+    # whose gets read the environment
     builders = set()
     for path in SOURCES:
         for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
